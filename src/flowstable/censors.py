@@ -9,15 +9,11 @@ triggers a rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import AppProtocol, FlowId, Packet, PacketKind, Sensitivity
-
-
-class UnknownRuleError(LookupError):
-    """A censor-rule reference does not exist in the topology."""
 
 
 class Direction(Enum):
@@ -84,14 +80,15 @@ def domain_matches(pattern: str, domain: str) -> bool:
     return domain == pattern
 
 
-@dataclass
+@dataclass(frozen=True)
 class CensorRule:
-    """One middlebox rule attached at a node.
+    """One middlebox rule attached at a node; immutable once built.
 
-    Health changes are scheduled by epoch so flips can be installed up
-    front and applied deterministically between epochs. residual_epochs
-    > 0 opts into residual censorship: after a hit, any packet on the
-    same flow within the window is actioned too.
+    health is the state at epoch 0. health_schedule lists (epoch,
+    health) changes, each in force from its epoch on, so a flapping
+    censor is part of the rule and every session sees the same flips.
+    residual_epochs > 0 opts into residual censorship: after a hit, any
+    packet of the same session within the window is actioned too.
     """
 
     attach_at: int
@@ -101,8 +98,7 @@ class CensorRule:
     action: Action
     health: Health = Health.ACTIVE
     residual_epochs: int = 0
-    _health_schedule: List[Tuple[int, Health]] = field(default_factory=list, repr=False)
-    _residual_until: Dict[bytes, int] = field(default_factory=dict, repr=False)
+    health_schedule: Tuple[Tuple[int, Health], ...] = ()
 
     def __post_init__(self) -> None:
         if self.protocol not in _VALID_ACTIONS[self.action.kind]:
@@ -111,17 +107,16 @@ class CensorRule:
             )
         if self.residual_epochs < 0:
             raise ValueError("residual_epochs must be >= 0")
+        epochs = [when for when, _ in self.health_schedule]
+        if epochs != sorted(epochs):
+            raise ValueError("health_schedule must be ordered by epoch")
 
     def health_at(self, epoch: int) -> Health:
         current = self.health
-        for when, state in self._health_schedule:
+        for when, state in self.health_schedule:
             if when <= epoch:
                 current = state
         return current
-
-    def schedule_health(self, health: Health, epoch: int) -> None:
-        self._health_schedule.append((epoch, health))
-        self._health_schedule.sort(key=lambda e: e[0])
 
     def matches(self, packet: Packet) -> bool:
         if packet.sensitivity is not Sensitivity.SENSITIVE:
@@ -137,29 +132,25 @@ class CensorRule:
         return domain_matches(self.domain_pattern, packet.body_tag)
 
 
-def apply(rule: CensorRule, packet: Packet, epoch: int) -> Optional[CensorEvent]:
+def apply(
+    rule: CensorRule, packet: Packet, epoch: int, residual: Dict[CensorRule, int]
+) -> Optional[CensorEvent]:
     """Fire the rule on a transiting packet, or return None.
 
-    A failed rule never fires, including for residual state. On a fresh
-    match with residual_epochs > 0 the flow is remembered and later
-    packets on it inside the window are actioned regardless of content.
+    residual maps each rule to the last epoch of its residual window and
+    belongs to the calling session, whose packets all share one flow. A
+    failed rule never fires, including for residual state. On a fresh
+    match with residual_epochs > 0 the window opens, and later packets
+    inside it are actioned regardless of content.
     """
-    if rule.health_at(epoch) is not Health.FAILED:
-        key = packet.flow.to_bytes()
-        residual = rule._residual_until.get(key)
-        if residual is not None and epoch <= residual:
+    if rule.health_at(epoch) is Health.FAILED:
+        return None
+    if rule.residual_epochs > 0:
+        until = residual.get(rule)
+        if until is not None and epoch <= until:
             return CensorEvent(rule.attach_at, rule.action, epoch, packet.flow)
-        if rule.matches(packet):
-            if rule.residual_epochs > 0:
-                rule._residual_until[key] = epoch + rule.residual_epochs
-            return CensorEvent(rule.attach_at, rule.action, epoch, packet.flow)
+    if rule.matches(packet):
+        if rule.residual_epochs > 0:
+            residual[rule] = epoch + rule.residual_epochs
+        return CensorEvent(rule.attach_at, rule.action, epoch, packet.flow)
     return None
-
-
-def set_health(rules: List[CensorRule], index: int, health: Health, epoch: int) -> CensorRule:
-    """Schedule a health change for rule `index`, effective at `epoch`."""
-    if not 0 <= index < len(rules):
-        raise UnknownRuleError(f"no censor rule at index {index}")
-    rule = rules[index]
-    rule.schedule_health(health, epoch)
-    return rule

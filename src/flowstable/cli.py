@@ -202,7 +202,6 @@ def _cmd_rq2(args) -> int:
         repetitions=args.repetitions,
         log_path=log_path,
         run_id=run_id,
-        jobs=args.jobs,
     )
 
     node_by_ip = {ip.value: node_id for node_id, ip in dests}
@@ -450,7 +449,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--repetitions", type=int, default=prober.DEFAULT_REPETITIONS)
     p.add_argument("--control-domain", default="control.example")
     p.add_argument("--sensitive-domain", default="blocked.example")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--trace-affected", action="store_true",
                    help="also trace decided cells of affected destinations")
     p.set_defaults(fn=_cmd_rq2)
@@ -512,6 +510,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         simnet.DestinationResolutionError,
         simnet.LoopGuardExceededError,
         logio.SchemaVersionUnknownError,
+        logio.CorruptRecordError,
         analysis.EmptyPathSetError,
         analysis.AllExcludedError,
         analysis.EmptyGroupError,

@@ -13,14 +13,6 @@ from enum import Enum
 from typing import Optional, Tuple
 
 
-class IcmpPacketError(ValueError):
-    """Raised when a flow identity is requested for an ICMP reply.
-
-    ICMP time-exceeded messages travel the reverse path and do not
-    belong to the probe flow they quote.
-    """
-
-
 class Protocol(Enum):
     """Transport protocol, numbered per the IP protocol registry."""
 
@@ -118,11 +110,6 @@ class FlowId:
         )
 
 
-def serialize_flow(flow: FlowId) -> bytes:
-    """Canonical byte form of a flow; injective, used as hash input."""
-    return flow.to_bytes()
-
-
 @dataclass(frozen=True, order=True)
 class SourceParams:
     """The prober-controlled half of a flow: source IP and port."""
@@ -180,13 +167,6 @@ class Packet:
             raise ValueError(f"ip_id out of range: {self.ip_id}")
         if self.kind is PacketKind.ICMP_TTL_EXCEEDED and self.quoted is None:
             raise ValueError("ICMP time-exceeded packets must quote (source, ip_id)")
-
-
-def flow_id_of(packet: Packet) -> FlowId:
-    """Flow identity of a probe packet; rejects ICMP replies."""
-    if packet.kind is PacketKind.ICMP_TTL_EXCEEDED:
-        raise IcmpPacketError("ICMP replies have no probe flow identity")
-    return packet.flow
 
 
 class Mechanism(Enum):

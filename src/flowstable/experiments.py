@@ -31,6 +31,7 @@ from .prober import (
     DEFAULT_REPETITIONS,
     BlockpageRegistry,
     EMPTY_REGISTRY,
+    Observation,
     ProbeSpec,
     TransportUnavailableError,
     classify,
@@ -192,10 +193,8 @@ def sample_destinations(
     out: List[Ipv4Address] = []
     for asn in sorted(by_as):
         pool = sorted(by_as[asn])
-        rng = _rng(seed, "dest-sample", asn)
-        rng.shuffle(pool)
         take = 1 if mode is SampleMode.ONE_PER_AS else min(cap, len(pool))
-        out.extend(pool[:take])
+        out.extend(_rng(seed, "dest-sample", asn).sample(pool, take))
     return out
 
 
@@ -255,7 +254,7 @@ def run_rq1(
     return out
 
 
-def _run_one_cell(
+def measure_cell(
     dst: Ipv4Address,
     protocol: AppProtocol,
     params: SourceParams,
@@ -263,8 +262,13 @@ def _run_one_cell(
     transport,
     registry: BlockpageRegistry,
     repetitions: int,
-    control_first: bool,
-):
+) -> Tuple[List[Observation], List[Observation], Verdict]:
+    """Probe one (destination, protocol, source params) cell and classify it.
+
+    Returns the control observations, the sensitive observations and
+    the verdict. A transport that cannot carry probes makes the cell
+    Excluded with no observations, so one bad cell never aborts a sweep.
+    """
     control_domain, sensitive_domain = domain_pair
     spec_c = ProbeSpec.for_protocol(
         protocol, dst, control_domain, Sensitivity.CONTROL, params, repetitions=repetitions
@@ -274,11 +278,10 @@ def _run_one_cell(
         repetitions=repetitions,
     )
     try:
-        obs_c, obs_s = run_cell(spec_c, spec_s, transport, control_first=control_first)
-        verdict = classify(obs_c, obs_s, protocol, registry)
+        obs_c, obs_s = run_cell(spec_c, spec_s, transport)
     except TransportUnavailableError:
-        return params, [], [], Verdict.excluded()
-    return params, obs_c, obs_s, verdict
+        return [], [], Verdict.excluded()
+    return obs_c, obs_s, classify(obs_c, obs_s, protocol, registry)
 
 
 def _cell_records(run_id, dst, protocol, params, obs_c, obs_s, verdict, domain_pair):
@@ -316,19 +319,14 @@ def run_rq2(
     repetitions: int = DEFAULT_REPETITIONS,
     log_path: Optional[Union[str, Path]] = None,
     run_id: str = "rq2",
-    shuffle: bool = False,
-    control_first: bool = True,
-    jobs: int = 1,
 ) -> Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]:
     """Verdict matrix per (destination, protocol).
 
+    Cells run one at a time in grid order, each in its own session.
     Cells already carrying a verdict in the log are not re-run; their
     verdicts are loaded back instead, so an interrupted sweep resumes
     where it stopped. Each cell's observation records and its verdict
-    are appended together. shuffle randomizes execution order (a
-    fidelity knob; cells are order-independent either way). jobs > 1
-    runs cells on a thread pool; the log is still written by one
-    appender in grid order.
+    are appended together.
     """
     done: Dict[Tuple[str, str, int, str], Verdict] = {}
     if log_path is not None and Path(log_path).exists():
@@ -341,53 +339,25 @@ def run_rq2(
     out: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]] = {}
     for dst in plan.destinations:
         for protocol in protocols:
-            cells = list(plan.grid)
-            if shuffle:
-                _rng(0, "cell-order", str(dst), protocol.value).shuffle(cells)
             matrix: Dict[SourceParams, Verdict] = {}
-            todo: List[SourceParams] = []
-            for params in cells:
+            for params in plan.grid:
                 key = (str(dst), str(params.src_ip), params.src_port, protocol.value)
                 if key in done:
                     matrix[params] = done[key]
-                else:
-                    todo.append(params)
-
-            def cell_fn(params):
-                return _run_one_cell(
+                    continue
+                obs_c, obs_s, verdict = measure_cell(
                     dst, protocol, params, plan.domain_pair, transport,
-                    registry, repetitions, control_first,
+                    registry, repetitions,
                 )
-
-            if jobs > 1 and len(todo) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(cell_fn, todo))
-                for params, obs_c, obs_s, verdict in results:
-                    matrix[params] = verdict
+                matrix[params] = verdict
                 if log_path is not None:
-                    records = []
-                    for params, obs_c, obs_s, verdict in results:
-                        records.extend(
-                            _cell_records(
-                                run_id, dst, protocol, params, obs_c, obs_s,
-                                verdict, plan.domain_pair,
-                            )
-                        )
-                    logio.append_records(log_path, records)
-            else:
-                for params in todo:
-                    _, obs_c, obs_s, verdict = cell_fn(params)
-                    matrix[params] = verdict
-                    if log_path is not None:
-                        logio.append_records(
-                            log_path,
-                            _cell_records(
-                                run_id, dst, protocol, params, obs_c, obs_s,
-                                verdict, plan.domain_pair,
-                            ),
-                        )
+                    logio.append_records(
+                        log_path,
+                        _cell_records(
+                            run_id, dst, protocol, params, obs_c, obs_s,
+                            verdict, plan.domain_pair,
+                        ),
+                    )
             out[(dst, protocol)] = matrix
     return out
 

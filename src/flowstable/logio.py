@@ -32,6 +32,10 @@ class SchemaVersionUnknownError(ValueError):
     """A record declares a schema version this reader does not know."""
 
 
+class CorruptRecordError(ValueError):
+    """A complete line of the log is not a JSON record."""
+
+
 def make_record(kind: str, run_id: str, **payload) -> Dict:
     if kind not in _KNOWN_KINDS:
         raise ValueError(f"unknown record kind {kind!r}")
@@ -54,7 +58,11 @@ def append_record(path: Union[str, Path], record: Dict) -> None:
 
 
 def read_log(path: Union[str, Path]) -> List[Dict]:
-    """Read all records; a partial trailing line is dropped with a warning."""
+    """Read all records; a partial trailing line is dropped with a warning.
+
+    Any other line that does not parse raises CorruptRecordError naming
+    the file and the line.
+    """
     records: List[Dict] = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -65,10 +73,17 @@ def read_log(path: Union[str, Path]) -> List[Dict]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorruptRecordError(f"{path} line {lineno}: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise CorruptRecordError(f"{path} line {lineno}: not a JSON object")
         version = record.get("schema_version")
         if version != SCHEMA_VERSION:
-            raise SchemaVersionUnknownError(f"schema_version {version!r} at line {lineno}")
+            raise SchemaVersionUnknownError(
+                f"{path} line {lineno}: schema_version {version!r}"
+            )
         records.append(record)
     return records
 

@@ -14,7 +14,6 @@ sensitive repetition is clean; anything mixed is Excluded.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -39,7 +38,7 @@ from .simnet import (
     TransitResult,
     forward,
 )
-from .censors import ActionKind, CensorEvent
+from .censors import ActionKind, CensorEvent, CensorRule
 
 #: Initial TTL on probe packets; paths deeper than this are malformed.
 PROBE_TTL = 64
@@ -56,7 +55,7 @@ class LengthMismatchError(ValueError):
 
 
 class HandshakeFailedError(RuntimeError):
-    """A TCP session required by the caller could not be established."""
+    """A TCP session required by the caller could not be opened."""
 
 
 @dataclass(frozen=True)
@@ -129,12 +128,6 @@ class BlockpageRegistry:
     def matches(self, template_id: str) -> bool:
         return template_id in self._templates
 
-    def label(self, template_id: str) -> Optional[str]:
-        return self._templates.get(template_id)
-
-    def __len__(self) -> int:
-        return len(self._templates)
-
 
 EMPTY_REGISTRY = BlockpageRegistry()
 
@@ -171,19 +164,15 @@ class LiveTransport:
 class SimTransport:
     """Transport bound to a simulated topology.
 
-    Keeps the cross-session packet log and the censor ground-truth
-    event list. Each probe cell runs in its own session with its own
-    logical epoch clock, so cells are order-independent and runs are
-    resumable.
+    Holds nothing but the read-only topology and the ICMP answer rate.
+    Every cell and every trace opens its own session, which carries all
+    the mutable state of that probe, so what one session sees never
+    depends on what ran before it.
     """
 
     def __init__(self, topology: Topology, icmp_response_prob: float = 1.0) -> None:
         self.topology = topology
         self.icmp_response_prob = icmp_response_prob
-        self.packet_log: List[Tuple[int, Packet]] = []
-        self.censor_events: List[CensorEvent] = []
-        self.epoch_hooks: List = []  # callables (topology, epoch) run on advance
-        self._lock = threading.Lock()
 
     def session(self, spec: ProbeSpec) -> "Session":
         dest = self.topology.resolve_destination(spec.dst_ip)
@@ -191,28 +180,22 @@ class SimTransport:
 
 
 class Session:
-    """One probe session: an epoch clock plus send/receive plumbing."""
+    """One probe session on one flow: an epoch clock, the residual-
+    censorship windows its packets opened, and send/receive plumbing."""
 
     def __init__(self, transport: SimTransport, dest_node: NodeId) -> None:
         self._transport = transport
         self.dest_node = dest_node
         self.epoch = 0
-        self.established = False
+        self.residual: Dict[CensorRule, int] = {}
 
     def advance(self, epochs: int = 1) -> None:
-        topo = self._transport.topology
-        for _ in range(epochs):
-            self.epoch += 1
-            for hook in self._transport.epoch_hooks:
-                hook(topo, self.epoch)
+        self.epoch += epochs
 
     def send(self, packet: Packet) -> SendResult:
         topo = self._transport.topology
         stream = LossStream(topo.seed, self.epoch, packet)
-        result = forward(topo, packet, topo.entry, stream)
-        with self._transport._lock:
-            self._transport.packet_log.append((self.epoch, packet))
-            self._transport.censor_events.extend(result.events)
+        result = forward(topo, packet, topo.entry, stream, self.residual)
 
         responses: List[Packet] = []
         # Injected packets win any race with the origin, so they come first.
@@ -301,7 +284,6 @@ def _run_exchange(spec: ProbeSpec, session: Session) -> Observation:
     if _first(syn_result.responses, PacketKind.TCP_SYNACK) is None:
         return Observation(epoch, ObservationKind.HANDSHAKE_FAILED)
     session.send(Packet(spec.flow, ttl=PROBE_TTL, kind=PacketKind.TCP_ACK))
-    session.established = True
 
     payload = Packet(
         spec.flow,
@@ -333,30 +315,27 @@ def run_cell(
     control: ProbeSpec,
     sensitive: ProbeSpec,
     transport,
-    control_first: bool = True,
 ) -> Tuple[List[Observation], List[Observation]]:
-    """Run a control/sensitive pair interleaved per epoch.
+    """Run a control/sensitive pair interleaved per epoch, control first.
 
-    Both specs must agree on everything that feeds the flow id, so both
-    probes of a repetition cross the same path in the same epoch.
+    Both specs must agree on everything that feeds the flow id and on
+    the epoch interval, so both probes of a repetition cross the same
+    path in the same epoch. They share one session: a residual window
+    opened by a sensitive hit also covers the control probes after it.
     """
     if control.flow != sensitive.flow:
         raise ValueError("control and sensitive specs must share one flow id")
+    if control.epoch_interval != sensitive.epoch_interval:
+        raise ValueError("control and sensitive specs must share one epoch interval")
     if control.repetitions != sensitive.repetitions:
         raise LengthMismatchError("control and sensitive repetitions differ")
-    session_c = transport.session(control)
-    session_s = transport.session(sensitive)
+    session = transport.session(control)
     obs_c: List[Observation] = []
     obs_s: List[Observation] = []
     for _ in range(control.repetitions):
-        session_c.advance(control.epoch_interval)
-        session_s.advance(sensitive.epoch_interval)
-        if control_first:
-            obs_c.append(_run_exchange(control, session_c))
-            obs_s.append(_run_exchange(sensitive, session_s))
-        else:
-            obs_s.append(_run_exchange(sensitive, session_s))
-            obs_c.append(_run_exchange(control, session_c))
+        session.advance(control.epoch_interval)
+        obs_c.append(_run_exchange(control, session))
+        obs_s.append(_run_exchange(sensitive, session))
     return obs_c, obs_s
 
 
@@ -414,42 +393,6 @@ def classify(
         ):
             return Verdict.not_censored()
     return Verdict.excluded()
-
-
-def verdict_matrix(
-    dst_ip: Ipv4Address,
-    param_grid: Sequence[SourceParams],
-    protocol: AppProtocol,
-    domain_pair: Tuple[str, str],
-    transport,
-    registry: BlockpageRegistry = EMPTY_REGISTRY,
-    repetitions: int = DEFAULT_REPETITIONS,
-    control_first: bool = True,
-) -> Dict[SourceParams, Verdict]:
-    """Classify every cell of a source-parameter grid for one destination.
-
-    Transport failures and degenerate cells are recorded as Excluded so
-    one bad cell never aborts the matrix.
-    """
-    if not param_grid:
-        raise ValueError("param_grid must be non-empty")
-    control_domain, sensitive_domain = domain_pair
-    out: Dict[SourceParams, Verdict] = {}
-    for params in param_grid:
-        spec_c = ProbeSpec.for_protocol(
-            protocol, dst_ip, control_domain, Sensitivity.CONTROL, params,
-            repetitions=repetitions,
-        )
-        spec_s = ProbeSpec.for_protocol(
-            protocol, dst_ip, sensitive_domain, Sensitivity.SENSITIVE, params,
-            repetitions=repetitions,
-        )
-        try:
-            obs_c, obs_s = run_cell(spec_c, spec_s, transport, control_first=control_first)
-            out[params] = classify(obs_c, obs_s, protocol, registry)
-        except TransportUnavailableError:
-            out[params] = Verdict.excluded()
-    return out
 
 
 def is_affected(matrix: Mapping[SourceParams, Verdict]) -> bool:

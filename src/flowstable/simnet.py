@@ -4,7 +4,9 @@ A topology is a directed graph of routers and endpoints. Each router
 carries an ECMP policy that picks the next hop as a pure function of a
 packet's flow identifier, never of TTL, IP ID, payload, or time.
 forward() walks a packet hop by hop, decrementing TTL, consulting
-censors, and applying per-node loss from a deterministic stream.
+censors, and applying per-node loss from a deterministic stream. A
+Topology is immutable once loaded; the only state a walk changes is
+the residual-censorship map its caller passes in.
 oracle_paths() is the brute-force route ground truth the tracer is
 checked against.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -224,23 +226,27 @@ class TransitResult:
     icmp: Optional[Packet] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
+    """A loaded topology document. Shared read-only by every session;
+    derive variants with dataclasses.replace."""
+
     nodes: Dict[NodeId, Node]
     policies: Dict[NodeId, EcmpPolicy]
-    censors: List[censors_mod.CensorRule]
+    censors: Tuple[censors_mod.CensorRule, ...]
     loss: Dict[NodeId, float]
     seed: int
-    health_log: List[Tuple[int, int, censors_mod.Health]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._censors_at: Dict[NodeId, List[censors_mod.CensorRule]] = {}
+        censors_at: Dict[NodeId, List[censors_mod.CensorRule]] = {}
         for rule in self.censors:
-            self._censors_at.setdefault(rule.attach_at, []).append(rule)
-        self._entry = self._pick_entry()
-        self._by_address = {}
+            censors_at.setdefault(rule.attach_at, []).append(rule)
+        by_address: Dict[int, List[Node]] = {}
         for node in self.nodes.values():
-            self._by_address.setdefault(node.address.value, []).append(node)
+            by_address.setdefault(node.address.value, []).append(node)
+        object.__setattr__(self, "_censors_at", censors_at)
+        object.__setattr__(self, "_by_address", by_address)
+        object.__setattr__(self, "_entry", self._pick_entry())
 
     def _pick_entry(self) -> NodeId:
         referenced = {h for p in self.policies.values() for h in p.next_hops}
@@ -283,10 +289,6 @@ class Topology:
             raise DestinationResolutionError(f"no endpoint owns {address}")
         raise DestinationResolutionError(f"ambiguous endpoint for {address}")
 
-    def set_health(self, index: int, health: censors_mod.Health, epoch: int) -> None:
-        censors_mod.set_health(self.censors, index, health, epoch)
-        self.health_log.append((epoch, index, health))
-
 
 class LossStream:
     """Counter-free deterministic loss stream.
@@ -327,13 +329,15 @@ def forward(
     packet: Packet,
     entry: NodeId,
     rng_stream: LossStream,
+    residual: Dict[censors_mod.CensorRule, int],
 ) -> TransitResult:
     """Carry one packet through the topology.
 
     Per node, in order: record the hop; consult attached censors (a
     silent drop consumes the packet, injections do not); deliver if the
     node is an endpoint; decrement TTL and expire responsively or not;
-    apply loss; forward along the ECMP choice.
+    apply loss; forward along the ECMP choice. residual is the sending
+    session's residual-censorship map (see censors.apply).
     """
     if entry not in topology.nodes:
         raise DanglingNodeRefError(f"entry node {entry} not in topology")
@@ -352,7 +356,7 @@ def forward(
 
         consumed = False
         for rule in topology.censors_at(node_id):
-            event = censors_mod.apply(rule, packet, rng_stream.epoch)
+            event = censors_mod.apply(rule, packet, rng_stream.epoch, residual)
             if event is not None:
                 events.append(event)
                 if event.action.kind.consumes_packet:
@@ -581,4 +585,6 @@ def load_topology(document: Union[str, Mapping]) -> Topology:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64:
         raise SchemaError(f"seed must be a 64-bit unsigned integer: {seed!r}")
 
-    return Topology(nodes=nodes, policies=policies, censors=rules, loss=loss, seed=seed)
+    return Topology(
+        nodes=nodes, policies=policies, censors=tuple(rules), loss=loss, seed=seed
+    )

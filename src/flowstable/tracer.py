@@ -82,7 +82,8 @@ def trace(
     Emits one copy per TTL in 1..max_ttl with ip_id = ttl and the one
     shared flow id. An injected RST tears the session down: remaining
     TTLs are not sent and the terminal records where censorship struck.
-    Other censor actions are recorded and the ladder continues.
+    Other censor actions are recorded and the ladder continues. The
+    trace opens its own session, so it starts with no residual windows.
     """
     if not 1 <= max_ttl <= MAX_TTL_CEILING:
         raise ValueError(f"max_ttl must be in 1..{MAX_TTL_CEILING}, got {max_ttl}")
@@ -151,7 +152,6 @@ def _handshake(spec: ProbeSpec, session: Session) -> None:
     if _first(responses, PacketKind.TCP_SYNACK) is None:
         raise HandshakeFailedError(f"no handshake for {spec.source} -> {spec.dst_ip}")
     session.send(Packet(spec.flow, ttl=PROBE_TTL, kind=PacketKind.TCP_ACK))
-    session.established = True
 
 
 def merge_paths(traces: Sequence[TracePath], verdicts=None):

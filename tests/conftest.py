@@ -33,3 +33,50 @@ def load_fixture(name: str):
     from flowstable.simnet import load_topology
 
     return load_topology((FIXTURES / name).read_text())
+
+
+def flapping(topology, schedule):
+    """A copy of topology whose every censor follows the given
+    (epoch, health) schedule."""
+    import dataclasses
+
+    return dataclasses.replace(
+        topology,
+        censors=tuple(
+            dataclasses.replace(rule, health_schedule=tuple(schedule))
+            for rule in topology.censors
+        ),
+    )
+
+
+@pytest.fixture
+def sent_packets(monkeypatch):
+    """Every packet any session sends while the test runs, in order."""
+    from flowstable import prober
+
+    sent = []
+    send = prober.Session.send
+
+    def recording_send(session, packet):
+        sent.append(packet)
+        return send(session, packet)
+
+    monkeypatch.setattr(prober.Session, "send", recording_send)
+    return sent
+
+
+@pytest.fixture
+def censor_events(monkeypatch):
+    """Every censor event fired while the test runs, in order."""
+    from flowstable import prober
+
+    events = []
+    forward = prober.forward
+
+    def recording_forward(*args):
+        result = forward(*args)
+        events.extend(result.events)
+        return result
+
+    monkeypatch.setattr(prober, "forward", recording_forward)
+    return events

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import conftest
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, flapping, load_fixture
 
 from flowstable.analysis import (
     BitGrouping,
@@ -137,10 +137,8 @@ def test_criterion_4_flapping_exclusion():
     seeded trials under 3 repetitions."""
     excluded = 0
     for seed in range(100):
-        topology = load_fixture("rst_chain.topo")
-        for index in range(len(topology.censors)):
-            topology.set_health(index, Health.FAILED, 2)
-            topology.set_health(index, Health.ACTIVE, 3)
+        topology = flapping(load_fixture("rst_chain.topo"),
+                            [(2, Health.FAILED), (3, Health.ACTIVE)])
         rng = random.Random(seed)
         params = SourceParams(
             Ipv4Address(0xC6336400 + rng.randrange(1, 255)),

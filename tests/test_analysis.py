@@ -39,7 +39,8 @@ from flowstable.fixtures import (
     build_type4,
     standard_grid,
 )
-from flowstable.prober import BlockpageRegistry, ProbeSpec, SimTransport, verdict_matrix
+from flowstable.experiments import measure_cell
+from flowstable.prober import DEFAULT_REPETITIONS, BlockpageRegistry, ProbeSpec, SimTransport
 from flowstable.tracer import TracePath, Terminal, TerminalKind, merge_paths, trace
 
 from conftest import load_fixture
@@ -242,9 +243,11 @@ class TestDualGraph:
 def run_fixture_pipeline(fx, grid=None):
     transport = SimTransport(fx.topology)
     grid = grid or standard_grid()
-    matrix = verdict_matrix(fx.dst_ip, grid, fx.protocol,
-                            (CONTROL_DOMAIN, SENSITIVE_DOMAIN), transport,
-                            registry=REGISTRY)
+    matrix = {
+        p: measure_cell(fx.dst_ip, fx.protocol, p, (CONTROL_DOMAIN, SENSITIVE_DOMAIN),
+                        transport, REGISTRY, DEFAULT_REPETITIONS)[2]
+        for p in grid
+    }
     traces = []
     for p in grid:
         spec = ProbeSpec.for_protocol(fx.protocol, fx.dst_ip, SENSITIVE_DOMAIN,

@@ -8,10 +8,8 @@ from flowstable.censors import (
     CensorRule,
     Direction,
     Health,
-    UnknownRuleError,
     apply,
     domain_matches,
-    set_health,
 )
 from flowstable.core import (
     AppProtocol,
@@ -45,29 +43,29 @@ def payload(domain="blocked.example", sensitivity=Sensitivity.SENSITIVE,
 
 class TestMatching:
     def test_active_rule_fires_on_sensitive_match(self):
-        event = apply(rst_rule(), payload(), epoch=1)
+        event = apply(rst_rule(), payload(), 1, {})
         assert event is not None
         assert event.at == 1 and event.epoch == 1
         assert event.action.kind is ActionKind.INJECT_RST
 
     def test_control_never_fires(self):
-        assert apply(rst_rule(), payload(sensitivity=Sensitivity.CONTROL), 1) is None
+        assert apply(rst_rule(), payload(sensitivity=Sensitivity.CONTROL), 1, {}) is None
 
     def test_wrong_domain_never_fires(self):
-        assert apply(rst_rule(), payload(domain="control.example"), 1) is None
+        assert apply(rst_rule(), payload(domain="control.example"), 1, {}) is None
 
     def test_wrong_port_never_fires(self):
-        assert apply(rst_rule(), payload(dst_port=80), 1) is None
+        assert apply(rst_rule(), payload(dst_port=80), 1, {}) is None
 
     def test_handshake_packets_never_fire(self):
         assert apply(rst_rule(), payload(kind=PacketKind.TCP_SYN,
-                                         sensitivity=Sensitivity.NOT_APPLICABLE), 1) is None
+                                         sensitivity=Sensitivity.NOT_APPLICABLE), 1, {}) is None
 
     def test_dns_rule_matches_udp_53(self):
         rule = rst_rule(protocol=AppProtocol.DNS,
                         action=Action(ActionKind.INJECT_DNS_ANSWER, "answer-a"))
         query = payload(dst_port=53, protocol=Protocol.UDP, kind=PacketKind.UDP_PAYLOAD)
-        event = apply(rule, query, 1)
+        event = apply(rule, query, 1, {})
         assert event is not None and event.action.tag == "answer-a"
 
     def test_suffix_pattern(self):
@@ -97,7 +95,7 @@ class TestMatching:
         else:
             packet = Packet(flow, ttl=64, kind=kind, sensitivity=sensitivity,
                             body_tag=domain)
-        event = apply(rst_rule(), packet, 1)
+        event = apply(rst_rule(), packet, 1, {})
         should_fire = (
             sensitivity is Sensitivity.SENSITIVE
             and domain == "blocked.example"
@@ -110,26 +108,30 @@ class TestMatching:
 class TestHealth:
     def test_failed_rule_never_fires(self):
         rule = rst_rule(health=Health.FAILED)
-        assert apply(rule, payload(), 1) is None
+        assert apply(rule, payload(), 1, {}) is None
 
     def test_health_schedule_applies_at_epoch(self):
-        rule = rst_rule()
-        rule.schedule_health(Health.FAILED, 2)
-        assert apply(rule, payload(), 1) is not None
-        assert apply(rule, payload(), 2) is None
-        assert apply(rule, payload(), 3) is None
-        rule.schedule_health(Health.ACTIVE, 4)
-        assert apply(rule, payload(), 4) is not None
+        rule = rst_rule(health_schedule=((2, Health.FAILED), (4, Health.ACTIVE)))
+        assert apply(rule, payload(), 1, {}) is not None
+        assert apply(rule, payload(), 2, {}) is None
+        assert apply(rule, payload(), 3, {}) is None
+        assert apply(rule, payload(), 4, {}) is not None
 
-    def test_set_health_unknown_rule(self):
-        with pytest.raises(UnknownRuleError):
-            set_health([rst_rule()], 3, Health.FAILED, 1)
+    def test_health_at_reads_schedule(self):
+        rule = rst_rule(health_schedule=((5, Health.FAILED),))
+        assert rule.health is Health.ACTIVE
+        assert rule.health_at(4) is Health.ACTIVE
+        assert rule.health_at(5) is Health.FAILED
 
-    def test_set_health_updates_rule(self):
-        rules = [rst_rule()]
-        set_health(rules, 0, Health.FAILED, 5)
-        assert rules[0].health_at(4) is Health.ACTIVE
-        assert rules[0].health_at(5) is Health.FAILED
+    def test_unordered_schedule_rejected(self):
+        with pytest.raises(ValueError):
+            rst_rule(health_schedule=((4, Health.ACTIVE), (2, Health.FAILED)))
+
+    def test_rule_is_immutable(self):
+        import dataclasses
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rst_rule().health = Health.FAILED
 
 
 class TestActionValidity:
@@ -158,31 +160,36 @@ class TestActionValidity:
 class TestResidual:
     def test_zero_residual_means_no_carryover(self):
         rule = rst_rule()
-        assert apply(rule, payload(), 1) is not None
+        residual = {}
+        assert apply(rule, payload(), 1, residual) is not None
         control = payload(sensitivity=Sensitivity.CONTROL)
-        assert apply(rule, control, 1) is None
+        assert apply(rule, control, 1, residual) is None
+        assert residual == {}
 
     def test_residual_actions_same_flow_within_window(self):
         rule = rst_rule(residual_epochs=2)
-        assert apply(rule, payload(), 1) is not None
+        residual = {}
+        assert apply(rule, payload(), 1, residual) is not None
         control = payload(sensitivity=Sensitivity.CONTROL)
-        assert apply(rule, control, 2) is not None  # same flow, inside window
-        assert apply(rule, control, 3) is not None
-        assert apply(rule, control, 4) is None  # window closed
+        assert apply(rule, control, 2, residual) is not None  # inside window
+        assert apply(rule, control, 3, residual) is not None
+        assert apply(rule, control, 4, residual) is None  # window closed
 
     def test_residual_is_per_flow(self):
+        """Windows live in the map of the session that opened them; a
+        session on another flow starts with its own, empty map."""
         rule = rst_rule(residual_epochs=2)
-        assert apply(rule, payload(), 1) is not None
+        assert apply(rule, payload(), 1, {}) is not None
         other_flow = Packet(
             FlowId(Ipv4Address(0xC6336402), Ipv4Address(0x0A000304), 40001, 443,
                    Protocol.TCP),
             ttl=64, kind=PacketKind.TCP_PAYLOAD,
             sensitivity=Sensitivity.CONTROL, body_tag="control.example",
         )
-        assert apply(rule, other_flow, 2) is None
+        assert apply(rule, other_flow, 2, {}) is None
 
     def test_failed_health_suppresses_residual(self):
-        rule = rst_rule(residual_epochs=5)
-        assert apply(rule, payload(), 1) is not None
-        rule.schedule_health(Health.FAILED, 2)
-        assert apply(rule, payload(), 2) is None
+        rule = rst_rule(residual_epochs=5, health_schedule=((2, Health.FAILED),))
+        residual = {}
+        assert apply(rule, payload(), 1, residual) is not None
+        assert apply(rule, payload(), 2, residual) is None

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +38,16 @@ class TestValidate:
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert cli_main(["frobnicate"]) == 1
+
+    def test_jobs_flag_is_usage_error(self, tmp_path, capsys):
+        dests = tmp_path / "dests.txt"
+        dests.write_text("3\n")
+        code, _, err = run(
+            capsys, "rq2", "--topology", str(FIXTURES / "half_split.topo"),
+            "--dests", str(dests), "--out", str(tmp_path / "run.log"), "--jobs", "2",
+        )
+        assert code == 1
+        assert "usage error" in err
 
 
 class TestTrace:
@@ -176,6 +188,19 @@ class TestRq2Reports:
             else:
                 assert int(row["censored_cells"]) == 0
 
+    def test_corrupt_log_line_is_data_error(self, rq2_run, tmp_path, capsys):
+        _, log = rq2_run
+        lines = log.read_text().splitlines(keepends=True)[:3]
+        lines[1] = "{not json\n"
+        corrupt = tmp_path / "corrupt.log"
+        corrupt.write_text("".join(lines))
+        code, _, err = run(
+            capsys, "bits", "--log", str(corrupt), "--group-by", "src_ip_low3",
+        )
+        assert code == 2
+        assert "data error" in err
+        assert "corrupt.log line 2" in err
+
     def test_log_verdicts_rederivable_from_observations(self, rq2_run):
         from flowstable import logio
         from flowstable.core import AppProtocol
@@ -220,3 +245,30 @@ class TestLiveTransportExit:
         )
         assert code == 3
         assert "transport error" in err
+
+
+class TestWalkthroughScripts:
+    SCRIPTS = FIXTURES.parent / "scripts"
+
+    def script(self, name, *argv, cwd):
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPTS / name), *argv],
+            cwd=cwd, capture_output=True, text=True, timeout=600,
+        )
+
+    def test_impact_sweep(self, tmp_path):
+        done = self.script("run_impact_sweep.py", "--workdir", str(tmp_path), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        for name in ("half_split", "bits3of8"):
+            rows = list(csv.DictReader(open(tmp_path / f"{name}_table.csv")))
+            assert [r["affected"] for r in rows] == ["true"]
+
+    def test_path_diversity(self, tmp_path):
+        done = self.script("run_path_diversity.py", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        variations = ("all_constant", "vary_port", "vary_ip", "vary_both")
+        for fixture in ("srcip_hash.topo", "srcport_hash.topo"):
+            section = done.stdout.split(fixture, 1)[1].splitlines()
+            rows = [line.split() for line in section[2:6]]
+            assert [row[0] for row in rows] == list(variations)
+            assert all(int(row[1]) >= 1 for row in rows)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from flowstable.core import (
     EPHEMERAL_PORT_RANGE,
     FlowId,
-    IcmpPacketError,
     Ipv4Address,
     Mechanism,
     Packet,
@@ -15,8 +14,6 @@ from flowstable.core import (
     Protocol,
     SourceParams,
     Verdict,
-    flow_id_of,
-    serialize_flow,
 )
 
 from reference import flow_bytes
@@ -66,7 +63,7 @@ class TestFlowSerialization:
             53,
             Protocol.UDP,
         )
-        assert serialize_flow(flow) == bytes.fromhex("0a000005c00002019c40003511")
+        assert flow.to_bytes() == bytes.fromhex("0a000005c00002019c40003511")
 
     def test_tcp_example(self):
         flow = FlowId(
@@ -76,11 +73,11 @@ class TestFlowSerialization:
             443,
             Protocol.TCP,
         )
-        assert serialize_flow(flow) == bytes.fromhex("0102030405060708005001bb06")
+        assert flow.to_bytes() == bytes.fromhex("0102030405060708005001bb06")
 
     def test_zero_flow_udp(self):
         flow = FlowId(Ipv4Address(0), Ipv4Address(0), 0, 0, Protocol.UDP)
-        assert serialize_flow(flow) == b"\x00" * 12 + b"\x11"
+        assert flow.to_bytes() == b"\x00" * 12 + b"\x11"
 
     @given(flows)
     def test_matches_independent_layout(self, flow):
@@ -88,12 +85,12 @@ class TestFlowSerialization:
             str(flow.src_ip), str(flow.dst_ip), flow.src_port, flow.dst_port,
             flow.protocol.value,
         )
-        assert serialize_flow(flow) == expected
+        assert flow.to_bytes() == expected
 
     @given(flows, ports)
     def test_src_port_only_changes_bytes_8_9(self, flow, port):
         other = FlowId(flow.src_ip, flow.dst_ip, port, flow.dst_port, flow.protocol)
-        a, b = serialize_flow(flow), serialize_flow(other)
+        a, b = flow.to_bytes(), other.to_bytes()
         assert a[:8] == b[:8] and a[10:] == b[10:]
 
     def test_injective_over_random_flows(self):
@@ -107,7 +104,7 @@ class TestFlowSerialization:
                 rng.randrange(2**16),
                 rng.choice([Protocol.TCP, Protocol.UDP]),
             )
-            blob = serialize_flow(flow)
+            blob = flow.to_bytes()
             assert len(blob) == 13
             if blob in seen:
                 assert seen[blob] == flow
@@ -120,20 +117,7 @@ class TestPacket:
     def test_flow_id_invariant_under_ttl_and_ip_id(self, flow, ttl1, id1, ttl2, id2):
         a = Packet(flow, ttl=ttl1, ip_id=id1, kind=PacketKind.TCP_PAYLOAD)
         b = Packet(flow, ttl=ttl2, ip_id=id2, kind=PacketKind.TCP_PAYLOAD)
-        assert flow_id_of(a) == flow_id_of(b) == flow
-
-    def test_flow_id_of_is_identity(self):
-        flow = FlowId(Ipv4Address(1), Ipv4Address(2), 3, 4, Protocol.TCP)
-        packet = Packet(flow, ttl=9, kind=PacketKind.UDP_PAYLOAD)
-        assert flow_id_of(packet) is flow
-
-    def test_icmp_rejected(self):
-        flow = FlowId(Ipv4Address(1), Ipv4Address(2), 3, 4, Protocol.TCP)
-        quoted = (SourceParams(Ipv4Address(1), 3), 5)
-        icmp = Packet(flow, ttl=64, ip_id=5, kind=PacketKind.ICMP_TTL_EXCEEDED,
-                      quoted=quoted)
-        with pytest.raises(IcmpPacketError):
-            flow_id_of(icmp)
+        assert a.flow == b.flow == flow
 
     def test_icmp_requires_quotation(self):
         flow = FlowId(Ipv4Address(1), Ipv4Address(2), 3, 4, Protocol.TCP)

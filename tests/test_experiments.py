@@ -133,30 +133,6 @@ class TestRunners:
         pathsets = run_rq1(plans, SimTransport(topo))
         assert num_paths(pathsets[Rq1Variation.ALL_CONSTANT]) == 1
 
-    def test_scenario_hook_reproduces_constant_parameter_flap(self):
-        """A scripted policy flip between measurements makes repeated
-        constant-parameter traces see a second path, the route-flap mode
-        the epoch hook exists for."""
-        from flowstable.simnet import EcmpPolicy
-
-        topo = load_fixture("half_split.topo")
-        dest = topo.nodes[3].address
-        original = topo.policies[0]
-        flipped = EcmpPolicy(original.selector, tuple(reversed(original.next_hops)))
-        state = {"count": 0}
-
-        def flip_policy(topology, epoch):
-            state["count"] += 1
-            topology.policies[0] = flipped if state["count"] % 2 else original
-
-        transport = SimTransport(topo)
-        transport.epoch_hooks.append(flip_policy)
-        plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=2)
-                 if p.variation is Rq1Variation.ALL_CONSTANT]
-        pathsets = run_rq1(plans, transport)
-        assert num_paths(pathsets[Rq1Variation.ALL_CONSTANT]) == 2
-        topo.policies[0] = original
-
     def test_rq1_vary_ip_exercises_every_branch(self):
         topo = load_fixture("bits3of8.topo")
         dest = topo.nodes[9].address
@@ -228,17 +204,14 @@ class TestRunners:
         assert sorted(full_log.read_text().splitlines()) == \
             sorted(partial_log.read_text().splitlines())
 
-    def test_rq2_jobs_and_shuffle_equivalent(self, registry):
+    def test_rq2_rerun_on_one_transport_identical(self, registry):
         topo = load_fixture("half_split.topo")
         dest = topo.nodes[3].address
         plan = plan_rq2([dest], seed=5)
-        seq = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTPS],
-                      registry=registry)
-        par = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTPS],
-                      registry=registry, jobs=4)
-        shuffled = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTPS],
-                           registry=registry, shuffle=True)
-        assert seq == par == shuffled
+        transport = SimTransport(topo)
+        first = run_rq2(plan, transport, protocols=[AppProtocol.HTTPS], registry=registry)
+        again = run_rq2(plan, transport, protocols=[AppProtocol.HTTPS], registry=registry)
+        assert first == again
 
 
 class TestPlanFiles:

@@ -45,6 +45,16 @@ def test_truncated_final_line_discarded_with_warning(tmp_path):
     assert recovered == records[:999]
 
 
+def test_corrupt_middle_line_names_file_and_line(tmp_path):
+    path = tmp_path / "run.log"
+    records = [logio.make_record(logio.KIND_META, "r", note=str(i)) for i in range(3)]
+    lines = [json.dumps(r) for r in records]
+    lines[1] = "{not json"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(logio.CorruptRecordError, match=r"run\.log line 2: "):
+        logio.read_log(path)
+
+
 def test_unknown_schema_version(tmp_path):
     path = tmp_path / "run.log"
     record = logio.make_record(logio.KIND_META, "r")

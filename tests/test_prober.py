@@ -11,8 +11,11 @@ from flowstable.core import (
     SourceParams,
 )
 from flowstable.censors import Health
+from flowstable.experiments import measure_cell
 from flowstable.fixtures import random_topology
 from flowstable.prober import (
+    DEFAULT_REPETITIONS,
+    EMPTY_REGISTRY,
     BlockpageRegistry,
     LengthMismatchError,
     LiveTransport,
@@ -25,10 +28,9 @@ from flowstable.prober import (
     is_affected,
     run_cell,
     run_probe,
-    verdict_matrix,
 )
 
-from conftest import load_fixture
+from conftest import flapping, load_fixture
 
 PARAMS = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
 DOMAINS = ("control.example", "blocked.example")
@@ -38,6 +40,13 @@ def spec_for(topology, protocol, sensitivity, domain, params=PARAMS, reps=3):
     dst = topology.nodes[max(topology.nodes)].address
     return ProbeSpec.for_protocol(protocol, dst, domain, sensitivity, params,
                                   repetitions=reps)
+
+
+def verdict_grid(dst, grid, protocol, transport, repetitions=DEFAULT_REPETITIONS):
+    return {
+        p: measure_cell(dst, protocol, p, DOMAINS, transport, EMPTY_REGISTRY, repetitions)[2]
+        for p in grid
+    }
 
 
 def obs(*kinds, tag=""):
@@ -156,13 +165,13 @@ class TestRunProbe:
         assert [o.kind for o in observations] == [P, P, P]
         assert all(o.tag == "bp-01" for o in observations)
 
-    def test_route_stability_all_packets_one_flow(self):
+    def test_route_stability_all_packets_one_flow(self, sent_packets):
         topo = load_fixture("chain.topo")
         transport = SimTransport(topo)
         spec = spec_for(topo, AppProtocol.HTTPS, Sensitivity.SENSITIVE, DOMAINS[1])
         run_probe(spec, transport)
-        flows = {p.flow for _, p in transport.packet_log}
-        assert flows == {spec.flow}
+        assert sent_packets
+        assert {p.flow for p in sent_packets} == {spec.flow}
 
     def test_observations_carry_distinct_epochs(self):
         topo = load_fixture("chain.topo")
@@ -178,6 +187,18 @@ class TestRunProbe:
             run_probe(spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL,
                                DOMAINS[0]), LiveTransport())
 
+    def test_cell_specs_must_share_flow_and_epoch_interval(self):
+        import dataclasses
+
+        topo = load_fixture("chain.topo")
+        ctrl = spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0])
+        sens = spec_for(topo, AppProtocol.HTTP, Sensitivity.SENSITIVE, DOMAINS[1])
+        other_port = dataclasses.replace(sens, source=SourceParams(PARAMS.src_ip, 40001))
+        slower = dataclasses.replace(sens, epoch_interval=2)
+        for bad in (other_port, slower):
+            with pytest.raises(ValueError):
+                run_cell(ctrl, bad, SimTransport(topo))
+
     def test_spec_port_protocol_coupling(self):
         with pytest.raises(ValueError):
             ProbeSpec(AppProtocol.DNS, Ipv4Address(1), 80, "d", Sensitivity.CONTROL,
@@ -189,9 +210,7 @@ class TestVerdictMatrix:
         topo = load_fixture("half_split.topo")
         transport = SimTransport(topo)
         grid = [SourceParams(Ipv4Address(0xC6336400 + h), 40000) for h in range(1, 17)]
-        matrix = verdict_matrix(
-            topo.nodes[3].address, grid, AppProtocol.HTTPS, DOMAINS, transport
-        )
+        matrix = verdict_grid(topo.nodes[3].address, grid, AppProtocol.HTTPS, transport)
         for params, verdict in matrix.items():
             if params.src_ip.host_octet % 2 == 1:
                 assert verdict.mechanism is Mechanism.RST_INJECTION
@@ -204,9 +223,7 @@ class TestVerdictMatrix:
         topo = load_fixture("rst_chain.topo")
         transport = SimTransport(topo)
         grid = [SourceParams(Ipv4Address(0xC6336400 + h), 40000) for h in range(1, 9)]
-        matrix = verdict_matrix(
-            topo.nodes[3].address, grid, AppProtocol.HTTPS, DOMAINS, transport
-        )
+        matrix = verdict_grid(topo.nodes[3].address, grid, AppProtocol.HTTPS, transport)
         assert all(v.is_censored for v in matrix.values())
         assert not is_affected(matrix)
 
@@ -214,26 +231,24 @@ class TestVerdictMatrix:
         topo = load_fixture("chain.topo")
         transport = SimTransport(topo)
         grid = [SourceParams(Ipv4Address(0xC6336400 + h), 40000) for h in range(1, 9)]
-        matrix = verdict_matrix(
-            topo.nodes[3].address, grid, AppProtocol.HTTPS, DOMAINS, transport
-        )
+        matrix = verdict_grid(topo.nodes[3].address, grid, AppProtocol.HTTPS, transport)
         assert all(v.is_not_censored for v in matrix.values())
         assert not is_affected(matrix)
 
 
 class TestGroundTruth:
-    def test_every_action_has_exactly_one_event(self):
+    def test_every_action_has_exactly_one_event(self, censor_events):
         topo = load_fixture("rst_chain.topo")
         transport = SimTransport(topo)
         sens = run_probe(spec_for(topo, AppProtocol.HTTPS, Sensitivity.SENSITIVE,
                                   DOMAINS[1]), transport)
         assert [o.kind for o in sens] == [R, R, R]
-        events = transport.censor_events
+        events = censor_events
         assert len(events) == 3  # one per sensitive payload, none extra
         assert all(e.at == 1 for e in events)
         assert sorted(e.epoch for e in events) == [1, 2, 3]
 
-    def test_drop_actions_are_also_logged(self):
+    def test_drop_actions_are_also_logged(self, censor_events):
         import json
 
         from conftest import FIXTURES
@@ -251,7 +266,7 @@ class TestGroundTruth:
         sens = run_probe(spec_for(topo, AppProtocol.HTTPS, Sensitivity.SENSITIVE,
                                   DOMAINS[1]), transport)
         assert [o.kind for o in sens] == [N, N, N]
-        assert len(transport.censor_events) == 3
+        assert len(censor_events) == 3
 
     def test_residual_censorship_pollutes_controls_into_excluded(self):
         import json
@@ -277,28 +292,16 @@ class TestGroundTruth:
         assert {o.kind for o in obs_c[1:]} == {ObservationKind.RST_RECEIVED}
         assert classify(obs_c, obs_s, AppProtocol.HTTPS).is_excluded
 
-    def test_epoch_hooks_run_each_advance(self):
-        topo = load_fixture("chain.topo")
-        transport = SimTransport(topo)
-        seen = []
-        transport.epoch_hooks.append(lambda t, e: seen.append(e))
-        run_probe(spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0]),
-                  transport)
-        assert seen == [1, 2, 3]
-
-    def test_probe_order_flag_does_not_change_verdicts(self):
+    def test_cell_order_does_not_change_verdicts(self):
+        """Cells share nothing, so running a grid backwards on the same
+        transport gives the same verdicts."""
         topo = load_fixture("half_split.topo")
         dst = topo.nodes[3].address
-        results = {}
-        for control_first in (True, False):
-            transport = SimTransport(topo)
-            grid = [SourceParams(Ipv4Address(0xC6336400 + h), 40000)
-                    for h in range(1, 9)]
-            results[control_first] = verdict_matrix(
-                dst, grid, AppProtocol.HTTPS, DOMAINS, transport,
-                control_first=control_first,
-            )
-        assert results[True] == results[False]
+        transport = SimTransport(topo)
+        grid = [SourceParams(Ipv4Address(0xC6336400 + h), 40000) for h in range(1, 9)]
+        forward = verdict_grid(dst, grid, AppProtocol.HTTPS, transport)
+        backward = verdict_grid(dst, grid[::-1], AppProtocol.HTTPS, transport)
+        assert forward == backward
 
 
 class TestConservativeness:
@@ -322,11 +325,8 @@ class TestConservativeness:
             assert not verdict.is_censored
 
     def test_flapping_censor_yields_excluded(self):
-        topo = load_fixture("rst_chain.topo")
-        topo.set_health(0, Health.FAILED, 2)
-        topo.set_health(0, Health.ACTIVE, 3)
-        topo.set_health(1, Health.FAILED, 2)
-        topo.set_health(1, Health.ACTIVE, 3)
+        topo = flapping(load_fixture("rst_chain.topo"),
+                        [(2, Health.FAILED), (3, Health.ACTIVE)])
         transport = SimTransport(topo)
         dst = topo.nodes[3].address
         ctrl = ProbeSpec.for_protocol(AppProtocol.HTTPS, dst, DOMAINS[0],
@@ -342,11 +342,10 @@ class TestConservativeness:
         verdicts = {}
         for reps in (1, 3, 6):
             transport = SimTransport(topo)
-            matrix = verdict_matrix(
+            matrix = verdict_grid(
                 dst,
                 [SourceParams(Ipv4Address(0xC6336401 + h), 40000) for h in range(4)],
                 AppProtocol.HTTPS,
-                DOMAINS,
                 transport,
                 repetitions=reps,
             )

@@ -177,7 +177,7 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=1,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet))
+        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.at == 0 and result.responsive is True
         assert result.icmp is not None
@@ -189,7 +189,7 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=64,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet))
+        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.DELIVERED
         assert result.hops == (0, 1, 2, 3)
 
@@ -207,7 +207,7 @@ class TestForward:
         topo = load_topology(doc)
         packet = Packet(make_flow(dst_ip=topo.nodes[1].address.value), ttl=64,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, 0, LossStream(0, 1, packet))
+        result = forward(topo, packet, 0, LossStream(0, 1, packet), {})
         assert result.kind is TransitKind.DELIVERED
         assert len(result.hops) == 3
 
@@ -215,7 +215,7 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=2,
                         ip_id=7, kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet))
+        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.icmp.quoted[1] == 7
         assert result.icmp.body_tag == str(result.at)
@@ -233,7 +233,7 @@ class TestForward:
         topo = load_topology(doc)
         packet = Packet(make_flow(), ttl=255, kind=PacketKind.TCP_PAYLOAD)
         with pytest.raises(LoopGuardExceededError):
-            forward(topo, packet, 0, LossStream(0, 1, packet))
+            forward(topo, packet, 0, LossStream(0, 1, packet), {})
         with pytest.raises(LoopGuardExceededError):
             oracle_paths(topo, 1, [SourceParams(Ipv4Address(1), 2)], Protocol.TCP, 80)
 
@@ -242,7 +242,7 @@ class TestForward:
         doc["nodes"][0]["responsive"] = False
         topo = load_topology(doc)
         packet = Packet(make_flow(), ttl=1, kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, 0, LossStream(0, 1, packet))
+        result = forward(topo, packet, 0, LossStream(0, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.responsive is False and result.icmp is None
 
@@ -250,17 +250,17 @@ class TestForward:
         topo = random_topology(3, loss_range=(0.0, 0.4))
         flow = make_flow()
         packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-        a = forward(topo, packet, topo.entry, LossStream(topo.seed, 5, packet))
-        b = forward(topo, packet, topo.entry, LossStream(topo.seed, 5, packet))
+        a = forward(topo, packet, topo.entry, LossStream(topo.seed, 5, packet), {})
+        b = forward(topo, packet, topo.entry, LossStream(topo.seed, 5, packet), {})
         assert a == b
 
     def test_route_determinism_144_repetitions(self):
         topo = random_topology(9)
         flow = make_flow()
         packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-        first = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet))
+        first = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet), {})
         for rep in range(2, 145):
-            again = forward(topo, packet, topo.entry, LossStream(topo.seed, rep, packet))
+            again = forward(topo, packet, topo.entry, LossStream(topo.seed, rep, packet), {})
             assert again.hops == first.hops
 
     def test_forward_hops_prefix_of_oracle(self):
@@ -279,7 +279,7 @@ class TestForward:
                 ttl = rng.randrange(1, 65)
                 packet = Packet(flow, ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
                 result = forward(topo, packet, topo.entry,
-                                 LossStream(topo.seed, 1, packet))
+                                 LossStream(topo.seed, 1, packet), {})
                 assert result.hops == oracle[: len(result.hops)]
 
     def test_next_hop_never_depends_on_ttl_or_ip_id(self):
@@ -294,7 +294,7 @@ class TestForward:
             packet = Packet(flow, ttl=ttl, ip_id=rng.randrange(2**16),
                             kind=PacketKind.TCP_PAYLOAD)
             hops = forward(topo, packet, topo.entry,
-                           LossStream(topo.seed, 1, packet)).hops
+                           LossStream(topo.seed, 1, packet), {}).hops
             if baseline is None:
                 baseline = hops
             assert hops == baseline
@@ -350,8 +350,8 @@ class TestLoss:
                 flow = FlowId(params.src_ip, base.nodes[dst].address,
                               params.src_port, 80, Protocol.TCP)
                 packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-                low = forward(base, packet, base.entry, LossStream(seed, 1, packet))
-                high = forward(heavier, packet, heavier.entry, LossStream(seed, 1, packet))
+                low = forward(base, packet, base.entry, LossStream(seed, 1, packet), {})
+                high = forward(heavier, packet, heavier.entry, LossStream(seed, 1, packet), {})
                 if low.kind is TransitKind.DELIVERED:
                     delivered_low.add((params, low.hops))
                 if high.kind is TransitKind.DELIVERED:

@@ -58,13 +58,12 @@ class TestTrace:
         assert path.terminal.censored_at == 2
         assert path.hops == (0, 1)
 
-    def test_exactly_one_payload_copy_per_ttl(self):
+    def test_exactly_one_payload_copy_per_ttl(self, sent_packets):
         topo = load_fixture("chain.topo")
         transport = SimTransport(topo)
         spec = sensitive_spec(topo, AppProtocol.HTTPS, domain="example.com")
         path = trace(spec, 8, transport, stop_at_destination=False)
-        payloads = [p for _, p in transport.packet_log
-                    if p.kind is PacketKind.TCP_PAYLOAD]
+        payloads = [p for p in sent_packets if p.kind is PacketKind.TCP_PAYLOAD]
         assert len(payloads) == 8  # no retransmissions, one copy per ttl
         assert [p.ip_id for p in payloads] == [p.ttl for p in payloads] == list(range(1, 9))
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
@@ -118,14 +117,14 @@ class TestTrace:
             trace(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
                   8, SimTransport(topo))
 
-    def test_dns_trace_needs_no_handshake(self):
+    def test_dns_trace_needs_no_handshake(self, sent_packets):
         topo = load_fixture("chain.topo")
         transport = SimTransport(topo)
         path = trace(sensitive_spec(topo, AppProtocol.DNS, domain="example.com"),
                      8, transport)
         assert path.hops == (0, 1, 2)
-        kinds = {p.kind for _, p in transport.packet_log}
-        assert PacketKind.TCP_SYN not in kinds
+        kinds = {p.kind for p in sent_packets}
+        assert kinds == {PacketKind.UDP_PAYLOAD}
 
     def test_trace_does_not_change_routing(self):
         topo = load_fixture("srcip_hash.topo")
