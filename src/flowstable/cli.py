@@ -87,14 +87,9 @@ def _registry(path: Optional[str]) -> prober.BlockpageRegistry:
     return prober.BlockpageRegistry.load(Path(path).read_text())
 
 
-def _maybe_meta(log_path: Path, run_id: str, **payload) -> None:
-    """Write the meta record once per run id, so resumed runs converge
-    on the same log contents as fresh ones."""
-    if log_path.exists():
-        for record in logio.read_log(log_path):
-            if record["record_kind"] == logio.KIND_META and record["run_id"] == run_id:
-                return
-    logio.append_record(log_path, logio.make_record(logio.KIND_META, run_id, **payload))
+def _flow_id(dst_ip: Ipv4Address, protocol: AppProtocol, params: SourceParams) -> str:
+    """Trace id of a flow's trace in a run log."""
+    return f"{dst_ip}|{protocol.value}|{params}"
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +120,10 @@ def _cmd_trace(args) -> int:
     print(logio.terminal_str(path.terminal))
     if args.out:
         run_id = _run_id("trace", args.topology, args.dest, args.src_ip, args.src_port)
-        logio.append_records(
-            Path(args.out), logio.trace_records(run_id, path, trace_id="cli")
-        )
+        log = logio.open_run(args.out, run_id, command="trace", dest=str(dst_ip))
+        trace_id = _flow_id(dst_ip, spec.protocol, spec.source)
+        if trace_id not in log.traces:
+            logio.append_records(log.path, [logio.trace_record(run_id, path, trace_id)])
     return 0
 
 
@@ -139,13 +135,10 @@ def _cmd_rq1(args) -> int:
     transport = prober.SimTransport(topology)
     plans = experiments.plan_rq1(dst_ip, protocol, seed)
     run_id = _run_id("rq1", Path(args.topology).read_bytes(), str(dst_ip), seed, protocol.value)
-    log_path = Path(args.out)
-    _maybe_meta(
-        log_path, run_id, command="rq1", seed=seed, dest=str(dst_ip), protocol=protocol.value
+    log = logio.open_run(
+        args.out, run_id, command="rq1", seed=seed, dest=str(dst_ip), protocol=protocol.value
     )
-    pathsets = experiments.run_rq1(
-        plans, transport, max_ttl=args.max_ttl, log_path=log_path, run_id=run_id
-    )
+    pathsets = experiments.run_rq1(plans, transport, max_ttl=args.max_ttl, log=log)
 
     counts: Dict[Tuple[str, int], int] = {}
     for variation in experiments.Rq1Variation:
@@ -158,7 +151,7 @@ def _cmd_rq1(args) -> int:
             counts.items(), key=lambda kv: (order[kv[0][0]], kv[0][1])
         )
     ]
-    csv_path = log_path.with_name(log_path.stem + "_paths.csv")
+    csv_path = log.path.with_name(log.path.stem + "_paths.csv")
     _write_csv(csv_path, ["variation", "num_paths", "count"], rows)
     print(f"wrote {csv_path}")
     return 0
@@ -192,16 +185,17 @@ def _cmd_rq2(args) -> int:
         "rq2", Path(args.topology).read_bytes(), seed, args.protocols,
         args.control_domain, args.sensitive_domain,
     )
-    log_path = Path(args.out)
-    _maybe_meta(log_path, run_id, command="rq2", seed=seed, dests=[str(ip) for _, ip in dests])
+    log = logio.open_run(
+        args.out, run_id, command="rq2", seed=seed, dests=[str(ip) for _, ip in dests],
+        control_domain=args.control_domain, sensitive_domain=args.sensitive_domain,
+    )
     matrices = experiments.run_rq2(
         plan,
         transport,
         protocols=protocols,
         registry=registry,
         repetitions=args.repetitions,
-        log_path=log_path,
-        run_id=run_id,
+        log=log,
     )
 
     node_by_ip = {ip.value: node_id for node_id, ip in dests}
@@ -217,7 +211,7 @@ def _cmd_rq2(args) -> int:
             frac = analysis.no_censorship_fraction(matrix)
             fractions.setdefault(protocol.value, []).append(frac)
 
-    table_path = log_path.with_name(log_path.stem + "_table.csv")
+    table_path = log.path.with_name(log.path.stem + "_table.csv")
     _write_csv(table_path, ["destination", "asn", "protocol", "affected"], table_rows)
 
     cdf_rows = []
@@ -225,25 +219,19 @@ def _cmd_rq2(args) -> int:
         values = sorted(fractions[protocol])
         for i, frac in enumerate(values, start=1):
             cdf_rows.append((protocol, f"{float(frac):.4f}", f"{i / len(values):.4f}"))
-    cdf_path = log_path.with_name(log_path.stem + "_cdf.csv")
+    cdf_path = log.path.with_name(log.path.stem + "_cdf.csv")
     _write_csv(cdf_path, ["protocol", "no_censorship_fraction", "cdf"], cdf_rows)
 
     if args.trace_affected:
-        _trace_affected(
-            topology, transport, matrices, log_path, run_id, args.sensitive_domain
-        )
+        _trace_affected(transport, matrices, log, args.sensitive_domain)
     print(f"wrote {table_path} and {cdf_path}")
     return 0
 
 
-def _trace_affected(topology, transport, matrices, log_path, run_id, sensitive_domain):
+def _trace_affected(transport, matrices, log: logio.RunLog, sensitive_domain):
     """Append sensitive-domain traces for every decided cell of every
-    affected (destination, protocol), enabling graph/classify on the log."""
-    existing = {
-        r.get("trace_id")
-        for r in logio.read_log(log_path)
-        if r["record_kind"] == logio.KIND_TRACE_HOP
-    }
+    affected (destination, protocol), enabling graph/classify on the log.
+    Flows the log already holds a trace of are not traced again."""
     for (dst_ip, protocol), matrix in sorted(
         matrices.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
@@ -252,8 +240,8 @@ def _trace_affected(topology, transport, matrices, log_path, run_id, sensitive_d
         for params in sorted(matrix):
             if matrix[params].is_excluded:
                 continue
-            trace_id = f"{dst_ip}|{protocol.value}|{params}"
-            if trace_id in existing:
+            trace_id = _flow_id(dst_ip, protocol, params)
+            if trace_id in log.traces:
                 continue
             spec = prober.ProbeSpec.for_protocol(
                 protocol, dst_ip, sensitive_domain, Sensitivity.SENSITIVE, params,
@@ -261,55 +249,42 @@ def _trace_affected(topology, transport, matrices, log_path, run_id, sensitive_d
             )
             path = tracer.trace(spec, tracer.DEFAULT_MAX_TTL, transport)
             logio.append_records(
-                log_path, logio.trace_records(run_id, path, trace_id=trace_id)
+                log.path, [logio.trace_record(log.run_id, path, trace_id)]
             )
 
 
-def _pathsets_from_log(records, dest: str, protocol: Optional[AppProtocol]):
-    """Rebuild (pathset, protocol) for one destination from log records."""
-    protocols = {
-        r["protocol"]
-        for r in records
-        if r["record_kind"] in (logio.KIND_TRACE_HOP, logio.KIND_VERDICT)
-        and r["dst"] == dest
-    }
+def _pathsets_from_log(run: logio.RunLog, dest: str, protocol: Optional[AppProtocol]):
+    """Rebuild (pathset, protocol) for one destination from a read log."""
+    traces = [t for t in run.traces.values() if str(t.dst_ip) == dest]
     if protocol is not None:
         chosen = protocol
-    elif len(protocols) == 1:
-        chosen = AppProtocol(protocols.pop())
     else:
-        raise _UsageError(
-            f"log holds {sorted(protocols)} for {dest}; pick one with --protocol"
-        )
-    hop_rows = [
-        r
-        for r in records
-        if r["record_kind"] == logio.KIND_TRACE_HOP
-        and r["dst"] == dest
-        and r["protocol"] == chosen.value
-    ]
-    traces = logio.traces_from_records(hop_rows)
+        protocols = {t.protocol.value for t in traces} | {
+            p.value for d, p in run.verdicts if str(d) == dest
+        }
+        if len(protocols) != 1:
+            raise _UsageError(
+                f"log holds {sorted(protocols)} for {dest}; pick one with --protocol"
+            )
+        chosen = AppProtocol(protocols.pop())
+    traces = [t for t in traces if t.protocol is chosen]
     if not traces:
         raise analysis.EmptyPathSetError(f"no traces for {dest} in log")
-    verdicts = {}
-    for r in records:
-        if r["record_kind"] == logio.KIND_VERDICT and r["dst"] == dest and r[
-            "protocol"
-        ] == chosen.value:
-            params = SourceParams(Ipv4Address.parse(r["src_ip"]), r["src_port"])
-            verdicts[params] = logio.parse_verdict(r)
+    verdicts = next(
+        (m for (d, p), m in run.verdicts.items() if str(d) == dest and p is chosen), None
+    )
     return tracer.merge_paths(traces, verdicts or None), chosen
 
 
 def _cmd_graph(args) -> int:
-    records = logio.read_log(args.log)
+    run = logio.read_run(args.log)
     topology = _load_topology(args.topology) if args.topology else None
     protocol = AppProtocol(args.protocol) if args.protocol else None
     dest = args.dest
     if topology is not None:
         _, dst_ip = _parse_dest(topology, dest)
         dest = str(dst_ip)
-    pathset, _ = _pathsets_from_log(records, dest, protocol)
+    pathset, _ = _pathsets_from_log(run, dest, protocol)
     censor_nodes = [r.attach_at for r in topology.censors] if topology else None
     dual = analysis.build_dual_graph(pathset, censor_nodes=censor_nodes)
 
@@ -339,11 +314,9 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    records = logio.read_log(args.log)
+    run = logio.read_run(args.log)
     topology = _load_topology(args.topology)
-    dests = sorted(
-        {r["dst"] for r in records if r["record_kind"] == logio.KIND_VERDICT}
-    )
+    dests = sorted({str(dst) for dst, _ in run.verdicts})
     if args.dest:
         _, dst_ip = _parse_dest(topology, args.dest)
         dests = [str(dst_ip)]
@@ -354,7 +327,7 @@ def _cmd_classify(args) -> int:
     writer.writerow(["destination", "protocol", "effect", "scope", "diverging_node"])
     for dest in dests:
         try:
-            pathset, chosen = _pathsets_from_log(records, dest, protocol)
+            pathset, chosen = _pathsets_from_log(run, dest, protocol)
             dual = analysis.build_dual_graph(pathset, censor_nodes=censor_nodes)
             report = analysis.classify_effect(dual, topology.nodes, censor_nodes)
         except (analysis.DegenerateSplitError, analysis.EmptyPathSetError):
@@ -372,18 +345,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bits(args) -> int:
-    records = logio.read_log(args.log)
+    run = logio.read_run(args.log)
     grouping = analysis.BitGrouping(args.group_by)
-    matrices: Dict[str, Dict[SourceParams, object]] = {}
-    for r in records:
-        if r["record_kind"] != logio.KIND_VERDICT:
-            continue
-        if args.protocol and r["protocol"] != args.protocol:
-            continue
-        params = SourceParams(Ipv4Address.parse(r["src_ip"]), r["src_port"])
-        matrices.setdefault(f"{r['dst']}|{r['protocol']}", {})[params] = (
-            logio.parse_verdict(r)
-        )
+    matrices = {
+        f"{dst}|{protocol.value}": matrix
+        for (dst, protocol), matrix in run.verdicts.items()
+        if not args.protocol or protocol.value == args.protocol
+    }
     if not matrices:
         raise analysis.EmptyGroupError("log holds no verdict records")
     rows = analysis.bit_group_summary(matrices, grouping)
@@ -414,7 +382,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--domain", default=experiments.DEFAULT_BENIGN_DOMAIN)
     p.add_argument("--sensitive", action="store_true")
     p.add_argument("--max-ttl", type=int, default=tracer.DEFAULT_MAX_TTL)
-    p.add_argument("--out", help="optionally append trace rows to this log")
+    p.add_argument("--out", help="optionally append the trace to this run log")
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(

@@ -11,12 +11,10 @@ destination, variation), so identical seeds give identical plans.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     AppProtocol,
@@ -47,11 +45,10 @@ RQ1_SAMPLES = 144
 RQ1_BOTH_SIDE = 12  # 12 ips x 12 ports = 144 pairs
 RQ2_IP_COUNT = 208  # 26 per low-3-bit class
 RQ2_PORT_COUNT = 8
-PER_AS_CAP = 60
 
 
 class EmptyCandidatesError(ValueError):
-    """Destination sampling got an empty candidate list."""
+    """A sweep was given no destination."""
 
 
 class Rq1Variation(Enum):
@@ -169,65 +166,26 @@ def plan_rq2(
     return Rq2Plan(grid, tuple(destinations), domain_pair)
 
 
-class SampleMode(Enum):
-    ONE_PER_AS = "one_per_as"
-    CAP_PER_AS = "cap_per_as"
-
-
-def sample_destinations(
-    candidates: Sequence[Tuple[Ipv4Address, int]],
-    mode: SampleMode,
-    seed: int,
-    cap: int = PER_AS_CAP,
-) -> List[Ipv4Address]:
-    """Deterministic per-AS destination sample.
-
-    candidates are (address, as_number) pairs; one_per_as keeps a single
-    draw per AS, cap_per_as keeps up to `cap`.
-    """
-    if not candidates:
-        raise EmptyCandidatesError("no destination candidates")
-    by_as: Dict[int, List[Ipv4Address]] = {}
-    for addr, asn in candidates:
-        by_as.setdefault(asn, []).append(addr)
-    out: List[Ipv4Address] = []
-    for asn in sorted(by_as):
-        pool = sorted(by_as[asn])
-        take = 1 if mode is SampleMode.ONE_PER_AS else min(cap, len(pool))
-        out.extend(_rng(seed, "dest-sample", asn).sample(pool, take))
-    return out
-
-
 def run_rq1(
     plans: Sequence[Rq1Plan],
     transport,
     max_ttl: int = DEFAULT_MAX_TTL,
-    log_path: Optional[Union[str, Path]] = None,
-    run_id: str = "rq1",
+    log: Optional[logio.RunLog] = None,
 ) -> Dict[Rq1Variation, PathSet]:
     """Trace every sample of every plan and merge paths per variation.
 
-    With a log path, finished samples are skipped on rerun and their
-    traces rebuilt from the log, so interrupted runs resume cleanly.
+    With a log (from logio.open_run), samples whose trace it already
+    holds are not traced again, and each new trace is appended to it as
+    one record, in plan order. A run cut short therefore resumes where
+    it stopped and leaves the same log as an uninterrupted one.
     """
-    done: Dict[Tuple[str, int], TracePath] = {}
-    if log_path is not None and Path(log_path).exists():
-        records = logio.read_log(log_path)
-        by_sample: Dict[Tuple[str, int], List[dict]] = {}
-        for r in records:
-            if r["record_kind"] == logio.KIND_TRACE_HOP and "variation" in r:
-                by_sample.setdefault((r["variation"], r["sample_index"]), []).append(r)
-        for key, rows in by_sample.items():
-            if len(rows) == rows[0]["ladder_len"]:  # skip half-written traces
-                done[key] = logio.traces_from_records(rows)[0]
-
     out: Dict[Rq1Variation, PathSet] = {}
     for plan in plans:
         traces: List[TracePath] = []
         for idx, params in enumerate(plan.samples):
-            key = (plan.variation.value, idx)
-            if key in done:
-                traces.append(done[key])
+            trace_id = f"{plan.variation.value}:{idx}"
+            if log is not None and trace_id in log.traces:
+                traces.append(log.traces[trace_id])
                 continue
             spec = ProbeSpec.for_protocol(
                 plan.protocol,
@@ -239,17 +197,12 @@ def run_rq1(
             )
             t = trace(spec, max_ttl, transport)
             traces.append(t)
-            if log_path is not None:
-                logio.append_records(
-                    log_path,
-                    logio.trace_records(
-                        run_id,
-                        t,
-                        variation=plan.variation.value,
-                        sample_index=idx,
-                        trace_id=f"{plan.variation.value}:{idx}",
-                    ),
+            if log is not None:
+                record = logio.trace_record(
+                    log.run_id, t, trace_id,
+                    variation=plan.variation.value, sample_index=idx,
                 )
+                logio.append_records(log.path, [record])
         out[plan.variation] = merge_paths(traces)
     return out
 
@@ -284,137 +237,41 @@ def measure_cell(
     return obs_c, obs_s, classify(obs_c, obs_s, protocol, registry)
 
 
-def _cell_records(run_id, dst, protocol, params, obs_c, obs_s, verdict, domain_pair):
-    records = []
-    for domain, sensitivity, obs in (
-        (domain_pair[0], "control", obs_c),
-        (domain_pair[1], "sensitive", obs_s),
-    ):
-        for rep, o in enumerate(obs):
-            records.append(
-                logio.make_record(
-                    logio.KIND_OBSERVATION,
-                    run_id,
-                    dst=str(dst),
-                    src_ip=str(params.src_ip),
-                    src_port=params.src_port,
-                    protocol=protocol.value,
-                    domain=domain,
-                    sensitivity=sensitivity,
-                    repetition=rep,
-                    epoch=o.epoch,
-                    outcome=o.kind.value,
-                    tag=o.tag,
-                )
-            )
-    records.append(logio.verdict_record(run_id, str(dst), params, protocol.value, verdict))
-    return records
-
-
 def run_rq2(
     plan: Rq2Plan,
     transport,
     protocols: Sequence[AppProtocol] = (AppProtocol.DNS, AppProtocol.HTTP, AppProtocol.HTTPS),
     registry: BlockpageRegistry = EMPTY_REGISTRY,
     repetitions: int = DEFAULT_REPETITIONS,
-    log_path: Optional[Union[str, Path]] = None,
-    run_id: str = "rq2",
+    log: Optional[logio.RunLog] = None,
 ) -> Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]:
     """Verdict matrix per (destination, protocol).
 
     Cells run one at a time in grid order, each in its own session.
-    Cells already carrying a verdict in the log are not re-run; their
-    verdicts are loaded back instead, so an interrupted sweep resumes
-    where it stopped. Each cell's observation records and its verdict
-    are appended together.
+    With a log (from logio.open_run), cells it already holds a verdict
+    for are not run again and their verdicts are taken from it; each
+    new cell is appended to it as one record, in plan order. A sweep cut
+    short therefore resumes where it stopped and leaves the same log as
+    an uninterrupted one.
     """
-    done: Dict[Tuple[str, str, int, str], Verdict] = {}
-    if log_path is not None and Path(log_path).exists():
-        for r in logio.read_log(log_path):
-            if r["record_kind"] == logio.KIND_VERDICT:
-                done[(r["dst"], r["src_ip"], r["src_port"], r["protocol"])] = (
-                    logio.parse_verdict(r)
-                )
-
     out: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]] = {}
     for dst in plan.destinations:
         for protocol in protocols:
+            done = log.verdicts.get((dst, protocol), {}) if log is not None else {}
             matrix: Dict[SourceParams, Verdict] = {}
             for params in plan.grid:
-                key = (str(dst), str(params.src_ip), params.src_port, protocol.value)
-                if key in done:
-                    matrix[params] = done[key]
+                if params in done:
+                    matrix[params] = done[params]
                     continue
                 obs_c, obs_s, verdict = measure_cell(
                     dst, protocol, params, plan.domain_pair, transport,
                     registry, repetitions,
                 )
                 matrix[params] = verdict
-                if log_path is not None:
-                    logio.append_records(
-                        log_path,
-                        _cell_records(
-                            run_id, dst, protocol, params, obs_c, obs_s,
-                            verdict, plan.domain_pair,
-                        ),
+                if log is not None:
+                    record = logio.verdict_record(
+                        log.run_id, dst, protocol, params, obs_c, obs_s, verdict
                     )
+                    logio.append_records(log.path, [record])
             out[(dst, protocol)] = matrix
     return out
-
-
-# ---------------------------------------------------------------------------
-# plan files
-
-
-def rq1_plans_to_json(plans: Sequence[Rq1Plan]) -> str:
-    return json.dumps(
-        [
-            {
-                "variation": p.variation.value,
-                "dst": str(p.dst_ip),
-                "protocol": p.protocol.value,
-                "domain": p.domain,
-                "samples": [[str(s.src_ip), s.src_port] for s in p.samples],
-            }
-            for p in plans
-        ],
-        indent=1,
-    )
-
-
-def rq1_plans_from_json(text: str) -> List[Rq1Plan]:
-    out = []
-    for obj in json.loads(text):
-        samples = tuple(
-            SourceParams(Ipv4Address.parse(ip), port) for ip, port in obj["samples"]
-        )
-        out.append(
-            Rq1Plan(
-                Rq1Variation(obj["variation"]),
-                samples,
-                Ipv4Address.parse(obj["dst"]),
-                AppProtocol(obj["protocol"]),
-                obj["domain"],
-            )
-        )
-    return out
-
-
-def rq2_plan_to_json(plan: Rq2Plan) -> str:
-    return json.dumps(
-        {
-            "grid": [[str(s.src_ip), s.src_port] for s in plan.grid],
-            "destinations": [str(d) for d in plan.destinations],
-            "domain_pair": list(plan.domain_pair),
-        },
-        indent=1,
-    )
-
-
-def rq2_plan_from_json(text: str) -> Rq2Plan:
-    obj = json.loads(text)
-    return Rq2Plan(
-        tuple(SourceParams(Ipv4Address.parse(ip), port) for ip, port in obj["grid"]),
-        tuple(Ipv4Address.parse(d) for d in obj["destinations"]),
-        (obj["domain_pair"][0], obj["domain_pair"][1]),
-    )

@@ -164,15 +164,14 @@ class LiveTransport:
 class SimTransport:
     """Transport bound to a simulated topology.
 
-    Holds nothing but the read-only topology and the ICMP answer rate.
+    Holds nothing but the read-only topology.
     Every cell and every trace opens its own session, which carries all
     the mutable state of that probe, so what one session sees never
     depends on what ran before it.
     """
 
-    def __init__(self, topology: Topology, icmp_response_prob: float = 1.0) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.icmp_response_prob = icmp_response_prob
 
     def session(self, spec: ProbeSpec) -> "Session":
         dest = self.topology.resolve_destination(spec.dst_ip)
@@ -207,16 +206,9 @@ class Session:
             origin = self._origin_response(packet, result.at)
             if origin is not None:
                 responses.append(origin)
-        if result.icmp is not None and self._icmp_passes(packet, result.at):
+        if result.icmp is not None:
             responses.append(result.icmp)
         return SendResult(tuple(responses), result)
-
-    def _icmp_passes(self, packet: Packet, node: NodeId) -> bool:
-        prob = self._transport.icmp_response_prob
-        if prob >= 1.0:
-            return True
-        stream = LossStream(self._transport.topology.seed, self.epoch, packet)
-        return stream.uniform(node, label="icmp") < prob
 
     def _injected_packet(self, probe: Packet, event: CensorEvent) -> Optional[Packet]:
         kind = event.action.kind

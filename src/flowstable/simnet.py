@@ -313,9 +313,9 @@ class LossStream:
         )
         self.epoch = epoch
 
-    def uniform(self, node: NodeId, label: str = "loss") -> float:
+    def uniform(self, node: NodeId) -> float:
         digest = hashlib.blake2b(
-            self._prefix + b"|" + label.encode() + b"|" + node.to_bytes(8, "big"),
+            self._prefix + b"|loss|" + node.to_bytes(8, "big"),
             digest_size=8,
         ).digest()
         return int.from_bytes(digest, "big") / float(1 << 64)

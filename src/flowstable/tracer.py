@@ -75,12 +75,12 @@ def trace(
     spec: ProbeSpec,
     max_ttl: int,
     transport,
-    stop_at_destination: bool = True,
 ) -> TracePath:
     """Trace the path of spec's payload packet.
 
-    Emits one copy per TTL in 1..max_ttl with ip_id = ttl and the one
-    shared flow id. An injected RST tears the session down: remaining
+    Emits one copy per TTL from 1 up with ip_id = ttl and the one
+    shared flow id, and stops after the copy that reaches the
+    destination or after max_ttl. An injected RST tears the session down: remaining
     TTLs are not sent and the terminal records where censorship struck.
     Other censor actions are recorded and the ladder continues. The
     trace opens its own session, so it starts with no residual windows.
@@ -127,9 +127,8 @@ def trace(
             break
         if result.delivered_to == session.dest_node:
             reached = True
-            if stop_at_destination:
-                last_ttl = ttl - 1
-                break
+            last_ttl = ttl - 1
+            break
     if terminal is None:
         terminal = Terminal(
             TerminalKind.REACHED_DESTINATION if reached else TerminalKind.EXHAUSTED

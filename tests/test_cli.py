@@ -103,19 +103,19 @@ class TestSeedPrecedence:
         assert meta_free(log_a) != meta_free(log_c)
 
 
+RQ2_ARGV = [
+    "rq2", "--topology", str(FIXTURES / "half_split.topo"),
+    "--dests", str(FIXTURES / "half_split.dests"), "--seed", "5",
+    "--protocols", "http", "--registry", str(FIXTURES / "blockpages.json"),
+    "--trace-affected",
+]
+
+
 @pytest.fixture(scope="module")
 def rq2_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("rq2")
-    dests = tmp / "dests.txt"
-    dests.write_text("3\n")
     log = tmp / "run.log"
-    code = cli_main([
-        "rq2", "--topology", str(FIXTURES / "half_split.topo"),
-        "--dests", str(dests), "--seed", "5", "--out", str(log),
-        "--protocols", "http", "--registry", str(FIXTURES / "blockpages.json"),
-        "--trace-affected",
-    ])
-    assert code == 0
+    assert cli_main(RQ2_ARGV + ["--out", str(log)]) == 0
     return tmp, log
 
 
@@ -210,25 +210,97 @@ class TestRq2Reports:
 
         tmp, log = rq2_run
         registry = BlockpageRegistry.load((FIXTURES / "blockpages.json").read_text())
-        records = logio.read_log(log)
-        obs = {}
-        for r in records:
-            if r["record_kind"] != "observation":
-                continue
-            key = (r["src_ip"], r["src_port"], r["sensitivity"])
-            obs.setdefault(key, []).append(
-                Observation(r["epoch"], ObservationKind(r["outcome"]), r["tag"])
-            )
+
+        def observations(entries):
+            return [Observation(e, ObservationKind(kind), tag) for e, kind, tag in entries]
+
         checked = 0
-        for r in records:
+        for r in logio.read_log(log):
             if r["record_kind"] != "verdict":
                 continue
-            control = obs[(r["src_ip"], r["src_port"], "control")]
-            sensitive = obs[(r["src_ip"], r["src_port"], "sensitive")]
+            control = observations(r["control"])
+            sensitive = observations(r["sensitive"])
+            assert len(control) == len(sensitive) == 3
             rederived = classify(control, sensitive, AppProtocol.HTTP, registry)
             assert logio.parse_verdict(r) == rederived
             checked += 1
         assert checked == 1664
+
+    def test_rerun_appends_nothing(self, rq2_run, capsys):
+        tmp, log = rq2_run
+        before = {p.name: p.read_bytes() for p in (log, tmp / "run_table.csv",
+                                                   tmp / "run_cdf.csv")}
+        code, _, err = run(capsys, *RQ2_ARGV, "--out", str(log))
+        assert code == 0, err
+        assert {p: (tmp / p).read_bytes() for p in before} == before
+
+
+class TestReadsLogOnce:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        from flowstable import logio
+
+        calls = []
+        records = logio._records
+
+        def counting(path):
+            calls.append(path)
+            return records(path)
+
+        monkeypatch.setattr(logio, "_records", counting)
+        return calls
+
+    def test_rq2_trace_affected_rerun(self, rq2_run, reads, capsys):
+        _, log = rq2_run
+        assert cli_main(RQ2_ARGV + ["--out", str(log)]) == 0
+        assert len(reads) == 1
+
+    def test_rq1_rerun(self, tmp_path, reads, capsys):
+        argv = ["rq1", "--topology", str(FIXTURES / "srcip_hash.topo"), "--dest", "5",
+                "--out", str(tmp_path / "rq1.log")]
+        assert cli_main(argv) == 0
+        assert reads == []
+        assert cli_main(argv) == 0
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bits", "--group-by", "src_ip_low3"],
+        ["graph", "--dest", "10.0.3.4", "--out", "{tmp}/g"],
+        ["classify", "--topology", str(FIXTURES / "half_split.topo")],
+    ])
+    def test_report(self, rq2_run, reads, tmp_path, capsys, argv):
+        _, log = rq2_run
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--log", str(log)]
+        assert cli_main(argv) == 0
+        assert len(reads) == 1
+
+
+class TestRunLog:
+    def test_v1_log_is_data_error(self, tmp_path, capsys):
+        log = tmp_path / "v1.log"
+        log.write_text(json.dumps({"record_kind": "meta", "run_id": "r",
+                                   "schema_version": 1}) + "\n")
+        for argv in (["bits", "--log", str(log), "--group-by", "src_ip_low3"],
+                     RQ2_ARGV + ["--out", str(log)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert "schema_version 1" in err
+
+    def test_trace_out_appends_one_record_per_flow(self, tmp_path, capsys):
+        from flowstable import logio
+
+        log = tmp_path / "trace.log"
+        for src_port in ("40000", "40000", "40001"):
+            code, _, err = run(
+                capsys, "trace", "--topology", str(FIXTURES / "chain.topo"),
+                "--dest", "3", "--src-ip", "198.51.100.7", "--src-port", src_port,
+                "--protocol", "http", "--out", str(log),
+            )
+            assert code == 0, err
+        traces = logio.read_run(log).traces
+        assert list(traces) == ["10.0.3.4|http|198.51.100.7:40000",
+                                "10.0.3.4|http|198.51.100.7:40001"]
+        assert all(t.hops == (0, 1, 2) for t in traces.values())
 
 
 class TestLiveTransportExit:

@@ -4,19 +4,14 @@ import pytest
 
 from flowstable.analysis import no_censorship_fraction, num_paths
 from flowstable.core import AppProtocol, EPHEMERAL_PORT_RANGE, Ipv4Address
+from flowstable import logio
 from flowstable.experiments import (
     EmptyCandidatesError,
     Rq1Variation,
-    SampleMode,
     plan_rq1,
     plan_rq2,
-    rq1_plans_from_json,
-    rq1_plans_to_json,
-    rq2_plan_from_json,
-    rq2_plan_to_json,
     run_rq1,
     run_rq2,
-    sample_destinations,
 )
 from flowstable.prober import SimTransport, is_affected
 
@@ -97,34 +92,6 @@ class TestPlanRq2:
             plan_rq2([], seed=1)
 
 
-class TestSampleDestinations:
-    CANDIDATES = [
-        (Ipv4Address(100 + i), 65000 + (i % 3)) for i in range(30)
-    ]
-
-    def test_one_per_as(self):
-        picked = sample_destinations(self.CANDIDATES, SampleMode.ONE_PER_AS, seed=1)
-        assert len(picked) == 3
-
-    def test_cap_binding(self):
-        one_as = [(Ipv4Address(i), 65001) for i in range(100)]
-        picked = sample_destinations(one_as, SampleMode.CAP_PER_AS, seed=1, cap=60)
-        assert len(picked) == 60
-
-    def test_cap_not_binding(self):
-        one_as = [(Ipv4Address(i), 65001) for i in range(10)]
-        picked = sample_destinations(one_as, SampleMode.CAP_PER_AS, seed=1, cap=60)
-        assert len(picked) == 10
-
-    def test_deterministic(self):
-        assert sample_destinations(self.CANDIDATES, SampleMode.ONE_PER_AS, 9) == \
-            sample_destinations(self.CANDIDATES, SampleMode.ONE_PER_AS, 9)
-
-    def test_empty(self):
-        with pytest.raises(EmptyCandidatesError):
-            sample_destinations([], SampleMode.ONE_PER_AS, 1)
-
-
 class TestRunners:
     def test_rq1_all_constant_deterministic_fixture(self):
         topo = load_fixture("chain.topo")
@@ -157,52 +124,39 @@ class TestRunners:
         plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=7)
                  if p.variation is Rq1Variation.VARY_IP]
         full_log = tmp_path / "full.log"
-        full = run_rq1(plans, SimTransport(topo), log_path=full_log)
+        full = run_rq1(plans, SimTransport(topo), log=logio.open_run(full_log, "rq1"))
+        lines = full_log.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + 144  # the meta record, then one line per trace
 
         # interruption between sample appends: keep the first 70 samples
-        import json as _json
-
         partial_log = tmp_path / "partial.log"
-        kept = [
-            line
-            for line in full_log.read_text().splitlines(keepends=True)
-            if _json.loads(line)["sample_index"] < 70
-        ]
-        partial_log.write_text("".join(kept))
-        resumed = run_rq1(plans, SimTransport(topo), log_path=partial_log)
+        partial_log.write_bytes(b"".join(lines[:1 + 70]))
+        resumed = run_rq1(plans, SimTransport(topo),
+                          log=logio.open_run(partial_log, "rq1"))
 
-        assert num_paths(full[Rq1Variation.VARY_IP]) == \
-            num_paths(resumed[Rq1Variation.VARY_IP])
-        assert sorted(full_log.read_text().splitlines()) == \
-            sorted(partial_log.read_text().splitlines())
+        assert full == resumed
+        assert partial_log.read_bytes() == full_log.read_bytes()
 
     def test_rq2_resumable(self, tmp_path, registry):
-        import flowstable.experiments as exp
-
         topo = load_fixture("half_split.topo")
         dest = topo.nodes[3].address
-        plan = exp.Rq2Plan(
-            plan_rq2([dest], seed=5).grid, (dest,), ("control.example", "blocked.example")
-        )
+        plan = plan_rq2([dest], seed=5)
         full_log = tmp_path / "full.log"
         full = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
-                       registry=registry, log_path=full_log)
+                       registry=registry, log=logio.open_run(full_log, "rq2"))
+        lines = full_log.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + 1664  # the meta record, then one line per cell
 
-        # interruption between cell appends: cut right after a verdict line
-        import json as _json
-
-        lines = full_log.read_text().splitlines(keepends=True)
-        verdict_positions = [i for i, line in enumerate(lines)
-                             if _json.loads(line)["record_kind"] == "verdict"]
-        cut = verdict_positions[len(verdict_positions) // 3] + 1
+        # interruption between cell appends: keep the first third of the cells
         partial_log = tmp_path / "partial.log"
-        partial_log.write_text("".join(lines[:cut]))
+        partial_log.write_bytes(b"".join(lines[:1 + 1664 // 3]))
+        log = logio.open_run(partial_log, "rq2")
+        assert sum(map(len, log.verdicts.values())) == 1664 // 3
         resumed = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
-                          registry=registry, log_path=partial_log)
+                          registry=registry, log=log)
 
-        assert full[(dest, AppProtocol.HTTP)] == resumed[(dest, AppProtocol.HTTP)]
-        assert sorted(full_log.read_text().splitlines()) == \
-            sorted(partial_log.read_text().splitlines())
+        assert full == resumed
+        assert partial_log.read_bytes() == full_log.read_bytes()
 
     def test_rq2_rerun_on_one_transport_identical(self, registry):
         topo = load_fixture("half_split.topo")
@@ -212,13 +166,3 @@ class TestRunners:
         first = run_rq2(plan, transport, protocols=[AppProtocol.HTTPS], registry=registry)
         again = run_rq2(plan, transport, protocols=[AppProtocol.HTTPS], registry=registry)
         assert first == again
-
-
-class TestPlanFiles:
-    def test_rq1_round_trip(self):
-        plans = plan_rq1(DEST, AppProtocol.HTTPS, seed=9)
-        assert rq1_plans_from_json(rq1_plans_to_json(plans)) == plans
-
-    def test_rq2_round_trip(self):
-        plan = plan_rq2([DEST], seed=9)
-        assert rq2_plan_from_json(rq2_plan_to_json(plan)) == plan

@@ -62,10 +62,12 @@ class TestTrace:
         topo = load_fixture("chain.topo")
         transport = SimTransport(topo)
         spec = sensitive_spec(topo, AppProtocol.HTTPS, domain="example.com")
-        path = trace(spec, 8, transport, stop_at_destination=False)
+        path = trace(spec, 8, transport)
         payloads = [p for p in sent_packets if p.kind is PacketKind.TCP_PAYLOAD]
-        assert len(payloads) == 8  # no retransmissions, one copy per ttl
-        assert [p.ip_id for p in payloads] == [p.ttl for p in payloads] == list(range(1, 9))
+        # no retransmissions, one copy per ttl, and none after the copy
+        # that reached the destination (three routers, then the endpoint)
+        assert [p.ip_id for p in payloads] == [p.ttl for p in payloads] == [1, 2, 3, 4]
+        assert path.hops == (0, 1, 2)
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
 
     def test_gap_between_responsive_hops(self):
@@ -96,10 +98,18 @@ class TestTrace:
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
 
     def test_icmp_probability_zero_blinds_the_trace(self):
-        topo = load_fixture("chain.topo")
-        transport = SimTransport(topo, icmp_response_prob=0.0)
+        import json
+
+        from conftest import FIXTURES
+        from flowstable.simnet import load_topology
+
+        doc = json.loads((FIXTURES / "chain.topo").read_text())
+        for node in doc["nodes"]:
+            if node["role"] == "router":
+                node["responsive"] = False
+        topo = load_topology(doc)
         path = trace(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
-                     8, transport)
+                     8, SimTransport(topo))
         assert path.hops == (None, None, None)
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
 
