@@ -231,7 +231,7 @@ def _cmd_rq2(args) -> int:
 def _trace_affected(transport, matrices, log: logio.RunLog, sensitive_domain):
     """Append sensitive-domain traces for every decided cell of every
     affected (destination, protocol), enabling graph/classify on the log.
-    Flows the log already holds a trace of are not traced again."""
+    Flows this run already traced into the log are not traced again."""
     for (dst_ip, protocol), matrix in sorted(
         matrices.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):

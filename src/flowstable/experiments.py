@@ -175,9 +175,10 @@ def run_rq1(
     """Trace every sample of every plan and merge paths per variation.
 
     With a log (from logio.open_run), samples whose trace it already
-    holds are not traced again, and each new trace is appended to it as
-    one record, in plan order. A run cut short therefore resumes where
-    it stopped and leaves the same log as an uninterrupted one.
+    holds under this run's id are not traced again, and each new trace
+    is appended to it as one record, in plan order. A run cut short
+    therefore resumes where it stopped and leaves the same log as an
+    uninterrupted one.
     """
     out: Dict[Rq1Variation, PathSet] = {}
     for plan in plans:

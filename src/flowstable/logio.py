@@ -57,8 +57,10 @@ class RunLog:
 
     verdicts maps (destination, protocol) to its cells' verdicts and
     traces maps trace id to trace, both in file order; run_ids holds the
-    run ids that have a meta record. run_id is the run that open_run
-    prepared the log for (None from read_run).
+    run ids that have a meta record. run_id is the run the log was read
+    for: then traces holds only that run's traces, so a run never takes
+    another run's trace for one of its own. With run_id None, traces
+    holds every run's.
     """
 
     path: Path
@@ -124,24 +126,25 @@ def read_log(path: Union[str, Path]) -> List[Dict]:
     return list(_records(path))
 
 
-def read_run(path: Union[str, Path]) -> RunLog:
+def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """The log's verdicts, traces and run ids, in one streaming pass
-    that keeps no record dicts."""
-    run = RunLog(Path(path), None, {}, {}, set())
+    that keeps no record dicts. With run_id, only that run's traces."""
+    run = RunLog(Path(path), run_id, {}, {}, set())
     for record in _records(path):
         kind = record["record_kind"]
         if kind == KIND_VERDICT:
             key = (Ipv4Address.parse(record["dst"]), AppProtocol(record["protocol"]))
             run.verdicts.setdefault(key, {})[_source(record)] = parse_verdict(record)
         elif kind == KIND_TRACE_HOP:
-            (run.traces[record["trace_id"]],) = traces_from_records([record])
+            if run_id is None or record["run_id"] == run_id:
+                (run.traces[record["trace_id"]],) = traces_from_records([record])
         else:
             run.run_ids.add(record["run_id"])
     return run
 
 
 def open_run(path: Union[str, Path], run_id: str, **meta) -> RunLog:
-    """The log at path, ready for run run_id to append to.
+    """The log at path, read for run run_id and ready for it to append to.
 
     Reads the log if it exists and cuts a partial last line left by a
     crash, so the next record starts a line of its own; a log that ends
@@ -151,11 +154,10 @@ def open_run(path: Union[str, Path], run_id: str, **meta) -> RunLog:
     """
     path = Path(path)
     if path.exists():
-        run = read_run(path)
+        run = read_run(path, run_id)
         _cut_partial_tail(path)
     else:
-        run = RunLog(path, None, {}, {}, set())
-    run.run_id = run_id
+        run = RunLog(path, run_id, {}, {}, set())
     if run_id not in run.run_ids:
         append_records(path, [make_record(KIND_META, run_id, **meta)])
         run.run_ids.add(run_id)

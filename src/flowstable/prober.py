@@ -14,7 +14,7 @@ sensitive repetition is clean; anything mixed is Excluded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,6 +37,7 @@ from .simnet import (
     TransitKind,
     TransitResult,
     forward,
+    route,
 )
 from .censors import ActionKind, CensorEvent, CensorRule
 
@@ -71,6 +72,8 @@ class ProbeSpec:
     source: SourceParams
     repetitions: int = DEFAULT_REPETITIONS
     epoch_interval: int = 1
+    #: The one flow id of every packet the spec emits, built once.
+    flow: FlowId = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dst_port != self.protocol.port:
@@ -83,20 +86,18 @@ class ProbeSpec:
             raise ValueError("epoch_interval must be >= 1")
         if self.sensitivity is Sensitivity.NOT_APPLICABLE:
             raise ValueError("probe sensitivity must be control or sensitive")
-
-    @classmethod
-    def for_protocol(cls, protocol, dst_ip, domain, sensitivity, source, **kw) -> "ProbeSpec":
-        return cls(protocol, dst_ip, protocol.port, domain, sensitivity, source, **kw)
-
-    @property
-    def flow(self) -> FlowId:
-        return FlowId(
+        flow = FlowId(
             self.source.src_ip,
             self.dst_ip,
             self.source.src_port,
             self.dst_port,
             self.protocol.transport,
         )
+        object.__setattr__(self, "flow", flow)
+
+    @classmethod
+    def for_protocol(cls, protocol, dst_ip, domain, sensitivity, source, **kw) -> "ProbeSpec":
+        return cls(protocol, dst_ip, protocol.port, domain, sensitivity, source, **kw)
 
 
 class ObservationKind(Enum):
@@ -175,16 +176,24 @@ class SimTransport:
 
     def session(self, spec: ProbeSpec) -> "Session":
         dest = self.topology.resolve_destination(spec.dst_ip)
-        return Session(self, dest.id)
+        return Session(self, dest.id, spec.flow)
 
 
 class Session:
-    """One probe session on one flow: an epoch clock, the residual-
-    censorship windows its packets opened, and send/receive plumbing."""
+    """One probe session on one flow: the flow's route, an epoch clock,
+    the residual-censorship windows its packets opened, and
+    send/receive plumbing.
 
-    def __init__(self, transport: SimTransport, dest_node: NodeId) -> None:
+    Routing is pure in the flow, so the route is walked once, when the
+    session opens, and every packet the session sends replays it. The
+    session only carries packets of its own flow.
+    """
+
+    def __init__(self, transport: SimTransport, dest_node: NodeId, flow: FlowId) -> None:
         self._transport = transport
         self.dest_node = dest_node
+        self.flow = flow
+        self.route = route(transport.topology, flow)
         self.epoch = 0
         self.residual: Dict[CensorRule, int] = {}
 
@@ -192,9 +201,13 @@ class Session:
         self.epoch += epochs
 
     def send(self, packet: Packet) -> SendResult:
+        """Forward packet along the session's route and collect what
+        comes back. A packet of another flow raises ValueError."""
+        if packet.flow is not self.flow and packet.flow != self.flow:
+            raise ValueError(f"packet flow {packet.flow} is not the session's flow {self.flow}")
         topo = self._transport.topology
         stream = LossStream(topo.seed, self.epoch, packet)
-        result = forward(topo, packet, topo.entry, stream, self.residual)
+        result = forward(topo, packet, self.route, stream, self.residual)
 
         responses: List[Packet] = []
         # Injected packets win any race with the origin, so they come first.

@@ -2,20 +2,21 @@
 
 A topology is a directed graph of routers and endpoints. Each router
 carries an ECMP policy that picks the next hop as a pure function of a
-packet's flow identifier, never of TTL, IP ID, payload, or time.
-forward() walks a packet hop by hop, decrementing TTL, consulting
-censors, and applying per-node loss from a deterministic stream. A
-Topology is immutable once loaded; the only state a walk changes is
-the residual-censorship map its caller passes in.
-oracle_paths() is the brute-force route ground truth the tracer is
-checked against.
+packet's flow identifier, never of TTL, IP ID, payload, or time. So a
+flow has one route: route() walks it once from the entry to the first
+endpoint, and forward() replays that node sequence for each packet of
+the flow, decrementing TTL, consulting censors, and applying per-node
+loss from a deterministic stream. A Topology is immutable once loaded;
+the only state a walk changes is the residual-censorship map its
+caller passes in. oracle_paths() is the route ground truth the tracer
+is checked against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -179,18 +180,16 @@ class Node:
     subnet24: str
     geo: str
     responsive: bool = True
+    #: Canonical address inside the node's /24; host octet avoids 0/255.
+    address: Ipv4Address = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.id < 0:
             raise SchemaError(f"node id must be non-negative: {self.id}")
         if self.as_number <= 0:
             raise SchemaError(f"as_number must be positive: {self.as_number}")
-        _subnet_base(self.subnet24)  # format check
-
-    @property
-    def address(self) -> Ipv4Address:
-        """Canonical address inside the node's /24; host octet avoids 0/255."""
-        return Ipv4Address(_subnet_base(self.subnet24) + (self.id % 254) + 1)
+        base = _subnet_base(self.subnet24)
+        object.__setattr__(self, "address", Ipv4Address(base + (self.id % 254) + 1))
 
 
 def _subnet_base(subnet24: str) -> int:
@@ -213,9 +212,9 @@ class TransitKind(Enum):
 class TransitResult:
     """Fate of one forwarded packet.
 
-    hops is the ordered node sequence traversed (a prefix of the oracle
-    path for the packet's flow). events lists every censor action fired
-    en route; icmp carries the time-exceeded reply when one was emitted.
+    hops is the ordered node sequence traversed (a prefix of the route
+    of the packet's flow). events lists every censor action fired en
+    route; icmp carries the time-exceeded reply when one was emitted.
     """
 
     kind: TransitKind
@@ -298,22 +297,28 @@ class LossStream:
     packet crossing it at that instant. Because a control probe and its
     sensitive twin share flow, kind, ip_id, and epoch, loss can never
     affect one without the other; the verdict classifier's
-    conservativeness rests on that.
+    conservativeness rests on that. The hashed key prefix is built on
+    the first draw, so a walk over loss-free nodes never builds it.
     """
 
     def __init__(self, seed: int, epoch: int, packet: Packet) -> None:
-        self._prefix = b"|".join(
-            (
-                seed.to_bytes(8, "big"),
-                epoch.to_bytes(8, "big", signed=True),
-                packet.flow.to_bytes(),
-                packet.kind.value.encode(),
-                packet.ip_id.to_bytes(2, "big"),
-            )
-        )
+        self._seed = seed
+        self._packet = packet
+        self._prefix: Optional[bytes] = None
         self.epoch = epoch
 
     def uniform(self, node: NodeId) -> float:
+        if self._prefix is None:
+            packet = self._packet
+            self._prefix = b"|".join(
+                (
+                    self._seed.to_bytes(8, "big"),
+                    self.epoch.to_bytes(8, "big", signed=True),
+                    packet.flow.to_bytes(),
+                    packet.kind.value.encode(),
+                    packet.ip_id.to_bytes(2, "big"),
+                )
+            )
         digest = hashlib.blake2b(
             self._prefix + b"|loss|" + node.to_bytes(8, "big"),
             digest_size=8,
@@ -324,35 +329,47 @@ class LossStream:
         return p > 0.0 and self.uniform(node) < p
 
 
+def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
+    """The flow's node walk from the entry up to (and including) the
+    first endpoint, ignoring TTL, loss and censors.
+
+    On a looping topology the walk stops after LOOP_GUARD nodes, so the
+    route ends on a router; a packet that gets that far raises in
+    forward().
+    """
+    nodes, policies = topology.nodes, topology.policies
+    node_id = topology.entry
+    path = [node_id]
+    while nodes[node_id].role is not Role.ENDPOINT and len(path) < LOOP_GUARD:
+        node_id = next_hop(policies[node_id], flow)
+        path.append(node_id)
+    return tuple(path)
+
+
 def forward(
     topology: Topology,
     packet: Packet,
-    entry: NodeId,
+    path: Tuple[NodeId, ...],
     rng_stream: LossStream,
     residual: Dict[censors_mod.CensorRule, int],
 ) -> TransitResult:
-    """Carry one packet through the topology.
+    """Carry one packet along path, its flow's route (see route()).
 
     Per node, in order: record the hop; consult attached censors (a
     silent drop consumes the packet, injections do not); deliver if the
     node is an endpoint; decrement TTL and expire responsively or not;
-    apply loss; forward along the ECMP choice. residual is the sending
-    session's residual-censorship map (see censors.apply).
+    apply loss; move on to the next node of the path. A packet that
+    outlives a route cut by the loop guard raises
+    LoopGuardExceededError. residual is the sending session's
+    residual-censorship map (see censors.apply).
     """
-    if entry not in topology.nodes:
-        raise DanglingNodeRefError(f"entry node {entry} not in topology")
     if packet.ttl < 1:
         raise ValueError("packet ttl must be >= 1")
 
-    hops: List[NodeId] = []
     events: List[censors_mod.CensorEvent] = []
-    node_id = entry
     ttl = packet.ttl
-    while True:
-        if len(hops) >= LOOP_GUARD:
-            raise LoopGuardExceededError(f"packet exceeded {LOOP_GUARD} hops")
+    for depth, node_id in enumerate(path, start=1):
         node = topology.nodes[node_id]
-        hops.append(node_id)
 
         consumed = False
         for rule in topology.censors_at(node_id):
@@ -363,12 +380,12 @@ def forward(
                     consumed = True
         if consumed:
             return TransitResult(
-                TransitKind.CENSOR_ACTION, node_id, tuple(hops), events=tuple(events)
+                TransitKind.CENSOR_ACTION, node_id, path[:depth], events=tuple(events)
             )
 
         if node.role is Role.ENDPOINT:
             return TransitResult(
-                TransitKind.DELIVERED, node_id, tuple(hops), events=tuple(events)
+                TransitKind.DELIVERED, node_id, path[:depth], events=tuple(events)
             )
 
         ttl -= 1
@@ -388,7 +405,7 @@ def forward(
             return TransitResult(
                 TransitKind.TTL_EXCEEDED,
                 node_id,
-                tuple(hops),
+                path[:depth],
                 responsive=node.responsive,
                 events=tuple(events),
                 icmp=icmp,
@@ -396,10 +413,9 @@ def forward(
 
         if rng_stream.drops(node_id, topology.loss.get(node_id, 0.0)):
             return TransitResult(
-                TransitKind.LOST, node_id, tuple(hops), events=tuple(events)
+                TransitKind.LOST, node_id, path[:depth], events=tuple(events)
             )
-
-        node_id = next_hop(topology.policies[node_id], packet.flow)
+    raise LoopGuardExceededError(f"packet exceeded {LOOP_GUARD} hops")
 
 
 def oracle_paths(
@@ -409,25 +425,17 @@ def oracle_paths(
     protocol: Protocol,
     dst_port: int,
 ) -> Dict[SourceParams, Tuple[NodeId, ...]]:
-    """Brute-force route per source params, ignoring TTL, loss, censors.
-
-    The returned path is the full node walk from the entry up to (and
-    including) the first endpoint reached. Ground truth for the tracer.
+    """The route of each source params' flow to dst (see route()).
+    Ground truth for the tracer; a route that never reaches an endpoint
+    raises LoopGuardExceededError.
     """
     dst_ip = topology.nodes[dst].address
     out: Dict[SourceParams, Tuple[NodeId, ...]] = {}
     for params in space:
-        flow = FlowId(params.src_ip, dst_ip, params.src_port, dst_port, protocol)
-        path: List[NodeId] = []
-        node_id = topology.entry
-        while True:
-            if len(path) >= LOOP_GUARD:
-                raise LoopGuardExceededError(f"oracle walk exceeded {LOOP_GUARD} hops")
-            path.append(node_id)
-            if topology.nodes[node_id].role is Role.ENDPOINT:
-                break
-            node_id = next_hop(topology.policies[node_id], flow)
-        out[params] = tuple(path)
+        path = route(topology, FlowId(params.src_ip, dst_ip, params.src_port, dst_port, protocol))
+        if topology.nodes[path[-1]].role is not Role.ENDPOINT:
+            raise LoopGuardExceededError(f"oracle walk exceeded {LOOP_GUARD} hops")
+        out[params] = path
     return out
 
 

@@ -286,6 +286,24 @@ class TestRunLog:
             assert code == 2
             assert "schema_version 1" in err
 
+    def test_rq1_runs_sharing_a_log_keep_their_own_traces(self, tmp_path, capsys):
+        argv = ["rq1", "--topology", str(FIXTURES / "srcip_hash.topo"), "--dest", "5"]
+        shared, fresh = tmp_path / "shared.log", tmp_path / "fresh.log"
+        assert cli_main(argv + ["--seed", "1", "--out", str(shared)]) == 0
+        seed1_csv = (tmp_path / "shared_paths.csv").read_text()
+        assert cli_main(argv + ["--seed", "2", "--out", str(shared)]) == 0
+        assert cli_main(argv + ["--seed", "2", "--out", str(fresh)]) == 0
+        kinds = [json.loads(line)["record_kind"] for line in open(shared)]
+        assert (kinds.count("meta"), kinds.count("trace")) == (2, 2 * 4 * 144)
+        assert shared.read_text().endswith(fresh.read_text())
+        assert (tmp_path / "shared_paths.csv").read_text() == (
+            tmp_path / "fresh_paths.csv").read_text()
+        # Seed 1 again resumes from its own traces and appends nothing.
+        before = shared.read_text()
+        assert cli_main(argv + ["--seed", "1", "--out", str(shared)]) == 0
+        assert shared.read_text() == before
+        assert (tmp_path / "shared_paths.csv").read_text() == seed1_csv
+
     def test_trace_out_appends_one_record_per_flow(self, tmp_path, capsys):
         from flowstable import logio
 

@@ -1,0 +1,47 @@
+"""Byte-level guard on the outputs of two reference runs.
+
+The digests pin the run log and the CSVs that each command writes, so a
+change to what the simulator computes, to the plans, or to the log and
+CSV layout shows up as a mismatch. A change meant to alter these
+outputs updates the digests and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from flowstable.cli import cli_main
+
+from conftest import FIXTURES
+
+#: name -> (command without --out, {file written next to the log: sha256})
+GOLDEN = {
+    "rq2": (
+        ["rq2", "--topology", str(FIXTURES / "half_split.topo"),
+         "--dests", str(FIXTURES / "half_split.dests"), "--protocols", "dns,http,https",
+         "--registry", str(FIXTURES / "blockpages.json"), "--seed", "1",
+         "--trace-affected"],
+        {
+            ".log": "66b010e45d377afd4a2c70c5fab66aa27ef8769ff18395589215ce186a46e329",
+            "_table.csv": "7d693ef7ade58b165f8a04dc54627039cd70a96ade3890f459921fc4f6ba0d1a",
+            "_cdf.csv": "bd44e0dd4a2c968959f8bfcc9efb90f8013488b5534160d57cc4a3ab98e429eb",
+        },
+    ),
+    "rq1": (
+        ["rq1", "--topology", str(FIXTURES / "srcip_hash.topo"), "--dest", "5",
+         "--seed", "1"],
+        {
+            ".log": "c783c651c24e99d318ebd7e7c5c4b262d842217007fe1a54ccc5c056645d24c1",
+            "_paths.csv": "8bd791cd3169b95ebfc7ab896f5ab0d3f6897b0d5a50c551b78f36db977f7cac",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_recorded_digests(name, tmp_path, capsys):
+    argv, digests = GOLDEN[name]
+    assert cli_main(argv + ["--out", str(tmp_path / "run.log")]) == 0
+    for suffix, digest in digests.items():
+        data = (tmp_path / f"run{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix

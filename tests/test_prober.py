@@ -7,6 +7,8 @@ from flowstable.core import (
     AppProtocol,
     Ipv4Address,
     Mechanism,
+    Packet,
+    PacketKind,
     Sensitivity,
     SourceParams,
 )
@@ -198,6 +200,19 @@ class TestRunProbe:
         for bad in (other_port, slower):
             with pytest.raises(ValueError):
                 run_cell(ctrl, bad, SimTransport(topo))
+
+    def test_session_rejects_packet_of_another_flow(self):
+        import dataclasses
+
+        topo = load_fixture("chain.topo")
+        spec = spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0])
+        session = SimTransport(topo).session(spec)
+        same = dataclasses.replace(spec.flow)
+        assert same is not spec.flow
+        assert session.send(Packet(same, ttl=64, kind=PacketKind.TCP_SYN)).responses
+        other = dataclasses.replace(spec.flow, src_port=spec.flow.src_port + 1)
+        with pytest.raises(ValueError):
+            session.send(Packet(other, ttl=64, kind=PacketKind.TCP_SYN))
 
     def test_spec_port_protocol_coupling(self):
         with pytest.raises(ValueError):

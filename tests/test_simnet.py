@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flowstable.core import FlowId, Ipv4Address, Packet, PacketKind, Protocol, SourceParams
 from flowstable.fixtures import random_topology
 from flowstable.simnet import (
+    LOOP_GUARD,
     DanglingNodeRefError,
     LoopGuardExceededError,
     EcmpPolicy,
@@ -24,10 +25,11 @@ from flowstable.simnet import (
     load_topology,
     next_hop,
     oracle_paths,
+    route,
 )
 
 from conftest import load_fixture
-from reference import fnv1a64 as fnv_reference
+from reference import flow_bytes, fnv1a64 as fnv_reference, ip_to_int
 
 
 def minimal_doc(**overrides):
@@ -177,7 +179,8 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=1,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet), {})
+        result = forward(topo, packet, route(topo, packet.flow),
+                         LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.at == 0 and result.responsive is True
         assert result.icmp is not None
@@ -189,7 +192,8 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=64,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet), {})
+        result = forward(topo, packet, route(topo, packet.flow),
+                         LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.DELIVERED
         assert result.hops == (0, 1, 2, 3)
 
@@ -207,7 +211,8 @@ class TestForward:
         topo = load_topology(doc)
         packet = Packet(make_flow(dst_ip=topo.nodes[1].address.value), ttl=64,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, 0, LossStream(0, 1, packet), {})
+        result = forward(topo, packet, route(topo, packet.flow),
+                         LossStream(0, 1, packet), {})
         assert result.kind is TransitKind.DELIVERED
         assert len(result.hops) == 3
 
@@ -215,7 +220,8 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=2,
                         ip_id=7, kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet), {})
+        result = forward(topo, packet, route(topo, packet.flow),
+                         LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.icmp.quoted[1] == 7
         assert result.icmp.body_tag == str(result.at)
@@ -231,18 +237,26 @@ class TestForward:
                                      "n_bits": 1}, "next_hops": [0]},
         ]
         topo = load_topology(doc)
+        path = route(topo, make_flow())
+        assert path == (0, 1) * (LOOP_GUARD // 2)
         packet = Packet(make_flow(), ttl=255, kind=PacketKind.TCP_PAYLOAD)
         with pytest.raises(LoopGuardExceededError):
-            forward(topo, packet, 0, LossStream(0, 1, packet), {})
+            forward(topo, packet, path, LossStream(0, 1, packet), {})
         with pytest.raises(LoopGuardExceededError):
             oracle_paths(topo, 1, [SourceParams(Ipv4Address(1), 2)], Protocol.TCP, 80)
+        for ttl in (1, 63, LOOP_GUARD):
+            packet = Packet(make_flow(), ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
+            result = forward(topo, packet, path, LossStream(0, 1, packet), {})
+            assert result.kind is TransitKind.TTL_EXCEEDED
+            assert result.hops == path[:ttl]
 
     def test_unresponsive_expiry_emits_no_icmp(self):
         doc = minimal_doc()
         doc["nodes"][0]["responsive"] = False
         topo = load_topology(doc)
         packet = Packet(make_flow(), ttl=1, kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, 0, LossStream(0, 1, packet), {})
+        result = forward(topo, packet, route(topo, packet.flow),
+                         LossStream(0, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.responsive is False and result.icmp is None
 
@@ -250,17 +264,21 @@ class TestForward:
         topo = random_topology(3, loss_range=(0.0, 0.4))
         flow = make_flow()
         packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-        a = forward(topo, packet, topo.entry, LossStream(topo.seed, 5, packet), {})
-        b = forward(topo, packet, topo.entry, LossStream(topo.seed, 5, packet), {})
+        a = forward(topo, packet, route(topo, packet.flow),
+                    LossStream(topo.seed, 5, packet), {})
+        b = forward(topo, packet, route(topo, packet.flow),
+                    LossStream(topo.seed, 5, packet), {})
         assert a == b
 
     def test_route_determinism_144_repetitions(self):
         topo = random_topology(9)
         flow = make_flow()
         packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-        first = forward(topo, packet, topo.entry, LossStream(topo.seed, 1, packet), {})
+        first = forward(topo, packet, route(topo, packet.flow),
+                        LossStream(topo.seed, 1, packet), {})
         for rep in range(2, 145):
-            again = forward(topo, packet, topo.entry, LossStream(topo.seed, rep, packet), {})
+            again = forward(topo, packet, route(topo, packet.flow),
+                            LossStream(topo.seed, rep, packet), {})
             assert again.hops == first.hops
 
     def test_forward_hops_prefix_of_oracle(self):
@@ -278,7 +296,7 @@ class TestForward:
                               80, Protocol.TCP)
                 ttl = rng.randrange(1, 65)
                 packet = Packet(flow, ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
-                result = forward(topo, packet, topo.entry,
+                result = forward(topo, packet, route(topo, packet.flow),
                                  LossStream(topo.seed, 1, packet), {})
                 assert result.hops == oracle[: len(result.hops)]
 
@@ -293,11 +311,86 @@ class TestForward:
             ttl = rng.randrange(40, 256)
             packet = Packet(flow, ttl=ttl, ip_id=rng.randrange(2**16),
                             kind=PacketKind.TCP_PAYLOAD)
-            hops = forward(topo, packet, topo.entry,
+            hops = forward(topo, packet, route(topo, packet.flow),
                            LossStream(topo.seed, 1, packet), {}).hops
             if baseline is None:
                 baseline = hops
             assert hops == baseline
+
+
+#: Byte range of each hashed field in the canonical 13-byte flow layout.
+FLOW_SLICES = {
+    "src_ip": slice(0, 4),
+    "dst_ip": slice(4, 8),
+    "src_port": slice(8, 10),
+    "dst_port": slice(10, 12),
+    "protocol": slice(12, 13),
+}
+
+
+def reference_walk(doc, src_ip, dst_ip, src_port, dst_port, proto_num):
+    """The route of one flow through a topology document, from node 0,
+    computed from the document alone with the reference FNV and byte
+    layout; stops at the first endpoint or after LOOP_GUARD nodes."""
+    raw = flow_bytes(src_ip, dst_ip, src_port, dst_port, proto_num)
+    values = {"src_ip": ip_to_int(src_ip), "dst_ip": ip_to_int(dst_ip),
+              "src_port": src_port, "dst_port": dst_port}
+    roles = {n["id"]: n["role"] for n in doc["nodes"]}
+    policies = {p["node"]: p for p in doc["policies"]}
+    node, path = 0, [0]
+    while roles[node] == "router" and len(path) < LOOP_GUARD:
+        selector, hops = policies[node]["selector"], policies[node]["next_hops"]
+        if selector["kind"] == "low_bits":
+            mask = (1 << selector["n_bits"]) - 1
+            choice = (values[selector["field"]] & mask) % len(hops)
+        else:
+            data = b"".join(raw[FLOW_SLICES[f]] for f in FLOW_SLICES
+                            if f in selector["fields"])
+            choice = fnv_reference(data) % len(hops)
+        node = hops[choice]
+        path.append(node)
+    return tuple(path)
+
+
+@st.composite
+def routed_documents(draw):
+    """A topology document whose routers may point at any node but the
+    entry 0, so loops (and self-loops) are common."""
+    n_routers = draw(st.integers(1, 6))
+    n_endpoints = draw(st.integers(1, 3))
+    nodes = [
+        {"id": i, "role": "router" if i < n_routers else "endpoint", "asn": 1 + i,
+         "subnet24": f"10.0.{i}.0/24", "geo": "x", "responsive": True}
+        for i in range(n_routers + n_endpoints)
+    ]
+    targets = list(range(1, n_routers + n_endpoints))
+    policies = []
+    for router in range(n_routers):
+        hops = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=4, unique=True))
+        if draw(st.booleans()):
+            selector = {"kind": "low_bits", "n_bits": draw(st.integers(1, 8)),
+                        "field": draw(st.sampled_from(
+                            ["src_ip", "dst_ip", "src_port", "dst_port"]))}
+        else:
+            fields = draw(st.lists(st.sampled_from(list(FLOW_SLICES)), min_size=1,
+                                   max_size=5, unique=True))
+            selector = {"kind": "hash_tuple", "fields": fields}
+        policies.append({"node": router, "selector": selector, "next_hops": hops})
+    return {"nodes": nodes, "policies": policies, "seed": 0}
+
+
+class TestRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(routed_documents(), st.integers(1, 254), st.integers(0, 2**16 - 1),
+           st.integers(0, 2**16 - 1), st.sampled_from([Protocol.TCP, Protocol.UDP]))
+    def test_matches_independent_walk(self, doc, host, src_port, dst_port, protocol):
+        topo = load_topology(doc)
+        dst = max(topo.nodes)
+        flow = FlowId(Ipv4Address(0xC6336400 + host), topo.nodes[dst].address,
+                      src_port, dst_port, protocol)
+        expected = reference_walk(doc, str(flow.src_ip), str(flow.dst_ip), src_port,
+                                  dst_port, protocol.value)
+        assert route(topo, flow) == expected
 
 
 class TestOraclePaths:
@@ -350,8 +443,10 @@ class TestLoss:
                 flow = FlowId(params.src_ip, base.nodes[dst].address,
                               params.src_port, 80, Protocol.TCP)
                 packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-                low = forward(base, packet, base.entry, LossStream(seed, 1, packet), {})
-                high = forward(heavier, packet, heavier.entry, LossStream(seed, 1, packet), {})
+                low = forward(base, packet, route(base, packet.flow),
+                              LossStream(seed, 1, packet), {})
+                high = forward(heavier, packet, route(heavier, packet.flow),
+                               LossStream(seed, 1, packet), {})
                 if low.kind is TransitKind.DELIVERED:
                     delivered_low.add((params, low.hops))
                 if high.kind is TransitKind.DELIVERED:
