@@ -118,6 +118,13 @@ class CensorRule:
                 current = state
         return current
 
+    def can_fire_on(self, flow: FlowId) -> bool:
+        """False when no packet of flow can match: its transport or
+        destination port is not the rule's protocol's. Such a rule never
+        opens a residual window on the flow either, so it can be left out
+        of the flow's route (see simnet.Topology.hop_table)."""
+        return self.protocol.transport is flow.protocol and flow.dst_port == self.protocol.port
+
     def matches(self, packet: Packet) -> bool:
         if packet.sensitivity is not Sensitivity.SENSITIVE:
             return False
@@ -125,9 +132,7 @@ class CensorRule:
             return False
         # Both directions trigger on probes headed toward the destination;
         # the reverse path is not simulated.
-        if self.protocol.transport is not packet.flow.protocol:
-            return False
-        if packet.flow.dst_port != self.protocol.port:
+        if not self.can_fire_on(packet.flow):
             return False
         return domain_matches(self.domain_pattern, packet.body_tag)
 

@@ -230,8 +230,10 @@ def _cmd_rq2(args) -> int:
 
 def _trace_affected(transport, matrices, log: logio.RunLog, sensitive_domain):
     """Append sensitive-domain traces for every decided cell of every
-    affected (destination, protocol), enabling graph/classify on the log.
-    Flows this run already traced into the log are not traced again."""
+    affected (destination, protocol), enabling graph/classify on the log,
+    in batches (see logio.Appender). Flows this run already traced into
+    the log are not traced again."""
+    appender = logio.Appender(log.path)
     for (dst_ip, protocol), matrix in sorted(
         matrices.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
@@ -248,9 +250,8 @@ def _trace_affected(transport, matrices, log: logio.RunLog, sensitive_domain):
                 repetitions=1,
             )
             path = tracer.trace(spec, tracer.DEFAULT_MAX_TTL, transport)
-            logio.append_records(
-                log.path, [logio.trace_record(log.run_id, path, trace_id)]
-            )
+            appender.add(logio.trace_record(log.run_id, path, trace_id))
+        appender.flush()
 
 
 def _pathsets_from_log(run: logio.RunLog, dest: str, protocol: Optional[AppProtocol]):

@@ -33,7 +33,10 @@ class AppProtocol(Enum):
 
     @property
     def port(self) -> int:
-        return {AppProtocol.DNS: 53, AppProtocol.HTTP: 80, AppProtocol.HTTPS: 443}[self]
+        return _APP_PORTS[self]
+
+
+_APP_PORTS = {AppProtocol.DNS: 53, AppProtocol.HTTP: 80, AppProtocol.HTTPS: 443}
 
 
 #: Ephemeral source-port range planners draw from (inclusive).
@@ -101,9 +104,9 @@ class FlowId:
     def to_bytes(self) -> bytes:
         """Canonical 13-byte layout: ips, ports big-endian, protocol number."""
         return struct.pack(
-            ">4s4sHHB",
-            self.src_ip.to_bytes(),
-            self.dst_ip.to_bytes(),
+            ">IIHHB",
+            self.src_ip.value,
+            self.dst_ip.value,
             self.src_port,
             self.dst_port,
             self.protocol.value,

@@ -176,11 +176,13 @@ def run_rq1(
 
     With a log (from logio.open_run), samples whose trace it already
     holds under this run's id are not traced again, and each new trace
-    is appended to it as one record, in plan order. A run cut short
-    therefore resumes where it stopped and leaves the same log as an
-    uninterrupted one.
+    becomes one record, in plan order, appended in batches (see
+    logio.Appender) and all written by the end of its plan. A run cut
+    short therefore resumes where it stopped and leaves the same log as
+    an uninterrupted one.
     """
     out: Dict[Rq1Variation, PathSet] = {}
+    appender = logio.Appender(log.path) if log is not None else None
     for plan in plans:
         traces: List[TracePath] = []
         for idx, params in enumerate(plan.samples):
@@ -198,12 +200,13 @@ def run_rq1(
             )
             t = trace(spec, max_ttl, transport)
             traces.append(t)
-            if log is not None:
-                record = logio.trace_record(
+            if appender is not None:
+                appender.add(logio.trace_record(
                     log.run_id, t, trace_id,
                     variation=plan.variation.value, sample_index=idx,
-                )
-                logio.append_records(log.path, [record])
+                ))
+        if appender is not None:
+            appender.flush()
         out[plan.variation] = merge_paths(traces)
     return out
 
@@ -249,13 +252,15 @@ def run_rq2(
     """Verdict matrix per (destination, protocol).
 
     Cells run one at a time in grid order, each in its own session.
-    With a log (from logio.open_run), cells it already holds a verdict
-    for are not run again and their verdicts are taken from it; each
-    new cell is appended to it as one record, in plan order. A sweep cut
-    short therefore resumes where it stopped and leaves the same log as
-    an uninterrupted one.
+    With a log (from logio.open_run), cells it holds a verdict for under
+    this run's id are not run again and their verdicts are taken from
+    it; each new cell becomes one record, in plan order, appended in
+    batches (see logio.Appender) and all written by the end of its
+    matrix. A sweep cut short therefore resumes where it stopped and
+    leaves the same log as an uninterrupted one.
     """
     out: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]] = {}
+    appender = logio.Appender(log.path) if log is not None else None
     for dst in plan.destinations:
         for protocol in protocols:
             done = log.verdicts.get((dst, protocol), {}) if log is not None else {}
@@ -269,10 +274,11 @@ def run_rq2(
                     registry, repetitions,
                 )
                 matrix[params] = verdict
-                if log is not None:
-                    record = logio.verdict_record(
+                if appender is not None:
+                    appender.add(logio.verdict_record(
                         log.run_id, dst, protocol, params, obs_c, obs_s, verdict
-                    )
-                    logio.append_records(log.path, [record])
+                    ))
+            if appender is not None:
+                appender.flush()
             out[(dst, protocol)] = matrix
     return out

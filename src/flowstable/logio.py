@@ -42,6 +42,11 @@ _KNOWN_KINDS = {KIND_META, KIND_TRACE_HOP, KIND_VERDICT}
 #: Bytes read per step when looking back for the last newline.
 _TAIL_BLOCK = 4096
 
+#: Most records an Appender holds. Holding a whole rq2 matrix (1664
+#: verdict records, about 2 MB as dicts and 0.9 MB as text) would raise
+#: a sweep command's peak RSS by about a fifth.
+APPEND_BATCH = 16
+
 
 class SchemaVersionUnknownError(ValueError):
     """A record declares a schema version this reader does not know."""
@@ -58,9 +63,9 @@ class RunLog:
     verdicts maps (destination, protocol) to its cells' verdicts and
     traces maps trace id to trace, both in file order; run_ids holds the
     run ids that have a meta record. run_id is the run the log was read
-    for: then traces holds only that run's traces, so a run never takes
-    another run's trace for one of its own. With run_id None, traces
-    holds every run's.
+    for: then verdicts and traces hold only that run's, so a run never
+    takes another run's cell or trace for one of its own. With run_id
+    None, they hold every run's.
     """
 
     path: Path
@@ -85,6 +90,26 @@ def append_records(path: Union[str, Path], records: Iterable[Dict]) -> None:
         return
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(chunk)
+
+
+class Appender:
+    """Collects records bound for one log and appends them in batches of
+    at most APPEND_BATCH, each with one append_records call. flush()
+    writes what is held; a run flushes when it finishes a unit (an rq2
+    matrix, an rq1 plan), so a log never lags a finished unit."""
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = path
+        self._records: List[Dict] = []
+
+    def add(self, record: Dict) -> None:
+        self._records.append(record)
+        if len(self._records) >= APPEND_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        append_records(self.path, self._records)
+        self._records = []
 
 
 def _records(path: Union[str, Path]) -> Iterator[Dict]:
@@ -128,18 +153,20 @@ def read_log(path: Union[str, Path]) -> List[Dict]:
 
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """The log's verdicts, traces and run ids, in one streaming pass
-    that keeps no record dicts. With run_id, only that run's traces."""
+    that keeps no record dicts. With run_id, only that run's verdicts
+    and traces."""
     run = RunLog(Path(path), run_id, {}, {}, set())
     for record in _records(path):
         kind = record["record_kind"]
-        if kind == KIND_VERDICT:
+        if kind == KIND_META:
+            run.run_ids.add(record["run_id"])
+        elif run_id is not None and record["run_id"] != run_id:
+            continue
+        elif kind == KIND_VERDICT:
             key = (Ipv4Address.parse(record["dst"]), AppProtocol(record["protocol"]))
             run.verdicts.setdefault(key, {})[_source(record)] = parse_verdict(record)
-        elif kind == KIND_TRACE_HOP:
-            if run_id is None or record["run_id"] == run_id:
-                (run.traces[record["trace_id"]],) = traces_from_records([record])
         else:
-            run.run_ids.add(record["run_id"])
+            (run.traces[record["trace_id"]],) = traces_from_records([record])
     return run
 
 

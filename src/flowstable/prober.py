@@ -36,8 +36,8 @@ from .simnet import (
     Topology,
     TransitKind,
     TransitResult,
+    compile_route,
     forward,
-    route,
 )
 from .censors import ActionKind, CensorEvent, CensorRule
 
@@ -180,12 +180,17 @@ class SimTransport:
 
 
 class Session:
-    """One probe session on one flow: the flow's route, an epoch clock,
-    the residual-censorship windows its packets opened, and
+    """One probe session on one flow: the flow's compiled route, an
+    epoch clock, the residual-censorship windows its packets opened, and
     send/receive plumbing.
 
-    Routing is pure in the flow, so the route is walked once, when the
-    session opens, and every packet the session sends replays it. The
+    Routing is pure in the flow, and so is everything a packet meets on
+    the way. When the session opens it fixes, once: the route's hops
+    with the censor rules that can fire on the flow, each hop's
+    endpoint, responsiveness and drop probability (simnet.compile_route);
+    the flow's serialized bytes for loss draws; and whether the route's
+    endpoint answers, that is whether its address is the flow's
+    destination. Every packet the session sends replays those hops. The
     session only carries packets of its own flow.
     """
 
@@ -193,7 +198,13 @@ class Session:
         self._transport = transport
         self.dest_node = dest_node
         self.flow = flow
-        self.route = route(transport.topology, flow)
+        topology = transport.topology
+        self.route = compile_route(topology, flow)
+        # A host only answers traffic addressed to it; a packet is only
+        # ever delivered at the route's last node.
+        self._answers = topology.nodes[self.route.nodes[-1]].address == flow.dst_ip
+        #: The origin's reply to each (kind, body_tag) of probe, built once.
+        self._replies: Dict[Tuple[PacketKind, str], Optional[Packet]] = {}
         self.epoch = 0
         self.residual: Dict[CensorRule, int] = {}
 
@@ -206,7 +217,7 @@ class Session:
         if packet.flow is not self.flow and packet.flow != self.flow:
             raise ValueError(f"packet flow {packet.flow} is not the session's flow {self.flow}")
         topo = self._transport.topology
-        stream = LossStream(topo.seed, self.epoch, packet)
+        stream = LossStream(topo.seed, self.epoch, packet, self.route.flow_bytes)
         result = forward(topo, packet, self.route, stream, self.residual)
 
         responses: List[Packet] = []
@@ -215,8 +226,11 @@ class Session:
             injected = self._injected_packet(packet, event)
             if injected is not None:
                 responses.append(injected)
-        if result.kind is TransitKind.DELIVERED:
-            origin = self._origin_response(packet, result.at)
+        if result.kind is TransitKind.DELIVERED and self._answers:
+            key = (packet.kind, packet.body_tag)
+            if key not in self._replies:
+                self._replies[key] = self._origin_response(packet)
+            origin = self._replies[key]
             if origin is not None:
                 responses.append(origin)
         if result.icmp is not None:
@@ -237,11 +251,8 @@ class Session:
             )
         return None
 
-    def _origin_response(self, probe: Packet, at: NodeId) -> Optional[Packet]:
-        # A host only answers traffic addressed to it; endpoints run no
-        # DNS resolver, so delivered queries die silently.
-        if self._transport.topology.nodes[at].address != probe.flow.dst_ip:
-            return None
+    def _origin_response(self, probe: Packet) -> Optional[Packet]:
+        # Endpoints run no DNS resolver, so delivered queries die silently.
         if probe.kind is PacketKind.TCP_SYN:
             return Packet(probe.flow, ttl=64, kind=PacketKind.TCP_SYNACK)
         if probe.kind is PacketKind.TCP_PAYLOAD:
@@ -265,38 +276,47 @@ def _first(responses: Iterable[Packet], *kinds: PacketKind) -> Optional[Packet]:
     return None
 
 
-def _run_exchange(spec: ProbeSpec, session: Session) -> Observation:
-    """One repetition of the protocol state machine, within one epoch."""
+def _exchange_packets(spec: ProbeSpec) -> Tuple[Packet, ...]:
+    """The packets one repetition of spec may send, in order: the query
+    for DNS; SYN, ACK and payload for TCP. They are the same in every
+    repetition, so they are built once per spec."""
+    payload = Packet(
+        spec.flow,
+        ttl=PROBE_TTL,
+        kind=_payload_kind(spec.protocol),
+        sensitivity=spec.sensitivity,
+        body_tag=spec.domain,
+    )
+    if spec.protocol is AppProtocol.DNS:
+        return (payload,)
+    return (
+        Packet(spec.flow, ttl=PROBE_TTL, kind=PacketKind.TCP_SYN),
+        Packet(spec.flow, ttl=PROBE_TTL, kind=PacketKind.TCP_ACK),
+        payload,
+    )
+
+
+def _run_exchange(
+    spec: ProbeSpec, session: Session, packets: Tuple[Packet, ...]
+) -> Observation:
+    """One repetition of the protocol state machine, within one epoch;
+    packets are _exchange_packets(spec)."""
     epoch = session.epoch
     if spec.protocol is AppProtocol.DNS:
-        query = Packet(
-            spec.flow,
-            ttl=PROBE_TTL,
-            kind=PacketKind.UDP_PAYLOAD,
-            sensitivity=spec.sensitivity,
-            body_tag=spec.domain,
-        )
+        (query,) = packets
         answer = _first(session.send(query).responses, PacketKind.DNS_RESPONSE)
         if answer is not None:
             return Observation(epoch, ObservationKind.DNS_RESPONSE, answer.body_tag)
         return Observation(epoch, ObservationKind.NO_RESPONSE)
 
     # TCP: three-way handshake, then the sensitive-or-control payload.
-    syn = Packet(spec.flow, ttl=PROBE_TTL, kind=PacketKind.TCP_SYN)
+    syn, ack, payload = packets
     syn_result = session.send(syn)
     if _first(syn_result.responses, PacketKind.TCP_RST) is not None:
         return Observation(epoch, ObservationKind.RST_RECEIVED)
     if _first(syn_result.responses, PacketKind.TCP_SYNACK) is None:
         return Observation(epoch, ObservationKind.HANDSHAKE_FAILED)
-    session.send(Packet(spec.flow, ttl=PROBE_TTL, kind=PacketKind.TCP_ACK))
-
-    payload = Packet(
-        spec.flow,
-        ttl=PROBE_TTL,
-        kind=PacketKind.TCP_PAYLOAD,
-        sensitivity=spec.sensitivity,
-        body_tag=spec.domain,
-    )
+    session.send(ack)
     responses = session.send(payload).responses
     hit = _first(responses, PacketKind.TCP_RST, PacketKind.HTTP_RESPONSE)
     if hit is None:
@@ -309,10 +329,11 @@ def _run_exchange(spec: ProbeSpec, session: Session) -> Observation:
 def run_probe(spec: ProbeSpec, transport) -> List[Observation]:
     """Run all repetitions of one spec; one observation per repetition."""
     session = transport.session(spec)
+    packets = _exchange_packets(spec)
     observations = []
     for _ in range(spec.repetitions):
         session.advance(spec.epoch_interval)
-        observations.append(_run_exchange(spec, session))
+        observations.append(_run_exchange(spec, session, packets))
     return observations
 
 
@@ -335,12 +356,13 @@ def run_cell(
     if control.repetitions != sensitive.repetitions:
         raise LengthMismatchError("control and sensitive repetitions differ")
     session = transport.session(control)
+    packets_c, packets_s = _exchange_packets(control), _exchange_packets(sensitive)
     obs_c: List[Observation] = []
     obs_s: List[Observation] = []
     for _ in range(control.repetitions):
         session.advance(control.epoch_interval)
-        obs_c.append(_run_exchange(control, session))
-        obs_s.append(_run_exchange(sensitive, session))
+        obs_c.append(_run_exchange(control, session, packets_c))
+        obs_s.append(_run_exchange(sensitive, session, packets_s))
     return obs_c, obs_s
 
 

@@ -3,13 +3,17 @@
 A topology is a directed graph of routers and endpoints. Each router
 carries an ECMP policy that picks the next hop as a pure function of a
 packet's flow identifier, never of TTL, IP ID, payload, or time. So a
-flow has one route: route() walks it once from the entry to the first
-endpoint, and forward() replays that node sequence for each packet of
-the flow, decrementing TTL, consulting censors, and applying per-node
-loss from a deterministic stream. A Topology is immutable once loaded;
-the only state a walk changes is the residual-censorship map its
-caller passes in. oracle_paths() is the route ground truth the tracer
-is checked against.
+flow has one route, and with it one set of censors and faults on the
+way: route() walks the node sequence once from the entry to the first
+endpoint, and compile_route() turns it into hops that each carry what a
+packet of that flow meets at the node (the censor rules that can fire
+on the flow, endpoint, responsiveness, drop probability). forward()
+replays those hops for each packet and does only per-packet work:
+decrement TTL, consult the hop's censors, draw loss from a
+deterministic stream. A Topology is immutable once loaded; the only
+state a walk changes is the residual-censorship map its caller passes
+in. oracle_paths() is the route ground truth the tracer is checked
+against.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import censors as censors_mod
 from .core import (
@@ -228,7 +232,8 @@ class TransitResult:
 @dataclass(frozen=True)
 class Topology:
     """A loaded topology document. Shared read-only by every session;
-    derive variants with dataclasses.replace."""
+    derive variants with dataclasses.replace. hop_table() keeps what it
+    derives; nothing else changes after loading."""
 
     nodes: Dict[NodeId, Node]
     policies: Dict[NodeId, EcmpPolicy]
@@ -246,6 +251,7 @@ class Topology:
         object.__setattr__(self, "_censors_at", censors_at)
         object.__setattr__(self, "_by_address", by_address)
         object.__setattr__(self, "_entry", self._pick_entry())
+        object.__setattr__(self, "_hop_tables", {})
 
     def _pick_entry(self) -> NodeId:
         referenced = {h for p in self.policies.values() for h in p.next_hops}
@@ -269,6 +275,26 @@ class Topology:
     def censors_at(self, node: NodeId) -> List[censors_mod.CensorRule]:
         return self._censors_at.get(node, [])
 
+    def hop_table(self, flow: FlowId) -> Dict[NodeId, "Hop"]:
+        """The Hop of every node for flows with flow's transport and
+        destination port, the only parts of a flow a hop depends on;
+        built on the first call per (transport, port) and kept."""
+        key = (flow.protocol, flow.dst_port)
+        table = self._hop_tables.get(key)
+        if table is None:
+            table = {}
+            for node_id, node in self.nodes.items():
+                rules = tuple(r for r in self.censors_at(node_id) if r.can_fire_on(flow))
+                table[node_id] = Hop(
+                    node_id,
+                    rules,
+                    node.role is Role.ENDPOINT,
+                    node.responsive,
+                    self.loss.get(node_id, 0.0),
+                )
+            self._hop_tables[key] = table
+        return table
+
     def resolve_destination(self, address: Ipv4Address) -> Node:
         """Endpoint owning `address`: exact canonical match, else the
         unique endpoint whose /24 contains it."""
@@ -289,6 +315,10 @@ class Topology:
         raise DestinationResolutionError(f"ambiguous endpoint for {address}")
 
 
+#: A packet kind's bytes in the loss key.
+_KIND_KEY = {kind: kind.value.encode() for kind in PacketKind}
+
+
 class LossStream:
     """Counter-free deterministic loss stream.
 
@@ -297,13 +327,23 @@ class LossStream:
     packet crossing it at that instant. Because a control probe and its
     sensitive twin share flow, kind, ip_id, and epoch, loss can never
     affect one without the other; the verdict classifier's
-    conservativeness rests on that. The hashed key prefix is built on
-    the first draw, so a walk over loss-free nodes never builds it.
+    conservativeness rests on that.
+
+    A draw hashes, with blake2b (8-byte digest), the key
+    seed(8)|epoch(8, signed)|flow(13)|kind|ip_id(2)|loss|node(8):
+    integers big-endian, flow as FlowId.to_bytes(), kind as the packet
+    kind's value, `|` a literal separator. flow_bytes, when given, are
+    the flow's serialized bytes (a session passes its route's, built
+    once). The key prefix is built on the first draw, so a walk over
+    loss-free nodes never builds it.
     """
 
-    def __init__(self, seed: int, epoch: int, packet: Packet) -> None:
+    def __init__(
+        self, seed: int, epoch: int, packet: Packet, flow_bytes: Optional[bytes] = None
+    ) -> None:
         self._seed = seed
         self._packet = packet
+        self._flow_bytes = flow_bytes
         self._prefix: Optional[bytes] = None
         self.epoch = epoch
 
@@ -314,19 +354,13 @@ class LossStream:
                 (
                     self._seed.to_bytes(8, "big"),
                     self.epoch.to_bytes(8, "big", signed=True),
-                    packet.flow.to_bytes(),
-                    packet.kind.value.encode(),
+                    self._flow_bytes or packet.flow.to_bytes(),
+                    _KIND_KEY[packet.kind],
                     packet.ip_id.to_bytes(2, "big"),
                 )
-            )
-        digest = hashlib.blake2b(
-            self._prefix + b"|loss|" + node.to_bytes(8, "big"),
-            digest_size=8,
-        ).digest()
+            ) + b"|loss|"
+        digest = hashlib.blake2b(self._prefix + node.to_bytes(8, "big"), digest_size=8).digest()
         return int.from_bytes(digest, "big") / float(1 << 64)
-
-    def drops(self, node: NodeId, p: float) -> bool:
-        return p > 0.0 and self.uniform(node) < p
 
 
 def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
@@ -346,52 +380,95 @@ def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
     return tuple(path)
 
 
+class Hop(NamedTuple):
+    """One node of a compiled route, with what a packet of the route's
+    flow meets there."""
+
+    node: NodeId
+    #: The node's rules that can fire on the flow (CensorRule.can_fire_on),
+    #: in document order.
+    rules: Tuple[censors_mod.CensorRule, ...]
+    endpoint: bool
+    responsive: bool
+    #: Drop probability; 0.0 where the document lists no loss.
+    loss: float
+
+
+@dataclass(frozen=True)
+class Route:
+    """A flow's route compiled against one topology (see compile_route)."""
+
+    topology: Topology
+    #: The node ids of route(topology, flow).
+    nodes: Tuple[NodeId, ...]
+    #: The Hop at each node for the flow: topology.hop_table(flow), shared
+    #: by every route of the flow's transport and port.
+    hops: Dict[NodeId, Hop]
+    #: flow.to_bytes(), the loss key's flow part; None when no hop drops.
+    flow_bytes: Optional[bytes]
+
+
+def compile_route(topology: Topology, flow: FlowId) -> Route:
+    """route(topology, flow), with every per-node fact fixed by the flow
+    looked up once (see Topology.hop_table)."""
+    nodes = route(topology, flow)
+    hops = topology.hop_table(flow)
+    flow_bytes = flow.to_bytes() if any(hops[n].loss > 0.0 for n in nodes) else None
+    return Route(topology, nodes, hops, flow_bytes)
+
+
 def forward(
     topology: Topology,
     packet: Packet,
-    path: Tuple[NodeId, ...],
+    path: Route,
     rng_stream: LossStream,
     residual: Dict[censors_mod.CensorRule, int],
 ) -> TransitResult:
-    """Carry one packet along path, its flow's route (see route()).
+    """Carry one packet along path, its flow's route compiled against
+    topology (see compile_route()).
 
-    Per node, in order: record the hop; consult attached censors (a
+    Per hop, in order: record the hop; consult the hop's censor rules (a
     silent drop consumes the packet, injections do not); deliver if the
-    node is an endpoint; decrement TTL and expire responsively or not;
-    apply loss; move on to the next node of the path. A packet that
+    hop is an endpoint; decrement TTL and expire responsively or not;
+    draw loss if the hop has any; move on to the next hop. A packet that
     outlives a route cut by the loop guard raises
     LoopGuardExceededError. residual is the sending session's
     residual-censorship map (see censors.apply).
     """
+    if path.topology is not topology:
+        raise ValueError("route was compiled against another topology")
     if packet.ttl < 1:
         raise ValueError("packet ttl must be >= 1")
 
     events: List[censors_mod.CensorEvent] = []
     ttl = packet.ttl
-    for depth, node_id in enumerate(path, start=1):
-        node = topology.nodes[node_id]
+    epoch = rng_stream.epoch
+    hops = path.hops
+    for depth, node_id in enumerate(path.nodes, start=1):
+        _, rules, endpoint, responsive, p = hops[node_id]
+        if rules:
+            consumed = False
+            for rule in rules:
+                event = censors_mod.apply(rule, packet, epoch, residual)
+                if event is not None:
+                    events.append(event)
+                    if event.action.kind.consumes_packet:
+                        consumed = True
+            if consumed:
+                return TransitResult(
+                    TransitKind.CENSOR_ACTION, node_id, path.nodes[:depth],
+                    events=tuple(events),
+                )
 
-        consumed = False
-        for rule in topology.censors_at(node_id):
-            event = censors_mod.apply(rule, packet, rng_stream.epoch, residual)
-            if event is not None:
-                events.append(event)
-                if event.action.kind.consumes_packet:
-                    consumed = True
-        if consumed:
+        if endpoint:
             return TransitResult(
-                TransitKind.CENSOR_ACTION, node_id, path[:depth], events=tuple(events)
-            )
-
-        if node.role is Role.ENDPOINT:
-            return TransitResult(
-                TransitKind.DELIVERED, node_id, path[:depth], events=tuple(events)
+                TransitKind.DELIVERED, node_id, path.nodes[:depth], events=tuple(events)
             )
 
         ttl -= 1
         if ttl == 0:
             icmp = None
-            if node.responsive:
+            if responsive:
                 source = SourceParams(packet.flow.src_ip, packet.flow.src_port)
                 icmp = Packet(
                     flow=packet.flow,
@@ -405,15 +482,15 @@ def forward(
             return TransitResult(
                 TransitKind.TTL_EXCEEDED,
                 node_id,
-                path[:depth],
-                responsive=node.responsive,
+                path.nodes[:depth],
+                responsive=responsive,
                 events=tuple(events),
                 icmp=icmp,
             )
 
-        if rng_stream.drops(node_id, topology.loss.get(node_id, 0.0)):
+        if p > 0.0 and rng_stream.uniform(node_id) < p:
             return TransitResult(
-                TransitKind.LOST, node_id, path[:depth], events=tuple(events)
+                TransitKind.LOST, node_id, path.nodes[:depth], events=tuple(events)
             )
     raise LoopGuardExceededError(f"packet exceeded {LOOP_GUARD} hops")
 

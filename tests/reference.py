@@ -4,6 +4,8 @@ These are written against public definitions (FNV spec, byte layouts),
 deliberately not importing anything from the package under test.
 """
 
+import hashlib
+
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 
@@ -32,3 +34,19 @@ def flow_bytes(src_ip: str, dst_ip: str, src_port: int, dst_port: int, proto_num
     out += dst_port.to_bytes(2, "big")
     out.append(proto_num)
     return bytes(out)
+
+
+def loss_uniform(seed: int, epoch: int, flow: bytes, kind: str, ip_id: int, node: int) -> float:
+    """One loss draw from its documented key, hashed with blake2b to 8 bytes:
+    seed(8)|epoch(8, signed)|flow(13)|kind|ip_id(2)|loss|node(8), big-endian."""
+    key = b"|".join([
+        seed.to_bytes(8, "big"),
+        epoch.to_bytes(8, "big", signed=True),
+        flow,
+        kind.encode(),
+        ip_id.to_bytes(2, "big"),
+        b"loss",
+        node.to_bytes(8, "big"),
+    ])
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return int.from_bytes(digest, "big") / 2**64

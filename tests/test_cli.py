@@ -304,6 +304,28 @@ class TestRunLog:
         assert shared.read_text() == before
         assert (tmp_path / "shared_paths.csv").read_text() == seed1_csv
 
+    def test_rq2_runs_sharing_a_log_keep_their_own_verdicts(self, tmp_path, capsys):
+        # rst_chain's endpoint has half_split's address, so the two runs
+        # probe the same cells under different run ids.
+        def argv(topology, out):
+            return ["rq2", "--topology", str(FIXTURES / topology),
+                    "--dests", str(FIXTURES / "half_split.dests"), "--protocols", "http",
+                    "--seed", "1", "--out", str(out)]
+
+        shared, fresh = tmp_path / "shared.log", tmp_path / "fresh.log"
+        assert cli_main(argv("half_split.topo", shared)) == 0
+        half_split_table = (tmp_path / "shared_table.csv").read_text()
+        before = len(shared.read_text().splitlines())
+        assert cli_main(argv("rst_chain.topo", shared)) == 0
+        assert cli_main(argv("rst_chain.topo", fresh)) == 0
+        kinds = [json.loads(line)["record_kind"] for line in open(shared)]
+        assert len(kinds) - before == 1 + 1664
+        assert (kinds.count("meta"), kinds.count("verdict")) == (2, 2 * 1664)
+        assert shared.read_text().endswith(fresh.read_text())
+        table = (tmp_path / "shared_table.csv").read_text()
+        assert table == (tmp_path / "fresh_table.csv").read_text()
+        assert table != half_split_table
+
     def test_trace_out_appends_one_record_per_flow(self, tmp_path, capsys):
         from flowstable import logio
 

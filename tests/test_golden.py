@@ -1,4 +1,4 @@
-"""Byte-level guard on the outputs of two reference runs.
+"""Byte-level guard on the outputs of three reference runs.
 
 The digests pin the run log and the CSVs that each command writes, so a
 change to what the simulator computes, to the plans, or to the log and
@@ -25,6 +25,19 @@ GOLDEN = {
             ".log": "66b010e45d377afd4a2c70c5fab66aa27ef8769ff18395589215ce186a46e329",
             "_table.csv": "7d693ef7ade58b165f8a04dc54627039cd70a96ade3890f459921fc4f6ba0d1a",
             "_cdf.csv": "bd44e0dd4a2c968959f8bfcc9efb90f8013488b5534160d57cc4a3ab98e429eb",
+        },
+    ),
+    # Loss on two routers after the censors, every action kind, a residual
+    # window and a failed rule: pins the loss-draw bytes and each mechanism.
+    "rq2_lossy": (
+        ["rq2", "--topology", str(FIXTURES / "lossy_mix.topo"),
+         "--dests", str(FIXTURES / "lossy_mix.dests"), "--protocols", "dns,http,https",
+         "--registry", str(FIXTURES / "blockpages.json"), "--seed", "1",
+         "--trace-affected"],
+        {
+            ".log": "1387c3426363e77b652f8a5b4225c0a158aeb455f79ce144107826304773f617",
+            "_table.csv": "5d58984409a01266ac25e20614e0bf76e0fb2621560f413d10aabeb215afddec",
+            "_cdf.csv": "b04fc61fa97658d5ad9107be023df5a7ef7abf2de222b18af56e152f2e60b0f5",
         },
     ),
     "rq1": (

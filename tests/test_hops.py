@@ -1,0 +1,183 @@
+"""A compiled route gives every packet the fate of a per-node walk.
+
+A session fixes its flow's hops when it opens (simnet.compile_route):
+the censor rules that can fire on the flow, endpoint, responsiveness
+and drop probability per node. The property test below checks that no
+packet can tell: on random documents with censors of every kind,
+residual windows, failed rules and loss, each packet a session sends
+(cell exchanges and trace ladders alike) meets the same fate as in a
+reference walk that looks every node up in the topology as it goes.
+"""
+
+import contextlib
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowstable import censors, prober
+from flowstable.core import AppProtocol, FlowId, Ipv4Address, Protocol, Sensitivity, SourceParams
+from flowstable.prober import HandshakeFailedError, ProbeSpec, SimTransport, run_cell
+from flowstable.simnet import (
+    LOOP_GUARD,
+    LoopGuardExceededError,
+    LossStream,
+    Role,
+    TransitKind,
+    compile_route,
+    load_topology,
+    next_hop,
+)
+from flowstable.tracer import trace
+
+from conftest import load_fixture
+
+DOMAINS = ("control.example", "blocked.example")
+
+#: (protocol, action) pairs a rule may carry, with the tag it needs.
+RULE_KINDS = [
+    ("dns", "inject_dns_answer", "dns-tag"),
+    ("http", "inject_blockpage", "bp-01"),
+    ("http", "inject_rst", None),
+    ("https", "inject_rst", None),
+    ("http", "drop_silently", None),
+    ("https", "drop_silently", None),
+]
+
+
+@st.composite
+def censored_documents(draw):
+    """A topology document whose routers may point at any node but the
+    entry 0 (so loops occur), with rules of every kind on any node and
+    loss on any router."""
+    n_routers = draw(st.integers(1, 5))
+    n_endpoints = draw(st.integers(1, 2))
+    n_nodes = n_routers + n_endpoints
+    nodes = [
+        {"id": i, "role": "router" if i < n_routers else "endpoint", "asn": 1 + i,
+         "subnet24": f"10.0.{i}.0/24", "geo": "x", "responsive": draw(st.booleans())}
+        for i in range(n_nodes)
+    ]
+    policies = []
+    for router in range(n_routers):
+        hops = draw(st.lists(st.integers(1, n_nodes - 1), min_size=1, max_size=3,
+                             unique=True))
+        selector = draw(st.sampled_from([
+            {"kind": "low_bits", "field": "src_ip", "n_bits": 1},
+            {"kind": "low_bits", "field": "src_port", "n_bits": 2},
+            {"kind": "hash_tuple", "fields": ["src_ip", "src_port", "dst_port"]},
+        ]))
+        policies.append({"node": router, "selector": selector, "next_hops": hops})
+    rules = []
+    for _ in range(draw(st.integers(0, 6))):
+        protocol, kind, tag = draw(st.sampled_from(RULE_KINDS))
+        action = {"kind": kind} if tag is None else {"kind": kind, "tag": tag}
+        rules.append({
+            "attach_at": draw(st.integers(0, n_nodes - 1)),
+            "protocol": protocol,
+            "direction": "toward_destination",
+            "domain_pattern": draw(st.sampled_from(
+                ["blocked.example", "*.example", "other.example"])),
+            "action": action,
+            "health": draw(st.sampled_from(["active", "active", "failed"])),
+            "residual_epochs": draw(st.integers(0, 2)),
+        })
+    lossy = draw(st.lists(st.integers(0, n_routers - 1), max_size=n_routers, unique=True))
+    loss = [{"node": n, "p": draw(st.sampled_from([0.1, 0.5, 0.9]))} for n in lossy]
+    return {"nodes": nodes, "policies": policies, "censors": rules, "loss": loss,
+            "seed": draw(st.integers(0, 2**64 - 1))}
+
+
+def reference_forward(topology, packet, epoch, residual):
+    """(kind, at, hops, events) of one packet, walked node by node from
+    the entry with next_hop, looking up nodes, censors_at and loss at
+    each node. residual is the session's residual map, updated in place."""
+    stream = LossStream(topology.seed, epoch, packet)
+    node_id, hops, events, ttl = topology.entry, [], [], packet.ttl
+    while True:
+        if len(hops) == LOOP_GUARD:
+            raise LoopGuardExceededError("reference walk looped")
+        hops.append(node_id)
+        fired = [
+            event
+            for event in (censors.apply(rule, packet, epoch, residual)
+                          for rule in topology.censors_at(node_id))
+            if event is not None
+        ]
+        events.extend(fired)
+        fate = None
+        if any(e.action.kind.consumes_packet for e in fired):
+            fate = TransitKind.CENSOR_ACTION
+        elif topology.nodes[node_id].role is Role.ENDPOINT:
+            fate = TransitKind.DELIVERED
+        else:
+            ttl -= 1
+            p = topology.loss.get(node_id, 0.0)
+            if ttl == 0:
+                fate = TransitKind.TTL_EXCEEDED
+            elif p > 0.0 and stream.uniform(node_id) < p:
+                fate = TransitKind.LOST
+        if fate is not None:
+            return fate, node_id, tuple(hops), tuple(events)
+        node_id = next_hop(topology.policies[node_id], packet.flow)
+
+
+@contextlib.contextmanager
+def checked_sends(topology):
+    """Check every Session.send against reference_forward; yields the
+    list of checked packets."""
+    send = prober.Session.send
+    shadows = {}
+    checked = []
+
+    def checking_send(session, packet):
+        shadow = shadows.setdefault(session, {})
+        expected = reference_forward(topology, packet, session.epoch, shadow)
+        result = send(session, packet)
+        got = result.transit
+        assert (got.kind, got.at, got.hops, got.events) == expected
+        assert session.residual == shadow
+        checked.append(packet)
+        return result
+
+    with mock.patch.object(prober.Session, "send", checking_send):
+        yield checked
+
+
+@settings(max_examples=150, deadline=None)
+@given(censored_documents(), st.integers(1, 254), st.integers(0, 2**16 - 1),
+       st.sampled_from(list(AppProtocol)), st.integers(1, 3), st.data())
+def test_session_packets_match_per_node_walk(doc, host, src_port, protocol, reps, data):
+    topology = load_topology(doc)
+    endpoints = [n for n in topology.nodes.values() if n.role is Role.ENDPOINT]
+    dst = data.draw(st.sampled_from(endpoints)).address
+    source = SourceParams(Ipv4Address(0xC6336400 + host), src_port)
+    transport = SimTransport(topology)
+    control, sensitive = (
+        ProbeSpec.for_protocol(protocol, dst, domain, sensitivity, source, repetitions=reps)
+        for domain, sensitivity in zip(DOMAINS, (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
+    )
+    with checked_sends(topology) as checked:
+        run_cell(control, sensitive, transport)
+        with contextlib.suppress(HandshakeFailedError):
+            trace(sensitive, data.draw(st.integers(1, 20)), transport)
+    assert checked
+
+
+def test_hop_keeps_only_rules_that_can_fire():
+    topology = load_fixture("lossy_mix.topo")
+    dst = topology.nodes[5].address
+    for protocol in AppProtocol:
+        flow = FlowId(Ipv4Address.parse("198.51.100.2"), dst, 40000, protocol.port,
+                      protocol.transport)
+        route = compile_route(topology, flow)
+        assert route.nodes[:2] == (0, 1)
+        for node_id in route.nodes:
+            hop = route.hops[node_id]
+            assert hop.node == node_id
+            assert set(hop.rules) == {
+                r for r in topology.censors_at(node_id) if r.protocol is protocol}
+    # A port no protocol uses: no rule can fire anywhere on the route.
+    flow = FlowId(Ipv4Address.parse("198.51.100.2"), dst, 40000, 8080, Protocol.TCP)
+    route = compile_route(topology, flow)
+    assert all(route.hops[node_id].rules == () for node_id in route.nodes)

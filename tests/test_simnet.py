@@ -20,6 +20,7 @@ from flowstable.simnet import (
     LowBitsSelector,
     SchemaError,
     TransitKind,
+    compile_route,
     fnv1a_64,
     forward,
     load_topology,
@@ -29,7 +30,7 @@ from flowstable.simnet import (
 )
 
 from conftest import load_fixture
-from reference import flow_bytes, fnv1a64 as fnv_reference, ip_to_int
+from reference import flow_bytes, fnv1a64 as fnv_reference, ip_to_int, loss_uniform
 
 
 def minimal_doc(**overrides):
@@ -179,7 +180,7 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=1,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, route(topo, packet.flow),
+        result = forward(topo, packet, compile_route(topo, packet.flow),
                          LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.at == 0 and result.responsive is True
@@ -192,7 +193,7 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=64,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, route(topo, packet.flow),
+        result = forward(topo, packet, compile_route(topo, packet.flow),
                          LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.DELIVERED
         assert result.hops == (0, 1, 2, 3)
@@ -211,7 +212,7 @@ class TestForward:
         topo = load_topology(doc)
         packet = Packet(make_flow(dst_ip=topo.nodes[1].address.value), ttl=64,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, route(topo, packet.flow),
+        result = forward(topo, packet, compile_route(topo, packet.flow),
                          LossStream(0, 1, packet), {})
         assert result.kind is TransitKind.DELIVERED
         assert len(result.hops) == 3
@@ -220,7 +221,7 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=2,
                         ip_id=7, kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, route(topo, packet.flow),
+        result = forward(topo, packet, compile_route(topo, packet.flow),
                          LossStream(topo.seed, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.icmp.quoted[1] == 7
@@ -240,13 +241,14 @@ class TestForward:
         path = route(topo, make_flow())
         assert path == (0, 1) * (LOOP_GUARD // 2)
         packet = Packet(make_flow(), ttl=255, kind=PacketKind.TCP_PAYLOAD)
+        compiled = compile_route(topo, make_flow())
         with pytest.raises(LoopGuardExceededError):
-            forward(topo, packet, path, LossStream(0, 1, packet), {})
+            forward(topo, packet, compiled, LossStream(0, 1, packet), {})
         with pytest.raises(LoopGuardExceededError):
             oracle_paths(topo, 1, [SourceParams(Ipv4Address(1), 2)], Protocol.TCP, 80)
         for ttl in (1, 63, LOOP_GUARD):
             packet = Packet(make_flow(), ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
-            result = forward(topo, packet, path, LossStream(0, 1, packet), {})
+            result = forward(topo, packet, compiled, LossStream(0, 1, packet), {})
             assert result.kind is TransitKind.TTL_EXCEEDED
             assert result.hops == path[:ttl]
 
@@ -255,7 +257,7 @@ class TestForward:
         doc["nodes"][0]["responsive"] = False
         topo = load_topology(doc)
         packet = Packet(make_flow(), ttl=1, kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, route(topo, packet.flow),
+        result = forward(topo, packet, compile_route(topo, packet.flow),
                          LossStream(0, 1, packet), {})
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.responsive is False and result.icmp is None
@@ -264,9 +266,9 @@ class TestForward:
         topo = random_topology(3, loss_range=(0.0, 0.4))
         flow = make_flow()
         packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-        a = forward(topo, packet, route(topo, packet.flow),
+        a = forward(topo, packet, compile_route(topo, packet.flow),
                     LossStream(topo.seed, 5, packet), {})
-        b = forward(topo, packet, route(topo, packet.flow),
+        b = forward(topo, packet, compile_route(topo, packet.flow),
                     LossStream(topo.seed, 5, packet), {})
         assert a == b
 
@@ -274,10 +276,10 @@ class TestForward:
         topo = random_topology(9)
         flow = make_flow()
         packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-        first = forward(topo, packet, route(topo, packet.flow),
+        first = forward(topo, packet, compile_route(topo, packet.flow),
                         LossStream(topo.seed, 1, packet), {})
         for rep in range(2, 145):
-            again = forward(topo, packet, route(topo, packet.flow),
+            again = forward(topo, packet, compile_route(topo, packet.flow),
                             LossStream(topo.seed, rep, packet), {})
             assert again.hops == first.hops
 
@@ -296,7 +298,7 @@ class TestForward:
                               80, Protocol.TCP)
                 ttl = rng.randrange(1, 65)
                 packet = Packet(flow, ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
-                result = forward(topo, packet, route(topo, packet.flow),
+                result = forward(topo, packet, compile_route(topo, packet.flow),
                                  LossStream(topo.seed, 1, packet), {})
                 assert result.hops == oracle[: len(result.hops)]
 
@@ -311,7 +313,7 @@ class TestForward:
             ttl = rng.randrange(40, 256)
             packet = Packet(flow, ttl=ttl, ip_id=rng.randrange(2**16),
                             kind=PacketKind.TCP_PAYLOAD)
-            hops = forward(topo, packet, route(topo, packet.flow),
+            hops = forward(topo, packet, compile_route(topo, packet.flow),
                            LossStream(topo.seed, 1, packet), {}).hops
             if baseline is None:
                 baseline = hops
@@ -443,9 +445,9 @@ class TestLoss:
                 flow = FlowId(params.src_ip, base.nodes[dst].address,
                               params.src_port, 80, Protocol.TCP)
                 packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-                low = forward(base, packet, route(base, packet.flow),
+                low = forward(base, packet, compile_route(base, packet.flow),
                               LossStream(seed, 1, packet), {})
-                high = forward(heavier, packet, route(heavier, packet.flow),
+                high = forward(heavier, packet, compile_route(heavier, packet.flow),
                                LossStream(seed, 1, packet), {})
                 if low.kind is TransitKind.DELIVERED:
                     delivered_low.add((params, low.hops))
@@ -461,3 +463,19 @@ class TestLoss:
         assert values == [s2.uniform(n) for n in range(500)]
         assert all(0.0 <= v < 1.0 for v in values)
         assert 0.35 < sum(values) / len(values) < 0.65
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**63 - 1),
+           st.integers(0, 2**16 - 1),
+           st.sampled_from([k for k in PacketKind if k is not PacketKind.ICMP_TTL_EXCEEDED]),
+           st.integers(0, 2**16 - 1), st.integers(0, 2**16), st.booleans())
+    def test_uniform_matches_documented_key(self, seed, epoch, src_port, kind, ip_id, node,
+                                            pass_flow_bytes):
+        flow = make_flow(src_port=src_port)
+        packet = Packet(flow, ttl=9, ip_id=ip_id, kind=kind)
+        raw = flow_bytes(str(flow.src_ip), str(flow.dst_ip), src_port, 80, 6)
+        stream = LossStream(seed, epoch, packet, raw if pass_flow_bytes else None)
+        expected = loss_uniform(seed, epoch, raw, kind.value, ip_id, node)
+        assert stream.uniform(node) == expected
+        assert stream.uniform(node + 1) == loss_uniform(seed, epoch, raw, kind.value, ip_id,
+                                                        node + 1)
