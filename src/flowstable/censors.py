@@ -63,12 +63,16 @@ class Action:
 
 @dataclass(frozen=True)
 class CensorEvent:
-    """Ground-truth record of one fired action."""
+    """Ground-truth record of one fired action: where, what and when.
+
+    It names no flow: what fires on a packet depends only on the hops of
+    its flow's route, so flows that share a route share their events
+    (see prober.SimTransport).
+    """
 
     at: int
     action: Action
     epoch: int
-    flow: FlowId
 
 
 def domain_matches(pattern: str, domain: str) -> bool:
@@ -153,9 +157,9 @@ def apply(
     if rule.residual_epochs > 0:
         until = residual.get(rule)
         if until is not None and epoch <= until:
-            return CensorEvent(rule.attach_at, rule.action, epoch, packet.flow)
+            return CensorEvent(rule.attach_at, rule.action, epoch)
     if rule.matches(packet):
         if rule.residual_epochs > 0:
             residual[rule] = epoch + rule.residual_epochs
-        return CensorEvent(rule.attach_at, rule.action, epoch, packet.flow)
+        return CensorEvent(rule.attach_at, rule.action, epoch)
     return None

@@ -51,15 +51,38 @@ def _load_topology(path: str) -> simnet.Topology:
 
 
 def _parse_dest(topology: simnet.Topology, text: str) -> Tuple[int, Ipv4Address]:
-    """Destination argument: endpoint node id or dotted-quad address."""
+    """Destination argument: endpoint node id or dotted-quad address,
+    resolved to the endpoint that probes to it reach. A router's id or an
+    address no endpoint owns raises DestinationResolutionError, so a
+    command fails before it writes anything."""
     if text.isdigit():
         node_id = int(text)
         if node_id not in topology.nodes:
             raise simnet.DestinationResolutionError(f"no node {node_id} in topology")
-        return node_id, topology.nodes[node_id].address
-    addr = Ipv4Address.parse(text)
-    node = topology.resolve_destination(addr)
-    return node.id, addr
+        if topology.nodes[node_id].role is not simnet.Role.ENDPOINT:
+            raise simnet.DestinationResolutionError(f"node {node_id} is not an endpoint")
+        addr = topology.nodes[node_id].address
+    else:
+        addr = Ipv4Address.parse(text)
+    return topology.resolve_destination(addr).id, addr
+
+
+def _int_in(lo: int, hi: Optional[int] = None):
+    """An argparse type: an integer of at least lo and, with hi, at most
+    hi, checked while the arguments are parsed, so a command refuses it
+    before it writes anything."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_protocols(text: str) -> List[AppProtocol]:
@@ -186,7 +209,8 @@ def _cmd_rq2(args) -> int:
         args.control_domain, args.sensitive_domain,
     )
     log = logio.open_run(
-        args.out, run_id, command="rq2", seed=seed, dests=[str(ip) for _, ip in dests],
+        args.out, run_id, repetitions=args.repetitions,
+        command="rq2", seed=seed, dests=[str(ip) for _, ip in dests],
         control_domain=args.control_domain, sensitive_domain=args.sensitive_domain,
     )
     matrices = experiments.run_rq2(
@@ -382,7 +406,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--protocol", required=True, choices=[x.value for x in AppProtocol])
     p.add_argument("--domain", default=experiments.DEFAULT_BENIGN_DOMAIN)
     p.add_argument("--sensitive", action="store_true")
-    p.add_argument("--max-ttl", type=int, default=tracer.DEFAULT_MAX_TTL)
+    p.add_argument("--max-ttl", type=_int_in(1, tracer.MAX_TTL_CEILING),
+                   default=tracer.DEFAULT_MAX_TTL)
     p.add_argument("--out", help="optionally append the trace to this run log")
     p.set_defaults(fn=_cmd_trace)
 
@@ -398,7 +423,8 @@ def _build_parser() -> _Parser:
                    help=f"defaults to ${SEED_ENV_VAR} or {DEFAULT_SEED}")
     p.add_argument("--out", required=True, help="run log; CSV written next to it")
     p.add_argument("--protocol", default="http", choices=[x.value for x in AppProtocol])
-    p.add_argument("--max-ttl", type=int, default=tracer.DEFAULT_MAX_TTL)
+    p.add_argument("--max-ttl", type=_int_in(1, tracer.MAX_TTL_CEILING),
+                   default=tracer.DEFAULT_MAX_TTL)
     p.set_defaults(fn=_cmd_rq1)
 
     p = sub.add_parser(
@@ -415,7 +441,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="run log; CSVs written next to it")
     p.add_argument("--protocols", default="dns,http,https")
     p.add_argument("--registry", help="blockpage template registry (JSON)")
-    p.add_argument("--repetitions", type=int, default=prober.DEFAULT_REPETITIONS)
+    p.add_argument("--repetitions", type=_int_in(1),
+                   default=prober.DEFAULT_REPETITIONS)
     p.add_argument("--control-domain", default="control.example")
     p.add_argument("--sensitive-domain", default="blocked.example")
     p.add_argument("--trace-affected", action="store_true",
@@ -480,6 +507,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         simnet.LoopGuardExceededError,
         logio.SchemaVersionUnknownError,
         logio.CorruptRecordError,
+        logio.RepetitionsMismatchError,
         analysis.EmptyPathSetError,
         analysis.AllExcludedError,
         analysis.EmptyGroupError,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -56,6 +56,11 @@ class CorruptRecordError(ValueError):
     """A complete line of the log is not a JSON record."""
 
 
+class RepetitionsMismatchError(ValueError):
+    """A resumed run asks for another number of repetitions than the
+    cells its log already holds."""
+
+
 @dataclass
 class RunLog:
     """What a run log holds, read in one pass.
@@ -65,7 +70,8 @@ class RunLog:
     run ids that have a meta record. run_id is the run the log was read
     for: then verdicts and traces hold only that run's, so a run never
     takes another run's cell or trace for one of its own. With run_id
-    None, they hold every run's.
+    None, they hold every run's. repetitions holds the lengths of the
+    control and sensitive lists of the verdict records read.
     """
 
     path: Path
@@ -73,6 +79,7 @@ class RunLog:
     verdicts: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]
     traces: Dict[str, TracePath]
     run_ids: Set[str]
+    repetitions: Set[int] = field(default_factory=set)
 
 
 def make_record(kind: str, run_id: str, **payload) -> Dict:
@@ -165,23 +172,35 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
         elif kind == KIND_VERDICT:
             key = (Ipv4Address.parse(record["dst"]), AppProtocol(record["protocol"]))
             run.verdicts.setdefault(key, {})[_source(record)] = parse_verdict(record)
+            run.repetitions.update((len(record["control"]), len(record["sensitive"])))
         else:
             (run.traces[record["trace_id"]],) = traces_from_records([record])
     return run
 
 
-def open_run(path: Union[str, Path], run_id: str, **meta) -> RunLog:
+def open_run(
+    path: Union[str, Path], run_id: str, *, repetitions: Optional[int] = None, **meta
+) -> RunLog:
     """The log at path, read for run run_id and ready for it to append to.
 
     Reads the log if it exists and cuts a partial last line left by a
     crash, so the next record starts a line of its own; a log that ends
     in a newline is not touched. Appends the meta record if this run id
     has none, so a resumed run converges on the same bytes as an
-    uninterrupted one.
+    uninterrupted one. With repetitions, a log whose verdict records of
+    this run hold another number of repetitions raises
+    RepetitionsMismatchError before anything is written.
     """
     path = Path(path)
     if path.exists():
         run = read_run(path, run_id)
+        other = run.repetitions - {repetitions}
+        if repetitions is not None and other:
+            raise RepetitionsMismatchError(
+                f"{path} holds cells of run {run_id} with {min(other)} repetitions, "
+                f"not the {repetitions} asked for; use another --out to run with "
+                f"{repetitions}"
+            )
         _cut_partial_tail(path)
     else:
         run = RunLog(path, run_id, {}, {}, set())

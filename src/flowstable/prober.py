@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 from .core import (
     AppProtocol,
@@ -33,11 +35,15 @@ from .core import (
 from .simnet import (
     LossStream,
     NodeId,
+    Route,
     Topology,
     TransitKind,
     TransitResult,
     compile_route,
+    draw_key,
     forward,
+    loss_key_parts,
+    route,
 )
 from .censors import ActionKind, CensorEvent, CensorRule
 
@@ -45,6 +51,8 @@ from .censors import ActionKind, CensorEvent, CensorRule
 PROBE_TTL = 64
 
 DEFAULT_REPETITIONS = 3
+
+R = TypeVar("R")
 
 
 class TransportUnavailableError(RuntimeError):
@@ -94,6 +102,15 @@ class ProbeSpec:
             self.protocol.transport,
         )
         object.__setattr__(self, "flow", flow)
+
+    def without_source(self) -> Tuple:
+        """Every field but the source: with the route, what fixes each
+        packet the spec's probes send (see SimTransport.run)."""
+        # Enum values, not members: members hash slowly.
+        return (
+            self.protocol.value, self.dst_ip.value, self.dst_port, self.domain,
+            self.sensitivity.value, self.repetitions, self.epoch_interval,
+        )
 
     @classmethod
     def for_protocol(cls, protocol, dst_ip, domain, sensitivity, source, **kw) -> "ProbeSpec":
@@ -147,6 +164,9 @@ class SendResult:
         return None
 
 
+_LIVE_UNAVAILABLE = "live probing is intentionally not implemented; use the simulator backend"
+
+
 class LiveTransport:
     """Placeholder for probing real networks: permanently unavailable.
 
@@ -157,26 +177,88 @@ class LiveTransport:
     """
 
     def session(self, spec: "ProbeSpec") -> "Session":
-        raise TransportUnavailableError(
-            "live probing is intentionally not implemented; use the simulator backend"
-        )
+        raise TransportUnavailableError(_LIVE_UNAVAILABLE)
+
+    def run(self, spec: "ProbeSpec", key: Hashable, probe: Callable[["Session"], R]) -> R:
+        raise TransportUnavailableError(_LIVE_UNAVAILABLE)
+
+
+#: A point where a session drew loss: (epoch, packet kind, ip_id, node, p).
+DrawPoint = Tuple[int, PacketKind, int, NodeId, float]
 
 
 class SimTransport:
-    """Transport bound to a simulated topology.
+    """Transport bound to a simulated topology: one simulation per route.
 
-    Holds nothing but the read-only topology.
-    Every cell and every trace opens its own session, which carries all
-    the mutable state of that probe, so what one session sees never
-    depends on what ran before it.
+    A flow's route fixes every censor, fault and endpoint its packets
+    meet, so what a probe observes depends on its source only through
+    the route and the loss draws. run() therefore simulates a probe
+    once per (route, key), the key naming the probe and every spec field
+    but the source, and hands the result to every later flow on that
+    route whose own loss draws, at the points the simulation drew, all
+    pass; a flow with a draw that drops is simulated in full. Until its
+    first drop a lossy run is the loss-free run, so the shared result is
+    exactly what the flow's own simulation gives.
+
+    The shared results are kept for one (destination, protocol) at a
+    time and dropped when a probe of another one runs, so memory does
+    not grow with the sweep. The topology itself is never changed.
     """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
+        self._scope: Optional[Tuple[Ipv4Address, AppProtocol]] = None
+        #: (route nodes, key) -> (result, (loss key head, tail, p) of each draw point)
+        self._shared: Dict[Tuple, Tuple[object, Tuple[Tuple[bytes, bytes, float], ...]]] = {}
 
     def session(self, spec: ProbeSpec) -> "Session":
+        """A fresh session on spec's flow."""
         dest = self.topology.resolve_destination(spec.dst_ip)
-        return Session(self, dest.id, spec.flow)
+        return Session(self, dest.id, compile_route(self.topology, spec.flow))
+
+    def run(self, spec: ProbeSpec, key: Hashable, probe: Callable[["Session"], R]) -> R:
+        """probe(session) on a fresh session of spec's flow, or the result
+        of the first such run with the same key on the same route that
+        drew no drop, when spec's flow draws no drop at its draw points.
+
+        key must name the probe and every spec field other than the
+        source that the probe's packets depend on. A run that raises or
+        draws a drop is not kept. The result is shared, so callers must
+        not change it.
+        """
+        topology = self.topology
+        nodes = route(topology, spec.flow)
+        scope = (spec.dst_ip, spec.protocol)
+        if scope != self._scope:
+            self._scope = scope
+            self._shared = {}
+        shared_key = (nodes, key)
+        shared = self._shared.get(shared_key)
+        if shared is not None and not _drops(spec.flow, shared[1]):
+            return shared[0]
+        dest = topology.resolve_destination(spec.dst_ip)
+        session = Session(self, dest.id, compile_route(topology, spec.flow, nodes))
+        result = probe(session)
+        if shared is None and not session.dropped:
+            seed = topology.seed
+            keys = tuple(
+                loss_key_parts(seed, epoch, kind, ip_id, node) + (p,)
+                for epoch, kind, ip_id, node, p in dict.fromkeys(session.draws)
+            )
+            self._shared[shared_key] = (result, keys)
+        return result
+
+
+def _drops(flow: FlowId, keys: Sequence[Tuple[bytes, bytes, float]]) -> bool:
+    """Whether flow's loss draw at any (head, tail, p) of keys, the loss
+    key parts and drop probability of a draw point, drops its packet."""
+    if not keys:
+        return False
+    flow_bytes = flow.to_bytes()
+    for head, tail, p in keys:
+        if draw_key(head + flow_bytes + tail) < p:
+            return True
+    return False
 
 
 class Session:
@@ -185,28 +267,34 @@ class Session:
     send/receive plumbing.
 
     Routing is pure in the flow, and so is everything a packet meets on
-    the way. When the session opens it fixes, once: the route's hops
-    with the censor rules that can fire on the flow, each hop's
-    endpoint, responsiveness and drop probability (simnet.compile_route);
-    the flow's serialized bytes for loss draws; and whether the route's
-    endpoint answers, that is whether its address is the flow's
-    destination. Every packet the session sends replays those hops. The
-    session only carries packets of its own flow.
+    the way. The session is opened on the flow's compiled route
+    (simnet.compile_route), which fixes once: the route's hops with the
+    censor rules that can fire on the flow, each hop's endpoint,
+    responsiveness and drop probability, and the flow's serialized bytes
+    for loss draws. It also fixes whether the route's endpoint answers,
+    that is whether its address is the flow's destination. Every packet
+    the session sends replays those hops. The session only carries
+    packets of its own flow.
+
+    draws lists each point where a packet drew loss, as (epoch, kind,
+    ip_id, node, p), and dropped says whether any of those draws dropped
+    its packet; SimTransport.run replays other flows' draws there.
     """
 
-    def __init__(self, transport: SimTransport, dest_node: NodeId, flow: FlowId) -> None:
+    def __init__(self, transport: SimTransport, dest_node: NodeId, route: Route) -> None:
         self._transport = transport
         self.dest_node = dest_node
-        self.flow = flow
-        topology = transport.topology
-        self.route = compile_route(topology, flow)
+        self.route = route
+        self.flow = flow = route.flow
         # A host only answers traffic addressed to it; a packet is only
         # ever delivered at the route's last node.
-        self._answers = topology.nodes[self.route.nodes[-1]].address == flow.dst_ip
+        self._answers = transport.topology.nodes[route.nodes[-1]].address == flow.dst_ip
         #: The origin's reply to each (kind, body_tag) of probe, built once.
         self._replies: Dict[Tuple[PacketKind, str], Optional[Packet]] = {}
         self.epoch = 0
         self.residual: Dict[CensorRule, int] = {}
+        self.draws: List[DrawPoint] = []
+        self.dropped = False
 
     def advance(self, epochs: int = 1) -> None:
         self.epoch += epochs
@@ -219,6 +307,13 @@ class Session:
         topo = self._transport.topology
         stream = LossStream(topo.seed, self.epoch, packet, self.route.flow_bytes)
         result = forward(topo, packet, self.route, stream, self.residual)
+        if stream.drawn:
+            hops = self.route.hops
+            self.draws.extend(
+                (self.epoch, packet.kind, packet.ip_id, node, hops[node].loss)
+                for node in stream.drawn
+            )
+            self.dropped = self.dropped or result.kind is TransitKind.LOST
 
         responses: List[Packet] = []
         # Injected packets win any race with the origin, so they come first.
@@ -348,6 +443,9 @@ def run_cell(
     the epoch interval, so both probes of a repetition cross the same
     path in the same epoch. They share one session: a residual window
     opened by a sensitive hit also covers the control probes after it.
+    The pair runs through transport.run, so a cell whose route an
+    earlier cell of the same pair of specs already simulated, and whose
+    own loss draws all pass, gets that cell's observations.
     """
     if control.flow != sensitive.flow:
         raise ValueError("control and sensitive specs must share one flow id")
@@ -355,7 +453,17 @@ def run_cell(
         raise ValueError("control and sensitive specs must share one epoch interval")
     if control.repetitions != sensitive.repetitions:
         raise LengthMismatchError("control and sensitive repetitions differ")
-    session = transport.session(control)
+    key = ("cell", control.without_source(), sensitive.without_source())
+    obs_c, obs_s = transport.run(
+        control, key, lambda session: _run_cell(control, sensitive, session)
+    )
+    return list(obs_c), list(obs_s)
+
+
+def _run_cell(
+    control: ProbeSpec, sensitive: ProbeSpec, session: Session
+) -> Tuple[Tuple[Observation, ...], Tuple[Observation, ...]]:
+    """run_cell's repetitions on one session."""
     packets_c, packets_s = _exchange_packets(control), _exchange_packets(sensitive)
     obs_c: List[Observation] = []
     obs_s: List[Observation] = []
@@ -363,7 +471,7 @@ def run_cell(
         session.advance(control.epoch_interval)
         obs_c.append(_run_exchange(control, session, packets_c))
         obs_s.append(_run_exchange(sensitive, session, packets_s))
-    return obs_c, obs_s
+    return tuple(obs_c), tuple(obs_s)
 
 
 def classify(

@@ -10,10 +10,11 @@ packet of that flow meets at the node (the censor rules that can fire
 on the flow, endpoint, responsiveness, drop probability). forward()
 replays those hops for each packet and does only per-packet work:
 decrement TTL, consult the hop's censors, draw loss from a
-deterministic stream. A Topology is immutable once loaded; the only
-state a walk changes is the residual-censorship map its caller passes
-in. oracle_paths() is the route ground truth the tracer is checked
-against.
+deterministic stream. A loss draw is the only thing a packet meets that
+depends on its flow beyond the route; loss_key_parts() lays out its
+key. A Topology is immutable once loaded; the only state a walk changes
+is the residual-censorship map its caller passes in. oracle_paths() is
+the route ground truth the tracer is checked against.
 """
 
 from __future__ import annotations
@@ -92,26 +93,14 @@ class HashField(Enum):
     PROTOCOL = "protocol"
 
 
-#: Field order matching the canonical flow serialization.
-_FIELD_ORDER = (
-    HashField.SRC_IP,
-    HashField.DST_IP,
-    HashField.SRC_PORT,
-    HashField.DST_PORT,
-    HashField.PROTOCOL,
-)
-
-
-def _field_bytes(flow: FlowId, f: HashField) -> bytes:
-    if f is HashField.SRC_IP:
-        return flow.src_ip.to_bytes()
-    if f is HashField.DST_IP:
-        return flow.dst_ip.to_bytes()
-    if f is HashField.SRC_PORT:
-        return flow.src_port.to_bytes(2, "big")
-    if f is HashField.DST_PORT:
-        return flow.dst_port.to_bytes(2, "big")
-    return bytes([flow.protocol.value])
+#: Each field's bytes in FlowId.to_bytes(), in layout order.
+_FIELD_SLICES = {
+    HashField.SRC_IP: slice(0, 4),
+    HashField.DST_IP: slice(4, 8),
+    HashField.SRC_PORT: slice(8, 10),
+    HashField.DST_PORT: slice(10, 12),
+    HashField.PROTOCOL: slice(12, 13),
+}
 
 
 def _field_value(flow: FlowId, f: HashField) -> int:
@@ -152,10 +141,16 @@ class HashTupleSelector:
     def __post_init__(self) -> None:
         if not self.fields:
             raise SchemaError("hash_tuple selector needs at least one field")
+        slices = tuple(s for f, s in _FIELD_SLICES.items() if f in self.fields)
+        object.__setattr__(self, "_slices", slices)
+
+    def key(self, flow_bytes: bytes) -> bytes:
+        """The hashed bytes: the selected fields sliced from flow_bytes,
+        a flow's FlowId.to_bytes(), in layout order."""
+        return b"".join([flow_bytes[s] for s in self._slices])
 
     def index(self, flow: FlowId, fanout: int) -> int:
-        data = b"".join(_field_bytes(flow, f) for f in _FIELD_ORDER if f in self.fields)
-        return fnv1a_64(data) % fanout
+        return fnv1a_64(self.key(flow.to_bytes())) % fanout
 
 
 Selector = Union[LowBitsSelector, HashTupleSelector]
@@ -250,6 +245,8 @@ class Topology:
             by_address.setdefault(node.address.value, []).append(node)
         object.__setattr__(self, "_censors_at", censors_at)
         object.__setattr__(self, "_by_address", by_address)
+        object.__setattr__(self, "_endpoints", frozenset(
+            n.id for n in self.nodes.values() if n.role is Role.ENDPOINT))
         object.__setattr__(self, "_entry", self._pick_entry())
         object.__setattr__(self, "_hop_tables", {})
 
@@ -319,23 +316,43 @@ class Topology:
 _KIND_KEY = {kind: kind.value.encode() for kind in PacketKind}
 
 
-class LossStream:
-    """Counter-free deterministic loss stream.
-
-    A draw is a pure function of (seed, epoch, flow, kind, ip_id, node):
-    a transient fault at a node in a given logical instant hits every
-    packet crossing it at that instant. Because a control probe and its
-    sensitive twin share flow, kind, ip_id, and epoch, loss can never
-    affect one without the other; the verdict classifier's
-    conservativeness rests on that.
-
-    A draw hashes, with blake2b (8-byte digest), the key
-    seed(8)|epoch(8, signed)|flow(13)|kind|ip_id(2)|loss|node(8):
+def loss_key_parts(
+    seed: int, epoch: int, kind: PacketKind, ip_id: int, node: NodeId
+) -> Tuple[bytes, bytes]:
+    """The loss key of a draw around its flow's bytes: the key is
+    head + flow_bytes + tail, laid out as
+    seed(8)|epoch(8, signed)|flow(13)|kind|ip_id(2)|loss|node(8), with
     integers big-endian, flow as FlowId.to_bytes(), kind as the packet
-    kind's value, `|` a literal separator. flow_bytes, when given, are
-    the flow's serialized bytes (a session passes its route's, built
-    once). The key prefix is built on the first draw, so a walk over
-    loss-free nodes never builds it.
+    kind's value and `|` a literal separator. The only place the key's
+    layout is written down."""
+    head = seed.to_bytes(8, "big") + b"|" + epoch.to_bytes(8, "big", signed=True) + b"|"
+    tail = (b"|" + _KIND_KEY[kind] + b"|" + ip_id.to_bytes(2, "big") + b"|loss|"
+            + node.to_bytes(8, "big"))
+    return head, tail
+
+
+def draw_key(key: bytes) -> float:
+    """The uniform draw in [0, 1) of one loss key: its blake2b 8-byte
+    digest, big-endian, over 2**64."""
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return int.from_bytes(digest, "big") / float(1 << 64)
+
+
+class LossStream:
+    """Counter-free deterministic loss stream of one packet.
+
+    A draw is a pure function of (seed, epoch, flow, kind, ip_id, node),
+    keyed as loss_key_parts lays out: a transient fault at a
+    node in a given logical instant hits every packet crossing it at that
+    instant. Because a control probe and its sensitive twin share flow,
+    kind, ip_id, and epoch, loss can never affect one without the other;
+    the verdict classifier's conservativeness rests on that.
+
+    flow_bytes, when given, are the flow's serialized bytes (a session
+    passes its route's, built once); otherwise they are built on the
+    first draw, so a walk over loss-free nodes never builds them. drawn
+    lists the nodes drawn at, in order, so a session can record where
+    its packets met loss.
     """
 
     def __init__(
@@ -344,38 +361,46 @@ class LossStream:
         self._seed = seed
         self._packet = packet
         self._flow_bytes = flow_bytes
-        self._prefix: Optional[bytes] = None
         self.epoch = epoch
+        self.drawn: List[NodeId] = []
 
     def uniform(self, node: NodeId) -> float:
-        if self._prefix is None:
-            packet = self._packet
-            self._prefix = b"|".join(
-                (
-                    self._seed.to_bytes(8, "big"),
-                    self.epoch.to_bytes(8, "big", signed=True),
-                    self._flow_bytes or packet.flow.to_bytes(),
-                    _KIND_KEY[packet.kind],
-                    packet.ip_id.to_bytes(2, "big"),
-                )
-            ) + b"|loss|"
-        digest = hashlib.blake2b(self._prefix + node.to_bytes(8, "big"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") / float(1 << 64)
+        self.drawn.append(node)
+        packet = self._packet
+        if self._flow_bytes is None:
+            self._flow_bytes = packet.flow.to_bytes()
+        head, tail = loss_key_parts(self._seed, self.epoch, packet.kind, packet.ip_id, node)
+        return draw_key(head + self._flow_bytes + tail)
 
 
 def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
     """The flow's node walk from the entry up to (and including) the
     first endpoint, ignoring TTL, loss and censors.
 
-    On a looping topology the walk stops after LOOP_GUARD nodes, so the
-    route ends on a router; a packet that gets that far raises in
-    forward().
+    The FNV hash of a hash_tuple selector depends only on the flow and
+    the selected fields, never on the node, so the walk hashes each
+    field set once, over bytes sliced from one flow.to_bytes(), and
+    every router hashing the same fields reuses it. On a looping
+    topology the walk stops after LOOP_GUARD nodes, so the route ends on
+    a router; a packet that gets that far raises in forward().
     """
-    nodes, policies = topology.nodes, topology.policies
+    endpoints, policies = topology._endpoints, topology.policies
     node_id = topology.entry
     path = [node_id]
-    while nodes[node_id].role is not Role.ENDPOINT and len(path) < LOOP_GUARD:
-        node_id = next_hop(policies[node_id], flow)
+    flow_bytes: Optional[bytes] = None
+    hashes: Dict[frozenset, int] = {}
+    while node_id not in endpoints and len(path) < LOOP_GUARD:
+        policy = policies[node_id]
+        selector = policy.selector
+        if type(selector) is HashTupleSelector:
+            h = hashes.get(selector.fields)
+            if h is None:
+                if flow_bytes is None:
+                    flow_bytes = flow.to_bytes()
+                h = hashes[selector.fields] = fnv1a_64(selector.key(flow_bytes))
+            node_id = policy.next_hops[h % len(policy.next_hops)]
+        else:
+            node_id = next_hop(policy, flow)
         path.append(node_id)
     return tuple(path)
 
@@ -399,6 +424,7 @@ class Route:
     """A flow's route compiled against one topology (see compile_route)."""
 
     topology: Topology
+    flow: FlowId
     #: The node ids of route(topology, flow).
     nodes: Tuple[NodeId, ...]
     #: The Hop at each node for the flow: topology.hop_table(flow), shared
@@ -408,13 +434,17 @@ class Route:
     flow_bytes: Optional[bytes]
 
 
-def compile_route(topology: Topology, flow: FlowId) -> Route:
+def compile_route(
+    topology: Topology, flow: FlowId, nodes: Optional[Tuple[NodeId, ...]] = None
+) -> Route:
     """route(topology, flow), with every per-node fact fixed by the flow
-    looked up once (see Topology.hop_table)."""
-    nodes = route(topology, flow)
+    looked up once (see Topology.hop_table). nodes, when given, is that
+    route, already walked by the caller."""
+    if nodes is None:
+        nodes = route(topology, flow)
     hops = topology.hop_table(flow)
     flow_bytes = flow.to_bytes() if any(hops[n].loss > 0.0 for n in nodes) else None
-    return Route(topology, nodes, hops, flow_bytes)
+    return Route(topology, flow, nodes, hops, flow_bytes)
 
 
 def forward(

@@ -10,6 +10,7 @@ ECMP hashing, every copy follows the probe flow's one path.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -84,11 +85,23 @@ def trace(
     TTLs are not sent and the terminal records where censorship struck.
     Other censor actions are recorded and the ladder continues. The
     trace opens its own session, so it starts with no residual windows.
+
+    The ladder runs through transport.run: a trace of a route an earlier
+    trace of the same spec fields already climbed, whose own loss draws
+    all pass, gets that trace's ladder, terminal and events, with
+    spec's source bound to it here.
     """
     if not 1 <= max_ttl <= MAX_TTL_CEILING:
         raise ValueError(f"max_ttl must be in 1..{MAX_TTL_CEILING}, got {max_ttl}")
+    key = ("trace", spec.without_source(), max_ttl)
+    path = transport.run(spec, key, lambda session: _climb(spec, max_ttl, session))
+    if path.source != spec.source:
+        path = dataclasses.replace(path, source=spec.source)
+    return path
 
-    session: Session = transport.session(spec)
+
+def _climb(spec: ProbeSpec, max_ttl: int, session: Session) -> TracePath:
+    """trace's TTL ladder on one session."""
     session.advance(spec.epoch_interval)
 
     payload_kind = PacketKind.UDP_PAYLOAD

@@ -343,6 +343,49 @@ class TestRunLog:
         assert all(t.hops == (0, 1, 2) for t in traces.values())
 
 
+class TestRefusedBeforeWriting:
+    @pytest.mark.parametrize("command", ["rq1", "rq2"])
+    def test_router_destination_writes_no_log(self, tmp_path, capsys, command):
+        # Node 3 of bits3of8 is a router, and half_split.dests names node 3.
+        log = tmp_path / "a.log"
+        target = (["--dests", str(FIXTURES / "half_split.dests"), "--protocols", "http"]
+                  if command == "rq2" else ["--dest", "3"])
+        code, _, err = run(capsys, command, "--topology", str(FIXTURES / "bits3of8.topo"),
+                           *target, "--seed", "1", "--out", str(log))
+        assert code == 2
+        assert "node 3 is not an endpoint" in err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("rq1", ["--max-ttl", "0"]), ("rq1", ["--max-ttl", "65"]),
+        ("rq2", ["--repetitions", "0"]), ("rq2", ["--repetitions", "x"]),
+    ])
+    def test_out_of_range_count_writes_no_log(self, tmp_path, capsys, command, flag):
+        log = tmp_path / "a.log"
+        target = (["--dests", str(FIXTURES / "half_split.dests")] if command == "rq2"
+                  else ["--dest", "3"])
+        code, _, err = run(capsys, command, "--topology", str(FIXTURES / "half_split.topo"),
+                           *target, *flag, "--out", str(log))
+        assert code == 1
+        assert flag[0] in err
+        assert not log.exists()
+
+    def test_rq2_resume_with_other_repetitions_is_refused(self, tmp_path, capsys):
+        argv = ["rq2", "--topology", str(FIXTURES / "half_split.topo"),
+                "--dests", str(FIXTURES / "half_split.dests"), "--protocols", "http",
+                "--seed", "1", "--out", str(tmp_path / "b.log")]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        before = (tmp_path / "b.log").read_bytes()
+        code, _, err = run(capsys, *argv, "--repetitions", "1")
+        assert code == 2
+        assert "3 repetitions" in err and "the 1 asked for" in err
+        assert (tmp_path / "b.log").read_bytes() == before
+        # The same count resumes as before.
+        assert cli_main(argv + ["--repetitions", "3"]) == 0
+        assert (tmp_path / "b.log").read_bytes() == before
+
+
 class TestLiveTransportExit:
     def test_transport_error_exit_code(self, capsys, monkeypatch):
         import flowstable.cli as cli_mod

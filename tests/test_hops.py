@@ -6,7 +6,9 @@ and drop probability per node. The property test below checks that no
 packet can tell: on random documents with censors of every kind,
 residual windows, failed rules and loss, each packet a session sends
 (cell exchanges and trace ladders alike) meets the same fate as in a
-reference walk that looks every node up in the topology as it goes.
+reference walk that looks every node up in the topology as it goes. The
+expected censor events are built by censors.apply in that walk; they
+name no flow, only the node, action and epoch.
 """
 
 import contextlib
@@ -152,15 +154,16 @@ def test_session_packets_match_per_node_walk(doc, host, src_port, protocol, reps
     endpoints = [n for n in topology.nodes.values() if n.role is Role.ENDPOINT]
     dst = data.draw(st.sampled_from(endpoints)).address
     source = SourceParams(Ipv4Address(0xC6336400 + host), src_port)
-    transport = SimTransport(topology)
     control, sensitive = (
         ProbeSpec.for_protocol(protocol, dst, domain, sensitivity, source, repetitions=reps)
         for domain, sensitivity in zip(DOMAINS, (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
     )
+    # A fresh transport per probe: nothing it could share with an earlier
+    # flow, so every packet is simulated and checked.
     with checked_sends(topology) as checked:
-        run_cell(control, sensitive, transport)
+        run_cell(control, sensitive, SimTransport(topology))
         with contextlib.suppress(HandshakeFailedError):
-            trace(sensitive, data.draw(st.integers(1, 20)), transport)
+            trace(sensitive, data.draw(st.integers(1, 20)), SimTransport(topology))
     assert checked
 
 

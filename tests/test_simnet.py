@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowstable.core import FlowId, Ipv4Address, Packet, PacketKind, Protocol, SourceParams
+from flowstable import simnet
 from flowstable.fixtures import random_topology
 from flowstable.simnet import (
     LOOP_GUARD,
@@ -21,9 +22,11 @@ from flowstable.simnet import (
     SchemaError,
     TransitKind,
     compile_route,
+    draw_key,
     fnv1a_64,
     forward,
     load_topology,
+    loss_key_parts,
     next_hop,
     oracle_paths,
     route,
@@ -394,6 +397,26 @@ class TestRoute:
                                   dst_port, protocol.value)
         assert route(topo, flow) == expected
 
+    def test_hashes_each_field_set_once(self, monkeypatch):
+        # Eight routers in a chain, three fanning out by one field set and
+        # five by another: the walk hashes the flow twice, not eight times.
+        n = 8
+        nodes = [{"id": i, "role": "router" if i < n else "endpoint", "asn": 1 + i,
+                  "subnet24": f"10.0.{i}.0/24", "geo": "x", "responsive": True}
+                 for i in range(n + 1)]
+        policies = [
+            {"node": i, "next_hops": [i + 1, i + 1],
+             "selector": {"kind": "hash_tuple",
+                          "fields": ["src_ip", "dst_port"] if i % 3 else ["src_port"]}}
+            for i in range(n)
+        ]
+        topo = load_topology({"nodes": nodes, "policies": policies, "seed": 0})
+        calls = []
+        monkeypatch.setattr(simnet, "fnv1a_64", lambda data: calls.append(data) or 0)
+        assert route(topo, make_flow(dst_ip=topo.nodes[n].address.value)) == tuple(
+            range(n + 1))
+        assert len(calls) == 2
+
 
 class TestOraclePaths:
     def test_no_fanout_single_path(self):
@@ -463,6 +486,16 @@ class TestLoss:
         assert values == [s2.uniform(n) for n in range(500)]
         assert all(0.0 <= v < 1.0 for v in values)
         assert 0.35 < sum(values) / len(values) < 0.65
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**63 - 1),
+           st.sampled_from(list(PacketKind)), st.integers(0, 2**16 - 1),
+           st.integers(0, 2**16))
+    def test_key_parts_frame_the_documented_key(self, seed, epoch, kind, ip_id, node):
+        raw = flow_bytes("198.51.100.7", "10.0.1.2", 40000, 80, 6)
+        head, tail = loss_key_parts(seed, epoch, kind, ip_id, node)
+        assert draw_key(head + raw + tail) == loss_uniform(seed, epoch, raw, kind.value,
+                                                           ip_id, node)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**63 - 1),
