@@ -2,10 +2,12 @@
 """Paired benchmark runs of two checkouts, summarised as a BENCH file.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \
-        --seeds 1001-1010 --seconds 25 --trace-seed 51 --out BENCH_<n>.json
+        --seeds 1001-1010 --trace-seed 51 --out BENCH_<n>.json
 
-For every workload and seed it runs perfbench/run.py once in each
-checkout, one after the other, alternating which side goes first from
+Both checkouts must be git clones with no uncommitted change to tracked
+files; the output names each side by its commit. For every workload and
+seed it runs perfbench/run.py, for BENCHMARK.json's run_seconds, once in
+each checkout, one after the other, alternating which side goes first from
 one seed to the next, so drift in the host's speed falls on both sides
 alike. Each run is a fresh process that imports its own checkout's
 src/. Then, with --trace-seed, it makes one traced run (--trace 1) per
@@ -43,6 +45,17 @@ def parse_seeds(text: str):
         lo, hi = (int(x) for x in text.split("-"))
         return list(range(lo, hi + 1))
     return [int(x) for x in text.split(",")]
+
+
+def commit_of(checkout: Path) -> str:
+    """The commit a checkout holds; refuses one with uncommitted edits,
+    whose numbers no commit could reproduce."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    if git("status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit(f"{checkout} has uncommitted changes")
+    return git("rev-parse", "HEAD")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
@@ -97,31 +110,25 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="parent checkout")
     parser.add_argument("--change", required=True, type=Path, help="changed checkout")
     parser.add_argument("--seeds", required=True, help="e.g. 1001-1010 or 3,5,7")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; defaults to BENCHMARK.json's run_seconds")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--trace-seed", type=int, help="seed of the traced runs")
-    parser.add_argument("--label", action="append", default=[],
-                        help="side=text naming a checkout, e.g. parent=1c74d8f")
     parser.add_argument("--logs", type=Path, default=Path("bench_logs"))
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    labels = dict(item.split("=", 1) for item in args.label)
     args.logs.mkdir(parents=True, exist_ok=True)
 
     report = {
         "host": {"python": platform.python_version(), "cpu_count": os.cpu_count(),
                  "machine": platform.machine()},
-        "sides": {side: labels.get(side, str(checkouts[side])) for side in SIDES},
+        "sides": {side: commit_of(checkouts[side]) for side in SIDES},
         "seconds": seconds, "seeds": seeds, "trace_seed": args.trace_seed, "workloads": {},
     }
     started = time.monotonic()
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         pairs = []
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]

@@ -128,7 +128,7 @@ class LowBitsSelector:
         if not 1 <= self.n_bits <= 8:
             raise SchemaError(f"n_bits must be in 1..8, got {self.n_bits}")
 
-    def index(self, flow: FlowId, fanout: int) -> int:
+    def index(self, flow: FlowId, fanout: int, hashes: Optional[dict] = None) -> int:
         return (_field_value(flow, self.fld) & ((1 << self.n_bits) - 1)) % fanout
 
 
@@ -149,8 +149,16 @@ class HashTupleSelector:
         a flow's FlowId.to_bytes(), in layout order."""
         return b"".join([flow_bytes[s] for s in self._slices])
 
-    def index(self, flow: FlowId, fanout: int) -> int:
-        return fnv1a_64(self.key(flow.to_bytes())) % fanout
+    def index(self, flow: FlowId, fanout: int, hashes: Optional[dict] = None) -> int:
+        """hashes, when given, caches the flow's FNV hash per field set:
+        the hash depends on nothing but the flow and the fields, so a
+        walk passes one dict to every hop and hashes each set once."""
+        if hashes is None:
+            hashes = {}
+        h = hashes.get(self.fields)
+        if h is None:
+            h = hashes[self.fields] = fnv1a_64(self.key(flow.to_bytes()))
+        return h % fanout
 
 
 Selector = Union[LowBitsSelector, HashTupleSelector]
@@ -166,9 +174,10 @@ class EcmpPolicy:
             raise EmptyNextHopsError("policy with no next hops")
 
 
-def next_hop(policy: EcmpPolicy, flow: FlowId) -> NodeId:
-    """Deterministic ECMP choice; pure in (policy, flow)."""
-    return policy.next_hops[policy.selector.index(flow, len(policy.next_hops))]
+def next_hop(policy: EcmpPolicy, flow: FlowId, hashes: Optional[dict] = None) -> NodeId:
+    """Deterministic ECMP choice; pure in (policy, flow). A walk passes
+    one hashes dict for all its hops (HashTupleSelector.index)."""
+    return policy.next_hops[policy.selector.index(flow, len(policy.next_hops), hashes)]
 
 
 @dataclass(frozen=True)
@@ -378,29 +387,18 @@ def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
     first endpoint, ignoring TTL, loss and censors.
 
     The FNV hash of a hash_tuple selector depends only on the flow and
-    the selected fields, never on the node, so the walk hashes each
-    field set once, over bytes sliced from one flow.to_bytes(), and
-    every router hashing the same fields reuses it. On a looping
-    topology the walk stops after LOOP_GUARD nodes, so the route ends on
-    a router; a packet that gets that far raises in forward().
+    the selected fields, never on the node, so the walk hands one hash
+    cache to next_hop at every hop and each field set is hashed once. On
+    a looping topology the walk stops after LOOP_GUARD nodes, so the
+    route ends on a router; a packet that gets that far raises in
+    forward().
     """
     endpoints, policies = topology._endpoints, topology.policies
     node_id = topology.entry
     path = [node_id]
-    flow_bytes: Optional[bytes] = None
     hashes: Dict[frozenset, int] = {}
     while node_id not in endpoints and len(path) < LOOP_GUARD:
-        policy = policies[node_id]
-        selector = policy.selector
-        if type(selector) is HashTupleSelector:
-            h = hashes.get(selector.fields)
-            if h is None:
-                if flow_bytes is None:
-                    flow_bytes = flow.to_bytes()
-                h = hashes[selector.fields] = fnv1a_64(selector.key(flow_bytes))
-            node_id = policy.next_hops[h % len(policy.next_hops)]
-        else:
-            node_id = next_hop(policy, flow)
+        node_id = next_hop(policies[node_id], flow, hashes)
         path.append(node_id)
     return tuple(path)
 
