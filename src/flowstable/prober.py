@@ -186,6 +186,11 @@ class LiveTransport:
 #: A point where a session drew loss: (epoch, packet kind, ip_id, node, p).
 DrawPoint = Tuple[int, PacketKind, int, NodeId, float]
 
+#: Most results a SimTransport keeps for one (destination, protocol).
+#: Beyond it a new route is simulated for every flow, as without
+#: sharing; this bounds memory where flows rarely share a route.
+SHARED_LIMIT = 256
+
 
 class SimTransport:
     """Transport bound to a simulated topology: one simulation per route.
@@ -201,8 +206,9 @@ class SimTransport:
     exactly what the flow's own simulation gives.
 
     The shared results are kept for one (destination, protocol) at a
-    time and dropped when a probe of another one runs, so memory does
-    not grow with the sweep. The topology itself is never changed.
+    time, at most SHARED_LIMIT of them, and dropped when a probe of
+    another one runs, so memory does not grow with the sweep or with
+    the number of routes. The topology itself is never changed.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -223,8 +229,8 @@ class SimTransport:
 
         key must name the probe and every spec field other than the
         source that the probe's packets depend on. A run that raises or
-        draws a drop is not kept. The result is shared, so callers must
-        not change it.
+        draws a drop is not kept, nor is one past SHARED_LIMIT. The
+        result is shared, so callers must not change it.
         """
         topology = self.topology
         nodes = route(topology, spec.flow)
@@ -239,7 +245,7 @@ class SimTransport:
         dest = topology.resolve_destination(spec.dst_ip)
         session = Session(self, dest.id, compile_route(topology, spec.flow, nodes))
         result = probe(session)
-        if shared is None and not session.dropped:
+        if shared is None and not session.dropped and len(self._shared) < SHARED_LIMIT:
             seed = topology.seed
             keys = tuple(
                 loss_key_parts(seed, epoch, kind, ip_id, node) + (p,)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowstable import prober
 from flowstable.censors import Health
 from flowstable.core import AppProtocol, FlowId, Ipv4Address, Sensitivity, SourceParams
 from flowstable.experiments import plan_rq2, run_rq2
@@ -118,3 +119,22 @@ def test_matrix_opens_a_session_per_route_plus_fallbacks(opened, p):
         assert fallbacks > 0
     else:
         assert len(opened) == len(routes)
+
+
+def test_results_past_the_limit_are_not_kept(opened, monkeypatch):
+    # half_split splits the matrix over two routes; with room for one
+    # kept result, the first route's cells share it and every cell of the
+    # second is simulated on its own, with the same verdicts.
+    topology = load_topology(json.loads((FIXTURES / "half_split.topo").read_text()))
+    plan = plan_rq2([topology.nodes[3].address], seed=1)
+    protocols = [AppProtocol.HTTPS]
+    (expected,) = run_rq2(plan, SimTransport(topology), protocols=protocols).values()
+    assert len(opened) == 2
+
+    monkeypatch.setattr(prober, "SHARED_LIMIT", 1)
+    opened.clear()
+    transport = SimTransport(topology)
+    (matrix,) = run_rq2(plan, transport, protocols=protocols).values()
+    assert matrix == expected
+    assert len(transport._shared) == 1
+    assert len(opened) == 1 + 1664 // 2
