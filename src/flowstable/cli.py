@@ -278,14 +278,16 @@ def _trace_affected(transport, matrices, log: logio.RunLog, sensitive_domain):
         appender.flush()
 
 
-def _pathsets_from_log(run: logio.RunLog, dest: str, protocol: Optional[AppProtocol]):
+def _pathsets_from_log(
+    run: logio.RunLog, dest: Ipv4Address, protocol: Optional[AppProtocol]
+):
     """Rebuild (pathset, protocol) for one destination from a read log."""
-    traces = [t for t in run.traces.values() if str(t.dst_ip) == dest]
+    traces = [t for t in run.traces.values() if t.dst_ip == dest]
     if protocol is not None:
         chosen = protocol
     else:
         protocols = {t.protocol.value for t in traces} | {
-            p.value for d, p in run.verdicts if str(d) == dest
+            p.value for d, p in run.verdicts if d == dest
         }
         if len(protocols) != 1:
             raise _UsageError(
@@ -296,7 +298,7 @@ def _pathsets_from_log(run: logio.RunLog, dest: str, protocol: Optional[AppProto
     if not traces:
         raise analysis.EmptyPathSetError(f"no traces for {dest} in log")
     verdicts = next(
-        (m for (d, p), m in run.verdicts.items() if str(d) == dest and p is chosen), None
+        (m for (d, p), m in run.verdicts.items() if d == dest and p is chosen), None
     )
     return tracer.merge_paths(traces, verdicts or None), chosen
 
@@ -305,10 +307,10 @@ def _cmd_graph(args) -> int:
     run = logio.read_run(args.log)
     topology = _load_topology(args.topology) if args.topology else None
     protocol = AppProtocol(args.protocol) if args.protocol else None
-    dest = args.dest
     if topology is not None:
-        _, dst_ip = _parse_dest(topology, dest)
-        dest = str(dst_ip)
+        _, dest = _parse_dest(topology, args.dest)
+    else:
+        dest = Ipv4Address.parse(args.dest)
     pathset, _ = _pathsets_from_log(run, dest, protocol)
     censor_nodes = [r.attach_at for r in topology.censors] if topology else None
     dual = analysis.build_dual_graph(pathset, censor_nodes=censor_nodes)
@@ -341,10 +343,10 @@ def _cmd_graph(args) -> int:
 def _cmd_classify(args) -> int:
     run = logio.read_run(args.log)
     topology = _load_topology(args.topology)
-    dests = sorted({str(dst) for dst, _ in run.verdicts})
+    dests = sorted({dst for dst, _ in run.verdicts}, key=str)
     if args.dest:
         _, dst_ip = _parse_dest(topology, args.dest)
-        dests = [str(dst_ip)]
+        dests = [dst_ip]
     protocol = AppProtocol(args.protocol) if args.protocol else None
     censor_nodes = [r.attach_at for r in topology.censors]
 
@@ -359,7 +361,7 @@ def _cmd_classify(args) -> int:
             continue
         writer.writerow(
             [
-                dest,
+                str(dest),
                 chosen.value,
                 report.effect.value,
                 report.scope.value if report.scope else "",

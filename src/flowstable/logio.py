@@ -5,10 +5,11 @@ record per cell carrying both outcome lists, and a `trace` record per
 trace. Every record also carries record_kind, run_id and
 schema_version. Only this module knows the layout: runners and reports
 read a log through read_run (or open_run, to append to it), which
-streams the file once. The log is a cache of a run, never the source of
-truth: a run is reproducible from topology, plan, and seed. A reader
-discards a truncated final line (crash recovery) with a warning, and
-open_run cuts it off before anything is appended.
+streams the file once and parses each distinct value once. The log is
+a cache of a run, never the source of truth: a run is reproducible from
+topology, plan, and seed. A reader discards a truncated final line
+(crash recovery) with a warning, and open_run cuts it off before
+anything is appended.
 """
 
 from __future__ import annotations
@@ -119,13 +120,20 @@ class Appender:
         self._records = []
 
 
-def _records(path: Union[str, Path]) -> Iterator[Dict]:
-    """Yield the log's records in file order, reading it once.
+#: Decodes one line, as str. A module-level decoder spares each line
+#: json.loads' encoding detection; extra data after the object still
+#: raises.
+_decode = json.JSONDecoder().decode
+
+
+def _records(path: Union[str, Path]) -> Iterator[Tuple[int, Dict]]:
+    """Yield (line number, record) for the log's records in file order,
+    reading it once. Each line is decoded as UTF-8 text, then as JSON.
 
     A partial trailing line is dropped with a warning. Any other line
-    that is not a record of a known kind raises CorruptRecordError
-    naming the file and the line; a record of another schema version
-    raises SchemaVersionUnknownError.
+    that is not UTF-8 or not a record of a known kind raises
+    CorruptRecordError naming the file and the line; a record of
+    another schema version raises SchemaVersionUnknownError.
     """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -133,11 +141,13 @@ def _records(path: Union[str, Path]) -> Iterator[Dict]:
                 if line.strip():
                     warnings.warn(f"discarding partial trailing record in {path}")
                 return
-            if not line.strip():
-                continue
             try:
-                record = json.loads(line)
+                record = _decode(line.decode())
+            except UnicodeDecodeError as exc:
+                raise CorruptRecordError(f"{path} line {lineno}: {exc}") from exc
             except json.JSONDecodeError as exc:
+                if not line.strip():
+                    continue
                 raise CorruptRecordError(f"{path} line {lineno}: {exc.msg}") from exc
             if not isinstance(record, dict):
                 raise CorruptRecordError(f"{path} line {lineno}: not a JSON object")
@@ -150,31 +160,104 @@ def _records(path: Union[str, Path]) -> Iterator[Dict]:
                 raise CorruptRecordError(
                     f"{path} line {lineno}: record_kind {record.get('record_kind')!r}"
                 )
-            yield record
+            yield lineno, record
 
 
 def read_log(path: Union[str, Path]) -> List[Dict]:
     """All records of the log, as dicts in file order."""
-    return list(_records(path))
+    return [record for _, record in _records(path)]
+
+
+class _Reader:
+    """The values of one read, each parsed once.
+
+    A log repeats a few values on every line: its destinations,
+    protocols, sources, verdicts and terminals. Each table maps the raw
+    JSON values to the immutable object built from them, so a read
+    parses each distinct value once and every record that holds it
+    shares the object. A miss goes to the one parser of that value
+    (Ipv4Address.parse, parse_verdict, parse_terminal). The tables live
+    as long as the read.
+    """
+
+    def __init__(self) -> None:
+        self._addresses: Dict[str, Ipv4Address] = {}
+        self._sources: Dict[Tuple[str, int], SourceParams] = {}
+        self._keys: Dict[Tuple[str, str], Tuple[Ipv4Address, AppProtocol]] = {}
+        self._verdicts: Dict[Tuple[str, Optional[str]], Verdict] = {}
+        self._terminals: Dict[str, Terminal] = {}
+
+    def _address(self, text: str) -> Ipv4Address:
+        address = self._addresses.get(text)
+        if address is None:
+            address = self._addresses[text] = Ipv4Address.parse(text)
+        return address
+
+    def key(self, record: Dict) -> Tuple[Ipv4Address, AppProtocol]:
+        """The record's (destination, protocol)."""
+        raw = (record["dst"], record["protocol"])
+        key = self._keys.get(raw)
+        if key is None:
+            key = self._keys[raw] = (self._address(raw[0]), AppProtocol(raw[1]))
+        return key
+
+    def source(self, record: Dict) -> SourceParams:
+        raw = (record["src_ip"], record["src_port"])
+        source = self._sources.get(raw)
+        if source is None:
+            source = self._sources[raw] = SourceParams(self._address(raw[0]), raw[1])
+        return source
+
+    def verdict(self, record: Dict) -> Verdict:
+        raw = (record["verdict"], record.get("mechanism"))
+        verdict = self._verdicts.get(raw)
+        if verdict is None:
+            verdict = self._verdicts[raw] = parse_verdict(record)
+        return verdict
+
+    def trace(self, record: Dict) -> TracePath:
+        dst, protocol = self.key(record)
+        terminal = self._terminals.get(record["terminal"])
+        if terminal is None:
+            terminal = self._terminals[record["terminal"]] = parse_terminal(record["terminal"])
+        return TracePath(dst, self.source(record), protocol, tuple(record["hops"]), terminal)
+
+
+#: What a well-formed JSON record can still get wrong: a missing field
+#: (KeyError), a bad enum value, address or port (ValueError), or a
+#: value of the wrong JSON type (TypeError, AttributeError).
+_FIELD_ERRORS = (KeyError, ValueError, TypeError, AttributeError)
 
 
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """The log's verdicts, traces and run ids, in one streaming pass
     that keeps no record dicts. With run_id, only that run's verdicts
-    and traces."""
+    and traces.
+
+    The read parses each distinct address, source, (destination,
+    protocol), verdict and terminal once and shares the immutable
+    object among the records that hold it. A record that lacks a field
+    or holds a value that does not parse raises CorruptRecordError
+    naming the file and the line.
+    """
     run = RunLog(Path(path), run_id, {}, {}, set())
-    for record in _records(path):
-        kind = record["record_kind"]
-        if kind == KIND_META:
-            run.run_ids.add(record["run_id"])
-        elif run_id is not None and record["run_id"] != run_id:
-            continue
-        elif kind == KIND_VERDICT:
-            key = (Ipv4Address.parse(record["dst"]), AppProtocol(record["protocol"]))
-            run.verdicts.setdefault(key, {})[_source(record)] = parse_verdict(record)
-            run.repetitions.update((len(record["control"]), len(record["sensitive"])))
-        else:
-            (run.traces[record["trace_id"]],) = traces_from_records([record])
+    reader = _Reader()
+    for lineno, record in _records(path):
+        try:
+            kind = record["record_kind"]
+            if kind == KIND_META:
+                run.run_ids.add(record["run_id"])
+            elif run_id is not None and record["run_id"] != run_id:
+                continue
+            elif kind == KIND_VERDICT:
+                matrix = run.verdicts.setdefault(reader.key(record), {})
+                matrix[reader.source(record)] = reader.verdict(record)
+                run.repetitions.update((len(record["control"]), len(record["sensitive"])))
+            else:
+                run.traces[record["trace_id"]] = reader.trace(record)
+        except _FIELD_ERRORS as exc:
+            what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise CorruptRecordError(f"{path} line {lineno}: {what}") from exc
     return run
 
 
@@ -259,18 +342,10 @@ def trace_record(run_id: str, trace: TracePath, trace_id: str, **extra) -> Dict:
 
 def traces_from_records(records: Iterable[Dict]) -> List[TracePath]:
     """The TracePath of each trace record, in order; other records are
-    skipped."""
-    return [
-        TracePath(
-            dst_ip=Ipv4Address.parse(r["dst"]),
-            source=_source(r),
-            protocol=AppProtocol(r["protocol"]),
-            hops=tuple(r["hops"]),
-            terminal=parse_terminal(r["terminal"]),
-        )
-        for r in records
-        if r["record_kind"] == KIND_TRACE_HOP
-    ]
+    skipped. The records share one read's parsed values, as in
+    read_run."""
+    reader = _Reader()
+    return [reader.trace(r) for r in records if r["record_kind"] == KIND_TRACE_HOP]
 
 
 def verdict_record(
@@ -296,10 +371,6 @@ def verdict_record(
         control=[[o.epoch, o.kind.value, o.tag] for o in control],
         sensitive=[[o.epoch, o.kind.value, o.tag] for o in sensitive],
     )
-
-
-def _source(record: Dict) -> SourceParams:
-    return SourceParams(Ipv4Address.parse(record["src_ip"]), record["src_port"])
 
 
 def parse_verdict(record: Dict) -> Verdict:

@@ -2,11 +2,22 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowstable import logio
-from flowstable.core import AppProtocol, Ipv4Address, Mechanism, SourceParams, Verdict
+from flowstable.cli import cli_main
+from flowstable.core import (
+    AppProtocol,
+    Ipv4Address,
+    Mechanism,
+    SourceParams,
+    Verdict,
+    VerdictKind,
+)
 from flowstable.prober import Observation, ObservationKind
 from flowstable.tracer import Terminal, TerminalKind, TracePath
+from reference import ip_to_int
 
 DST = Ipv4Address.parse("10.0.3.4")
 
@@ -185,3 +196,155 @@ class TestOpenRun:
         logio.open_run(path, "r1")
         after = path.stat()
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def _verdict_line(drop=None, **changes):
+    """One verdict record's line, with changes applied and drop removed."""
+    params = SourceParams(Ipv4Address.parse("198.51.100.9"), 40404)
+    control = [Observation(1, ObservationKind.PAYLOAD_RESPONSE, "")]
+    record = logio.verdict_record("r", DST, AppProtocol.HTTP, params, control, control,
+                                  Verdict.not_censored())
+    record.update(changes)
+    record.pop(drop, None)
+    return (json.dumps(record) + "\n").encode()
+
+
+class TestMalformedRecord:
+    """A complete line that is JSON but not a well-formed record is a data
+    error naming the file and the line, like a line that is not JSON."""
+
+    def read(self, tmp_path, bad_line):
+        path = tmp_path / "run.log"
+        meta = json.dumps(logio.make_record(logio.KIND_META, "r")) + "\n"
+        path.write_bytes(meta.encode() + _verdict_line() + bad_line)
+        with pytest.raises(logio.CorruptRecordError, match=r"run\.log line 3: ") as info:
+            logio.read_run(path)
+        return str(info.value)
+
+    def test_missing_field(self, tmp_path):
+        assert self.read(tmp_path, _verdict_line(drop="dst")).endswith("missing field 'dst'")
+
+    def test_bad_enum_value(self, tmp_path):
+        assert "'maybe'" in self.read(tmp_path, _verdict_line(verdict="maybe"))
+
+    def test_bad_address(self, tmp_path):
+        assert "10.0.3.256" in self.read(tmp_path, _verdict_line(src_ip="10.0.3.256"))
+
+    def test_bad_port(self, tmp_path):
+        assert "port out of range" in self.read(tmp_path, _verdict_line(src_port=70000))
+
+    def test_bad_terminal(self, tmp_path):
+        trace = TracePath(DST, SourceParams(DST, 1), AppProtocol.DNS, (),
+                          Terminal(TerminalKind.EXHAUSTED))
+        record = logio.trace_record("r", trace, "t0")
+        record["terminal"] = "censored@x"
+        self.read(tmp_path, (json.dumps(record) + "\n").encode())
+
+    def test_invalid_utf8(self, tmp_path):
+        line = _verdict_line().replace(b"198.51", b"\xff98.51")
+        assert "utf-8" in self.read(tmp_path, line)
+
+    def test_cli_exits_2_naming_the_line(self, tmp_path, capsys):
+        self.read(tmp_path, _verdict_line(drop="dst"))
+        code = cli_main(["bits", "--log", str(tmp_path / "run.log"), "--group-by",
+                         "src_ip_low3"])
+        assert code == 2
+        assert "run.log line 3: missing field 'dst'" in capsys.readouterr().err
+
+
+# --- the interned read against a per-record reference parser -------------
+
+RUN_IDS = ["run-a", "run-b", "run-c"]
+ADDRESSES = ["10.0.3.4", "10.0.7.1", "192.0.2.9", "198.51.100.7", "198.51.100.200"]
+TERMINALS = ["reached", "exhausted", "censored@?", "censored@0", "censored@3", "censored@12"]
+
+
+def _reference_terminal(text):
+    if text.startswith("censored@"):
+        where = text[len("censored@"):]
+        return Terminal(TerminalKind.CENSORED_AT, None if where == "?" else int(where))
+    return Terminal(TerminalKind(text))
+
+
+def _reference_trace(r):
+    return TracePath(
+        dst_ip=Ipv4Address(ip_to_int(r["dst"])),
+        source=SourceParams(Ipv4Address(ip_to_int(r["src_ip"])), r["src_port"]),
+        protocol=AppProtocol(r["protocol"]),
+        hops=tuple(r["hops"]),
+        terminal=_reference_terminal(r["terminal"]),
+    )
+
+
+def _reference_run(records, run_id):
+    """What read_run should give, one record at a time, with nothing shared."""
+    verdicts, traces, run_ids, repetitions = {}, {}, set(), set()
+    for r in records:
+        if r["record_kind"] == "meta":
+            run_ids.add(r["run_id"])
+            continue
+        if run_id is not None and r["run_id"] != run_id:
+            continue
+        if r["record_kind"] == "trace":
+            traces[r["trace_id"]] = _reference_trace(r)
+            continue
+        key = (Ipv4Address(ip_to_int(r["dst"])), AppProtocol(r["protocol"]))
+        source = SourceParams(Ipv4Address(ip_to_int(r["src_ip"])), r["src_port"])
+        mechanism = None if r["mechanism"] is None else Mechanism(r["mechanism"])
+        verdicts.setdefault(key, {})[source] = Verdict(VerdictKind(r["verdict"]), mechanism)
+        repetitions |= {len(r["control"]), len(r["sensitive"])}
+    return verdicts, traces, run_ids, repetitions
+
+
+_flow = st.fixed_dictionaries({
+    "run_id": st.sampled_from(RUN_IDS),
+    "dst": st.sampled_from(ADDRESSES[:3]),
+    "src_ip": st.sampled_from(ADDRESSES),
+    "src_port": st.sampled_from([0, 53, 40000, 65535]),
+    "protocol": st.sampled_from([p.value for p in AppProtocol]),
+})
+_outcomes = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from([k.value for k in ObservationKind]),
+              st.sampled_from(["", "bp-01"])).map(list),
+    min_size=1, max_size=3)
+_verdict = st.one_of(
+    st.sampled_from([(VerdictKind.NOT_CENSORED.value, None), (VerdictKind.EXCLUDED.value, None)]),
+    st.sampled_from([(VerdictKind.CENSORED.value, m.value) for m in Mechanism]),
+)
+_verdict_record = st.builds(
+    lambda flow, verdict, control, sensitive: logio.make_record(
+        logio.KIND_VERDICT, verdict=verdict[0], mechanism=verdict[1], control=control,
+        sensitive=sensitive, **flow),
+    _flow, _verdict, _outcomes, _outcomes)
+_trace_record = st.builds(
+    lambda flow, hops, terminal, trace_id: logio.make_record(
+        logio.KIND_TRACE_HOP, hops=hops, terminal=terminal, trace_id=trace_id, **flow),
+    _flow, st.lists(st.one_of(st.none(), st.integers(0, 40)), max_size=6),
+    st.sampled_from(TERMINALS), st.sampled_from(["t0", "t1", "t2", "t3"]))
+_meta_record = st.builds(
+    lambda run_id: logio.make_record(logio.KIND_META, run_id, command="rq2"),
+    st.sampled_from(RUN_IDS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_verdict_record, _trace_record, _meta_record), max_size=60))
+def test_interned_read_equals_reference(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("log") / "run.log"
+    path.write_bytes(b"")
+    logio.append_records(path, records)
+    for run_id in [None, *RUN_IDS]:
+        run = logio.read_run(path, run_id)
+        verdicts, traces, run_ids, repetitions = _reference_run(records, run_id)
+        assert run.verdicts == verdicts
+        assert list(run.verdicts) == list(verdicts)
+        for key, matrix in verdicts.items():
+            assert list(run.verdicts[key]) == list(matrix)
+        assert run.traces == traces
+        assert list(run.traces) == list(traces)
+        assert (run.run_ids, run.repetitions) == (run_ids, repetitions)
+        # equal values are one shared object
+        addresses = [d for d, _ in run.verdicts] + [
+            s.src_ip for m in run.verdicts.values() for s in m]
+        assert len({id(a) for a in addresses}) == len(set(addresses))
+    assert logio.traces_from_records(records) == [
+        _reference_trace(r) for r in records if r["record_kind"] == "trace"]
