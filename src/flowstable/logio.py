@@ -146,7 +146,7 @@ def _records(path: Union[str, Path]) -> Iterator[Tuple[int, Dict]]:
             except UnicodeDecodeError as exc:
                 raise CorruptRecordError(f"{path} line {lineno}: {exc}") from exc
             except json.JSONDecodeError as exc:
-                if not line.strip():
+                if not line.strip():  # a blank line holds no record
                     continue
                 raise CorruptRecordError(f"{path} line {lineno}: {exc.msg}") from exc
             if not isinstance(record, dict):

@@ -81,6 +81,14 @@ def test_corrupt_middle_line_names_file_and_line(tmp_path):
         logio.read_log(path)
 
 
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "run.log"
+    records = [logio.make_record(logio.KIND_META, "r", note=str(i)) for i in range(2)]
+    lines = [json.dumps(r) for r in records]
+    path.write_text(f"\n{lines[0]}\n  \t\n{lines[1]}\n")
+    assert logio.read_log(path) == records
+
+
 def test_unknown_schema_version(tmp_path):
     path = tmp_path / "run.log"
     record = logio.make_record(logio.KIND_META, "r")
@@ -239,6 +247,9 @@ class TestMalformedRecord:
         record = logio.trace_record("r", trace, "t0")
         record["terminal"] = "censored@x"
         self.read(tmp_path, (json.dumps(record) + "\n").encode())
+
+    def test_extra_data_after_the_object(self, tmp_path):
+        assert "Extra data" in self.read(tmp_path, _verdict_line().replace(b"}\n", b"} {}\n"))
 
     def test_invalid_utf8(self, tmp_path):
         line = _verdict_line().replace(b"198.51", b"\xff98.51")
