@@ -130,14 +130,11 @@ def bit_group_summary(
 ) -> List[BitGroupRow]:
     """Aggregate censored cells per source-parameter group.
 
-    Accepts one verdict matrix or a mapping of destination -> matrix.
-    Rows come back sorted by censored-cell count descending, group label
-    ascending on ties. The two low-3-bit groupings require all eight
-    groups to be covered by the grid.
+    matrices maps each destination to its verdict matrix. Rows come back
+    sorted by censored-cell count descending, group label ascending on
+    ties. The two low-3-bit groupings require all eight groups to be
+    covered by the grid.
     """
-    if matrices and all(isinstance(v, Verdict) for v in matrices.values()):
-        matrices = {"_": matrices}
-
     censored_cells: Dict[str, int] = {}
     affected: Dict[str, Set] = {}
     seen_groups: Set[str] = set()

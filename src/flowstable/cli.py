@@ -129,7 +129,7 @@ def _cmd_trace(args) -> int:
     topology = _load_topology(args.topology)
     _, dst_ip = _parse_dest(topology, args.dest)
     transport = prober.SimTransport(topology)
-    spec = prober.ProbeSpec.for_protocol(
+    spec = prober.ProbeSpec(
         AppProtocol(args.protocol),
         dst_ip,
         args.domain,
@@ -142,7 +142,10 @@ def _cmd_trace(args) -> int:
         print(f"{ttl} {'*' if hop is None else hop}")
     print(logio.terminal_str(path.terminal))
     if args.out:
-        run_id = _run_id("trace", args.topology, args.dest, args.src_ip, args.src_port)
+        run_id = _run_id(
+            "trace", Path(args.topology).read_bytes(), str(dst_ip), spec.source,
+            spec.protocol.value, spec.domain, spec.sensitivity.value, args.max_ttl,
+        )
         log = logio.open_run(args.out, run_id, command="trace", dest=str(dst_ip))
         trace_id = _flow_id(dst_ip, spec.protocol, spec.source)
         if trace_id not in log.traces:
@@ -181,15 +184,19 @@ def _cmd_rq1(args) -> int:
 
 
 def _read_dests(topology: simnet.Topology, path: str) -> List[Tuple[int, Ipv4Address]]:
-    out = []
+    """The file's destinations, each once, in first-seen order: a line
+    naming an address an earlier line named, by node id or by address,
+    adds nothing."""
+    out: Dict[Ipv4Address, Tuple[int, Ipv4Address]] = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        out.append(_parse_dest(topology, line))
+        node_id, addr = _parse_dest(topology, line)
+        out.setdefault(addr, (node_id, addr))
     if not out:
         raise experiments.EmptyCandidatesError(f"no destinations in {path}")
-    return out
+    return list(out.values())
 
 
 def _cmd_rq2(args) -> int:
@@ -269,7 +276,7 @@ def _trace_affected(transport, matrices, log: logio.RunLog, sensitive_domain):
             trace_id = _flow_id(dst_ip, protocol, params)
             if trace_id in log.traces:
                 continue
-            spec = prober.ProbeSpec.for_protocol(
+            spec = prober.ProbeSpec(
                 protocol, dst_ip, sensitive_domain, Sensitivity.SENSITIVE, params,
                 repetitions=1,
             )
@@ -406,7 +413,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--src-ip", required=True)
     p.add_argument("--src-port", type=int, required=True)
     p.add_argument("--protocol", required=True, choices=[x.value for x in AppProtocol])
-    p.add_argument("--domain", default=experiments.DEFAULT_BENIGN_DOMAIN)
+    p.add_argument("--domain", default=experiments.BENIGN_DOMAIN)
     p.add_argument("--sensitive", action="store_true")
     p.add_argument("--max-ttl", type=_int_in(1, tracer.MAX_TTL_CEILING),
                    default=tracer.DEFAULT_MAX_TTL)

@@ -2,9 +2,10 @@
 
 The first design (rq1) measures path diversity: four source-parameter
 variations of 144 traced measurements each against one destination with
-a benign domain. The second (rq2) measures censorship impact: a 208
-source IP x 8 source port grid of control/sensitive verdict cells per
-destination. All draws come from generators keyed by (seed,
+the benign domain BENIGN_DOMAIN. The second (rq2) measures censorship
+impact: a 208 source IP x 8 source port grid of control/sensitive
+verdict cells per destination. Every source address lies in the one
+/24 at SOURCE_BASE. All draws come from generators keyed by (seed,
 destination, variation), so identical seeds give identical plans.
 """
 
@@ -38,8 +39,10 @@ from .prober import (
 from .tracer import DEFAULT_MAX_TTL, TracePath, merge_paths, trace
 from .analysis import PathSet
 
-DEFAULT_SOURCE_PREFIX = "198.51.100.0/24"
-DEFAULT_BENIGN_DOMAIN = "example.com"
+#: First address of the /24 (TEST-NET-2) that every probe's source lies in.
+SOURCE_BASE = Ipv4Address.parse("198.51.100.0").value
+#: The domain rq1 traces carry, and trace's default.
+BENIGN_DOMAIN = "example.com"
 
 RQ1_SAMPLES = 144
 RQ1_BOTH_SIDE = 12  # 12 ips x 12 ports = 144 pairs
@@ -64,7 +67,6 @@ class Rq1Plan:
     samples: Tuple[SourceParams, ...]
     dst_ip: Ipv4Address
     protocol: AppProtocol
-    domain: str
 
     def __post_init__(self) -> None:
         if len(self.samples) != RQ1_SAMPLES:
@@ -88,25 +90,14 @@ def _rng(seed: int, *scope) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _prefix_base(prefix: str) -> int:
-    if not prefix.endswith("/24"):
-        raise ValueError(f"source prefix must be a /24: {prefix!r}")
-    base = Ipv4Address.parse(prefix[:-3])
-    if base.value & 0xFF:
-        raise ValueError(f"source prefix base must end in .0: {prefix!r}")
-    return base.value
-
-
-def _ip(base: int, host_octet: int) -> Ipv4Address:
-    return Ipv4Address(base + host_octet)
+def _ip(host_octet: int) -> Ipv4Address:
+    return Ipv4Address(SOURCE_BASE + host_octet)
 
 
 def plan_rq1(
     destination: Ipv4Address,
     protocol: AppProtocol,
     seed: int,
-    source_prefix: str = DEFAULT_SOURCE_PREFIX,
-    domain: str = DEFAULT_BENIGN_DOMAIN,
 ) -> List[Rq1Plan]:
     """The four parameter-variation plans, each with 144 samples.
 
@@ -114,35 +105,33 @@ def plan_rq1(
     vary-port plans hold 144 distinct values; the vary-both plan is the
     cross product of 12 distinct IPs and 12 distinct ports.
     """
-    base = _prefix_base(source_prefix)
     hosts = range(1, 255)
     ports = range(EPHEMERAL_PORT_RANGE[0], EPHEMERAL_PORT_RANGE[1] + 1)
     plans = []
     for variation in Rq1Variation:
         rng = _rng(seed, str(destination), variation.value)
         if variation is Rq1Variation.ALL_CONSTANT:
-            params = SourceParams(_ip(base, rng.choice(hosts)), rng.choice(ports))
+            params = SourceParams(_ip(rng.choice(hosts)), rng.choice(ports))
             samples = (params,) * RQ1_SAMPLES
         elif variation is Rq1Variation.VARY_PORT:
-            ip = _ip(base, rng.choice(hosts))
+            ip = _ip(rng.choice(hosts))
             samples = tuple(SourceParams(ip, p) for p in rng.sample(ports, RQ1_SAMPLES))
         elif variation is Rq1Variation.VARY_IP:
             port = rng.choice(ports)
             samples = tuple(
-                SourceParams(_ip(base, h), port) for h in rng.sample(hosts, RQ1_SAMPLES)
+                SourceParams(_ip(h), port) for h in rng.sample(hosts, RQ1_SAMPLES)
             )
         else:
-            ips = [_ip(base, h) for h in rng.sample(hosts, RQ1_BOTH_SIDE)]
+            ips = [_ip(h) for h in rng.sample(hosts, RQ1_BOTH_SIDE)]
             both_ports = rng.sample(ports, RQ1_BOTH_SIDE)
             samples = tuple(SourceParams(i, p) for i in ips for p in both_ports)
-        plans.append(Rq1Plan(variation, samples, destination, protocol, domain))
+        plans.append(Rq1Plan(variation, samples, destination, protocol))
     return plans
 
 
 def plan_rq2(
     destinations: Sequence[Ipv4Address],
     seed: int,
-    source_prefix: str = DEFAULT_SOURCE_PREFIX,
     domain_pair: Tuple[str, str] = ("control.example", "blocked.example"),
 ) -> Rq2Plan:
     """208 source IPs x 8 ephemeral ports against each destination.
@@ -152,7 +141,6 @@ def plan_rq2(
     """
     if not destinations:
         raise EmptyCandidatesError("need at least one destination")
-    base = _prefix_base(source_prefix)
     rng = _rng(seed, "rq2-grid")
     octets: List[int] = []
     per_class = RQ2_IP_COUNT // 8
@@ -162,7 +150,7 @@ def plan_rq2(
     ports = rng.sample(
         range(EPHEMERAL_PORT_RANGE[0], EPHEMERAL_PORT_RANGE[1] + 1), RQ2_PORT_COUNT
     )
-    grid = tuple(SourceParams(_ip(base, h), p) for h in octets for p in ports)
+    grid = tuple(SourceParams(_ip(h), p) for h in octets for p in ports)
     return Rq2Plan(grid, tuple(destinations), domain_pair)
 
 
@@ -190,10 +178,10 @@ def run_rq1(
             if log is not None and trace_id in log.traces:
                 traces.append(log.traces[trace_id])
                 continue
-            spec = ProbeSpec.for_protocol(
+            spec = ProbeSpec(
                 plan.protocol,
                 plan.dst_ip,
-                plan.domain,
+                BENIGN_DOMAIN,
                 Sensitivity.CONTROL,
                 params,
                 repetitions=1,
@@ -227,10 +215,10 @@ def measure_cell(
     Excluded with no observations, so one bad cell never aborts a sweep.
     """
     control_domain, sensitive_domain = domain_pair
-    spec_c = ProbeSpec.for_protocol(
+    spec_c = ProbeSpec(
         protocol, dst, control_domain, Sensitivity.CONTROL, params, repetitions=repetitions
     )
-    spec_s = ProbeSpec.for_protocol(
+    spec_s = ProbeSpec(
         protocol, dst, sensitive_domain, Sensitivity.SENSITIVE, params,
         repetitions=repetitions,
     )

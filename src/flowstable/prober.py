@@ -2,8 +2,11 @@
 
 A probe spec fixes every packet field that feeds ECMP hashing, so all
 packets of one spec share a single flow id and therefore a single
-route. Probes run over an abstract transport: the simulator backend, or
-a live adapter that deliberately only raises.
+route. Every probe runs through a transport's run(): the simulator
+backend opens each session there, on the flow's compiled route, and
+shares the result among flows on the same route; the live adapter
+deliberately only raises. run_cell probes a control/sensitive pair and
+tracer.trace climbs a TTL ladder, both through run().
 
 Verdicts follow the all-repetitions rule: a cell is Censored only when
 every sensitive repetition shows the censoring behavior and every
@@ -74,31 +77,24 @@ class ProbeSpec:
 
     protocol: AppProtocol
     dst_ip: Ipv4Address
-    dst_port: int
     domain: str
     sensitivity: Sensitivity
     source: SourceParams
     repetitions: int = DEFAULT_REPETITIONS
-    epoch_interval: int = 1
-    #: The one flow id of every packet the spec emits, built once.
+    #: The one flow id of every packet the spec emits, built once; its
+    #: destination port is the protocol's.
     flow: FlowId = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.dst_port != self.protocol.port:
-            raise ValueError(
-                f"{self.protocol.value} probes use port {self.protocol.port}, got {self.dst_port}"
-            )
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.epoch_interval < 1:
-            raise ValueError("epoch_interval must be >= 1")
         if self.sensitivity is Sensitivity.NOT_APPLICABLE:
             raise ValueError("probe sensitivity must be control or sensitive")
         flow = FlowId(
             self.source.src_ip,
             self.dst_ip,
             self.source.src_port,
-            self.dst_port,
+            self.protocol.port,
             self.protocol.transport,
         )
         object.__setattr__(self, "flow", flow)
@@ -108,13 +104,9 @@ class ProbeSpec:
         packet the spec's probes send (see SimTransport.run)."""
         # Enum values, not members: members hash slowly.
         return (
-            self.protocol.value, self.dst_ip.value, self.dst_port, self.domain,
-            self.sensitivity.value, self.repetitions, self.epoch_interval,
+            self.protocol.value, self.dst_ip.value, self.domain,
+            self.sensitivity.value, self.repetitions,
         )
-
-    @classmethod
-    def for_protocol(cls, protocol, dst_ip, domain, sensitivity, source, **kw) -> "ProbeSpec":
-        return cls(protocol, dst_ip, protocol.port, domain, sensitivity, source, **kw)
 
 
 class ObservationKind(Enum):
@@ -176,9 +168,6 @@ class LiveTransport:
     out-of-tree; every operation here raises.
     """
 
-    def session(self, spec: "ProbeSpec") -> "Session":
-        raise TransportUnavailableError(_LIVE_UNAVAILABLE)
-
     def run(self, spec: "ProbeSpec", key: Hashable, probe: Callable[["Session"], R]) -> R:
         raise TransportUnavailableError(_LIVE_UNAVAILABLE)
 
@@ -216,11 +205,6 @@ class SimTransport:
         self._scope: Optional[Tuple[Ipv4Address, AppProtocol]] = None
         #: (route nodes, key) -> (result, (loss key head, tail, p) of each draw point)
         self._shared: Dict[Tuple, Tuple[object, Tuple[Tuple[bytes, bytes, float], ...]]] = {}
-
-    def session(self, spec: ProbeSpec) -> "Session":
-        """A fresh session on spec's flow."""
-        dest = self.topology.resolve_destination(spec.dst_ip)
-        return Session(self, dest.id, compile_route(self.topology, spec.flow))
 
     def run(self, spec: ProbeSpec, key: Hashable, probe: Callable[["Session"], R]) -> R:
         """probe(session) on a fresh session of spec's flow, or the result
@@ -302,8 +286,9 @@ class Session:
         self.draws: List[DrawPoint] = []
         self.dropped = False
 
-    def advance(self, epochs: int = 1) -> None:
-        self.epoch += epochs
+    def advance(self) -> None:
+        """Start the next epoch: a probe's repetitions run in epochs 1..n."""
+        self.epoch += 1
 
     def send(self, packet: Packet) -> SendResult:
         """Forward packet along the session's route and collect what
@@ -427,17 +412,6 @@ def _run_exchange(
     return Observation(epoch, ObservationKind.PAYLOAD_RESPONSE, hit.body_tag)
 
 
-def run_probe(spec: ProbeSpec, transport) -> List[Observation]:
-    """Run all repetitions of one spec; one observation per repetition."""
-    session = transport.session(spec)
-    packets = _exchange_packets(spec)
-    observations = []
-    for _ in range(spec.repetitions):
-        session.advance(spec.epoch_interval)
-        observations.append(_run_exchange(spec, session, packets))
-    return observations
-
-
 def run_cell(
     control: ProbeSpec,
     sensitive: ProbeSpec,
@@ -445,9 +419,8 @@ def run_cell(
 ) -> Tuple[List[Observation], List[Observation]]:
     """Run a control/sensitive pair interleaved per epoch, control first.
 
-    Both specs must agree on everything that feeds the flow id and on
-    the epoch interval, so both probes of a repetition cross the same
-    path in the same epoch. They share one session: a residual window
+    Both specs must agree on everything that feeds the flow id, so both
+    probes of a repetition cross the same path in the same epoch. They share one session: a residual window
     opened by a sensitive hit also covers the control probes after it.
     The pair runs through transport.run, so a cell whose route an
     earlier cell of the same pair of specs already simulated, and whose
@@ -455,8 +428,6 @@ def run_cell(
     """
     if control.flow != sensitive.flow:
         raise ValueError("control and sensitive specs must share one flow id")
-    if control.epoch_interval != sensitive.epoch_interval:
-        raise ValueError("control and sensitive specs must share one epoch interval")
     if control.repetitions != sensitive.repetitions:
         raise LengthMismatchError("control and sensitive repetitions differ")
     key = ("cell", control.without_source(), sensitive.without_source())
@@ -474,7 +445,7 @@ def _run_cell(
     obs_c: List[Observation] = []
     obs_s: List[Observation] = []
     for _ in range(control.repetitions):
-        session.advance(control.epoch_interval)
+        session.advance()
         obs_c.append(_run_exchange(control, session, packets_c))
         obs_s.append(_run_exchange(sensitive, session, packets_s))
     return tuple(obs_c), tuple(obs_s)

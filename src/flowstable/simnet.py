@@ -559,22 +559,32 @@ def _require_keys(obj: Mapping, required: Sequence[str], optional: Sequence[str]
         raise SchemaError(f"{what}: unknown keys {unknown}")
 
 
+def _int(value, what: str) -> int:
+    """value, when it is a JSON integer (not a boolean)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{what} must be an integer: {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    """value, when it is a JSON array."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list: {value!r}")
+    return value
+
+
 def _parse_node(obj: Mapping) -> Node:
     _require_keys(obj, ["id", "role", "asn", "subnet24", "geo", "responsive"], [], "node")
     try:
         role = Role(obj["role"])
     except ValueError as exc:
         raise SchemaError(f"bad role {obj['role']!r}") from exc
-    if not isinstance(obj["id"], int) or isinstance(obj["id"], bool):
-        raise SchemaError(f"node id must be an integer: {obj['id']!r}")
-    if not isinstance(obj["asn"], int) or isinstance(obj["asn"], bool):
-        raise SchemaError(f"asn must be an integer: {obj['asn']!r}")
     if not isinstance(obj["responsive"], bool):
         raise SchemaError("responsive must be a boolean")
     return Node(
-        id=obj["id"],
+        id=_int(obj["id"], "node id"),
         role=role,
-        as_number=obj["asn"],
+        as_number=_int(obj["asn"], "asn"),
         subnet24=str(obj["subnet24"]),
         geo=str(obj["geo"]),
         responsive=obj["responsive"],
@@ -591,12 +601,12 @@ def _parse_selector(obj: Mapping) -> Selector:
             fld = HashField(obj["field"])
         except ValueError as exc:
             raise SchemaError(f"bad hash field {obj['field']!r}") from exc
-        return LowBitsSelector(fld, obj["n_bits"])
+        return LowBitsSelector(fld, _int(obj["n_bits"], "n_bits"))
     if kind == "hash_tuple":
         if "fields" not in obj:
             raise SchemaError("hash_tuple selector needs fields")
         try:
-            fields = frozenset(HashField(f) for f in obj["fields"])
+            fields = frozenset(HashField(f) for f in _list(obj["fields"], "fields"))
         except ValueError as exc:
             raise SchemaError(f"bad hash field in {obj['fields']!r}") from exc
         return HashTupleSelector(fields)
@@ -622,13 +632,13 @@ def _parse_censor(obj: Mapping) -> censors_mod.CensorRule:
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     return censors_mod.CensorRule(
-        attach_at=obj["attach_at"],
+        attach_at=_int(obj["attach_at"], "attach_at"),
         protocol=protocol,
         direction=direction,
         domain_pattern=str(obj["domain_pattern"]),
         action=action,
         health=health,
-        residual_epochs=obj.get("residual_epochs", 0),
+        residual_epochs=_int(obj.get("residual_epochs", 0), "residual_epochs"),
     )
 
 
@@ -646,23 +656,23 @@ def load_topology(document: Union[str, Mapping]) -> Topology:
     _require_keys(obj, ["nodes", "policies", "seed"], ["censors", "loss"], "topology")
 
     nodes: Dict[NodeId, Node] = {}
-    for node_obj in obj["nodes"]:
+    for node_obj in _list(obj["nodes"], "nodes"):
         node = _parse_node(node_obj)
         if node.id in nodes:
             raise SchemaError(f"duplicate node id {node.id}")
         nodes[node.id] = node
 
     policies: Dict[NodeId, EcmpPolicy] = {}
-    for pol_obj in obj["policies"]:
+    for pol_obj in _list(obj["policies"], "policies"):
         _require_keys(pol_obj, ["node", "selector", "next_hops"], [], "policy")
-        owner = pol_obj["node"]
+        owner = _int(pol_obj["node"], "policy node")
         if owner not in nodes:
             raise DanglingNodeRefError(f"policy for unknown node {owner}")
         if nodes[owner].role is Role.ENDPOINT:
             raise SchemaError(f"endpoint {owner} cannot carry an ECMP policy")
         if owner in policies:
             raise SchemaError(f"duplicate policy for node {owner}")
-        hops = tuple(pol_obj["next_hops"])
+        hops = tuple(_int(h, "next_hop") for h in _list(pol_obj["next_hops"], "next_hops"))
         if not hops:
             raise EmptyNextHopsError(f"policy for node {owner} has no next hops")
         for h in hops:
@@ -675,7 +685,7 @@ def load_topology(document: Union[str, Mapping]) -> Topology:
             raise SchemaError(f"router {node.id} has no policy")
 
     rules: List[censors_mod.CensorRule] = []
-    for cen_obj in obj.get("censors", []):
+    for cen_obj in _list(obj.get("censors", []), "censors"):
         try:
             rule = _parse_censor(cen_obj)
         except ValueError as exc:
@@ -685,11 +695,14 @@ def load_topology(document: Union[str, Mapping]) -> Topology:
         rules.append(rule)
 
     loss: Dict[NodeId, float] = {}
-    for loss_obj in obj.get("loss", []):
+    for loss_obj in _list(obj.get("loss", []), "loss"):
         _require_keys(loss_obj, ["node", "p"], [], "loss entry")
-        if loss_obj["node"] not in nodes:
+        if _int(loss_obj["node"], "loss node") not in nodes:
             raise DanglingNodeRefError(f"loss entry for unknown node {loss_obj['node']}")
-        p = float(loss_obj["p"])
+        p = loss_obj["p"]
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise SchemaError(f"loss probability must be a number: {p!r}")
+        p = float(p)
         if not 0.0 <= p <= 1.0:
             raise LossOutOfRangeError(f"loss probability {p} outside [0, 1]")
         loss[loss_obj["node"]] = p

@@ -102,7 +102,7 @@ def trace(
 
 def _climb(spec: ProbeSpec, max_ttl: int, session: Session) -> TracePath:
     """trace's TTL ladder on one session."""
-    session.advance(spec.epoch_interval)
+    session.advance()
 
     payload_kind = PacketKind.UDP_PAYLOAD
     if spec.protocol is not AppProtocol.DNS:

@@ -1,9 +1,9 @@
-"""Seeded topology builders.
+"""Seeded topology builders for the tests.
 
 random_topology() makes layered loop-free topologies for property
-tests. The effect-family builders each construct a topology whose
-censored/clear split has a known cause, used to pin the effect
-classifier's behavior across randomized instances.
+tests. The effect-family builders (build_type1..build_type4) each
+construct a topology whose censored/clear split has a known cause, used
+to pin the effect classifier's behavior across randomized instances.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .analysis import EffectType, Scope
-from .core import AppProtocol, Ipv4Address, SourceParams
-from .simnet import Topology, load_topology
+from flowstable.analysis import EffectType, Scope
+from flowstable.core import AppProtocol, Ipv4Address, SourceParams
+from flowstable.simnet import Topology, load_topology
 
 CONTROL_DOMAIN = "control.example"
 SENSITIVE_DOMAIN = "blocked.example"
@@ -85,9 +85,9 @@ class FixtureInstance:
         return self.topology.nodes[self.dst_node].address
 
 
-def standard_grid(source_prefix: str = "198.51.100.0/24") -> List[SourceParams]:
+def standard_grid() -> List[SourceParams]:
     """64 cells covering every low-3-bit class of both IP and port."""
-    base = Ipv4Address.parse(source_prefix[:-3]).value
+    base = Ipv4Address.parse("198.51.100.0").value
     return [
         SourceParams(Ipv4Address(base + octet), port)
         for octet in range(1, 9)
@@ -272,14 +272,6 @@ def build_type4(seed: int) -> FixtureInstance:
     return FixtureInstance(
         load_topology(doc), doc, 4, protocol, EffectType.UNATTRIBUTABLE
     )
-
-
-EFFECT_BUILDERS = {
-    EffectType.FAILED_NODE: build_type1,
-    EffectType.GEO_DIVERSE: build_type2,
-    EffectType.ROUTE_AROUND: build_type3,
-    EffectType.UNATTRIBUTABLE: build_type4,
-}
 
 
 def random_topology(

@@ -23,7 +23,7 @@ from flowstable.cli import cli_main
 from flowstable.core import AppProtocol, Ipv4Address, Sensitivity, SourceParams
 from flowstable.censors import Health
 from flowstable.experiments import Rq1Variation, plan_rq1, plan_rq2, run_rq1, run_rq2
-from flowstable.fixtures import random_topology
+from builders import random_topology
 from flowstable.prober import ProbeSpec, SimTransport, classify, run_cell
 from flowstable.simnet import Role, oracle_paths
 from flowstable.tracer import TerminalKind, trace
@@ -78,7 +78,7 @@ def test_criterion_2_trace_oracle_equivalence():
             oracle = oracle_paths(
                 topology, dst, [params], protocol.transport, protocol.port
             )[params]
-            spec = ProbeSpec.for_protocol(
+            spec = ProbeSpec(
                 protocol, topology.nodes[dst].address, "example.com",
                 Sensitivity.SENSITIVE, params, repetitions=1,
             )
@@ -118,10 +118,10 @@ def test_criterion_3_classifier_conservativeness():
         )
         dst = _endpoint(topology).address
         transport = SimTransport(topology)
-        control = ProbeSpec.for_protocol(protocol, dst, DOMAINS[0],
-                                         Sensitivity.CONTROL, params)
-        sensitive = ProbeSpec.for_protocol(protocol, dst, DOMAINS[1],
-                                           Sensitivity.SENSITIVE, params)
+        control = ProbeSpec(protocol, dst, DOMAINS[0],
+                            Sensitivity.CONTROL, params)
+        sensitive = ProbeSpec(protocol, dst, DOMAINS[1],
+                              Sensitivity.SENSITIVE, params)
         obs_c, obs_s = run_cell(control, sensitive, transport)
         verdict = classify(obs_c, obs_s, protocol)
         assert not verdict.is_censored
@@ -146,10 +146,10 @@ def test_criterion_4_flapping_exclusion():
         )
         dst = topology.nodes[3].address
         transport = SimTransport(topology)
-        control = ProbeSpec.for_protocol(AppProtocol.HTTPS, dst, DOMAINS[0],
-                                         Sensitivity.CONTROL, params)
-        sensitive = ProbeSpec.for_protocol(AppProtocol.HTTPS, dst, DOMAINS[1],
-                                           Sensitivity.SENSITIVE, params)
+        control = ProbeSpec(AppProtocol.HTTPS, dst, DOMAINS[0],
+                            Sensitivity.CONTROL, params)
+        sensitive = ProbeSpec(AppProtocol.HTTPS, dst, DOMAINS[1],
+                              Sensitivity.SENSITIVE, params)
         obs_c, obs_s = run_cell(control, sensitive, transport)
         verdict = classify(obs_c, obs_s, AppProtocol.HTTPS)
         assert verdict.is_excluded, f"seed {seed}: {verdict}"
@@ -167,7 +167,7 @@ def test_criterion_5_bit_pattern_reproduction(registry):
                        protocols=[AppProtocol.HTTP], registry=registry)
     matrix = matrices[(dest, AppProtocol.HTTP)]
 
-    rows = bit_group_summary(matrix, BitGrouping.SRC_IP_LOW3)
+    rows = bit_group_summary({dest: matrix}, BitGrouping.SRC_IP_LOW3)
     positive = {r.group for r in rows if r.censored_cells > 0}
     zero = {r.group for r in rows if r.censored_cells == 0}
     assert positive == {"001", "100", "110"}
@@ -206,7 +206,7 @@ def test_criterion_6_half_split_cdf(tmp_path, registry):
 def test_criterion_7_effect_taxonomy(registry):
     """20/20 labeled fixture instances classify to their family, plus
     5/5 paired intra/inter scope discriminations."""
-    from flowstable.fixtures import (
+    from builders import (
         build_type1, build_type2, build_type3, build_type4,
     )
     from test_analysis import run_fixture_pipeline

@@ -30,7 +30,7 @@ from flowstable.core import (
     SourceParams,
     Verdict,
 )
-from flowstable.fixtures import (
+from builders import (
     SENSITIVE_DOMAIN,
     CONTROL_DOMAIN,
     build_type1,
@@ -139,7 +139,7 @@ class TestBitGroups:
                     Verdict.censored(Mechanism.RST_INJECTION) if censored
                     else Verdict.not_censored()
                 )
-        rows = bit_group_summary(matrix, BitGrouping.SRC_IP_LOW3)
+        rows = bit_group_summary({"d": matrix}, BitGrouping.SRC_IP_LOW3)
         positive = {r.group for r in rows if r.censored_cells > 0}
         assert positive == {"001", "100", "110"}
         assert all(r.censored_cells == 8 for r in rows if r.group in positive)
@@ -151,19 +151,19 @@ class TestBitGroups:
     def test_uniform_censor_equal_counts(self):
         matrix = {params_at(octet, port): Verdict.censored(Mechanism.RST_INJECTION)
                   for octet in range(1, 9) for port in range(40000, 40008)}
-        rows = bit_group_summary(matrix, BitGrouping.SRC_PORT_LOW3)
+        rows = bit_group_summary({"d": matrix}, BitGrouping.SRC_PORT_LOW3)
         assert len({r.censored_cells for r in rows}) == 1
 
     def test_no_censor_all_zero(self):
         matrix = {params_at(octet, port): Verdict.not_censored()
                   for octet in range(1, 9) for port in range(40000, 40008)}
-        rows = bit_group_summary(matrix, BitGrouping.SRC_IP_LOW3)
+        rows = bit_group_summary({"d": matrix}, BitGrouping.SRC_IP_LOW3)
         assert all(r.censored_cells == 0 for r in rows)
 
     def test_missing_group_raises(self):
         matrix = {params_at(2): Verdict.not_censored()}  # only group 010
         with pytest.raises(EmptyGroupError):
-            bit_group_summary(matrix, BitGrouping.SRC_IP_LOW3)
+            bit_group_summary({"d": matrix}, BitGrouping.SRC_IP_LOW3)
 
     def test_per_ip_grouping_counts_affected_destinations(self):
         matrices = {
@@ -226,8 +226,8 @@ class TestDualGraph:
         traces, verdicts = [], {}
         for octet in range(1, 5):
             p = params_at(octet)
-            spec = ProbeSpec.for_protocol(AppProtocol.HTTPS, dst, SENSITIVE_DOMAIN,
-                                          Sensitivity.SENSITIVE, p, repetitions=1)
+            spec = ProbeSpec(AppProtocol.HTTPS, dst, SENSITIVE_DOMAIN,
+                             Sensitivity.SENSITIVE, p, repetitions=1)
             traces.append(trace(spec, 16, transport))
             verdicts[p] = (Verdict.censored(Mechanism.RST_INJECTION) if octet % 2
                            else Verdict.not_censored())
@@ -250,8 +250,8 @@ def run_fixture_pipeline(fx, grid=None):
     }
     traces = []
     for p in grid:
-        spec = ProbeSpec.for_protocol(fx.protocol, fx.dst_ip, SENSITIVE_DOMAIN,
-                                      Sensitivity.SENSITIVE, p, repetitions=1)
+        spec = ProbeSpec(fx.protocol, fx.dst_ip, SENSITIVE_DOMAIN,
+                         Sensitivity.SENSITIVE, p, repetitions=1)
         traces.append(trace(spec, 16, transport))
     pathset = merge_paths(traces, matrix)
     censor_nodes = [r.attach_at for r in fx.topology.censors]

@@ -29,6 +29,26 @@ class TestValidate:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["censors"][0].update(residual_epochs="1"),
+        lambda d: d["censors"][0].update(residual_epochs=1.5),
+        lambda d: d["policies"][0]["selector"].update(n_bits="1"),
+        lambda d: d.update(loss=[{"node": 0, "p": None}]),
+        lambda d: d["policies"][0].update(next_hops=1),
+        lambda d: d["policies"][0].update(next_hops=[[1]]),
+        lambda d: d.update(nodes=5),
+        lambda d: d["policies"][0].update(selector={"kind": "hash_tuple", "fields": 5}),
+    ], ids=["residual_str", "residual_float", "n_bits_str", "p_null", "next_hops_int",
+            "next_hops_nested", "nodes_int", "fields_int"])
+    def test_wrong_typed_field_exits_2(self, edit, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "rst_chain.topo").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.topo"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert "data error" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-file.topo")
         assert code == 2
@@ -326,6 +346,20 @@ class TestRunLog:
         assert table == (tmp_path / "fresh_table.csv").read_text()
         assert table != half_split_table
 
+    def test_rq2_probes_a_repeated_destination_once(self, tmp_path, capsys):
+        # 10.0.3.4 is the address of half_split's endpoint 3.
+        outputs = {}
+        for name, dests in (("once", "3\n"), ("twice", "3\n10.0.3.4\n")):
+            (tmp_path / f"{name}.dests").write_text(dests)
+            assert cli_main(["rq2", "--topology", str(FIXTURES / "half_split.topo"),
+                             "--dests", str(tmp_path / f"{name}.dests"),
+                             "--protocols", "https", "--seed", "1",
+                             "--out", str(tmp_path / f"{name}.log")]) == 0
+            outputs[name] = [(tmp_path / f"{name}{suffix}").read_bytes()
+                             for suffix in (".log", "_table.csv", "_cdf.csv")]
+        assert outputs["twice"] == outputs["once"]
+        assert len(outputs["once"][0].splitlines()) == 1 + 1664
+
     def test_trace_out_appends_one_record_per_flow(self, tmp_path, capsys):
         from flowstable import logio
 
@@ -341,6 +375,26 @@ class TestRunLog:
         assert list(traces) == ["10.0.3.4|http|198.51.100.7:40000",
                                 "10.0.3.4|http|198.51.100.7:40001"]
         assert all(t.hops == (0, 1, 2) for t in traces.values())
+
+
+    def test_trace_out_keeps_each_trace_of_a_flow(self, tmp_path, capsys):
+        from flowstable import logio
+
+        log = tmp_path / "trace.log"
+        argv = ["trace", "--topology", str(FIXTURES / "rst_chain.topo"), "--dest", "3",
+                "--src-ip", "198.51.100.7", "--src-port", "40000", "--protocol", "https",
+                "--out", str(log)]
+        sensitive = argv + ["--sensitive", "--domain", "blocked.example"]
+        for command, last in ((argv, "reached"), (sensitive, "censored@2")):
+            code, out, err = run(capsys, *command)
+            assert code == 0, err
+            assert out.splitlines()[-1] == last
+        terminals = [r["terminal"] for r in logio.read_log(log) if r["record_kind"] == "trace"]
+        assert terminals == ["reached", "censored@2"]
+        before = log.read_bytes()
+        for command in (argv, sensitive):
+            assert cli_main(command) == 0
+        assert log.read_bytes() == before
 
 
 class TestRefusedBeforeWriting:

@@ -155,7 +155,7 @@ def test_session_packets_match_per_node_walk(doc, host, src_port, protocol, reps
     dst = data.draw(st.sampled_from(endpoints)).address
     source = SourceParams(Ipv4Address(0xC6336400 + host), src_port)
     control, sensitive = (
-        ProbeSpec.for_protocol(protocol, dst, domain, sensitivity, source, repetitions=reps)
+        ProbeSpec(protocol, dst, domain, sensitivity, source, repetitions=reps)
         for domain, sensitivity in zip(DOMAINS, (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
     )
     # A fresh transport per probe: nothing it could share with an earlier

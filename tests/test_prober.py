@@ -14,7 +14,7 @@ from flowstable.core import (
 )
 from flowstable.censors import Health
 from flowstable.experiments import measure_cell
-from flowstable.fixtures import random_topology
+from builders import random_topology
 from flowstable.prober import (
     DEFAULT_REPETITIONS,
     EMPTY_REGISTRY,
@@ -24,13 +24,14 @@ from flowstable.prober import (
     Observation,
     ObservationKind,
     ProbeSpec,
+    Session,
     SimTransport,
     TransportUnavailableError,
     classify,
     is_affected,
     run_cell,
-    run_probe,
 )
+from flowstable.simnet import compile_route
 
 from conftest import flapping, load_fixture
 
@@ -40,8 +41,17 @@ DOMAINS = ("control.example", "blocked.example")
 
 def spec_for(topology, protocol, sensitivity, domain, params=PARAMS, reps=3):
     dst = topology.nodes[max(topology.nodes)].address
-    return ProbeSpec.for_protocol(protocol, dst, domain, sensitivity, params,
-                                  repetitions=reps)
+    return ProbeSpec(protocol, dst, domain, sensitivity, params,
+                     repetitions=reps)
+
+
+def cell_for(topology, protocol, transport, reps=3):
+    """run_cell's (control, sensitive) observations of one PARAMS cell."""
+    return run_cell(
+        spec_for(topology, protocol, Sensitivity.CONTROL, DOMAINS[0], reps=reps),
+        spec_for(topology, protocol, Sensitivity.SENSITIVE, DOMAINS[1], reps=reps),
+        transport,
+    )
 
 
 def verdict_grid(dst, grid, protocol, transport, repetitions=DEFAULT_REPETITIONS):
@@ -128,85 +138,69 @@ class TestClassify:
 
 
 class TestRunProbe:
+    """Probes run through run_cell; each check reads the control or
+    sensitive half it is about."""
+
     def test_clean_http_probe(self):
         topo = load_fixture("chain.topo")
-        observations = run_probe(
-            spec_for(topo, AppProtocol.HTTP, Sensitivity.SENSITIVE, DOMAINS[1]),
-            SimTransport(topo),
-        )
-        assert [o.kind for o in observations] == [P, P, P]
-        assert all(o.tag == "origin:blocked.example" for o in observations)
+        obs_c, obs_s = cell_for(topo, AppProtocol.HTTP, SimTransport(topo))
+        assert [o.kind for o in obs_s] == [P, P, P]
+        assert all(o.tag == "origin:blocked.example" for o in obs_s)
+        assert all(o.tag == "origin:control.example" for o in obs_c)
 
     def test_rst_censor_hits_sensitive_not_control(self):
         topo = load_fixture("rst_chain.topo")
-        transport = SimTransport(topo)
-        sens = run_probe(spec_for(topo, AppProtocol.HTTPS, Sensitivity.SENSITIVE,
-                                  DOMAINS[1]), transport)
-        ctrl = run_probe(spec_for(topo, AppProtocol.HTTPS, Sensitivity.CONTROL,
-                                  DOMAINS[0]), transport)
-        assert [o.kind for o in sens] == [R, R, R]
-        assert [o.kind for o in ctrl] == [P, P, P]
+        obs_c, obs_s = cell_for(topo, AppProtocol.HTTPS, SimTransport(topo))
+        assert [o.kind for o in obs_s] == [R, R, R]
+        assert [o.kind for o in obs_c] == [P, P, P]
 
     def test_dns_injection_vs_silent_control(self):
         topo = load_fixture("dns_inject_chain.topo")
-        transport = SimTransport(topo)
-        sens = run_probe(spec_for(topo, AppProtocol.DNS, Sensitivity.SENSITIVE,
-                                  DOMAINS[1]), transport)
-        ctrl = run_probe(spec_for(topo, AppProtocol.DNS, Sensitivity.CONTROL,
-                                  DOMAINS[0]), transport)
-        assert [o.kind for o in sens] == [D, D, D]
-        assert all(o.tag == "answer-a" for o in sens)
-        assert [o.kind for o in ctrl] == [N, N, N]
+        obs_c, obs_s = cell_for(topo, AppProtocol.DNS, SimTransport(topo))
+        assert [o.kind for o in obs_s] == [D, D, D]
+        assert all(o.tag == "answer-a" for o in obs_s)
+        assert [o.kind for o in obs_c] == [N, N, N]
 
     def test_blockpage_censor(self):
         topo = load_fixture("blockpage_chain.topo")
-        observations = run_probe(
-            spec_for(topo, AppProtocol.HTTP, Sensitivity.SENSITIVE, DOMAINS[1]),
-            SimTransport(topo),
-        )
-        assert [o.kind for o in observations] == [P, P, P]
-        assert all(o.tag == "bp-01" for o in observations)
+        _, obs_s = cell_for(topo, AppProtocol.HTTP, SimTransport(topo))
+        assert [o.kind for o in obs_s] == [P, P, P]
+        assert all(o.tag == "bp-01" for o in obs_s)
 
     def test_route_stability_all_packets_one_flow(self, sent_packets):
         topo = load_fixture("chain.topo")
-        transport = SimTransport(topo)
         spec = spec_for(topo, AppProtocol.HTTPS, Sensitivity.SENSITIVE, DOMAINS[1])
-        run_probe(spec, transport)
+        cell_for(topo, AppProtocol.HTTPS, SimTransport(topo))
         assert sent_packets
         assert {p.flow for p in sent_packets} == {spec.flow}
 
     def test_observations_carry_distinct_epochs(self):
         topo = load_fixture("chain.topo")
-        observations = run_probe(
-            spec_for(topo, AppProtocol.HTTP, Sensitivity.SENSITIVE, DOMAINS[1]),
-            SimTransport(topo),
-        )
-        assert [o.epoch for o in observations] == [1, 2, 3]
+        obs_c, obs_s = cell_for(topo, AppProtocol.HTTP, SimTransport(topo))
+        assert [o.epoch for o in obs_c] == [o.epoch for o in obs_s] == [1, 2, 3]
 
     def test_live_transport_always_errors(self):
         topo = load_fixture("chain.topo")
         with pytest.raises(TransportUnavailableError):
-            run_probe(spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL,
-                               DOMAINS[0]), LiveTransport())
+            cell_for(topo, AppProtocol.HTTP, LiveTransport())
 
-    def test_cell_specs_must_share_flow_and_epoch_interval(self):
+    def test_cell_specs_must_share_flow(self):
         import dataclasses
 
         topo = load_fixture("chain.topo")
         ctrl = spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0])
         sens = spec_for(topo, AppProtocol.HTTP, Sensitivity.SENSITIVE, DOMAINS[1])
         other_port = dataclasses.replace(sens, source=SourceParams(PARAMS.src_ip, 40001))
-        slower = dataclasses.replace(sens, epoch_interval=2)
-        for bad in (other_port, slower):
-            with pytest.raises(ValueError):
-                run_cell(ctrl, bad, SimTransport(topo))
+        with pytest.raises(ValueError):
+            run_cell(ctrl, other_port, SimTransport(topo))
 
     def test_session_rejects_packet_of_another_flow(self):
         import dataclasses
 
         topo = load_fixture("chain.topo")
         spec = spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0])
-        session = SimTransport(topo).session(spec)
+        dest = topo.resolve_destination(spec.dst_ip)
+        session = Session(SimTransport(topo), dest.id, compile_route(topo, spec.flow))
         same = dataclasses.replace(spec.flow)
         assert same is not spec.flow
         assert session.send(Packet(same, ttl=64, kind=PacketKind.TCP_SYN)).responses
@@ -215,9 +209,10 @@ class TestRunProbe:
             session.send(Packet(other, ttl=64, kind=PacketKind.TCP_SYN))
 
     def test_spec_port_protocol_coupling(self):
-        with pytest.raises(ValueError):
-            ProbeSpec(AppProtocol.DNS, Ipv4Address(1), 80, "d", Sensitivity.CONTROL,
-                      PARAMS)
+        for protocol in AppProtocol:
+            spec = ProbeSpec(protocol, Ipv4Address(1), "d", Sensitivity.CONTROL, PARAMS)
+            assert spec.flow.dst_port == protocol.port
+            assert spec.flow.protocol is protocol.transport
 
 
 class TestVerdictMatrix:
@@ -254,9 +249,7 @@ class TestVerdictMatrix:
 class TestGroundTruth:
     def test_every_action_has_exactly_one_event(self, censor_events):
         topo = load_fixture("rst_chain.topo")
-        transport = SimTransport(topo)
-        sens = run_probe(spec_for(topo, AppProtocol.HTTPS, Sensitivity.SENSITIVE,
-                                  DOMAINS[1]), transport)
+        _, sens = cell_for(topo, AppProtocol.HTTPS, SimTransport(topo))
         assert [o.kind for o in sens] == [R, R, R]
         events = censor_events
         assert len(events) == 3  # one per sensitive payload, none extra
@@ -277,9 +270,7 @@ class TestGroundTruth:
         from flowstable.simnet import load_topology
 
         topo = load_topology(doc)
-        transport = SimTransport(topo)
-        sens = run_probe(spec_for(topo, AppProtocol.HTTPS, Sensitivity.SENSITIVE,
-                                  DOMAINS[1]), transport)
+        _, sens = cell_for(topo, AppProtocol.HTTPS, SimTransport(topo))
         assert [o.kind for o in sens] == [N, N, N]
         assert len(censor_events) == 3
 
@@ -331,10 +322,10 @@ class TestConservativeness:
             params = SourceParams(Ipv4Address(0xC6336400 + rng.randrange(1, 255)),
                                   rng.randrange(32768, 61000))
             dst = topo.nodes[max(topo.nodes)].address
-            ctrl = ProbeSpec.for_protocol(protocol, dst, DOMAINS[0],
-                                          Sensitivity.CONTROL, params)
-            sens = ProbeSpec.for_protocol(protocol, dst, DOMAINS[1],
-                                          Sensitivity.SENSITIVE, params)
+            ctrl = ProbeSpec(protocol, dst, DOMAINS[0],
+                             Sensitivity.CONTROL, params)
+            sens = ProbeSpec(protocol, dst, DOMAINS[1],
+                             Sensitivity.SENSITIVE, params)
             obs_c, obs_s = run_cell(ctrl, sens, transport)
             verdict = classify(obs_c, obs_s, protocol)
             assert not verdict.is_censored
@@ -344,10 +335,10 @@ class TestConservativeness:
                         [(2, Health.FAILED), (3, Health.ACTIVE)])
         transport = SimTransport(topo)
         dst = topo.nodes[3].address
-        ctrl = ProbeSpec.for_protocol(AppProtocol.HTTPS, dst, DOMAINS[0],
-                                      Sensitivity.CONTROL, PARAMS)
-        sens = ProbeSpec.for_protocol(AppProtocol.HTTPS, dst, DOMAINS[1],
-                                      Sensitivity.SENSITIVE, PARAMS)
+        ctrl = ProbeSpec(AppProtocol.HTTPS, dst, DOMAINS[0],
+                         Sensitivity.CONTROL, PARAMS)
+        sens = ProbeSpec(AppProtocol.HTTPS, dst, DOMAINS[1],
+                         Sensitivity.SENSITIVE, PARAMS)
         obs_c, obs_s = run_cell(ctrl, sens, transport)
         assert classify(obs_c, obs_s, AppProtocol.HTTPS).is_excluded
 

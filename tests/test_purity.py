@@ -81,7 +81,7 @@ def endpoints(topology):
 def cell(topology, transport, dest, protocol, params):
     dst = topology.nodes[dest].address
     control, sensitive = (
-        ProbeSpec.for_protocol(protocol, dst, domain, sensitivity, params)
+        ProbeSpec(protocol, dst, domain, sensitivity, params)
         for domain, sensitivity in zip(DOMAINS, (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
     )
     obs_c, obs_s = run_cell(control, sensitive, transport)
@@ -89,7 +89,7 @@ def cell(topology, transport, dest, protocol, params):
 
 
 def traced(topology, transport, dest, protocol, params):
-    spec = ProbeSpec.for_protocol(
+    spec = ProbeSpec(
         protocol, topology.nodes[dest].address, DOMAINS[1], Sensitivity.SENSITIVE,
         params, repetitions=1,
     )
@@ -133,7 +133,7 @@ def test_topology_unchanged_after_use(registry):
     run_rq2(plan_rq2([dest], seed=3), transport, protocols=[AppProtocol.HTTPS],
             registry=registry)
     params = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
-    trace(ProbeSpec.for_protocol(AppProtocol.HTTPS, dest, DOMAINS[1],
-                                 Sensitivity.SENSITIVE, params, repetitions=1),
+    trace(ProbeSpec(AppProtocol.HTTPS, dest, DOMAINS[1],
+                    Sensitivity.SENSITIVE, params, repetitions=1),
           DEFAULT_MAX_TTL, transport)
     assert topology == build()

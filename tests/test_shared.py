@@ -34,7 +34,7 @@ schedules = st.lists(
 
 def specs(dst, protocol, source, reps, domain=DOMAINS[1]):
     return tuple(
-        ProbeSpec.for_protocol(protocol, dst, name, sensitivity, source, repetitions=reps)
+        ProbeSpec(protocol, dst, name, sensitivity, source, repetitions=reps)
         for name, sensitivity in zip((DOMAINS[0], domain),
                                      (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
     )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flowstable.core import FlowId, Ipv4Address, Packet, PacketKind, Protocol, SourceParams
 from flowstable import simnet
-from flowstable.fixtures import random_topology
+from builders import random_topology
 from flowstable.simnet import (
     LOOP_GUARD,
     DanglingNodeRefError,

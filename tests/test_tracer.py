@@ -3,7 +3,7 @@ import random
 import pytest
 
 from flowstable.core import AppProtocol, Ipv4Address, PacketKind, Protocol, Sensitivity, SourceParams
-from flowstable.fixtures import random_topology
+from builders import random_topology
 from flowstable.prober import ProbeSpec, SimTransport
 from flowstable.simnet import oracle_paths
 from flowstable.tracer import (
@@ -20,8 +20,8 @@ PARAMS = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
 
 def sensitive_spec(topology, protocol, params=PARAMS, dst=None, domain="blocked.example"):
     dst_ip = topology.nodes[dst if dst is not None else max(topology.nodes)].address
-    return ProbeSpec.for_protocol(protocol, dst_ip, domain, Sensitivity.SENSITIVE,
-                                  params, repetitions=1)
+    return ProbeSpec(protocol, dst_ip, domain, Sensitivity.SENSITIVE,
+                     params, repetitions=1)
 
 
 class TestTrace:
