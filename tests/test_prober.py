@@ -39,17 +39,16 @@ PARAMS = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
 DOMAINS = ("control.example", "blocked.example")
 
 
-def spec_for(topology, protocol, sensitivity, domain, params=PARAMS, reps=3):
+def spec_for(topology, protocol, sensitivity, domain):
     dst = topology.nodes[max(topology.nodes)].address
-    return ProbeSpec(protocol, dst, domain, sensitivity, params,
-                     repetitions=reps)
+    return ProbeSpec(protocol, dst, domain, sensitivity, PARAMS)
 
 
-def cell_for(topology, protocol, transport, reps=3):
+def cell_for(topology, protocol, transport):
     """run_cell's (control, sensitive) observations of one PARAMS cell."""
     return run_cell(
-        spec_for(topology, protocol, Sensitivity.CONTROL, DOMAINS[0], reps=reps),
-        spec_for(topology, protocol, Sensitivity.SENSITIVE, DOMAINS[1], reps=reps),
+        spec_for(topology, protocol, Sensitivity.CONTROL, DOMAINS[0]),
+        spec_for(topology, protocol, Sensitivity.SENSITIVE, DOMAINS[1]),
         transport,
     )
 
