@@ -29,11 +29,11 @@ from . import logio
 from .prober import (
     DEFAULT_REPETITIONS,
     BlockpageRegistry,
+    Cell,
     EMPTY_REGISTRY,
-    Observation,
     ProbeSpec,
     TransportUnavailableError,
-    classify,
+    classify,  # unused here; perfbench's span tests patch it through this module
     run_cell,
 )
 from .tracer import DEFAULT_MAX_TTL, TracePath, merge_paths, trace
@@ -199,36 +199,6 @@ def run_rq1(
     return out
 
 
-def measure_cell(
-    dst: Ipv4Address,
-    protocol: AppProtocol,
-    params: SourceParams,
-    domain_pair: Tuple[str, str],
-    transport,
-    registry: BlockpageRegistry,
-    repetitions: int,
-) -> Tuple[List[Observation], List[Observation], Verdict]:
-    """Probe one (destination, protocol, source params) cell and classify it.
-
-    Returns the control observations, the sensitive observations and
-    the verdict. A transport that cannot carry probes makes the cell
-    Excluded with no observations, so one bad cell never aborts a sweep.
-    """
-    control_domain, sensitive_domain = domain_pair
-    spec_c = ProbeSpec(
-        protocol, dst, control_domain, Sensitivity.CONTROL, params, repetitions=repetitions
-    )
-    spec_s = ProbeSpec(
-        protocol, dst, sensitive_domain, Sensitivity.SENSITIVE, params,
-        repetitions=repetitions,
-    )
-    try:
-        obs_c, obs_s = run_cell(spec_c, spec_s, transport)
-    except TransportUnavailableError:
-        return [], [], Verdict.excluded()
-    return obs_c, obs_s, classify(obs_c, obs_s, protocol, registry)
-
-
 def run_rq2(
     plan: Rq2Plan,
     transport,
@@ -239,10 +209,16 @@ def run_rq2(
 ) -> Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]:
     """Verdict matrix per (destination, protocol).
 
-    Cells run one at a time in grid order, each in its own session.
+    Cells run one at a time in grid order, each in its own session or
+    taking the result of an earlier cell on its route (see run_cell),
+    with its verdict and the fixed part of its log line. What a cell
+    fixes but its source is built once per (destination, protocol). A
+    transport that cannot carry probes makes a cell Excluded with no
+    observations, so one bad cell never aborts a sweep.
+
     With a log (from logio.open_run), cells it holds a verdict for under
     this run's id are not run again and their verdicts are taken from
-    it; each new cell becomes one record, in plan order, appended in
+    it; each new cell becomes one line, in plan order, appended in
     batches (see logio.Appender) and all written by the end of its
     matrix. A sweep cut short therefore resumes where it stopped and
     leaves the same log as an uninterrupted one.
@@ -252,20 +228,20 @@ def run_rq2(
     for dst in plan.destinations:
         for protocol in protocols:
             done = log.verdicts.get((dst, protocol), {}) if log is not None else {}
+            lines = None if log is None else logio.VerdictLines(log.run_id, dst, protocol)
+            cell = Cell(protocol, dst, plan.domain_pair, repetitions, registry, lines)
             matrix: Dict[SourceParams, Verdict] = {}
             for params in plan.grid:
                 if params in done:
                     matrix[params] = done[params]
                     continue
-                obs_c, obs_s, verdict = measure_cell(
-                    dst, protocol, params, plan.domain_pair, transport,
-                    registry, repetitions,
-                )
-                matrix[params] = verdict
+                try:
+                    result = run_cell(cell, params, transport)
+                except TransportUnavailableError:
+                    result = cell.result((), (), Verdict.excluded())
+                matrix[params] = result.verdict
                 if appender is not None:
-                    appender.add(logio.verdict_record(
-                        log.run_id, dst, protocol, params, obs_c, obs_s, verdict
-                    ))
+                    appender.add(lines.line(result.encoded, params))
             if appender is not None:
                 appender.flush()
             out[(dst, protocol)] = matrix

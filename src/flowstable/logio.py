@@ -71,14 +71,16 @@ class RunLog:
     run ids that have a meta record. run_id is the run the log was read
     for: then verdicts and traces hold only that run's, so a run never
     takes another run's cell or trace for one of its own. With run_id
-    None, they hold every run's. repetitions holds the lengths of the
-    control and sensitive lists of the verdict records read.
+    None, they hold every run's, and traces maps (run id, trace id) to
+    trace, since trace ids are unique only within a run. repetitions
+    holds the lengths of the control and sensitive lists of the verdict
+    records read.
     """
 
     path: Path
     run_id: Optional[str]
     verdicts: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]
-    traces: Dict[str, TracePath]
+    traces: Dict[Union[str, Tuple[str, str]], TracePath]
     run_ids: Set[str]
     repetitions: Set[int] = field(default_factory=set)
 
@@ -91,9 +93,16 @@ def make_record(kind: str, run_id: str, **payload) -> Dict:
     return record
 
 
-def append_records(path: Union[str, Path], records: Iterable[Dict]) -> None:
-    """Append records as one write so a crash loses whole records only."""
-    chunk = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+def encode_record(record: Dict) -> str:
+    """The record's line: its JSON with sorted keys, then a newline."""
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def append_records(path: Union[str, Path], records: Iterable[Union[Dict, str]]) -> None:
+    """Append records as one write so a crash loses whole records only.
+    A record is a dict, or its line as encode_record or
+    VerdictLines.line wrote it."""
+    chunk = "".join(r if isinstance(r, str) else encode_record(r) for r in records)
     if not chunk:
         return
     with open(path, "a", encoding="utf-8") as fh:
@@ -101,16 +110,17 @@ def append_records(path: Union[str, Path], records: Iterable[Dict]) -> None:
 
 
 class Appender:
-    """Collects records bound for one log and appends them in batches of
+    """Collects records (dicts or lines, as append_records takes them)
+    bound for one log and appends them in batches of
     at most APPEND_BATCH, each with one append_records call. flush()
     writes what is held; a run flushes when it finishes a unit (an rq2
     matrix, an rq1 plan), so a log never lags a finished unit."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = path
-        self._records: List[Dict] = []
+        self._records: List[Union[Dict, str]] = []
 
-    def add(self, record: Dict) -> None:
+    def add(self, record: Union[Dict, str]) -> None:
         self._records.append(record)
         if len(self._records) >= APPEND_BATCH:
             self.flush()
@@ -232,7 +242,7 @@ _FIELD_ERRORS = (KeyError, ValueError, TypeError, AttributeError)
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """The log's verdicts, traces and run ids, in one streaming pass
     that keeps no record dicts. With run_id, only that run's verdicts
-    and traces.
+    and traces; without, every run's (see RunLog).
 
     The read parses each distinct address, source, (destination,
     protocol), verdict and terminal once and shares the immutable
@@ -253,8 +263,10 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
                 matrix = run.verdicts.setdefault(reader.key(record), {})
                 matrix[reader.source(record)] = reader.verdict(record)
                 run.repetitions.update((len(record["control"]), len(record["sensitive"])))
-            else:
+            elif run_id is not None:
                 run.traces[record["trace_id"]] = reader.trace(record)
+            else:
+                run.traces[(record["run_id"], record["trace_id"])] = reader.trace(record)
         except _FIELD_ERRORS as exc:
             what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise CorruptRecordError(f"{path} line {lineno}: {what}") from exc
@@ -371,6 +383,53 @@ def verdict_record(
         control=[[o.epoch, o.kind.value, o.tag] for o in control],
         sensitive=[[o.epoch, o.kind.value, o.tag] for o in sensitive],
     )
+
+
+#: Stands in for a cell's source in the fixed part of its verdict line.
+_NO_SOURCE = SourceParams(Ipv4Address(0), 0)
+
+
+def _source_fields(source: SourceParams) -> str:
+    """A verdict line's source fields as encode_record writes them: a
+    dotted quad and a port hold nothing JSON escapes."""
+    return f'"src_ip": "{source.src_ip}", "src_port": {source.src_port}'
+
+
+@dataclass(frozen=True)
+class VerdictLines:
+    """The verdict lines of one run's (destination, protocol) matrix.
+
+    Called with a cell's control and sensitive observations and its
+    verdict, it returns the fixed part of the cell's line: every field
+    but the source, cut from encode_record's own output, so escaping is
+    json's. line() splices a cell's source fields in. An rq2 Cell takes
+    it as its encode, so the fixed part is encoded once per shared
+    result; it compares equal only to one of the same run id,
+    destination and protocol, so a shared result's line names its own
+    run. Each line equals encode_record(verdict_record(...)).
+    """
+
+    run_id: str
+    dst: Ipv4Address
+    protocol: AppProtocol
+
+    def __call__(
+        self,
+        control: Sequence[Observation],
+        sensitive: Sequence[Observation],
+        verdict: Verdict,
+    ) -> Tuple[str, str]:
+        text = encode_record(verdict_record(
+            self.run_id, self.dst, self.protocol, _NO_SOURCE, control, sensitive, verdict
+        ))
+        head, tail = text.split(_source_fields(_NO_SOURCE))
+        return head, tail
+
+    @staticmethod
+    def line(fixed: Tuple[str, str], source: SourceParams) -> str:
+        """The line of the cell from source whose fixed part is fixed."""
+        head, tail = fixed
+        return head + _source_fields(source) + tail
 
 
 def parse_verdict(record: Dict) -> Verdict:

@@ -5,8 +5,9 @@ packets of one spec share a single flow id and therefore a single
 route. Every probe runs through a transport's run(): the simulator
 backend opens each session there, on the flow's compiled route, and
 shares the result among flows on the same route; the live adapter
-deliberately only raises. run_cell probes a control/sensitive pair and
-tracer.trace climbs a TTL ladder, both through run().
+deliberately only raises. run_cell probes and classifies a
+control/sensitive cell and tracer.trace climbs a TTL ladder, both
+through run().
 
 Verdicts follow the all-repetitions rule: a cell is Censored only when
 every sensitive repetition shows the censoring behavior and every
@@ -58,6 +59,14 @@ DEFAULT_REPETITIONS = 3
 R = TypeVar("R")
 
 
+def _flow(protocol: AppProtocol, dst_ip: Ipv4Address, source: SourceParams) -> FlowId:
+    """The one flow id of every packet a probe of protocol from source
+    to dst_ip sends; its destination port is the protocol's."""
+    return FlowId(
+        source.src_ip, dst_ip, source.src_port, protocol.port, protocol.transport
+    )
+
+
 class TransportUnavailableError(RuntimeError):
     """The transport cannot carry probes."""
 
@@ -90,14 +99,7 @@ class ProbeSpec:
             raise ValueError("repetitions must be >= 1")
         if self.sensitivity is Sensitivity.NOT_APPLICABLE:
             raise ValueError("probe sensitivity must be control or sensitive")
-        flow = FlowId(
-            self.source.src_ip,
-            self.dst_ip,
-            self.source.src_port,
-            self.protocol.port,
-            self.protocol.transport,
-        )
-        object.__setattr__(self, "flow", flow)
+        object.__setattr__(self, "flow", _flow(self.protocol, self.dst_ip, self.source))
 
     def without_source(self) -> Tuple:
         """Every field but the source: with the route, what fixes each
@@ -143,6 +145,72 @@ EMPTY_REGISTRY = BlockpageRegistry()
 
 
 @dataclass(frozen=True)
+class CellResult:
+    """What a control/sensitive cell observed, its verdict, and what the
+    cell's encode made of them (None without one)."""
+
+    control: Tuple[Observation, ...]
+    sensitive: Tuple[Observation, ...]
+    verdict: Verdict
+    encoded: object = None
+
+
+@dataclass(frozen=True)
+class Cell:
+    """Everything a control/sensitive cell fixes but its source: the
+    destination, protocol and (control, sensitive) domain pair its two
+    probes carry, their repetitions, and the registry classify reads.
+
+    encode, when set, is called as encode(control, sensitive, verdict)
+    and its value becomes CellResult.encoded; rq2 makes it the fixed
+    part of the cell's log line. Like classify, it runs once per result
+    that run_cell shares, so it may read only its arguments and itself;
+    key covers it, and the registry, by their own equality.
+    """
+
+    protocol: AppProtocol
+    dst_ip: Ipv4Address
+    domains: Tuple[str, str]
+    repetitions: int = DEFAULT_REPETITIONS
+    registry: BlockpageRegistry = EMPTY_REGISTRY
+    encode: Optional[Callable[..., object]] = None
+    #: With the route, what fixes every packet the cell sends and every
+    #: value it returns (see SimTransport.run).
+    key: Tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        control, sensitive = self.domains
+        # Enum values, not members: members hash slowly.
+        key = (
+            "cell", self.protocol.value, self.dst_ip.value, control, sensitive,
+            self.repetitions, self.registry, self.encode,
+        )
+        object.__setattr__(self, "key", key)
+
+    def specs(self, source: SourceParams) -> Tuple[ProbeSpec, ProbeSpec]:
+        """The cell's control and sensitive probe specs from source."""
+        control, sensitive = self.domains
+        return (
+            ProbeSpec(self.protocol, self.dst_ip, control, Sensitivity.CONTROL, source,
+                      self.repetitions),
+            ProbeSpec(self.protocol, self.dst_ip, sensitive, Sensitivity.SENSITIVE, source,
+                      self.repetitions),
+        )
+
+    def result(
+        self,
+        control: Tuple[Observation, ...],
+        sensitive: Tuple[Observation, ...],
+        verdict: Verdict,
+    ) -> CellResult:
+        """The cell's result of these observations and verdict."""
+        encoded = self.encode(control, sensitive, verdict) if self.encode else None
+        return CellResult(control, sensitive, verdict, encoded)
+
+
+@dataclass(frozen=True)
 class SendResult:
     """What the transport hands back for one emitted packet."""
 
@@ -168,7 +236,7 @@ class LiveTransport:
     out-of-tree; every operation here raises.
     """
 
-    def run(self, spec: "ProbeSpec", key: Hashable, probe: Callable[["Session"], R]) -> R:
+    def run(self, flow: FlowId, key: Hashable, probe: Callable[["Session"], R]) -> R:
         raise TransportUnavailableError(_LIVE_UNAVAILABLE)
 
 
@@ -187,12 +255,13 @@ class SimTransport:
     A flow's route fixes every censor, fault and endpoint its packets
     meet, so what a probe observes depends on its source only through
     the route and the loss draws. run() therefore simulates a probe
-    once per (route, key), the key naming the probe and every spec field
-    but the source, and hands the result to every later flow on that
-    route whose own loss draws, at the points the simulation drew, all
-    pass; a flow with a draw that drops is simulated in full. Until its
-    first drop a lossy run is the loss-free run, so the shared result is
-    exactly what the flow's own simulation gives.
+    once per (route, key), the key naming the probe and everything but
+    the source that its packets and its result depend on, and hands the
+    result to every later flow on that route whose own loss draws, at
+    the points the simulation drew, all pass; a flow with a draw that
+    drops is simulated in full. Until its first drop a lossy run is the
+    loss-free run, so the shared result is exactly what the flow's own
+    simulation gives.
 
     The shared results are kept for one (destination, protocol) at a
     time, at most SHARED_LIMIT of them, and dropped when a probe of
@@ -202,32 +271,34 @@ class SimTransport:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._scope: Optional[Tuple[Ipv4Address, AppProtocol]] = None
+        self._scope: Optional[Tuple[Ipv4Address, int]] = None
         #: (route nodes, key) -> (result, (loss key head, tail, p) of each draw point)
         self._shared: Dict[Tuple, Tuple[object, Tuple[Tuple[bytes, bytes, float], ...]]] = {}
 
-    def run(self, spec: ProbeSpec, key: Hashable, probe: Callable[["Session"], R]) -> R:
-        """probe(session) on a fresh session of spec's flow, or the result
-        of the first such run with the same key on the same route that
-        drew no drop, when spec's flow draws no drop at its draw points.
+    def run(self, flow: FlowId, key: Hashable, probe: Callable[["Session"], R]) -> R:
+        """probe(session) on a fresh session of flow, or the result of the
+        first such run with the same key on the same route that drew no
+        drop, when flow draws no drop at its draw points.
 
-        key must name the probe and every spec field other than the
-        source that the probe's packets depend on. A run that raises or
-        draws a drop is not kept, nor is one past SHARED_LIMIT. The
-        result is shared, so callers must not change it.
+        key must name the probe and everything other than the source
+        that the probe's packets and its result depend on. A run that
+        raises or draws a drop is not kept, nor is one past
+        SHARED_LIMIT. The result is shared, so callers must not change
+        it.
         """
         topology = self.topology
-        nodes = route(topology, spec.flow)
-        scope = (spec.dst_ip, spec.protocol)
+        nodes = route(topology, flow)
+        # The destination port names the protocol.
+        scope = (flow.dst_ip, flow.dst_port)
         if scope != self._scope:
             self._scope = scope
             self._shared = {}
         shared_key = (nodes, key)
         shared = self._shared.get(shared_key)
-        if shared is not None and not _drops(spec.flow, shared[1]):
+        if shared is not None and not _drops(flow, shared[1]):
             return shared[0]
-        dest = topology.resolve_destination(spec.dst_ip)
-        session = Session(self, dest.id, compile_route(topology, spec.flow, nodes))
+        dest = topology.resolve_destination(flow.dst_ip)
+        session = Session(self, dest.id, compile_route(topology, flow, nodes))
         result = probe(session)
         if shared is None and not session.dropped and len(self._shared) < SHARED_LIMIT:
             seed = topology.seed
@@ -412,43 +483,35 @@ def _run_exchange(
     return Observation(epoch, ObservationKind.PAYLOAD_RESPONSE, hit.body_tag)
 
 
-def run_cell(
-    control: ProbeSpec,
-    sensitive: ProbeSpec,
-    transport,
-) -> Tuple[List[Observation], List[Observation]]:
-    """Run a control/sensitive pair interleaved per epoch, control first.
+def run_cell(cell: Cell, source: SourceParams, transport) -> CellResult:
+    """Probe and classify cell from source: its control and sensitive
+    probes interleaved per epoch, control first.
 
-    Both specs must agree on everything that feeds the flow id, so both
-    probes of a repetition cross the same path in the same epoch. They share one session: a residual window
+    Both probes share the one flow of source, so they cross the same
+    path in the same epoch. They share one session: a residual window
     opened by a sensitive hit also covers the control probes after it.
-    The pair runs through transport.run, so a cell whose route an
-    earlier cell of the same pair of specs already simulated, and whose
-    own loss draws all pass, gets that cell's observations.
+    The cell runs through transport.run, so a cell whose route an
+    earlier source of the same cell already simulated, and whose own
+    loss draws all pass, gets that result: its observations, its verdict
+    and its encoded value. The result is shared, so callers must not
+    change it.
     """
-    if control.flow != sensitive.flow:
-        raise ValueError("control and sensitive specs must share one flow id")
-    if control.repetitions != sensitive.repetitions:
-        raise LengthMismatchError("control and sensitive repetitions differ")
-    key = ("cell", control.without_source(), sensitive.without_source())
-    obs_c, obs_s = transport.run(
-        control, key, lambda session: _run_cell(control, sensitive, session)
-    )
-    return list(obs_c), list(obs_s)
+    flow = _flow(cell.protocol, cell.dst_ip, source)
+    return transport.run(flow, cell.key, lambda session: _run_cell(cell, source, session))
 
 
-def _run_cell(
-    control: ProbeSpec, sensitive: ProbeSpec, session: Session
-) -> Tuple[Tuple[Observation, ...], Tuple[Observation, ...]]:
-    """run_cell's repetitions on one session."""
+def _run_cell(cell: Cell, source: SourceParams, session: Session) -> CellResult:
+    """run_cell's repetitions on one session, classified and encoded."""
+    control, sensitive = cell.specs(source)
     packets_c, packets_s = _exchange_packets(control), _exchange_packets(sensitive)
     obs_c: List[Observation] = []
     obs_s: List[Observation] = []
-    for _ in range(control.repetitions):
+    for _ in range(cell.repetitions):
         session.advance()
         obs_c.append(_run_exchange(control, session, packets_c))
         obs_s.append(_run_exchange(sensitive, session, packets_s))
-    return tuple(obs_c), tuple(obs_s)
+    verdict = classify(obs_c, obs_s, cell.protocol, cell.registry)
+    return cell.result(tuple(obs_c), tuple(obs_s), verdict)
 
 
 def classify(

@@ -94,7 +94,7 @@ def trace(
     if not 1 <= max_ttl <= MAX_TTL_CEILING:
         raise ValueError(f"max_ttl must be in 1..{MAX_TTL_CEILING}, got {max_ttl}")
     key = ("trace", spec.without_source(), max_ttl)
-    path = transport.run(spec, key, lambda session: _climb(spec, max_ttl, session))
+    path = transport.run(spec.flow, key, lambda session: _climb(spec, max_ttl, session))
     if path.source != spec.source:
         path = dataclasses.replace(path, source=spec.source)
     return path

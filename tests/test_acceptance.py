@@ -24,7 +24,7 @@ from flowstable.core import AppProtocol, Ipv4Address, Sensitivity, SourceParams
 from flowstable.censors import Health
 from flowstable.experiments import Rq1Variation, plan_rq1, plan_rq2, run_rq1, run_rq2
 from builders import random_topology
-from flowstable.prober import ProbeSpec, SimTransport, classify, run_cell
+from flowstable.prober import Cell, ProbeSpec, SimTransport, classify, run_cell
 from flowstable.simnet import Role, oracle_paths
 from flowstable.tracer import TerminalKind, trace
 
@@ -118,12 +118,9 @@ def test_criterion_3_classifier_conservativeness():
         )
         dst = _endpoint(topology).address
         transport = SimTransport(topology)
-        control = ProbeSpec(protocol, dst, DOMAINS[0],
-                            Sensitivity.CONTROL, params)
-        sensitive = ProbeSpec(protocol, dst, DOMAINS[1],
-                              Sensitivity.SENSITIVE, params)
-        obs_c, obs_s = run_cell(control, sensitive, transport)
-        verdict = classify(obs_c, obs_s, protocol)
+        result = run_cell(Cell(protocol, dst, DOMAINS), params, transport)
+        verdict = classify(result.control, result.sensitive, protocol)
+        assert result.verdict == verdict
         assert not verdict.is_censored
         verdict_kinds.add(verdict.kind.value)
     elapsed = time.monotonic() - started
@@ -146,12 +143,9 @@ def test_criterion_4_flapping_exclusion():
         )
         dst = topology.nodes[3].address
         transport = SimTransport(topology)
-        control = ProbeSpec(AppProtocol.HTTPS, dst, DOMAINS[0],
-                            Sensitivity.CONTROL, params)
-        sensitive = ProbeSpec(AppProtocol.HTTPS, dst, DOMAINS[1],
-                              Sensitivity.SENSITIVE, params)
-        obs_c, obs_s = run_cell(control, sensitive, transport)
-        verdict = classify(obs_c, obs_s, AppProtocol.HTTPS)
+        result = run_cell(Cell(AppProtocol.HTTPS, dst, DOMAINS), params, transport)
+        verdict = classify(result.control, result.sensitive, AppProtocol.HTTPS)
+        assert result.verdict == verdict
         assert verdict.is_excluded, f"seed {seed}: {verdict}"
         excluded += 1
     _report(4, "flapping-exclusion", f"({excluded}/100 excluded)")

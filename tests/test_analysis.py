@@ -39,8 +39,7 @@ from builders import (
     build_type4,
     standard_grid,
 )
-from flowstable.experiments import measure_cell
-from flowstable.prober import DEFAULT_REPETITIONS, BlockpageRegistry, ProbeSpec, SimTransport
+from flowstable.prober import BlockpageRegistry, Cell, ProbeSpec, SimTransport, run_cell
 from flowstable.tracer import TracePath, Terminal, TerminalKind, merge_paths, trace
 
 from conftest import load_fixture
@@ -243,11 +242,8 @@ class TestDualGraph:
 def run_fixture_pipeline(fx, grid=None):
     transport = SimTransport(fx.topology)
     grid = grid or standard_grid()
-    matrix = {
-        p: measure_cell(fx.dst_ip, fx.protocol, p, (CONTROL_DOMAIN, SENSITIVE_DOMAIN),
-                        transport, REGISTRY, DEFAULT_REPETITIONS)[2]
-        for p in grid
-    }
+    cell = Cell(fx.protocol, fx.dst_ip, (CONTROL_DOMAIN, SENSITIVE_DOMAIN), registry=REGISTRY)
+    matrix = {p: run_cell(cell, p, transport).verdict for p in grid}
     traces = []
     for p in grid:
         spec = ProbeSpec(fx.protocol, fx.dst_ip, SENSITIVE_DOMAIN,

@@ -372,8 +372,8 @@ class TestRunLog:
             )
             assert code == 0, err
         traces = logio.read_run(log).traces
-        assert list(traces) == ["10.0.3.4|http|198.51.100.7:40000",
-                                "10.0.3.4|http|198.51.100.7:40001"]
+        assert [trace_id for _, trace_id in traces] == ["10.0.3.4|http|198.51.100.7:40000",
+                                                        "10.0.3.4|http|198.51.100.7:40001"]
         assert all(t.hops == (0, 1, 2) for t in traces.values())
 
 
@@ -395,6 +395,28 @@ class TestRunLog:
         for command in (argv, sensitive):
             assert cli_main(command) == 0
         assert log.read_bytes() == before
+
+    def test_log_read_keeps_each_runs_trace_of_a_flow(self, tmp_path, capsys):
+        from flowstable import logio
+
+        log = tmp_path / "trace.log"
+        argv = ["trace", "--topology", str(FIXTURES / "rst_chain.topo"), "--dest", "3",
+                "--src-ip", "198.51.100.7", "--src-port", "40000", "--protocol", "https",
+                "--out", str(log)]
+        for command in (argv, argv + ["--sensitive", "--domain", "blocked.example"]):
+            assert cli_main(command) == 0
+        capsys.readouterr()
+        traces = logio.read_run(log).traces
+        assert [trace_id for _, trace_id in traces] == ["10.0.3.4|https|198.51.100.7:40000"] * 2
+        assert [logio.terminal_str(t.terminal) for t in traces.values()] == [
+            "reached", "censored@2"]
+        # graph sees both: one flow traced clear by one run and censored
+        # by the other is one mixed group, hence Excluded, not the last
+        # run's censored group.
+        code, _, err = run(capsys, "graph", "--log", str(log), "--dest", "10.0.3.4",
+                           "--out", str(tmp_path / "g"))
+        assert code == 2
+        assert "need censored and clear groups, have 0/0" in err
 
 
 class TestRefusedBeforeWriting:

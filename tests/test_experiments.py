@@ -1,9 +1,10 @@
+import json
 from collections import Counter
 
 import pytest
 
 from flowstable.analysis import no_censorship_fraction, num_paths
-from flowstable.core import AppProtocol, EPHEMERAL_PORT_RANGE, Ipv4Address
+from flowstable.core import AppProtocol, EPHEMERAL_PORT_RANGE, Ipv4Address, Verdict
 from flowstable import logio
 from flowstable.experiments import (
     EmptyCandidatesError,
@@ -13,7 +14,7 @@ from flowstable.experiments import (
     run_rq1,
     run_rq2,
 )
-from flowstable.prober import SimTransport, is_affected
+from flowstable.prober import LiveTransport, SimTransport, is_affected
 
 from conftest import load_fixture
 
@@ -166,3 +167,16 @@ class TestRunners:
         first = run_rq2(plan, transport, protocols=[AppProtocol.HTTPS], registry=registry)
         again = run_rq2(plan, transport, protocols=[AppProtocol.HTTPS], registry=registry)
         assert first == again
+
+    def test_rq2_unavailable_transport_logs_excluded_cells(self, tmp_path):
+        plan = plan_rq2([DEST], seed=5)
+        path = tmp_path / "live.log"
+        log = logio.open_run(path, "rq2")
+        (matrix,) = run_rq2(plan, LiveTransport(), protocols=[AppProtocol.HTTP],
+                            log=log).values()
+        assert set(matrix.values()) == {Verdict.excluded()}
+        assert path.read_text().splitlines()[1:] == [
+            json.dumps(logio.verdict_record("rq2", DEST, AppProtocol.HTTP, params, [], [],
+                                            Verdict.excluded()), sort_keys=True)
+            for params in plan.grid
+        ]

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowstable import censors, prober
-from flowstable.core import AppProtocol, FlowId, Ipv4Address, Protocol, Sensitivity, SourceParams
-from flowstable.prober import HandshakeFailedError, ProbeSpec, SimTransport, run_cell
+from flowstable.core import AppProtocol, FlowId, Ipv4Address, Protocol, SourceParams
+from flowstable.prober import Cell, HandshakeFailedError, SimTransport, run_cell
 from flowstable.simnet import (
     LOOP_GUARD,
     LoopGuardExceededError,
@@ -154,14 +154,12 @@ def test_session_packets_match_per_node_walk(doc, host, src_port, protocol, reps
     endpoints = [n for n in topology.nodes.values() if n.role is Role.ENDPOINT]
     dst = data.draw(st.sampled_from(endpoints)).address
     source = SourceParams(Ipv4Address(0xC6336400 + host), src_port)
-    control, sensitive = (
-        ProbeSpec(protocol, dst, domain, sensitivity, source, repetitions=reps)
-        for domain, sensitivity in zip(DOMAINS, (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
-    )
+    cell = Cell(protocol, dst, DOMAINS, reps)
+    _, sensitive = cell.specs(source)
     # A fresh transport per probe: nothing it could share with an earlier
     # flow, so every packet is simulated and checked.
     with checked_sends(topology) as checked:
-        run_cell(control, sensitive, SimTransport(topology))
+        run_cell(cell, source, SimTransport(topology))
         with contextlib.suppress(HandshakeFailedError):
             trace(sensitive, data.draw(st.integers(1, 20)), SimTransport(topology))
     assert checked

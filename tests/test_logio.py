@@ -121,7 +121,8 @@ def test_trace_rows_round_trip(tmp_path):
     path = tmp_path / "run.log"
     logio.append_records(path, [record])
     assert path.read_text().count("\n") == 1
-    assert logio.read_run(path).traces == {"t0": trace}
+    assert logio.read_run(path).traces == {("run-b", "t0"): trace}
+    assert logio.read_run(path, "run-b").traces == {"t0": trace}
 
 
 def test_terminal_string_round_trip():
@@ -297,7 +298,8 @@ def _reference_run(records, run_id):
         if run_id is not None and r["run_id"] != run_id:
             continue
         if r["record_kind"] == "trace":
-            traces[r["trace_id"]] = _reference_trace(r)
+            key = r["trace_id"] if run_id is not None else (r["run_id"], r["trace_id"])
+            traces[key] = _reference_trace(r)
             continue
         key = (Ipv4Address(ip_to_int(r["dst"])), AppProtocol(r["protocol"]))
         source = SourceParams(Ipv4Address(ip_to_int(r["src_ip"])), r["src_port"])

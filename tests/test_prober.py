@@ -13,12 +13,11 @@ from flowstable.core import (
     SourceParams,
 )
 from flowstable.censors import Health
-from flowstable.experiments import measure_cell
 from builders import random_topology
 from flowstable.prober import (
     DEFAULT_REPETITIONS,
-    EMPTY_REGISTRY,
     BlockpageRegistry,
+    Cell,
     LengthMismatchError,
     LiveTransport,
     Observation,
@@ -44,20 +43,21 @@ def spec_for(topology, protocol, sensitivity, domain):
     return ProbeSpec(protocol, dst, domain, sensitivity, PARAMS)
 
 
+def cell_result(topology, protocol, transport):
+    """run_cell's result of one PARAMS cell."""
+    dst = topology.nodes[max(topology.nodes)].address
+    return run_cell(Cell(protocol, dst, DOMAINS), PARAMS, transport)
+
+
 def cell_for(topology, protocol, transport):
     """run_cell's (control, sensitive) observations of one PARAMS cell."""
-    return run_cell(
-        spec_for(topology, protocol, Sensitivity.CONTROL, DOMAINS[0]),
-        spec_for(topology, protocol, Sensitivity.SENSITIVE, DOMAINS[1]),
-        transport,
-    )
+    result = cell_result(topology, protocol, transport)
+    return result.control, result.sensitive
 
 
 def verdict_grid(dst, grid, protocol, transport, repetitions=DEFAULT_REPETITIONS):
-    return {
-        p: measure_cell(dst, protocol, p, DOMAINS, transport, EMPTY_REGISTRY, repetitions)[2]
-        for p in grid
-    }
+    cell = Cell(protocol, dst, DOMAINS, repetitions)
+    return {p: run_cell(cell, p, transport).verdict for p in grid}
 
 
 def obs(*kinds, tag=""):
@@ -183,15 +183,17 @@ class TestRunProbe:
         with pytest.raises(TransportUnavailableError):
             cell_for(topo, AppProtocol.HTTP, LiveTransport())
 
-    def test_cell_specs_must_share_flow(self):
-        import dataclasses
-
+    def test_cell_specs_share_one_flow(self):
         topo = load_fixture("chain.topo")
-        ctrl = spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0])
-        sens = spec_for(topo, AppProtocol.HTTP, Sensitivity.SENSITIVE, DOMAINS[1])
-        other_port = dataclasses.replace(sens, source=SourceParams(PARAMS.src_ip, 40001))
+        cell = Cell(AppProtocol.HTTP, topo.nodes[3].address, DOMAINS, repetitions=2)
+        ctrl, sens = cell.specs(PARAMS)
+        assert (ctrl.domain, ctrl.sensitivity) == (DOMAINS[0], Sensitivity.CONTROL)
+        assert (sens.domain, sens.sensitivity) == (DOMAINS[1], Sensitivity.SENSITIVE)
+        assert ctrl.flow == sens.flow == spec_for(
+            topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0]).flow
+        assert ctrl.repetitions == sens.repetitions == 2
         with pytest.raises(ValueError):
-            run_cell(ctrl, other_port, SimTransport(topo))
+            Cell(AppProtocol.HTTP, topo.nodes[3].address, DOMAINS, repetitions=0)
 
     def test_session_rejects_packet_of_another_flow(self):
         import dataclasses
@@ -287,15 +289,14 @@ class TestGroundTruth:
         from flowstable.simnet import load_topology
 
         topo = load_topology(doc)
-        transport = SimTransport(topo)
-        ctrl = spec_for(topo, AppProtocol.HTTPS, Sensitivity.CONTROL, DOMAINS[0])
-        sens = spec_for(topo, AppProtocol.HTTPS, Sensitivity.SENSITIVE, DOMAINS[1])
-        obs_c, obs_s = run_cell(ctrl, sens, transport)
+        result = cell_result(topo, AppProtocol.HTTPS, SimTransport(topo))
+        obs_c, obs_s = result.control, result.sensitive
         # the sensitive hit at epoch 1 poisons the shared flow, so later
         # control repetitions see injected resets too
         assert obs_c[0].kind is ObservationKind.PAYLOAD_RESPONSE
         assert {o.kind for o in obs_c[1:]} == {ObservationKind.RST_RECEIVED}
         assert classify(obs_c, obs_s, AppProtocol.HTTPS).is_excluded
+        assert result.verdict.is_excluded
 
     def test_cell_order_does_not_change_verdicts(self):
         """Cells share nothing, so running a grid backwards on the same
@@ -321,25 +322,17 @@ class TestConservativeness:
             params = SourceParams(Ipv4Address(0xC6336400 + rng.randrange(1, 255)),
                                   rng.randrange(32768, 61000))
             dst = topo.nodes[max(topo.nodes)].address
-            ctrl = ProbeSpec(protocol, dst, DOMAINS[0],
-                             Sensitivity.CONTROL, params)
-            sens = ProbeSpec(protocol, dst, DOMAINS[1],
-                             Sensitivity.SENSITIVE, params)
-            obs_c, obs_s = run_cell(ctrl, sens, transport)
-            verdict = classify(obs_c, obs_s, protocol)
-            assert not verdict.is_censored
+            result = run_cell(Cell(protocol, dst, DOMAINS), params, transport)
+            assert result.verdict == classify(result.control, result.sensitive, protocol)
+            assert not result.verdict.is_censored
 
     def test_flapping_censor_yields_excluded(self):
         topo = flapping(load_fixture("rst_chain.topo"),
                         [(2, Health.FAILED), (3, Health.ACTIVE)])
         transport = SimTransport(topo)
-        dst = topo.nodes[3].address
-        ctrl = ProbeSpec(AppProtocol.HTTPS, dst, DOMAINS[0],
-                         Sensitivity.CONTROL, PARAMS)
-        sens = ProbeSpec(AppProtocol.HTTPS, dst, DOMAINS[1],
-                         Sensitivity.SENSITIVE, PARAMS)
-        obs_c, obs_s = run_cell(ctrl, sens, transport)
-        assert classify(obs_c, obs_s, AppProtocol.HTTPS).is_excluded
+        result = cell_result(topo, AppProtocol.HTTPS, transport)
+        assert classify(result.control, result.sensitive, AppProtocol.HTTPS).is_excluded
+        assert result.verdict.is_excluded
 
     def test_monotone_repetitions_end_to_end(self):
         topo = load_fixture("half_split.topo")

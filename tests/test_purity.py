@@ -15,6 +15,7 @@ from flowstable.censors import Health
 from flowstable.core import AppProtocol, Ipv4Address, Sensitivity, SourceParams
 from flowstable.experiments import plan_rq2, run_rq2
 from flowstable.prober import (
+    Cell,
     HandshakeFailedError,
     ProbeSpec,
     SimTransport,
@@ -79,13 +80,9 @@ def endpoints(topology):
 
 
 def cell(topology, transport, dest, protocol, params):
-    dst = topology.nodes[dest].address
-    control, sensitive = (
-        ProbeSpec(protocol, dst, domain, sensitivity, params)
-        for domain, sensitivity in zip(DOMAINS, (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
-    )
-    obs_c, obs_s = run_cell(control, sensitive, transport)
-    return obs_c, obs_s, classify(obs_c, obs_s, protocol)
+    result = run_cell(Cell(protocol, topology.nodes[dest].address, DOMAINS), params, transport)
+    assert result.verdict == classify(result.control, result.sensitive, protocol)
+    return result
 
 
 def traced(topology, transport, dest, protocol, params):

@@ -1,26 +1,35 @@
 """One simulation per route: a shared result is the flow's own result.
 
-SimTransport.run simulates a probe once per (route, spec fields but the
+SimTransport.run simulates a probe once per (route, everything but the
 source) and hands the result to every later flow on that route whose own
-loss draws, at the points the simulation drew, all pass. These tests
+loss draws, at the points the simulation drew, all pass. A cell's result
+carries its verdict and the fixed part of its rq2 log line. These tests
 check that no flow can tell: on random documents with loss, residual
 windows, health schedules, failed rules and every action kind, each
 flow's cell and trace on one shared transport equal what a fresh
-transport gives for that flow alone; and that a 1664-cell matrix opens
-no more sessions than it has routes plus cells whose own loss draws drop.
+transport gives for that flow alone, and each rq2 line equals the line
+encoded from that cell's own observations; that the key covers the
+blockpage registry and the run id; and that a 1664-cell matrix opens no
+more sessions than it has routes plus cells whose own loss draws drop.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowstable import prober
+from flowstable import logio, prober
 from flowstable.censors import Health
-from flowstable.core import AppProtocol, FlowId, Ipv4Address, Sensitivity, SourceParams
+from flowstable.core import (
+    AppProtocol, FlowId, Ipv4Address, Mechanism, Sensitivity, SourceParams, Verdict,
+)
 from flowstable.experiments import plan_rq2, run_rq2
-from flowstable.prober import HandshakeFailedError, ProbeSpec, Session, SimTransport, run_cell
+from flowstable.prober import (
+    EMPTY_REGISTRY, BlockpageRegistry, Cell, HandshakeFailedError, ProbeSpec, Session,
+    SimTransport, classify, run_cell,
+)
 from flowstable.simnet import Role, load_topology, route
 from flowstable.tracer import trace
 
@@ -69,13 +78,75 @@ def test_shared_results_equal_each_flows_own(doc, schedule, protocol, data):
 
     shared = SimTransport(topology)
     for source, domain, reps, _ in probes:
-        control, sensitive = specs(dst, protocol, source, reps, domain)
-        assert run_cell(control, sensitive, shared) == run_cell(
-            control, sensitive, SimTransport(topology))
+        cell = Cell(protocol, dst, (DOMAINS[0], domain), reps)
+        assert run_cell(cell, source, shared) == run_cell(cell, source, SimTransport(topology))
     for source, domain, reps, max_ttl in probes:
         for spec in specs(dst, protocol, source, reps, domain):
             assert traced(spec, max_ttl, shared) == traced(
                 spec, max_ttl, SimTransport(topology))
+
+
+#: Domains whose JSON needs escaping: quotes, backslashes, control and
+#: non-ASCII characters. "*.example" rules still match them.
+domains = st.text(alphabet='ab"\\\t\u00e9\u2028\U0001f600', min_size=1, max_size=5).map(
+    lambda name: name + ".example")
+
+
+@settings(max_examples=100, deadline=None)
+@given(censored_documents(), schedules, st.sampled_from(list(AppProtocol)), domains, domains,
+       st.booleans(), st.integers(1, 3), st.data())
+def test_rq2_lines_equal_each_cells_own_record(
+    tmp_path_factory, doc, schedule, protocol, control, sensitive, blockpages, reps, data
+):
+    topology = load_topology(doc)
+    if schedule:
+        topology = flapping(topology, schedule)
+    endpoints = [n for n in topology.nodes.values() if n.role is Role.ENDPOINT]
+    dst = data.draw(st.sampled_from(endpoints)).address
+    hosts = data.draw(st.lists(st.integers(1, 254), min_size=1, max_size=8, unique=True))
+    ports = data.draw(st.lists(st.integers(0, 2**16 - 1), min_size=1, max_size=4,
+                               unique=True))
+    grid = tuple(SourceParams(Ipv4Address(0xC6336400 + h), port) for h in hosts for port in ports)
+    # run_rq2 reads only these fields; a small grid keeps the example fast.
+    plan = SimpleNamespace(destinations=(dst,), grid=grid, domain_pair=(control, sensitive))
+    registry = BlockpageRegistry({"bp-01": "notice"}) if blockpages else EMPTY_REGISTRY
+
+    path = tmp_path_factory.mktemp("rq2") / "run.log"
+    log = logio.open_run(path, "run-\"\u00e9", repetitions=reps, command="rq2")
+    run_rq2(plan, SimTransport(topology), protocols=[protocol], registry=registry,
+            repetitions=reps, log=log)
+
+    expected = []
+    for source in grid:
+        own = run_cell(Cell(protocol, dst, (control, sensitive), reps, registry), source,
+                       SimTransport(topology))
+        verdict = classify(own.control, own.sensitive, protocol, registry)
+        record = logio.verdict_record(log.run_id, dst, protocol, source, own.control,
+                                      own.sensitive, verdict)
+        expected.append(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert path.read_bytes().splitlines(keepends=True)[1:] == expected
+
+
+def test_key_covers_registry_and_run_id(tmp_path, registry):
+    # One transport keeps its results across calls for one (destination,
+    # protocol): a later call must not take a result whose verdict read
+    # another registry, or whose line names another run.
+    topology = load_topology((FIXTURES / "blockpage_chain.topo").read_text())
+    plan = plan_rq2([topology.nodes[3].address], seed=1)
+    transport = SimTransport(topology)
+    for blockpages, expected in ((EMPTY_REGISTRY, {Verdict.not_censored()}),
+                                 (registry, {Verdict.censored(Mechanism.BLOCKPAGE)})):
+        for run_id in ("run-a", "run-b"):
+            path = tmp_path / f"{run_id}-{len(expected)}-{blockpages is registry}.log"
+            log = logio.open_run(path, run_id, command="rq2")
+            (matrix,) = run_rq2(plan, transport, protocols=[AppProtocol.HTTP],
+                                registry=blockpages, log=log).values()
+            assert set(matrix.values()) == expected
+            records = logio.read_log(path)
+            assert len(records) == 1 + 1664
+            assert {r["run_id"] for r in records} == {run_id}
+            assert logio.read_run(path).verdicts == {
+                (topology.nodes[3].address, AppProtocol.HTTP): matrix}
 
 
 @pytest.fixture
@@ -107,7 +178,7 @@ def test_matrix_opens_a_session_per_route_plus_fallbacks(opened, p):
         routes.add(route(topology, flow))
         # A fresh transport simulates the cell in full, in one session.
         opened.clear()
-        run_cell(*specs(dst, protocol, source, 3), SimTransport(topology))
+        run_cell(Cell(protocol, dst, DOMAINS), source, SimTransport(topology))
         (session,) = opened
         fallbacks += session.dropped
 
