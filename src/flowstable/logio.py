@@ -71,16 +71,16 @@ class RunLog:
     run ids that have a meta record. run_id is the run the log was read
     for: then verdicts and traces hold only that run's, so a run never
     takes another run's cell or trace for one of its own. With run_id
-    None, they hold every run's, and traces maps (run id, trace id) to
-    trace, since trace ids are unique only within a run. repetitions
-    holds the lengths of the control and sensitive lists of the verdict
-    records read.
+    None, they hold every run's, and traces maps each trace record's line
+    number to its trace, since trace ids are unique only within a run.
+    repetitions holds the lengths of the control and sensitive lists of
+    the verdict records read.
     """
 
     path: Path
     run_id: Optional[str]
     verdicts: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]
-    traces: Dict[Union[str, Tuple[str, str]], TracePath]
+    traces: Dict[Union[str, int], TracePath]
     run_ids: Set[str]
     repetitions: Set[int] = field(default_factory=set)
 
@@ -266,7 +266,7 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
             elif run_id is not None:
                 run.traces[record["trace_id"]] = reader.trace(record)
             else:
-                run.traces[(record["run_id"], record["trace_id"])] = reader.trace(record)
+                run.traces[lineno] = reader.trace(record)
         except _FIELD_ERRORS as exc:
             what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise CorruptRecordError(f"{path} line {lineno}: {what}") from exc

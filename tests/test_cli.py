@@ -371,9 +371,10 @@ class TestRunLog:
                 "--protocol", "http", "--out", str(log),
             )
             assert code == 0, err
+        assert [r["trace_id"] for r in logio.read_log(log) if r["record_kind"] == "trace"] == [
+            "10.0.3.4|http|198.51.100.7:40000", "10.0.3.4|http|198.51.100.7:40001"]
         traces = logio.read_run(log).traces
-        assert [trace_id for _, trace_id in traces] == ["10.0.3.4|http|198.51.100.7:40000",
-                                                        "10.0.3.4|http|198.51.100.7:40001"]
+        assert [t.source.src_port for t in traces.values()] == [40000, 40001]
         assert all(t.hops == (0, 1, 2) for t in traces.values())
 
 
@@ -406,8 +407,8 @@ class TestRunLog:
         for command in (argv, argv + ["--sensitive", "--domain", "blocked.example"]):
             assert cli_main(command) == 0
         capsys.readouterr()
-        traces = logio.read_run(log).traces
-        assert [trace_id for _, trace_id in traces] == ["10.0.3.4|https|198.51.100.7:40000"] * 2
+        traces = logio.read_run(log).traces  # meta, trace, meta, trace
+        assert list(traces) == [2, 4]
         assert [logio.terminal_str(t.terminal) for t in traces.values()] == [
             "reached", "censored@2"]
         # graph sees both: one flow traced clear by one run and censored

@@ -121,7 +121,7 @@ def test_trace_rows_round_trip(tmp_path):
     path = tmp_path / "run.log"
     logio.append_records(path, [record])
     assert path.read_text().count("\n") == 1
-    assert logio.read_run(path).traces == {("run-b", "t0"): trace}
+    assert logio.read_run(path).traces == {1: trace}
     assert logio.read_run(path, "run-b").traces == {"t0": trace}
 
 
@@ -291,15 +291,14 @@ def _reference_trace(r):
 def _reference_run(records, run_id):
     """What read_run should give, one record at a time, with nothing shared."""
     verdicts, traces, run_ids, repetitions = {}, {}, set(), set()
-    for r in records:
+    for lineno, r in enumerate(records, start=1):
         if r["record_kind"] == "meta":
             run_ids.add(r["run_id"])
             continue
         if run_id is not None and r["run_id"] != run_id:
             continue
         if r["record_kind"] == "trace":
-            key = r["trace_id"] if run_id is not None else (r["run_id"], r["trace_id"])
-            traces[key] = _reference_trace(r)
+            traces[r["trace_id"] if run_id is not None else lineno] = _reference_trace(r)
             continue
         key = (Ipv4Address(ip_to_int(r["dst"])), AppProtocol(r["protocol"]))
         source = SourceParams(Ipv4Address(ip_to_int(r["src_ip"])), r["src_port"])
