@@ -152,7 +152,7 @@ class CellResult:
     control: Tuple[Observation, ...]
     sensitive: Tuple[Observation, ...]
     verdict: Verdict
-    encoded: object = None
+    encoded: object
 
 
 @dataclass(frozen=True)
