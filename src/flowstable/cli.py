@@ -50,21 +50,22 @@ def _load_topology(path: str) -> simnet.Topology:
     return simnet.load_topology(Path(path).read_text())
 
 
-def _parse_dest(topology: simnet.Topology, text: str) -> Tuple[int, Ipv4Address]:
-    """Destination argument: endpoint node id or dotted-quad address,
-    resolved to the endpoint that probes to it reach. A router's id or an
-    address no endpoint owns raises DestinationResolutionError, so a
-    command fails before it writes anything."""
-    if text.isdigit():
-        node_id = int(text)
-        if node_id not in topology.nodes:
-            raise simnet.DestinationResolutionError(f"no node {node_id} in topology")
-        if topology.nodes[node_id].role is not simnet.Role.ENDPOINT:
-            raise simnet.DestinationResolutionError(f"node {node_id} is not an endpoint")
-        addr = topology.nodes[node_id].address
-    else:
-        addr = Ipv4Address.parse(text)
-    return topology.resolve_destination(addr).id, addr
+def _parse_dest(topology: simnet.Topology, text: str) -> simnet.Node:
+    """Destination argument, an endpoint's node id or its own address,
+    resolved once to that endpoint; probes go to its address. A router's
+    id or an address that is no endpoint's raises
+    DestinationResolutionError, so a command fails before it writes
+    anything."""
+    if not text.isdigit():
+        return topology.resolve_destination(Ipv4Address.parse(text))
+    node_id = int(text)
+    node = topology.nodes.get(node_id)
+    if node is None:
+        raise simnet.DestinationResolutionError(f"no node {node_id} in topology")
+    if node.role is not simnet.Role.ENDPOINT:
+        raise simnet.DestinationResolutionError(f"node {node_id} is not an endpoint")
+    # Resolving its address refuses an endpoint that shares it with another.
+    return topology.resolve_destination(node.address)
 
 
 def _int_in(lo: int, hi: Optional[int] = None):
@@ -127,7 +128,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_trace(args) -> int:
     topology = _load_topology(args.topology)
-    _, dst_ip = _parse_dest(topology, args.dest)
+    dst_ip = _parse_dest(topology, args.dest).address
     transport = prober.SimTransport(topology)
     spec = prober.ProbeSpec(
         AppProtocol(args.protocol),
@@ -135,7 +136,6 @@ def _cmd_trace(args) -> int:
         args.domain,
         Sensitivity.SENSITIVE if args.sensitive else Sensitivity.CONTROL,
         SourceParams(Ipv4Address.parse(args.src_ip), args.src_port),
-        repetitions=1,
     )
     path = tracer.trace(spec, args.max_ttl, transport)
     for ttl, hop in enumerate(path.hops, start=1):
@@ -155,7 +155,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_rq1(args) -> int:
     topology = _load_topology(args.topology)
-    _, dst_ip = _parse_dest(topology, args.dest)
+    dst_ip = _parse_dest(topology, args.dest).address
     seed = _resolve_seed(args.seed)
     protocol = AppProtocol(args.protocol)
     transport = prober.SimTransport(topology)
@@ -183,17 +183,17 @@ def _cmd_rq1(args) -> int:
     return 0
 
 
-def _read_dests(topology: simnet.Topology, path: str) -> List[Tuple[int, Ipv4Address]]:
-    """The file's destinations, each once, in first-seen order: a line
-    naming an address an earlier line named, by node id or by address,
-    adds nothing."""
-    out: Dict[Ipv4Address, Tuple[int, Ipv4Address]] = {}
+def _read_dests(topology: simnet.Topology, path: str) -> List[simnet.Node]:
+    """The file's destination endpoints, each once, in first-seen order:
+    a line naming an endpoint an earlier line named, by node id or by
+    address, adds nothing."""
+    out: Dict[int, simnet.Node] = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        node_id, addr = _parse_dest(topology, line)
-        out.setdefault(addr, (node_id, addr))
+        node = _parse_dest(topology, line)
+        out.setdefault(node.id, node)
     if not out:
         raise experiments.EmptyCandidatesError(f"no destinations in {path}")
     return list(out.values())
@@ -207,7 +207,7 @@ def _cmd_rq2(args) -> int:
     registry = _registry(args.registry)
     transport = prober.SimTransport(topology)
     plan = experiments.plan_rq2(
-        [ip for _, ip in dests],
+        [node.address for node in dests],
         seed,
         domain_pair=(args.control_domain, args.sensitive_domain),
     )
@@ -217,7 +217,7 @@ def _cmd_rq2(args) -> int:
     )
     log = logio.open_run(
         args.out, run_id, repetitions=args.repetitions,
-        command="rq2", seed=seed, dests=[str(ip) for _, ip in dests],
+        command="rq2", seed=seed, dests=[str(node.address) for node in dests],
         control_domain=args.control_domain, sensitive_domain=args.sensitive_domain,
     )
     matrices = experiments.run_rq2(
@@ -229,18 +229,18 @@ def _cmd_rq2(args) -> int:
         log=log,
     )
 
-    node_by_ip = {ip.value: node_id for node_id, ip in dests}
     table_rows = []
     fractions: Dict[str, List] = {}
-    for (dst_ip, protocol), matrix in sorted(
-        matrices.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-    ):
-        affected = prober.is_affected(matrix)
-        asn = topology.nodes[node_by_ip[dst_ip.value]].as_number
-        table_rows.append((str(dst_ip), asn, protocol.value, str(affected).lower()))
-        if affected:
-            frac = analysis.no_censorship_fraction(matrix)
-            fractions.setdefault(protocol.value, []).append(frac)
+    for node in sorted(dests, key=lambda node: node.address.value):
+        for protocol in sorted(set(protocols), key=lambda protocol: protocol.value):
+            matrix = matrices[(node.address, protocol)]
+            affected = prober.is_affected(matrix)
+            table_rows.append(
+                (str(node.address), node.as_number, protocol.value, str(affected).lower())
+            )
+            if affected:
+                frac = analysis.no_censorship_fraction(matrix)
+                fractions.setdefault(protocol.value, []).append(frac)
 
     table_path = log.path.with_name(log.path.stem + "_table.csv")
     _write_csv(table_path, ["destination", "asn", "protocol", "affected"], table_rows)
@@ -277,8 +277,7 @@ def _trace_affected(transport, matrices, log: logio.RunLog, sensitive_domain):
             if trace_id in log.traces:
                 continue
             spec = prober.ProbeSpec(
-                protocol, dst_ip, sensitive_domain, Sensitivity.SENSITIVE, params,
-                repetitions=1,
+                protocol, dst_ip, sensitive_domain, Sensitivity.SENSITIVE, params
             )
             path = tracer.trace(spec, tracer.DEFAULT_MAX_TTL, transport)
             appender.add(logio.trace_record(log.run_id, path, trace_id))
@@ -315,7 +314,7 @@ def _cmd_graph(args) -> int:
     topology = _load_topology(args.topology) if args.topology else None
     protocol = AppProtocol(args.protocol) if args.protocol else None
     if topology is not None:
-        _, dest = _parse_dest(topology, args.dest)
+        dest = _parse_dest(topology, args.dest).address
     else:
         dest = Ipv4Address.parse(args.dest)
     pathset, _ = _pathsets_from_log(run, dest, protocol)
@@ -352,8 +351,7 @@ def _cmd_classify(args) -> int:
     topology = _load_topology(args.topology)
     dests = sorted({dst for dst, _ in run.verdicts}, key=str)
     if args.dest:
-        _, dst_ip = _parse_dest(topology, args.dest)
-        dests = [dst_ip]
+        dests = [_parse_dest(topology, args.dest).address]
     protocol = AppProtocol(args.protocol) if args.protocol else None
     censor_nodes = [r.attach_at for r in topology.censors]
 
@@ -511,20 +509,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"transport error: {exc}", file=sys.stderr)
         return 3
     except (
-        simnet.SchemaError,
-        simnet.DestinationResolutionError,
+        # Every other data error of the package subclasses ValueError or
+        # LookupError; these two are RuntimeErrors.
         simnet.LoopGuardExceededError,
-        logio.SchemaVersionUnknownError,
-        logio.CorruptRecordError,
-        logio.RepetitionsMismatchError,
-        analysis.EmptyPathSetError,
-        analysis.AllExcludedError,
-        analysis.EmptyGroupError,
-        analysis.DegenerateSplitError,
-        analysis.AnnotationMissingError,
-        experiments.EmptyCandidatesError,
-        tracer.MixedDestinationsError,
-        prober.LengthMismatchError,
         prober.HandshakeFailedError,
         OSError,
         ValueError,

@@ -179,12 +179,7 @@ def run_rq1(
                 traces.append(log.traces[trace_id])
                 continue
             spec = ProbeSpec(
-                plan.protocol,
-                plan.dst_ip,
-                BENIGN_DOMAIN,
-                Sensitivity.CONTROL,
-                params,
-                repetitions=1,
+                plan.protocol, plan.dst_ip, BENIGN_DOMAIN, Sensitivity.CONTROL, params
             )
             t = trace(spec, max_ttl, transport)
             traces.append(t)

@@ -62,6 +62,11 @@ class RepetitionsMismatchError(ValueError):
     cells its log already holds."""
 
 
+class MixedRunsError(ValueError):
+    """A log read for every run holds verdicts of two runs for one
+    (destination, protocol), so no one matrix stands for it."""
+
+
 @dataclass
 class RunLog:
     """What a run log holds, read in one pass.
@@ -72,7 +77,9 @@ class RunLog:
     for: then verdicts and traces hold only that run's, so a run never
     takes another run's cell or trace for one of its own. With run_id
     None, they hold every run's, and traces maps each trace record's line
-    number to its trace, since trace ids are unique only within a run.
+    number to its trace, since trace ids are unique only within a run;
+    each (destination, protocol) must then hold verdicts of one run only
+    (see read_run).
     repetitions holds the lengths of the control and sensitive lists of
     the verdict records read.
     """
@@ -242,7 +249,12 @@ _FIELD_ERRORS = (KeyError, ValueError, TypeError, AttributeError)
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """The log's verdicts, traces and run ids, in one streaming pass
     that keeps no record dicts. With run_id, only that run's verdicts
-    and traces; without, every run's (see RunLog).
+    and traces; without, every run's (see RunLog). Without run_id, a
+    (destination, protocol) whose verdicts come from two runs raises
+    MixedRunsError naming both: a matrix is one run's, and merging two
+    would let the later run's cells silently replace the earlier's.
+    Runs over disjoint (destination, protocol) pairs, and a run resumed
+    under its own id, read as before.
 
     The read parses each distinct address, source, (destination,
     protocol), verdict and terminal once and shares the immutable
@@ -252,6 +264,8 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """
     run = RunLog(Path(path), run_id, {}, {}, set())
     reader = _Reader()
+    #: Without run_id, the run whose verdicts each raw (dst, protocol) holds.
+    owners: Dict[Tuple[str, str], str] = {}
     for lineno, record in _records(path):
         try:
             kind = record["record_kind"]
@@ -260,6 +274,15 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
             elif run_id is not None and record["run_id"] != run_id:
                 continue
             elif kind == KIND_VERDICT:
+                if run_id is None:
+                    raw = (record["dst"], record["protocol"])
+                    first = owners.setdefault(raw, record["run_id"])
+                    if first != record["run_id"]:
+                        raise MixedRunsError(
+                            f"{path} line {lineno}: {raw[0]} {raw[1]} holds verdicts of "
+                            f"runs {first} and {record['run_id']}; write each run to its "
+                            f"own log"
+                        )
                 matrix = run.verdicts.setdefault(reader.key(record), {})
                 matrix[reader.source(record)] = reader.verdict(record)
                 run.repetitions.update((len(record["control"]), len(record["sensitive"])))
@@ -267,6 +290,8 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
                 run.traces[record["trace_id"]] = reader.trace(record)
             else:
                 run.traces[lineno] = reader.trace(record)
+        except MixedRunsError:
+            raise
         except _FIELD_ERRORS as exc:
             what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise CorruptRecordError(f"{path} line {lineno}: {what}") from exc

@@ -82,21 +82,20 @@ class HandshakeFailedError(RuntimeError):
 @dataclass(frozen=True)
 class ProbeSpec:
     """One protocol exchange to a fixed destination with fixed source
-    parameters. All packets it emits share one flow id."""
+    parameters. All packets it emits share one flow id. How often it
+    runs is its caller's to say (Cell.repetitions; a trace sends one
+    ladder)."""
 
     protocol: AppProtocol
     dst_ip: Ipv4Address
     domain: str
     sensitivity: Sensitivity
     source: SourceParams
-    repetitions: int = DEFAULT_REPETITIONS
     #: The one flow id of every packet the spec emits, built once; its
     #: destination port is the protocol's.
     flow: FlowId = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
         if self.sensitivity is Sensitivity.NOT_APPLICABLE:
             raise ValueError("probe sensitivity must be control or sensitive")
         object.__setattr__(self, "flow", _flow(self.protocol, self.dst_ip, self.source))
@@ -105,10 +104,7 @@ class ProbeSpec:
         """Every field but the source: with the route, what fixes each
         packet the spec's probes send (see SimTransport.run)."""
         # Enum values, not members: members hash slowly.
-        return (
-            self.protocol.value, self.dst_ip.value, self.domain,
-            self.sensitivity.value, self.repetitions,
-        )
+        return (self.protocol.value, self.dst_ip.value, self.domain, self.sensitivity.value)
 
 
 class ObservationKind(Enum):
@@ -193,10 +189,8 @@ class Cell:
         """The cell's control and sensitive probe specs from source."""
         control, sensitive = self.domains
         return (
-            ProbeSpec(self.protocol, self.dst_ip, control, Sensitivity.CONTROL, source,
-                      self.repetitions),
-            ProbeSpec(self.protocol, self.dst_ip, sensitive, Sensitivity.SENSITIVE, source,
-                      self.repetitions),
+            ProbeSpec(self.protocol, self.dst_ip, control, Sensitivity.CONTROL, source),
+            ProbeSpec(self.protocol, self.dst_ip, sensitive, Sensitivity.SENSITIVE, source),
         )
 
     def result(
@@ -215,13 +209,7 @@ class SendResult:
     """What the transport hands back for one emitted packet."""
 
     responses: Tuple[Packet, ...]
-    transit: Optional[TransitResult] = None
-
-    @property
-    def delivered_to(self) -> Optional[NodeId]:
-        if self.transit is not None and self.transit.kind is TransitKind.DELIVERED:
-            return self.transit.at
-        return None
+    transit: TransitResult
 
 
 _LIVE_UNAVAILABLE = "live probing is intentionally not implemented; use the simulator backend"
@@ -285,6 +273,11 @@ class SimTransport:
         raises or draws a drop is not kept, nor is one past
         SHARED_LIMIT. The result is shared, so callers must not change
         it.
+
+        The session opens on the flow's compiled route alone; nothing
+        here looks the destination up. Whether the route ends at the
+        flow's destination is the session's one rule
+        (Session.at_destination).
         """
         topology = self.topology
         nodes = route(topology, flow)
@@ -297,8 +290,7 @@ class SimTransport:
         shared = self._shared.get(shared_key)
         if shared is not None and not _drops(flow, shared[1]):
             return shared[0]
-        dest = topology.resolve_destination(flow.dst_ip)
-        session = Session(self, dest.id, compile_route(topology, flow, nodes))
+        session = Session(compile_route(topology, flow, nodes))
         result = probe(session)
         if shared is None and not session.dropped and len(self._shared) < SHARED_LIMIT:
             seed = topology.seed
@@ -328,28 +320,29 @@ class Session:
     send/receive plumbing.
 
     Routing is pure in the flow, and so is everything a packet meets on
-    the way. The session is opened on the flow's compiled route
+    the way. The session is opened on the flow's compiled route alone
     (simnet.compile_route), which fixes once: the route's hops with the
     censor rules that can fire on the flow, each hop's endpoint,
     responsiveness and drop probability, and the flow's serialized bytes
-    for loss draws. It also fixes whether the route's endpoint answers,
-    that is whether its address is the flow's destination. Every packet
-    the session sends replays those hops. The session only carries
-    packets of its own flow.
+    for loss draws. Every packet the session sends replays those hops.
+    The session only carries packets of its own flow.
+
+    at_destination is the one rule for "did a packet reach its
+    destination": the route's last node has the flow's destination
+    address. Only then does a delivered packet get the origin's answer,
+    and only then does a trace's delivered copy count as reached; a
+    route that ends at another endpoint delivers to a host that stays
+    silent.
 
     draws lists each point where a packet drew loss, as (epoch, kind,
     ip_id, node, p), and dropped says whether any of those draws dropped
     its packet; SimTransport.run replays other flows' draws there.
     """
 
-    def __init__(self, transport: SimTransport, dest_node: NodeId, route: Route) -> None:
-        self._transport = transport
-        self.dest_node = dest_node
+    def __init__(self, route: Route) -> None:
         self.route = route
         self.flow = flow = route.flow
-        # A host only answers traffic addressed to it; a packet is only
-        # ever delivered at the route's last node.
-        self._answers = transport.topology.nodes[route.nodes[-1]].address == flow.dst_ip
+        self.at_destination = route.topology.nodes[route.nodes[-1]].address == flow.dst_ip
         #: The origin's reply to each (kind, body_tag) of probe, built once.
         self._replies: Dict[Tuple[PacketKind, str], Optional[Packet]] = {}
         self.epoch = 0
@@ -366,9 +359,8 @@ class Session:
         comes back. A packet of another flow raises ValueError."""
         if packet.flow is not self.flow and packet.flow != self.flow:
             raise ValueError(f"packet flow {packet.flow} is not the session's flow {self.flow}")
-        topo = self._transport.topology
-        stream = LossStream(topo.seed, self.epoch, packet, self.route.flow_bytes)
-        result = forward(topo, packet, self.route, stream, self.residual)
+        stream = LossStream(self.route.topology.seed, self.epoch, packet, self.route.flow_bytes)
+        result = forward(packet, self.route, stream, self.residual)
         if stream.drawn:
             hops = self.route.hops
             self.draws.extend(
@@ -383,7 +375,7 @@ class Session:
             injected = self._injected_packet(packet, event)
             if injected is not None:
                 responses.append(injected)
-        if result.kind is TransitKind.DELIVERED and self._answers:
+        if result.kind is TransitKind.DELIVERED and self.at_destination:
             key = (packet.kind, packet.body_tag)
             if key not in self._replies:
                 self._replies[key] = self._origin_response(packet)

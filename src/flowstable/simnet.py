@@ -8,13 +8,17 @@ way: route() walks the node sequence once from the entry to the first
 endpoint, and compile_route() turns it into hops that each carry what a
 packet of that flow meets at the node (the censor rules that can fire
 on the flow, endpoint, responsiveness, drop probability). forward()
-replays those hops for each packet and does only per-packet work:
+replays a compiled route for each packet and does only per-packet work:
 decrement TTL, consult the hop's censors, draw loss from a
-deterministic stream. A loss draw is the only thing a packet meets that
-depends on its flow beyond the route; loss_key_parts() lays out its
-key. A Topology is immutable once loaded; the only state a walk changes
-is the residual-censorship map its caller passes in. oracle_paths() is
-the route ground truth the tracer is checked against.
+deterministic stream; the route is all it reads of the topology. A loss
+draw is the only thing a packet meets that depends on its flow beyond
+the route; loss_key_parts() lays out its key. A destination is an
+endpoint's own address (Topology.resolve_destination); a packet is only
+ever delivered at the last node of its route, which may be another
+endpoint than its destination's. A Topology is immutable once loaded;
+the only state a walk changes is the residual-censorship map its caller
+passes in. oracle_paths() is the route ground truth the tracer is
+checked against.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class LoopGuardExceededError(RuntimeError):
 
 
 class DestinationResolutionError(LookupError):
-    """No (or no unique) endpoint owns the requested address."""
+    """No endpoint, or more than one, has the requested address."""
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -221,14 +225,13 @@ class TransitResult:
     """Fate of one forwarded packet.
 
     hops is the ordered node sequence traversed (a prefix of the route
-    of the packet's flow). events lists every censor action fired en
-    route; icmp carries the time-exceeded reply when one was emitted.
+    of the packet's flow); the packet's fate happened at its last node.
+    events lists every censor action fired en route; icmp carries the
+    time-exceeded reply when one was emitted.
     """
 
     kind: TransitKind
-    at: NodeId
     hops: Tuple[NodeId, ...]
-    responsive: Optional[bool] = None
     events: Tuple[censors_mod.CensorEvent, ...] = ()
     icmp: Optional[Packet] = None
 
@@ -302,23 +305,15 @@ class Topology:
         return table
 
     def resolve_destination(self, address: Ipv4Address) -> Node:
-        """Endpoint owning `address`: exact canonical match, else the
-        unique endpoint whose /24 contains it."""
-        exact = [
+        """The endpoint whose own address (Node.address) is address."""
+        owners = [
             n for n in self._by_address.get(address.value, []) if n.role is Role.ENDPOINT
         ]
-        if len(exact) == 1:
-            return exact[0]
-        containing = [
-            n
-            for n in self.nodes.values()
-            if n.role is Role.ENDPOINT and _subnet_base(n.subnet24) == address.value & 0xFFFFFF00
-        ]
-        if len(containing) == 1:
-            return containing[0]
-        if not exact and not containing:
-            raise DestinationResolutionError(f"no endpoint owns {address}")
-        raise DestinationResolutionError(f"ambiguous endpoint for {address}")
+        if not owners:
+            raise DestinationResolutionError(f"no endpoint has address {address}")
+        if len(owners) > 1:
+            raise DestinationResolutionError(f"ambiguous endpoint for {address}")
+        return owners[0]
 
 
 #: A packet kind's bytes in the loss key.
@@ -357,15 +352,14 @@ class LossStream:
     kind, ip_id, and epoch, loss can never affect one without the other;
     the verdict classifier's conservativeness rests on that.
 
-    flow_bytes, when given, are the flow's serialized bytes (a session
-    passes its route's, built once); otherwise they are built on the
-    first draw, so a walk over loss-free nodes never builds them. drawn
-    lists the nodes drawn at, in order, so a session can record where
-    its packets met loss.
+    flow_bytes are the flow's serialized bytes, FlowId.to_bytes(): a
+    session passes its route's, built once (Route.flow_bytes, None on a
+    route where no hop draws). drawn lists the nodes drawn at, in order,
+    so a session can record where its packets met loss.
     """
 
     def __init__(
-        self, seed: int, epoch: int, packet: Packet, flow_bytes: Optional[bytes] = None
+        self, seed: int, epoch: int, packet: Packet, flow_bytes: Optional[bytes]
     ) -> None:
         self._seed = seed
         self._packet = packet
@@ -376,8 +370,6 @@ class LossStream:
     def uniform(self, node: NodeId) -> float:
         self.drawn.append(node)
         packet = self._packet
-        if self._flow_bytes is None:
-            self._flow_bytes = packet.flow.to_bytes()
         head, tail = loss_key_parts(self._seed, self.epoch, packet.kind, packet.ip_id, node)
         return draw_key(head + self._flow_bytes + tail)
 
@@ -419,7 +411,9 @@ class Hop(NamedTuple):
 
 @dataclass(frozen=True)
 class Route:
-    """A flow's route compiled against one topology (see compile_route)."""
+    """A flow's route compiled against one topology (see compile_route):
+    everything forward() reads to carry a packet of the flow, and the
+    topology a session takes its seed and the route's last node from."""
 
     topology: Topology
     flow: FlowId
@@ -446,14 +440,13 @@ def compile_route(
 
 
 def forward(
-    topology: Topology,
     packet: Packet,
     path: Route,
     rng_stream: LossStream,
     residual: Dict[censors_mod.CensorRule, int],
 ) -> TransitResult:
-    """Carry one packet along path, its flow's route compiled against
-    topology (see compile_route()).
+    """Carry one packet along path, its flow's compiled route (see
+    compile_route()), which holds all forward reads of the topology.
 
     Per hop, in order: record the hop; consult the hop's censor rules (a
     silent drop consumes the packet, injections do not); deliver if the
@@ -463,8 +456,6 @@ def forward(
     LoopGuardExceededError. residual is the sending session's
     residual-censorship map (see censors.apply).
     """
-    if path.topology is not topology:
-        raise ValueError("route was compiled against another topology")
     if packet.ttl < 1:
         raise ValueError("packet ttl must be >= 1")
 
@@ -484,14 +475,11 @@ def forward(
                         consumed = True
             if consumed:
                 return TransitResult(
-                    TransitKind.CENSOR_ACTION, node_id, path.nodes[:depth],
-                    events=tuple(events),
+                    TransitKind.CENSOR_ACTION, path.nodes[:depth], tuple(events)
                 )
 
         if endpoint:
-            return TransitResult(
-                TransitKind.DELIVERED, node_id, path.nodes[:depth], events=tuple(events)
-            )
+            return TransitResult(TransitKind.DELIVERED, path.nodes[:depth], tuple(events))
 
         ttl -= 1
         if ttl == 0:
@@ -508,18 +496,11 @@ def forward(
                     quoted=(source, packet.ip_id),
                 )
             return TransitResult(
-                TransitKind.TTL_EXCEEDED,
-                node_id,
-                path.nodes[:depth],
-                responsive=responsive,
-                events=tuple(events),
-                icmp=icmp,
+                TransitKind.TTL_EXCEEDED, path.nodes[:depth], tuple(events), icmp
             )
 
         if p > 0.0 and rng_stream.uniform(node_id) < p:
-            return TransitResult(
-                TransitKind.LOST, node_id, path.nodes[:depth], events=tuple(events)
-            )
+            return TransitResult(TransitKind.LOST, path.nodes[:depth], tuple(events))
     raise LoopGuardExceededError(f"packet exceeded {LOOP_GUARD} hops")
 
 

@@ -10,13 +10,11 @@ ECMP hashing, every copy follows the probe flow's one path.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Ipv4Address, Packet, PacketKind, SourceParams, AppProtocol
-from .censors import ActionKind, CensorEvent
 from .prober import (
     HandshakeFailedError,
     ProbeSpec,
@@ -24,6 +22,7 @@ from .prober import (
     _first,
     PROBE_TTL,
 )
+from .simnet import TransitKind
 
 MAX_TTL_CEILING = 64
 DEFAULT_MAX_TTL = 32
@@ -57,7 +56,6 @@ class TracePath:
     protocol: AppProtocol
     hops: Tuple[Optional[int], ...]
     terminal: Terminal
-    events: Tuple[CensorEvent, ...] = ()
 
     @property
     def present_hops(self) -> Tuple[int, ...]:
@@ -81,27 +79,32 @@ def trace(
 
     Emits one copy per TTL from 1 up with ip_id = ttl and the one
     shared flow id, and stops after the copy that reaches the
-    destination or after max_ttl. An injected RST tears the session down: remaining
-    TTLs are not sent and the terminal records where censorship struck.
-    Other censor actions are recorded and the ladder continues. The
-    trace opens its own session, so it starts with no residual windows.
+    destination or after max_ttl. A copy reaches the destination when
+    it is delivered on a route that ends there (Session.at_destination);
+    a route that ends at another endpoint exhausts the ladder. An
+    injected RST tears the session down: remaining TTLs are not sent and
+    the terminal records where censorship struck. Other censor actions
+    leave the ladder running. The trace opens its own session, so it
+    starts with no residual windows.
 
     The ladder runs through transport.run: a trace of a route an earlier
     trace of the same spec fields already climbed, whose own loss draws
-    all pass, gets that trace's ladder, terminal and events, with
-    spec's source bound to it here.
+    all pass, gets that trace's ladder and terminal. The TracePath,
+    spec's source with them, is built once, here.
     """
     if not 1 <= max_ttl <= MAX_TTL_CEILING:
         raise ValueError(f"max_ttl must be in 1..{MAX_TTL_CEILING}, got {max_ttl}")
     key = ("trace", spec.without_source(), max_ttl)
-    path = transport.run(spec.flow, key, lambda session: _climb(spec, max_ttl, session))
-    if path.source != spec.source:
-        path = dataclasses.replace(path, source=spec.source)
-    return path
+    ladder, terminal = transport.run(
+        spec.flow, key, lambda session: _climb(spec, max_ttl, session)
+    )
+    return TracePath(spec.dst_ip, spec.source, spec.protocol, ladder, terminal)
 
 
-def _climb(spec: ProbeSpec, max_ttl: int, session: Session) -> TracePath:
-    """trace's TTL ladder on one session."""
+def _climb(
+    spec: ProbeSpec, max_ttl: int, session: Session
+) -> Tuple[Tuple[Optional[int], ...], Terminal]:
+    """trace's TTL ladder on one session: its hops and its terminal."""
     session.advance()
 
     payload_kind = PacketKind.UDP_PAYLOAD
@@ -110,12 +113,11 @@ def _climb(spec: ProbeSpec, max_ttl: int, session: Session) -> TracePath:
         _handshake(spec, session)
 
     hops: Dict[int, int] = {}
-    events: List[CensorEvent] = []
-    terminal: Optional[Terminal] = None
-    reached = False
-    last_ttl = 0
+
+    def ladder(top: int) -> Tuple[Optional[int], ...]:
+        return tuple(hops.get(t) for t in range(1, top + 1))
+
     for ttl in range(1, max_ttl + 1):
-        last_ttl = ttl
         copy = Packet(
             spec.flow,
             ttl=ttl,
@@ -133,29 +135,11 @@ def _climb(spec: ProbeSpec, max_ttl: int, session: Session) -> TracePath:
                     hops[quoted_ip_id] = int(pkt.body_tag)
             elif pkt.kind is PacketKind.TCP_RST:
                 rst = True
-        if result.transit is not None:
-            events.extend(result.transit.events)
         if rst:
-            terminal = Terminal(TerminalKind.CENSORED_AT, max(hops) if hops else None)
-            break
-        if result.delivered_to == session.dest_node:
-            reached = True
-            last_ttl = ttl - 1
-            break
-    if terminal is None:
-        terminal = Terminal(
-            TerminalKind.REACHED_DESTINATION if reached else TerminalKind.EXHAUSTED
-        )
-
-    ladder = tuple(hops.get(t) for t in range(1, last_ttl + 1))
-    return TracePath(
-        dst_ip=spec.dst_ip,
-        source=spec.source,
-        protocol=spec.protocol,
-        hops=ladder,
-        terminal=terminal,
-        events=tuple(events),
-    )
+            return ladder(ttl), Terminal(TerminalKind.CENSORED_AT, max(hops) if hops else None)
+        if result.transit.kind is TransitKind.DELIVERED and session.at_destination:
+            return ladder(ttl - 1), Terminal(TerminalKind.REACHED_DESTINATION)
+    return ladder(max_ttl), Terminal(TerminalKind.EXHAUSTED)
 
 
 def _handshake(spec: ProbeSpec, session: Session) -> None:
@@ -172,7 +156,9 @@ def merge_paths(traces: Sequence[TracePath], verdicts=None):
     A group's node set is the union of its traces' present hops. When no
     verdict map is supplied, each group's verdict is derived from its
     traces: censored terminals everywhere -> Censored, clean terminals
-    everywhere -> NotCensored, mixed -> Excluded.
+    everywhere -> NotCensored, mixed -> Excluded. A censored terminal
+    comes only from an injected RST, so a derived Censored verdict's
+    mechanism is RST injection.
     """
     from . import analysis  # local import keeps analysis free of tracer deps
 
@@ -203,16 +189,9 @@ def merge_paths(traces: Sequence[TracePath], verdicts=None):
 def _derive_verdict(group_traces: Sequence[TracePath]):
     from .core import Mechanism, Verdict
 
-    censored = [t for t in group_traces if t.terminal.kind is TerminalKind.CENSORED_AT]
-    if len(censored) == len(group_traces):
-        mechanism = Mechanism.RST_INJECTION
-        for t in censored:
-            for e in t.events:
-                if e.action.kind is ActionKind.INJECT_BLOCKPAGE:
-                    mechanism = Mechanism.BLOCKPAGE
-                elif e.action.kind is ActionKind.INJECT_DNS_ANSWER:
-                    mechanism = Mechanism.DNS_INJECTION
-        return Verdict.censored(mechanism)
+    censored = sum(t.terminal.kind is TerminalKind.CENSORED_AT for t in group_traces)
+    if censored == len(group_traces):
+        return Verdict.censored(Mechanism.RST_INJECTION)
     if not censored:
         return Verdict.not_censored()
     return Verdict.excluded()

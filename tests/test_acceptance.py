@@ -80,7 +80,7 @@ def test_criterion_2_trace_oracle_equivalence():
             )[params]
             spec = ProbeSpec(
                 protocol, topology.nodes[dst].address, "example.com",
-                Sensitivity.SENSITIVE, params, repetitions=1,
+                Sensitivity.SENSITIVE, params,
             )
             path = trace(spec, 32, SimTransport(topology))
             assert path.terminal.kind is TerminalKind.REACHED_DESTINATION

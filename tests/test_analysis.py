@@ -226,7 +226,7 @@ class TestDualGraph:
         for octet in range(1, 5):
             p = params_at(octet)
             spec = ProbeSpec(AppProtocol.HTTPS, dst, SENSITIVE_DOMAIN,
-                             Sensitivity.SENSITIVE, p, repetitions=1)
+                             Sensitivity.SENSITIVE, p)
             traces.append(trace(spec, 16, transport))
             verdicts[p] = (Verdict.censored(Mechanism.RST_INJECTION) if octet % 2
                            else Verdict.not_censored())
@@ -247,7 +247,7 @@ def run_fixture_pipeline(fx, grid=None):
     traces = []
     for p in grid:
         spec = ProbeSpec(fx.protocol, fx.dst_ip, SENSITIVE_DOMAIN,
-                         Sensitivity.SENSITIVE, p, repetitions=1)
+                         Sensitivity.SENSITIVE, p)
         traces.append(trace(spec, 16, transport))
     pathset = merge_paths(traces, matrix)
     censor_nodes = [r.attach_at for r in fx.topology.censors]

@@ -420,17 +420,65 @@ class TestRunLog:
         assert "need censored and clear groups, have 0/0" in err
 
 
+    def test_log_read_refuses_two_runs_of_one_matrix(self, tmp_path, capsys):
+        # Two runs with other sensitive domains fill one log with two
+        # matrices of (10.0.3.4, https); neither may stand for the other.
+        log = tmp_path / "m.log"
+        argv = ["rq2", "--topology", str(FIXTURES / "half_split.topo"),
+                "--dests", str(FIXTURES / "half_split.dests"), "--seed", "1",
+                "--out", str(log)]
+        bits = ["bits", "--log", str(log), "--group-by", "src_ip_low3"]
+        assert cli_main(argv + ["--protocols", "https"]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, *bits)
+        assert code == 0
+        assert "001,1,208" in out.splitlines()
+        # A resumed run and a run over another protocol still read.
+        assert cli_main(argv + ["--protocols", "https"]) == 0
+        assert cli_main(argv + ["--protocols", "http", "--sensitive-domain",
+                                "other.example"]) == 0
+        capsys.readouterr()
+        assert run(capsys, *bits, "--protocol", "https")[:2] == (0, out)
+        first_run = {json.loads(line)["run_id"] for line in log.open()}
+        assert cli_main(argv + ["--protocols", "https", "--sensitive-domain",
+                                "other.example"]) == 0
+        capsys.readouterr()
+        assert len(log.read_text().splitlines()) == 3 + 3 * 1664
+        (second_run,) = {json.loads(line)["run_id"] for line in log.open()} - first_run
+        for command in (bits, ["classify", "--log", str(log), "--topology",
+                               str(FIXTURES / "half_split.topo")]):
+            code, out, err = run(capsys, *command)
+            assert (code, out) == (2, "")
+            assert "10.0.3.4 https holds verdicts of runs" in err and second_run in err
+
+
 class TestRefusedBeforeWriting:
-    @pytest.mark.parametrize("command", ["rq1", "rq2"])
-    def test_router_destination_writes_no_log(self, tmp_path, capsys, command):
-        # Node 3 of bits3of8 is a router, and half_split.dests names node 3.
+    @pytest.mark.parametrize("command,topology,dest,message", [
+        # Node 3 of bits3of8 is a router.
+        pytest.param("rq1", "bits3of8.topo", "3", "node 3 is not an endpoint", id="rq1"),
+        pytest.param("rq2", "bits3of8.topo", "3", "node 3 is not an endpoint", id="rq2"),
+        # 10.0.3.7 lies in the /24 of half_split's endpoint 3, whose
+        # address is 10.0.3.4, but is no endpoint's address.
+        *(pytest.param(command, "half_split.topo", "10.0.3.7",
+                       "no endpoint has address 10.0.3.7", id=f"{command}-address")
+          for command in ("rq1", "rq2", "trace")),
+    ])
+    def test_router_destination_writes_no_log(self, tmp_path, capsys, command, topology,
+                                              dest, message):
         log = tmp_path / "a.log"
-        target = (["--dests", str(FIXTURES / "half_split.dests"), "--protocols", "http"]
-                  if command == "rq2" else ["--dest", "3"])
-        code, _, err = run(capsys, command, "--topology", str(FIXTURES / "bits3of8.topo"),
-                           *target, "--seed", "1", "--out", str(log))
+        (tmp_path / "a.dests").write_text(dest + "\n")
+        target = {
+            "rq1": ["--dest", dest, "--seed", "1"],
+            "rq2": ["--dests", str(tmp_path / "a.dests"), "--protocols", "http,dns",
+                    "--seed", "1"],
+            "trace": ["--dest", dest, "--src-ip", "198.51.100.7", "--src-port", "40000",
+                      "--protocol", "dns"],
+        }[command]
+        code, out, err = run(capsys, command, "--topology", str(FIXTURES / topology),
+                             *target, "--out", str(log))
         assert code == 2
-        assert "node 3 is not an endpoint" in err
+        assert message in err
+        assert out == ""
         assert not log.exists()
 
     @pytest.mark.parametrize("command,flag", [
@@ -461,6 +509,37 @@ class TestRefusedBeforeWriting:
         # The same count resumes as before.
         assert cli_main(argv + ["--repetitions", "3"]) == 0
         assert (tmp_path / "b.log").read_bytes() == before
+
+
+def _exception_classes():
+    """Every exception class defined in a flowstable module."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import flowstable
+
+    classes = []
+    for info in pkgutil.iter_modules(flowstable.__path__):
+        module = importlib.import_module(f"flowstable.{info.name}")
+        classes += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(cls, BaseException) and cls.__module__ == module.__name__]
+    return classes
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", _exception_classes(), ids=lambda cls: cls.__name__)
+    def test_every_error_of_the_package_has_its_exit_code(self, cls, capsys, monkeypatch):
+        import flowstable.cli as cli_mod
+
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli_mod, "_cmd_validate", fail)
+        expected = {"_UsageError": 1, "TransportUnavailableError": 3}.get(cls.__name__, 2)
+        code, _, err = run(capsys, "validate", str(FIXTURES / "chain.topo"))
+        assert code == expected
+        assert "boom" in err
 
 
 class TestLiveTransportExit:

@@ -94,7 +94,7 @@ def reference_forward(topology, packet, epoch, residual):
     """(kind, at, hops, events) of one packet, walked node by node from
     the entry with next_hop, looking up nodes, censors_at and loss at
     each node. residual is the session's residual map, updated in place."""
-    stream = LossStream(topology.seed, epoch, packet)
+    stream = LossStream(topology.seed, epoch, packet, packet.flow.to_bytes())
     node_id, hops, events, ttl = topology.entry, [], [], packet.ttl
     while True:
         if len(hops) == LOOP_GUARD:
@@ -137,7 +137,7 @@ def checked_sends(topology):
         expected = reference_forward(topology, packet, session.epoch, shadow)
         result = send(session, packet)
         got = result.transit
-        assert (got.kind, got.at, got.hops, got.events) == expected
+        assert (got.kind, got.hops[-1], got.hops, got.events) == expected
         assert session.residual == shadow
         checked.append(packet)
         return result

@@ -289,8 +289,9 @@ def _reference_trace(r):
 
 
 def _reference_run(records, run_id):
-    """What read_run should give, one record at a time, with nothing shared."""
-    verdicts, traces, run_ids, repetitions = {}, {}, set(), set()
+    """What read_run should give, one record at a time, with nothing
+    shared; None where it should raise MixedRunsError."""
+    verdicts, traces, run_ids, repetitions, owners = {}, {}, set(), set(), {}
     for lineno, r in enumerate(records, start=1):
         if r["record_kind"] == "meta":
             run_ids.add(r["run_id"])
@@ -301,6 +302,8 @@ def _reference_run(records, run_id):
             traces[r["trace_id"] if run_id is not None else lineno] = _reference_trace(r)
             continue
         key = (Ipv4Address(ip_to_int(r["dst"])), AppProtocol(r["protocol"]))
+        if run_id is None and owners.setdefault(key, r["run_id"]) != r["run_id"]:
+            return None
         source = SourceParams(Ipv4Address(ip_to_int(r["src_ip"])), r["src_port"])
         mechanism = None if r["mechanism"] is None else Mechanism(r["mechanism"])
         verdicts.setdefault(key, {})[source] = Verdict(VerdictKind(r["verdict"]), mechanism)
@@ -345,8 +348,13 @@ def test_interned_read_equals_reference(tmp_path_factory, records):
     path.write_bytes(b"")
     logio.append_records(path, records)
     for run_id in [None, *RUN_IDS]:
+        expected = _reference_run(records, run_id)
+        if expected is None:
+            with pytest.raises(logio.MixedRunsError):
+                logio.read_run(path, run_id)
+            continue
         run = logio.read_run(path, run_id)
-        verdicts, traces, run_ids, repetitions = _reference_run(records, run_id)
+        verdicts, traces, run_ids, repetitions = expected
         assert run.verdicts == verdicts
         assert list(run.verdicts) == list(verdicts)
         for key, matrix in verdicts.items():

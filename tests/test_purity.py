@@ -88,7 +88,7 @@ def cell(topology, transport, dest, protocol, params):
 def traced(topology, transport, dest, protocol, params):
     spec = ProbeSpec(
         protocol, topology.nodes[dest].address, DOMAINS[1], Sensitivity.SENSITIVE,
-        params, repetitions=1,
+        params,
     )
     try:
         return trace(spec, DEFAULT_MAX_TTL, transport)
@@ -131,6 +131,6 @@ def test_topology_unchanged_after_use(registry):
             registry=registry)
     params = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
     trace(ProbeSpec(AppProtocol.HTTPS, dest, DOMAINS[1],
-                    Sensitivity.SENSITIVE, params, repetitions=1),
+                    Sensitivity.SENSITIVE, params),
           DEFAULT_MAX_TTL, transport)
     assert topology == build()

@@ -41,9 +41,9 @@ schedules = st.lists(
 ).map(lambda changes: sorted(changes, key=lambda change: change[0]))
 
 
-def specs(dst, protocol, source, reps, domain=DOMAINS[1]):
+def specs(dst, protocol, source, domain=DOMAINS[1]):
     return tuple(
-        ProbeSpec(protocol, dst, name, sensitivity, source, repetitions=reps)
+        ProbeSpec(protocol, dst, name, sensitivity, source)
         for name, sensitivity in zip((DOMAINS[0], domain),
                                      (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
     )
@@ -80,8 +80,8 @@ def test_shared_results_equal_each_flows_own(doc, schedule, protocol, data):
     for source, domain, reps, _ in probes:
         cell = Cell(protocol, dst, (DOMAINS[0], domain), reps)
         assert run_cell(cell, source, shared) == run_cell(cell, source, SimTransport(topology))
-    for source, domain, reps, max_ttl in probes:
-        for spec in specs(dst, protocol, source, reps, domain):
+    for source, domain, _, max_ttl in probes:
+        for spec in specs(dst, protocol, source, domain):
             assert traced(spec, max_ttl, shared) == traced(
                 spec, max_ttl, SimTransport(topology))
 
@@ -161,6 +161,30 @@ def opened(monkeypatch):
 
     monkeypatch.setattr(Session, "__init__", recording_init)
     return sessions
+
+
+def test_later_flows_replay_their_own_loss_draws(opened):
+    # Light loss on both of half_split's routers: most cells draw no
+    # drop, so each route keeps a result early, and later cells on that
+    # route whose own draws drop must be simulated, not handed it.
+    doc = json.loads((FIXTURES / "half_split.topo").read_text())
+    doc["loss"] = [{"node": 1, "p": 0.03}, {"node": 2, "p": 0.03}]
+    topology = load_topology(doc)
+    dst = topology.nodes[3].address
+    cell = Cell(AppProtocol.HTTPS, dst, DOMAINS)
+    shared = SimTransport(topology)
+    kept, replayed = set(), 0
+    for source in plan_rq2([dst], seed=1).grid[:320]:
+        opened.clear()
+        own = run_cell(cell, source, SimTransport(topology))
+        (session,) = opened
+        assert run_cell(cell, source, shared) == own
+        if not session.dropped:
+            kept.add(session.route.nodes)
+        elif session.route.nodes in kept:
+            replayed += 1
+    assert len(kept) == 2
+    assert replayed >= 20
 
 
 @pytest.mark.parametrize("p", [0.0, 0.05])

@@ -59,6 +59,12 @@ def make_flow(src_ip=0x0A000001, dst_ip=0x0A000102, src_port=40000, dst_port=80,
     return FlowId(Ipv4Address(src_ip), Ipv4Address(dst_ip), src_port, dst_port, protocol)
 
 
+def walk(topology, packet, seed, epoch=1):
+    """forward() of packet on its flow's route compiled against topology."""
+    path = compile_route(topology, packet.flow)
+    return forward(packet, path, LossStream(seed, epoch, packet, path.flow_bytes), {})
+
+
 class TestFnv:
     def test_offset_basis_on_empty(self):
         assert fnv1a_64(b"") == 0xCBF29CE484222325
@@ -183,10 +189,9 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=1,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, compile_route(topo, packet.flow),
-                         LossStream(topo.seed, 1, packet), {})
+        result = walk(topo, packet, topo.seed)
         assert result.kind is TransitKind.TTL_EXCEEDED
-        assert result.at == 0 and result.responsive is True
+        assert result.hops == (0,)
         assert result.icmp is not None
         assert result.icmp.quoted == (
             SourceParams(packet.flow.src_ip, packet.flow.src_port), packet.ip_id
@@ -196,8 +201,7 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=64,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, compile_route(topo, packet.flow),
-                         LossStream(topo.seed, 1, packet), {})
+        result = walk(topo, packet, topo.seed)
         assert result.kind is TransitKind.DELIVERED
         assert result.hops == (0, 1, 2, 3)
 
@@ -215,8 +219,7 @@ class TestForward:
         topo = load_topology(doc)
         packet = Packet(make_flow(dst_ip=topo.nodes[1].address.value), ttl=64,
                         kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, compile_route(topo, packet.flow),
-                         LossStream(0, 1, packet), {})
+        result = walk(topo, packet, 0)
         assert result.kind is TransitKind.DELIVERED
         assert len(result.hops) == 3
 
@@ -224,11 +227,10 @@ class TestForward:
         topo = load_fixture("chain.topo")
         packet = Packet(make_flow(dst_ip=topo.nodes[3].address.value), ttl=2,
                         ip_id=7, kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, compile_route(topo, packet.flow),
-                         LossStream(topo.seed, 1, packet), {})
+        result = walk(topo, packet, topo.seed)
         assert result.kind is TransitKind.TTL_EXCEEDED
         assert result.icmp.quoted[1] == 7
-        assert result.icmp.body_tag == str(result.at)
+        assert result.icmp.body_tag == str(result.hops[-1])
 
     def test_loop_guard(self):
         doc = minimal_doc()
@@ -246,12 +248,12 @@ class TestForward:
         packet = Packet(make_flow(), ttl=255, kind=PacketKind.TCP_PAYLOAD)
         compiled = compile_route(topo, make_flow())
         with pytest.raises(LoopGuardExceededError):
-            forward(topo, packet, compiled, LossStream(0, 1, packet), {})
+            forward(packet, compiled, LossStream(0, 1, packet, None), {})
         with pytest.raises(LoopGuardExceededError):
             oracle_paths(topo, 1, [SourceParams(Ipv4Address(1), 2)], Protocol.TCP, 80)
         for ttl in (1, 63, LOOP_GUARD):
             packet = Packet(make_flow(), ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
-            result = forward(topo, packet, compiled, LossStream(0, 1, packet), {})
+            result = forward(packet, compiled, LossStream(0, 1, packet, None), {})
             assert result.kind is TransitKind.TTL_EXCEEDED
             assert result.hops == path[:ttl]
 
@@ -260,30 +262,25 @@ class TestForward:
         doc["nodes"][0]["responsive"] = False
         topo = load_topology(doc)
         packet = Packet(make_flow(), ttl=1, kind=PacketKind.TCP_PAYLOAD)
-        result = forward(topo, packet, compile_route(topo, packet.flow),
-                         LossStream(0, 1, packet), {})
+        result = walk(topo, packet, 0)
         assert result.kind is TransitKind.TTL_EXCEEDED
-        assert result.responsive is False and result.icmp is None
+        assert result.icmp is None
 
     def test_determinism_same_packet_same_seed(self):
         topo = random_topology(3, loss_range=(0.0, 0.4))
         flow = make_flow()
         packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-        a = forward(topo, packet, compile_route(topo, packet.flow),
-                    LossStream(topo.seed, 5, packet), {})
-        b = forward(topo, packet, compile_route(topo, packet.flow),
-                    LossStream(topo.seed, 5, packet), {})
+        a = walk(topo, packet, topo.seed, 5)
+        b = walk(topo, packet, topo.seed, 5)
         assert a == b
 
     def test_route_determinism_144_repetitions(self):
         topo = random_topology(9)
         flow = make_flow()
         packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-        first = forward(topo, packet, compile_route(topo, packet.flow),
-                        LossStream(topo.seed, 1, packet), {})
+        first = walk(topo, packet, topo.seed)
         for rep in range(2, 145):
-            again = forward(topo, packet, compile_route(topo, packet.flow),
-                            LossStream(topo.seed, rep, packet), {})
+            again = walk(topo, packet, topo.seed, rep)
             assert again.hops == first.hops
 
     def test_forward_hops_prefix_of_oracle(self):
@@ -301,8 +298,7 @@ class TestForward:
                               80, Protocol.TCP)
                 ttl = rng.randrange(1, 65)
                 packet = Packet(flow, ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
-                result = forward(topo, packet, compile_route(topo, packet.flow),
-                                 LossStream(topo.seed, 1, packet), {})
+                result = walk(topo, packet, topo.seed)
                 assert result.hops == oracle[: len(result.hops)]
 
     def test_next_hop_never_depends_on_ttl_or_ip_id(self):
@@ -316,8 +312,7 @@ class TestForward:
             ttl = rng.randrange(40, 256)
             packet = Packet(flow, ttl=ttl, ip_id=rng.randrange(2**16),
                             kind=PacketKind.TCP_PAYLOAD)
-            hops = forward(topo, packet, compile_route(topo, packet.flow),
-                           LossStream(topo.seed, 1, packet), {}).hops
+            hops = walk(topo, packet, topo.seed).hops
             if baseline is None:
                 baseline = hops
             assert hops == baseline
@@ -468,10 +463,8 @@ class TestLoss:
                 flow = FlowId(params.src_ip, base.nodes[dst].address,
                               params.src_port, 80, Protocol.TCP)
                 packet = Packet(flow, ttl=64, kind=PacketKind.TCP_PAYLOAD)
-                low = forward(base, packet, compile_route(base, packet.flow),
-                              LossStream(seed, 1, packet), {})
-                high = forward(heavier, packet, compile_route(heavier, packet.flow),
-                               LossStream(seed, 1, packet), {})
+                low = walk(base, packet, seed)
+                high = walk(heavier, packet, seed)
                 if low.kind is TransitKind.DELIVERED:
                     delivered_low.add((params, low.hops))
                 if high.kind is TransitKind.DELIVERED:
@@ -480,8 +473,8 @@ class TestLoss:
 
     def test_stream_uniform_and_deterministic(self):
         packet = Packet(make_flow(), ttl=9, kind=PacketKind.TCP_PAYLOAD)
-        s1 = LossStream(1, 2, packet)
-        s2 = LossStream(1, 2, packet)
+        s1 = LossStream(1, 2, packet, packet.flow.to_bytes())
+        s2 = LossStream(1, 2, packet, packet.flow.to_bytes())
         values = [s1.uniform(n) for n in range(500)]
         assert values == [s2.uniform(n) for n in range(500)]
         assert all(0.0 <= v < 1.0 for v in values)
@@ -501,13 +494,12 @@ class TestLoss:
     @given(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**63 - 1),
            st.integers(0, 2**16 - 1),
            st.sampled_from([k for k in PacketKind if k is not PacketKind.ICMP_TTL_EXCEEDED]),
-           st.integers(0, 2**16 - 1), st.integers(0, 2**16), st.booleans())
-    def test_uniform_matches_documented_key(self, seed, epoch, src_port, kind, ip_id, node,
-                                            pass_flow_bytes):
+           st.integers(0, 2**16 - 1), st.integers(0, 2**16))
+    def test_uniform_matches_documented_key(self, seed, epoch, src_port, kind, ip_id, node):
         flow = make_flow(src_port=src_port)
         packet = Packet(flow, ttl=9, ip_id=ip_id, kind=kind)
         raw = flow_bytes(str(flow.src_ip), str(flow.dst_ip), src_port, 80, 6)
-        stream = LossStream(seed, epoch, packet, raw if pass_flow_bytes else None)
+        stream = LossStream(seed, epoch, packet, raw)
         expected = loss_uniform(seed, epoch, raw, kind.value, ip_id, node)
         assert stream.uniform(node) == expected
         assert stream.uniform(node + 1) == loss_uniform(seed, epoch, raw, kind.value, ip_id,

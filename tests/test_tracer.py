@@ -20,8 +20,7 @@ PARAMS = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
 
 def sensitive_spec(topology, protocol, params=PARAMS, dst=None, domain="blocked.example"):
     dst_ip = topology.nodes[dst if dst is not None else max(topology.nodes)].address
-    return ProbeSpec(protocol, dst_ip, domain, Sensitivity.SENSITIVE,
-                     params, repetitions=1)
+    return ProbeSpec(protocol, dst_ip, domain, Sensitivity.SENSITIVE, params)
 
 
 class TestTrace:
@@ -135,6 +134,33 @@ class TestTrace:
         assert path.hops == (0, 1, 2)
         kinds = {p.kind for p in sent_packets}
         assert kinds == {PacketKind.UDP_PAYLOAD}
+
+    def test_route_to_another_endpoint_exhausts_the_ladder(self):
+        # Router 0 sends every flow to endpoint 1, so probes to endpoint
+        # 2's address are delivered at a host that is not their
+        # destination: a dns ladder never reaches it, and a tcp handshake
+        # gets no answer.
+        from flowstable.prober import HandshakeFailedError
+        from flowstable.simnet import load_topology
+
+        doc = {
+            "nodes": [
+                {"id": i, "role": role, "asn": 1 + i, "subnet24": f"10.0.{i}.0/24",
+                 "geo": "a", "responsive": True}
+                for i, role in enumerate(["router", "endpoint", "endpoint"])
+            ],
+            "policies": [{"node": 0, "selector": {"kind": "low_bits", "field": "src_ip",
+                                                  "n_bits": 1}, "next_hops": [1]}],
+            "seed": 0,
+        }
+        topo = load_topology(doc)
+        path = trace(sensitive_spec(topo, AppProtocol.DNS, dst=2, domain="example.com"),
+                     6, SimTransport(topo))
+        assert path.terminal.kind is TerminalKind.EXHAUSTED
+        assert path.hops == (0, None, None, None, None, None)
+        with pytest.raises(HandshakeFailedError):
+            trace(sensitive_spec(topo, AppProtocol.HTTP, dst=2, domain="example.com"),
+                  6, SimTransport(topo))
 
     def test_trace_does_not_change_routing(self):
         topo = load_fixture("srcip_hash.topo")
