@@ -8,10 +8,12 @@ many paths; on the port-hashing fixture the roles swap.
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from flowstable import logio
 from flowstable.analysis import num_nodes, num_paths
 from flowstable.core import AppProtocol
 from flowstable.experiments import plan_rq1, run_rq1
@@ -32,7 +34,10 @@ def main() -> int:
         topology = load_topology((FIXTURES / fixture).read_text())
         (endpoint,) = [n for n in topology.nodes.values() if n.role is Role.ENDPOINT]
         plans = plan_rq1(endpoint.address, AppProtocol(args.protocol), args.seed)
-        pathsets = run_rq1(plans, SimTransport(topology))
+        # Every rq1 run writes a log; this demo keeps only its printout.
+        with tempfile.TemporaryDirectory() as directory:
+            log = logio.open_run(Path(directory) / "rq1.log", fixture)
+            pathsets = run_rq1(plans, SimTransport(topology), log)
         print(f"\n{fixture}  (destination {endpoint.address})")
         print(f"{'variation':>14}  {'paths':>5}  {'nodes':>5}")
         for plan in plans:

@@ -15,7 +15,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import Ipv4Address, SourceParams, Verdict
 from .simnet import Node
-from .tracer import TracePath
 
 
 class EmptyPathSetError(ValueError):
@@ -43,7 +42,8 @@ class TraceGroup:
     """All traces sharing one (destination, source-params) combination."""
 
     params: SourceParams
-    traces: Tuple[TracePath, ...]
+    #: The group's tracer.TracePath values.
+    traces: tuple
     verdict: Verdict
 
     @property

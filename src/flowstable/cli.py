@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: validate, rq1, rq2, trace, graph, classify, bits. Runs
-append JSON-lines records to a log; reports are emitted as CSV files
-with fixed column orders and 4-decimal percentages so identical inputs
-produce byte-identical outputs.
+Subcommands: validate, rq1, rq2, trace, graph, classify, bits. It
+parses arguments, resolves them and writes CSV reports with fixed
+column orders and 4-decimal percentages, so identical inputs produce
+byte-identical outputs; experiments runs sweeps and logs their traces.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 transport error.
 """
@@ -23,6 +23,8 @@ from .core import AppProtocol, Ipv4Address, Sensitivity, SourceParams
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "FLOWSTABLE_SEED"
+#: The largest seed: plans key their generators on the seed's 8 bytes.
+MAX_SEED = 2**64 - 1
 
 
 class _UsageError(Exception):
@@ -38,12 +40,12 @@ def _resolve_seed(flag_value: Optional[int]) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return _int_in(0, MAX_SEED)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{SEED_ENV_VAR}: {exc}") from exc
 
 
 def _load_topology(path: str) -> simnet.Topology:
@@ -86,11 +88,16 @@ def _int_in(lo: int, hi: Optional[int] = None):
     return parse
 
 
-def _parse_protocols(text: str) -> List[AppProtocol]:
+def _protocols(text: str) -> List[AppProtocol]:
+    """An argparse type: comma-separated protocols, each kept once, in
+    first-seen order; a list that names none is refused."""
     try:
-        return [AppProtocol(p.strip()) for p in text.split(",") if p.strip()]
+        protocols = [AppProtocol(p.strip()) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not protocols:
+        raise argparse.ArgumentTypeError(f"no protocol in {text!r}")
+    return list(dict.fromkeys(protocols))
 
 
 def _run_id(*parts) -> str:
@@ -109,11 +116,6 @@ def _registry(path: Optional[str]) -> prober.BlockpageRegistry:
     if path is None:
         return prober.EMPTY_REGISTRY
     return prober.BlockpageRegistry.load(Path(path).read_text())
-
-
-def _flow_id(dst_ip: Ipv4Address, protocol: AppProtocol, params: SourceParams) -> str:
-    """Trace id of a flow's trace in a run log."""
-    return f"{dst_ip}|{protocol.value}|{params}"
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +139,18 @@ def _cmd_trace(args) -> int:
         Sensitivity.SENSITIVE if args.sensitive else Sensitivity.CONTROL,
         SourceParams(Ipv4Address.parse(args.src_ip), args.src_port),
     )
-    path = tracer.trace(spec, args.max_ttl, transport)
-    for ttl, hop in enumerate(path.hops, start=1):
-        print(f"{ttl} {'*' if hop is None else hop}")
-    print(logio.terminal_str(path.terminal))
     if args.out:
         run_id = _run_id(
             "trace", Path(args.topology).read_bytes(), str(dst_ip), spec.source,
             spec.protocol.value, spec.domain, spec.sensitivity.value, args.max_ttl,
         )
         log = logio.open_run(args.out, run_id, command="trace", dest=str(dst_ip))
-        trace_id = _flow_id(dst_ip, spec.protocol, spec.source)
-        if trace_id not in log.traces:
-            logio.append_records(log.path, [logio.trace_record(run_id, path, trace_id)])
+        path = experiments.trace_flow(spec, args.max_ttl, transport, log)
+    else:
+        path = tracer.trace(spec, args.max_ttl, transport)
+    for ttl, hop in enumerate(path.hops, start=1):
+        print(f"{ttl} {'*' if hop is None else hop}")
+    print(logio.terminal_str(path.terminal))
     return 0
 
 
@@ -164,7 +165,7 @@ def _cmd_rq1(args) -> int:
     log = logio.open_run(
         args.out, run_id, command="rq1", seed=seed, dest=str(dst_ip), protocol=protocol.value
     )
-    pathsets = experiments.run_rq1(plans, transport, max_ttl=args.max_ttl, log=log)
+    pathsets = experiments.run_rq1(plans, transport, log, max_ttl=args.max_ttl)
 
     counts: Dict[Tuple[str, int], int] = {}
     for variation in experiments.Rq1Variation:
@@ -203,7 +204,7 @@ def _cmd_rq2(args) -> int:
     topology = _load_topology(args.topology)
     dests = _read_dests(topology, args.dests)
     seed = _resolve_seed(args.seed)
-    protocols = _parse_protocols(args.protocols)
+    protocols = args.protocols
     registry = _registry(args.registry)
     transport = prober.SimTransport(topology)
     plan = experiments.plan_rq2(
@@ -212,7 +213,8 @@ def _cmd_rq2(args) -> int:
         domain_pair=(args.control_domain, args.sensitive_domain),
     )
     run_id = _run_id(
-        "rq2", Path(args.topology).read_bytes(), seed, args.protocols,
+        "rq2", Path(args.topology).read_bytes(), seed,
+        ",".join(protocol.value for protocol in protocols),
         args.control_domain, args.sensitive_domain,
     )
     log = logio.open_run(
@@ -223,16 +225,16 @@ def _cmd_rq2(args) -> int:
     matrices = experiments.run_rq2(
         plan,
         transport,
+        log,
         protocols=protocols,
         registry=registry,
         repetitions=args.repetitions,
-        log=log,
     )
 
     table_rows = []
     fractions: Dict[str, List] = {}
     for node in sorted(dests, key=lambda node: node.address.value):
-        for protocol in sorted(set(protocols), key=lambda protocol: protocol.value):
+        for protocol in sorted(protocols, key=lambda protocol: protocol.value):
             matrix = matrices[(node.address, protocol)]
             affected = prober.is_affected(matrix)
             table_rows.append(
@@ -254,34 +256,9 @@ def _cmd_rq2(args) -> int:
     _write_csv(cdf_path, ["protocol", "no_censorship_fraction", "cdf"], cdf_rows)
 
     if args.trace_affected:
-        _trace_affected(transport, matrices, log, args.sensitive_domain)
+        experiments.trace_affected(plan, matrices, transport, log)
     print(f"wrote {table_path} and {cdf_path}")
     return 0
-
-
-def _trace_affected(transport, matrices, log: logio.RunLog, sensitive_domain):
-    """Append sensitive-domain traces for every decided cell of every
-    affected (destination, protocol), enabling graph/classify on the log,
-    in batches (see logio.Appender). Flows this run already traced into
-    the log are not traced again."""
-    appender = logio.Appender(log.path)
-    for (dst_ip, protocol), matrix in sorted(
-        matrices.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-    ):
-        if not prober.is_affected(matrix):
-            continue
-        for params in sorted(matrix):
-            if matrix[params].is_excluded:
-                continue
-            trace_id = _flow_id(dst_ip, protocol, params)
-            if trace_id in log.traces:
-                continue
-            spec = prober.ProbeSpec(
-                protocol, dst_ip, sensitive_domain, Sensitivity.SENSITIVE, params
-            )
-            path = tracer.trace(spec, tracer.DEFAULT_MAX_TTL, transport)
-            appender.add(logio.trace_record(log.run_id, path, trace_id))
-        appender.flush()
 
 
 def _pathsets_from_log(
@@ -426,7 +403,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--topology", required=True)
     p.add_argument("--dest", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_in(0, MAX_SEED), default=None,
                    help=f"defaults to ${SEED_ENV_VAR} or {DEFAULT_SEED}")
     p.add_argument("--out", required=True, help="run log; CSV written next to it")
     p.add_argument("--protocol", default="http", choices=[x.value for x in AppProtocol])
@@ -443,10 +420,11 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--topology", required=True)
     p.add_argument("--dests", required=True, help="file with one destination per line")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_in(0, MAX_SEED), default=None,
                    help=f"defaults to ${SEED_ENV_VAR} or {DEFAULT_SEED}")
     p.add_argument("--out", required=True, help="run log; CSVs written next to it")
-    p.add_argument("--protocols", default="dns,http,https")
+    p.add_argument("--protocols", type=_protocols, default="dns,http,https",
+                   help="comma-separated; each protocol runs once, in first-seen order")
     p.add_argument("--registry", help="blockpage template registry (JSON)")
     p.add_argument("--repetitions", type=_int_in(1),
                    default=prober.DEFAULT_REPETITIONS)

@@ -1,4 +1,5 @@
-"""Planners and drivers for the two sweep designs.
+"""Planners and drivers for the two sweep designs, rq2's trace pass,
+and the trace ids and one step (take_trace) of every logged trace.
 
 The first design (rq1) measures path diversity: four source-parameter
 variations of 144 traced measurements each against one destination with
@@ -15,7 +16,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .core import (
     AppProtocol,
@@ -34,6 +35,7 @@ from .prober import (
     ProbeSpec,
     TransportUnavailableError,
     classify,  # unused here; perfbench's span tests patch it through this module
+    is_affected,
     run_cell,
 )
 from .tracer import DEFAULT_MAX_TTL, TracePath, merge_paths, trace
@@ -154,42 +156,62 @@ def plan_rq2(
     return Rq2Plan(grid, tuple(destinations), domain_pair)
 
 
+def flow_trace_id(dst_ip: Ipv4Address, protocol: AppProtocol, source: SourceParams) -> str:
+    """The trace id of rq2's trace pass and trace --out."""
+    return f"{dst_ip}|{protocol.value}|{source}"
+
+
+def take_trace(log: logio.RunLog, appender: logio.Appender, trace_id: str,
+               make_spec: Callable[[], ProbeSpec], max_ttl: int, transport,
+               **extra) -> TracePath:
+    """The trace log holds under trace_id for its run; else a trace of
+    make_spec(), its record (with extra keys) queued on appender. A
+    resumed run thus traces, and builds specs for, only what it lacks."""
+    held = log.traces.get(trace_id)
+    if held is not None:
+        return held
+    path = trace(make_spec(), max_ttl, transport)
+    appender.add(logio.trace_record(log.run_id, path, trace_id, **extra))
+    return path
+
+
+def trace_flow(spec: ProbeSpec, max_ttl: int, transport, log: logio.RunLog) -> TracePath:
+    """trace --out: spec's trace, taken or appended under its flow id."""
+    appender = logio.Appender(log.path)
+    trace_id = flow_trace_id(spec.dst_ip, spec.protocol, spec.source)
+    path = take_trace(log, appender, trace_id, lambda: spec, max_ttl, transport)
+    appender.flush()
+    return path
+
+
 def run_rq1(
     plans: Sequence[Rq1Plan],
     transport,
+    log: logio.RunLog,
     max_ttl: int = DEFAULT_MAX_TTL,
-    log: Optional[logio.RunLog] = None,
 ) -> Dict[Rq1Variation, PathSet]:
     """Trace every sample of every plan and merge paths per variation.
 
-    With a log (from logio.open_run), samples whose trace it already
-    holds under this run's id are not traced again, and each new trace
-    becomes one record, in plan order, appended in batches (see
-    logio.Appender) and all written by the end of its plan. A run cut
-    short therefore resumes where it stopped and leaves the same log as
-    an uninterrupted one.
+    Samples whose trace log (from logio.open_run) already holds under
+    this run's id are not traced again, and each new trace becomes one
+    record, in plan order, appended in batches (see logio.Appender) and
+    all written by the end of its plan. A run cut short therefore
+    resumes where it stopped and leaves the same log as an
+    uninterrupted one.
     """
     out: Dict[Rq1Variation, PathSet] = {}
-    appender = logio.Appender(log.path) if log is not None else None
+    appender = logio.Appender(log.path)
     for plan in plans:
         traces: List[TracePath] = []
         for idx, params in enumerate(plan.samples):
-            trace_id = f"{plan.variation.value}:{idx}"
-            if log is not None and trace_id in log.traces:
-                traces.append(log.traces[trace_id])
-                continue
-            spec = ProbeSpec(
-                plan.protocol, plan.dst_ip, BENIGN_DOMAIN, Sensitivity.CONTROL, params
-            )
-            t = trace(spec, max_ttl, transport)
-            traces.append(t)
-            if appender is not None:
-                appender.add(logio.trace_record(
-                    log.run_id, t, trace_id,
-                    variation=plan.variation.value, sample_index=idx,
-                ))
-        if appender is not None:
-            appender.flush()
+            traces.append(take_trace(
+                log, appender, f"{plan.variation.value}:{idx}",
+                lambda: ProbeSpec(
+                    plan.protocol, plan.dst_ip, BENIGN_DOMAIN, Sensitivity.CONTROL, params
+                ),
+                max_ttl, transport, variation=plan.variation.value, sample_index=idx,
+            ))
+        appender.flush()
         out[plan.variation] = merge_paths(traces)
     return out
 
@@ -197,10 +219,10 @@ def run_rq1(
 def run_rq2(
     plan: Rq2Plan,
     transport,
+    log: logio.RunLog,
     protocols: Sequence[AppProtocol] = (AppProtocol.DNS, AppProtocol.HTTP, AppProtocol.HTTPS),
     registry: BlockpageRegistry = EMPTY_REGISTRY,
     repetitions: int = DEFAULT_REPETITIONS,
-    log: Optional[logio.RunLog] = None,
 ) -> Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]:
     """Verdict matrix per (destination, protocol).
 
@@ -211,19 +233,19 @@ def run_rq2(
     transport that cannot carry probes makes a cell Excluded with no
     observations, so one bad cell never aborts a sweep.
 
-    With a log (from logio.open_run), cells it holds a verdict for under
-    this run's id are not run again and their verdicts are taken from
-    it; each new cell becomes one line, in plan order, appended in
+    Cells whose verdict log (from logio.open_run) holds under this
+    run's id are not run again and their verdicts are taken from it;
+    each new cell becomes one line, in plan order, appended in
     batches (see logio.Appender) and all written by the end of its
     matrix. A sweep cut short therefore resumes where it stopped and
     leaves the same log as an uninterrupted one.
     """
     out: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]] = {}
-    appender = logio.Appender(log.path) if log is not None else None
+    appender = logio.Appender(log.path)
     for dst in plan.destinations:
         for protocol in protocols:
-            done = log.verdicts.get((dst, protocol), {}) if log is not None else {}
-            lines = None if log is None else logio.VerdictLines(log.run_id, dst, protocol)
+            done = log.verdicts.get((dst, protocol), {})
+            lines = logio.VerdictLines(log.run_id, dst, protocol)
             cell = Cell(protocol, dst, plan.domain_pair, repetitions, registry, lines)
             matrix: Dict[SourceParams, Verdict] = {}
             for params in plan.grid:
@@ -235,9 +257,34 @@ def run_rq2(
                 except TransportUnavailableError:
                     result = cell.result((), (), Verdict.excluded())
                 matrix[params] = result.verdict
-                if appender is not None:
-                    appender.add(lines.line(result.encoded, params))
-            if appender is not None:
-                appender.flush()
+                appender.add(lines.line(result.encoded, params))
+            appender.flush()
             out[(dst, protocol)] = matrix
     return out
+
+
+def trace_affected(
+    plan: Rq2Plan,
+    matrices: Mapping[Tuple[Ipv4Address, AppProtocol], Mapping[SourceParams, Verdict]],
+    transport,
+    log: logio.RunLog,
+) -> None:
+    """rq2's trace pass: trace each decided cell of each affected matrix
+    with plan's sensitive domain, in address, protocol and source order,
+    each matrix's records all written by its end."""
+    domain = plan.domain_pair[1]
+    appender = logio.Appender(log.path)
+    for (dst_ip, protocol), matrix in sorted(
+        matrices.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
+    ):
+        if not is_affected(matrix):
+            continue
+        for params in sorted(matrix):
+            if matrix[params].is_excluded:
+                continue
+            take_trace(
+                log, appender, flow_trace_id(dst_ip, protocol, params),
+                lambda: ProbeSpec(protocol, dst_ip, domain, Sensitivity.SENSITIVE, params),
+                DEFAULT_MAX_TTL, transport,
+            )
+        appender.flush()

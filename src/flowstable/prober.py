@@ -100,12 +100,6 @@ class ProbeSpec:
             raise ValueError("probe sensitivity must be control or sensitive")
         object.__setattr__(self, "flow", _flow(self.protocol, self.dst_ip, self.source))
 
-    def without_source(self) -> Tuple:
-        """Every field but the source: with the route, what fixes each
-        packet the spec's probes send (see SimTransport.run)."""
-        # Enum values, not members: members hash slowly.
-        return (self.protocol.value, self.dst_ip.value, self.domain, self.sensitivity.value)
-
 
 class ObservationKind(Enum):
     PAYLOAD_RESPONSE = "payload_response"

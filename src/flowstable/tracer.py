@@ -1,27 +1,23 @@
-"""Mid-flow, route-stable traceroute.
+"""Mid-flow, route-stable traceroute that sends the cell's own packets.
 
-For TCP protocols a handshake is completed first, then the payload
-packet of the live connection is re-emitted once per TTL from 1 up,
-with the TTL copied into the IP ID field so ICMP quotations can be
-matched back to ladder positions. The connection stays up for the whole
-ladder; there are no retransmissions. Because TTL and IP ID never feed
-ECMP hashing, every copy follows the probe flow's one path.
+The probe's SYN and ACK (prober._exchange_packets) complete a TCP
+handshake first, then its payload packet is re-emitted once per TTL
+from 1 up, with only the TTL and IP ID, a copy of the TTL, changed, so
+ICMP quotations can be matched back to ladder positions. The connection
+stays up for the whole ladder; there are no retransmissions. Because
+TTL and IP ID never feed ECMP hashing, every copy follows the probe
+flow's one path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Ipv4Address, Packet, PacketKind, SourceParams, AppProtocol
-from .prober import (
-    HandshakeFailedError,
-    ProbeSpec,
-    Session,
-    _first,
-    PROBE_TTL,
-)
+from .analysis import EmptyPathSetError, PathSet, TraceGroup
+from .core import AppProtocol, Ipv4Address, Mechanism, PacketKind, SourceParams, Verdict
+from .prober import HandshakeFailedError, ProbeSpec, Session, _exchange_packets, _first
 from .simnet import TransitKind
 
 MAX_TTL_CEILING = 64
@@ -94,7 +90,9 @@ def trace(
     """
     if not 1 <= max_ttl <= MAX_TTL_CEILING:
         raise ValueError(f"max_ttl must be in 1..{MAX_TTL_CEILING}, got {max_ttl}")
-    key = ("trace", spec.without_source(), max_ttl)
+    # spec's fields but its source, enums as values (members hash slowly).
+    key = ("trace", spec.protocol.value, spec.dst_ip.value, spec.domain,
+           spec.sensitivity.value, max_ttl)
     ladder, terminal = transport.run(
         spec.flow, key, lambda session: _climb(spec, max_ttl, session)
     )
@@ -104,13 +102,15 @@ def trace(
 def _climb(
     spec: ProbeSpec, max_ttl: int, session: Session
 ) -> Tuple[Tuple[Optional[int], ...], Terminal]:
-    """trace's TTL ladder on one session: its hops and its terminal."""
+    """trace's TTL ladder on one session: its hops and its terminal.
+    Raises HandshakeFailedError when a TCP SYN draws no SYN-ACK."""
     session.advance()
-
-    payload_kind = PacketKind.UDP_PAYLOAD
-    if spec.protocol is not AppProtocol.DNS:
-        payload_kind = PacketKind.TCP_PAYLOAD
-        _handshake(spec, session)
+    *handshake, payload = _exchange_packets(spec)
+    if handshake:
+        syn, ack = handshake
+        if _first(session.send(syn).responses, PacketKind.TCP_SYNACK) is None:
+            raise HandshakeFailedError(f"no handshake for {spec.source} -> {spec.dst_ip}")
+        session.send(ack)
 
     hops: Dict[int, int] = {}
 
@@ -118,15 +118,7 @@ def _climb(
         return tuple(hops.get(t) for t in range(1, top + 1))
 
     for ttl in range(1, max_ttl + 1):
-        copy = Packet(
-            spec.flow,
-            ttl=ttl,
-            ip_id=ttl,
-            kind=payload_kind,
-            sensitivity=spec.sensitivity,
-            body_tag=spec.domain,
-        )
-        result = session.send(copy)
+        result = session.send(replace(payload, ttl=ttl, ip_id=ttl))
         rst = False
         for pkt in result.responses:
             if pkt.kind is PacketKind.ICMP_TTL_EXCEEDED:
@@ -142,15 +134,7 @@ def _climb(
     return ladder(max_ttl), Terminal(TerminalKind.EXHAUSTED)
 
 
-def _handshake(spec: ProbeSpec, session: Session) -> None:
-    syn = Packet(spec.flow, ttl=PROBE_TTL, kind=PacketKind.TCP_SYN)
-    responses = session.send(syn).responses
-    if _first(responses, PacketKind.TCP_SYNACK) is None:
-        raise HandshakeFailedError(f"no handshake for {spec.source} -> {spec.dst_ip}")
-    session.send(Packet(spec.flow, ttl=PROBE_TTL, kind=PacketKind.TCP_ACK))
-
-
-def merge_paths(traces: Sequence[TracePath], verdicts=None):
+def merge_paths(traces: Sequence[TracePath], verdicts=None) -> PathSet:
     """Group traces by source params into a PathSet.
 
     A group's node set is the union of its traces' present hops. When no
@@ -160,10 +144,8 @@ def merge_paths(traces: Sequence[TracePath], verdicts=None):
     comes only from an injected RST, so a derived Censored verdict's
     mechanism is RST injection.
     """
-    from . import analysis  # local import keeps analysis free of tracer deps
-
     if not traces:
-        raise analysis.EmptyPathSetError("no traces to merge")
+        raise EmptyPathSetError("no traces to merge")
     dsts = {t.dst_ip for t in traces}
     if len(dsts) > 1:
         raise MixedDestinationsError(f"traces span destinations: {sorted(map(str, dsts))}")
@@ -178,17 +160,15 @@ def merge_paths(traces: Sequence[TracePath], verdicts=None):
             verdict = verdicts[params]
         else:
             verdict = _derive_verdict(group_traces)
-        groups[params] = analysis.TraceGroup(
+        groups[params] = TraceGroup(
             params=params,
             traces=tuple(group_traces),
             verdict=verdict,
         )
-    return analysis.PathSet(dst_ip=traces[0].dst_ip, groups=groups)
+    return PathSet(dst_ip=traces[0].dst_ip, groups=groups)
 
 
-def _derive_verdict(group_traces: Sequence[TracePath]):
-    from .core import Mechanism, Verdict
-
+def _derive_verdict(group_traces: Sequence[TracePath]) -> Verdict:
     censored = sum(t.terminal.kind is TerminalKind.CENSORED_AT for t in group_traces)
     if censored == len(group_traces):
         return Verdict.censored(Mechanism.RST_INJECTION)

@@ -1,4 +1,6 @@
+import contextlib
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +35,17 @@ def load_fixture(name: str):
     from flowstable.simnet import load_topology
 
     return load_topology((FIXTURES / name).read_text())
+
+
+@contextlib.contextmanager
+def scratch_log(run_id: str = "test"):
+    """A fresh run log read for run_id (logio.open_run), in a temporary
+    directory that goes when the block ends: run_rq1 and run_rq2 write
+    every run to a log."""
+    from flowstable import logio
+
+    with tempfile.TemporaryDirectory() as directory:
+        yield logio.open_run(Path(directory) / "run.log", run_id)
 
 
 def flapping(topology, schedule):

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import conftest
-from conftest import FIXTURES, flapping, load_fixture
+from conftest import FIXTURES, flapping, load_fixture, scratch_log
 
 from flowstable.analysis import (
     BitGrouping,
@@ -51,7 +51,8 @@ def test_criterion_1_route_determinism():
         dest = _endpoint(topology).address
         plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=1)
                  if p.variation is Rq1Variation.ALL_CONSTANT]
-        pathsets = run_rq1(plans, SimTransport(topology))
+        with scratch_log() as log:
+            pathsets = run_rq1(plans, SimTransport(topology), log)
         assert num_paths(pathsets[Rq1Variation.ALL_CONSTANT]) == 1, path.name
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -157,8 +158,9 @@ def test_criterion_5_bit_pattern_reproduction(registry):
     topology = load_fixture("bits3of8.topo")
     dest = topology.nodes[9].address
     plan = plan_rq2([dest], seed=55)
-    matrices = run_rq2(plan, SimTransport(topology),
-                       protocols=[AppProtocol.HTTP], registry=registry)
+    with scratch_log() as log:
+        matrices = run_rq2(plan, SimTransport(topology), log,
+                           protocols=[AppProtocol.HTTP], registry=registry)
     matrix = matrices[(dest, AppProtocol.HTTP)]
 
     rows = bit_group_summary({dest: matrix}, BitGrouping.SRC_IP_LOW3)
@@ -178,8 +180,9 @@ def test_criterion_6_half_split_cdf(tmp_path, registry):
     topology = load_fixture("half_split.topo")
     dest = topology.nodes[3].address
     plan = plan_rq2([dest], seed=66)
-    matrices = run_rq2(plan, SimTransport(topology),
-                       protocols=[AppProtocol.HTTPS], registry=registry)
+    with scratch_log() as log:
+        matrices = run_rq2(plan, SimTransport(topology), log,
+                           protocols=[AppProtocol.HTTPS], registry=registry)
     fraction = no_censorship_fraction(matrices[(dest, AppProtocol.HTTPS)])
     assert fraction == Fraction(1, 2)
 
@@ -236,7 +239,8 @@ def test_criterion_8_rq1_mode_separation():
         for seed in range(20):
             plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=seed)
                      if p.variation in (Rq1Variation.VARY_IP, Rq1Variation.VARY_PORT)]
-            pathsets = run_rq1(plans, SimTransport(topology))
+            with scratch_log() as log:
+                pathsets = run_rq1(plans, SimTransport(topology), log)
             n_ip = num_paths(pathsets[Rq1Variation.VARY_IP])
             n_port = num_paths(pathsets[Rq1Variation.VARY_PORT])
             if ip_dominates:

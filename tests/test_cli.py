@@ -122,6 +122,18 @@ class TestSeedPrecedence:
         assert meta_free(log_a) == meta_free(log_b)
         assert meta_free(log_a) != meta_free(log_c)
 
+    @pytest.mark.parametrize("value", ["-5", "18446744073709551616", "x"])
+    def test_env_seed_out_of_range_writes_no_log(self, tmp_path, capsys, monkeypatch,
+                                                  value):
+        monkeypatch.setenv("FLOWSTABLE_SEED", value)
+        log = tmp_path / "a.log"
+        code, _, err = run(capsys, "rq2", "--topology", str(FIXTURES / "half_split.topo"),
+                           "--dests", str(FIXTURES / "half_split.dests"),
+                           "--out", str(log))
+        assert code == 1
+        assert "FLOWSTABLE_SEED" in err
+        assert not log.exists()
+
 
 RQ2_ARGV = [
     "rq2", "--topology", str(FIXTURES / "half_split.topo"),
@@ -347,18 +359,50 @@ class TestRunLog:
         assert table != half_split_table
 
     def test_rq2_probes_a_repeated_destination_once(self, tmp_path, capsys):
-        # 10.0.3.4 is the address of half_split's endpoint 3.
+        # 10.0.3.4 is the address of half_split's endpoint 3. A repeated
+        # protocol runs once too, and the run id hashes the parsed list,
+        # so https,https is the https run, meta line included.
         outputs = {}
-        for name, dests in (("once", "3\n"), ("twice", "3\n10.0.3.4\n")):
+        for name, dests, protocols in (("once", "3\n", "https"),
+                                       ("twice", "3\n10.0.3.4\n", "https"),
+                                       ("protocol_twice", "3\n", "https,https")):
             (tmp_path / f"{name}.dests").write_text(dests)
             assert cli_main(["rq2", "--topology", str(FIXTURES / "half_split.topo"),
                              "--dests", str(tmp_path / f"{name}.dests"),
-                             "--protocols", "https", "--seed", "1",
+                             "--protocols", protocols, "--seed", "1",
                              "--out", str(tmp_path / f"{name}.log")]) == 0
             outputs[name] = [(tmp_path / f"{name}{suffix}").read_bytes()
                              for suffix in (".log", "_table.csv", "_cdf.csv")]
-        assert outputs["twice"] == outputs["once"]
+        assert outputs["twice"] == outputs["protocol_twice"] == outputs["once"]
         assert len(outputs["once"][0].splitlines()) == 1 + 1664
+
+    def test_rq2_trace_pass_traces_each_runs_affected_cells(self, tmp_path, capsys):
+        # Two runs that differ only in --control-domain have two run ids
+        # and trace the same flows, so the second may take none of the
+        # first's traces.
+        def argv(control, out):
+            return ["rq2", "--topology", str(FIXTURES / "half_split.topo"),
+                    "--dests", str(FIXTURES / "half_split.dests"), "--protocols", "https",
+                    "--seed", "1", "--control-domain", control, "--trace-affected",
+                    "--out", str(out)]
+
+        shared, fresh = tmp_path / "shared.log", tmp_path / "fresh.log"
+        assert cli_main(argv("control.example", shared)) == 0
+        assert cli_main(argv("other.example", shared)) == 0
+        assert cli_main(argv("other.example", fresh)) == 0
+        records = [json.loads(line) for line in open(shared)]
+        first, second = [r["run_id"] for r in records if r["record_kind"] == "meta"]
+        trace_ids = {first: [], second: []}
+        for r in records:
+            if r["record_kind"] == "trace":
+                trace_ids[r["run_id"]].append(r["trace_id"])
+        assert trace_ids[first] and trace_ids[second] == trace_ids[first]
+        assert shared.read_bytes().endswith(fresh.read_bytes())
+        # Each run resumes from its own traces and appends nothing.
+        before = shared.read_bytes()
+        for control in ("control.example", "other.example"):
+            assert cli_main(argv(control, shared)) == 0
+        assert shared.read_bytes() == before
 
     def test_trace_out_appends_one_record_per_flow(self, tmp_path, capsys):
         from flowstable import logio
@@ -484,6 +528,8 @@ class TestRefusedBeforeWriting:
     @pytest.mark.parametrize("command,flag", [
         ("rq1", ["--max-ttl", "0"]), ("rq1", ["--max-ttl", "65"]),
         ("rq2", ["--repetitions", "0"]), ("rq2", ["--repetitions", "x"]),
+        ("rq2", ["--protocols", ","]),
+        ("rq1", ["--seed", "-1"]), ("rq2", ["--seed", "18446744073709551616"]),
     ])
     def test_out_of_range_count_writes_no_log(self, tmp_path, capsys, command, flag):
         log = tmp_path / "a.log"

@@ -16,7 +16,7 @@ from flowstable.experiments import (
 )
 from flowstable.prober import LiveTransport, SimTransport, is_affected
 
-from conftest import load_fixture
+from conftest import load_fixture, scratch_log
 
 DEST = Ipv4Address.parse("10.0.3.4")  # chain.topo endpoint
 
@@ -98,7 +98,8 @@ class TestRunners:
         topo = load_fixture("chain.topo")
         plans = [p for p in plan_rq1(DEST, AppProtocol.HTTP, seed=2)
                  if p.variation is Rq1Variation.ALL_CONSTANT]
-        pathsets = run_rq1(plans, SimTransport(topo))
+        with scratch_log() as log:
+            pathsets = run_rq1(plans, SimTransport(topo), log)
         assert num_paths(pathsets[Rq1Variation.ALL_CONSTANT]) == 1
 
     def test_rq1_vary_ip_exercises_every_branch(self):
@@ -106,15 +107,17 @@ class TestRunners:
         dest = topo.nodes[9].address
         plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=2)
                  if p.variation is Rq1Variation.VARY_IP]
-        pathsets = run_rq1(plans, SimTransport(topo))
+        with scratch_log() as log:
+            pathsets = run_rq1(plans, SimTransport(topo), log)
         assert num_paths(pathsets[Rq1Variation.VARY_IP]) == 8
 
     def test_rq2_half_split_affected(self, registry):
         topo = load_fixture("half_split.topo")
         dest = topo.nodes[3].address
         plan = plan_rq2([dest], seed=5)
-        matrices = run_rq2(plan, SimTransport(topo),
-                           protocols=[AppProtocol.HTTPS], registry=registry)
+        with scratch_log() as log:
+            matrices = run_rq2(plan, SimTransport(topo), log,
+                               protocols=[AppProtocol.HTTPS], registry=registry)
         matrix = matrices[(dest, AppProtocol.HTTPS)]
         assert is_affected(matrix)
         assert no_censorship_fraction(matrix) == 0.5
@@ -164,8 +167,12 @@ class TestRunners:
         dest = topo.nodes[3].address
         plan = plan_rq2([dest], seed=5)
         transport = SimTransport(topo)
-        first = run_rq2(plan, transport, protocols=[AppProtocol.HTTPS], registry=registry)
-        again = run_rq2(plan, transport, protocols=[AppProtocol.HTTPS], registry=registry)
+        with scratch_log() as log:
+            first = run_rq2(plan, transport, log, protocols=[AppProtocol.HTTPS],
+                            registry=registry)
+        with scratch_log() as log:
+            again = run_rq2(plan, transport, log, protocols=[AppProtocol.HTTPS],
+                            registry=registry)
         assert first == again
 
     def test_rq2_unavailable_transport_logs_excluded_cells(self, tmp_path):

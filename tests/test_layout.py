@@ -1,12 +1,18 @@
 """src/ holds only what the commands run: importing the command-line
-front end loads every module of the package. And the benchmark's span
-wrappers (perfbench/spans.py) still find every name they patch."""
+front end loads every module of the package. Every import of the
+package sits at module level, and its modules import each other
+without a cycle. And the benchmark's span wrappers (perfbench/spans.py)
+still find every name they patch."""
 
+import ast
+import graphlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -28,6 +34,52 @@ def test_cli_loads_every_module():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert [m for m in modules if m not in loaded] == []
+
+
+def _parsed_modules():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted((SRC / "flowstable").glob("*.py"))}
+
+
+def test_no_function_imports():
+    found = []
+    for module, tree in _parsed_modules().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{module}.{fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def _package_imports(module, tree, modules):
+    """The package modules that tree imports: `from . import a`,
+    `from .a import x`, and their absolute `flowstable` forms."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "flowstable":
+                    continue
+                base = base[len("flowstable."):] if "." in base else ""
+            if base:
+                out.add(base.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names if alias.name in modules)
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("flowstable."))
+    return out - {module}
+
+
+def test_module_imports_have_no_cycle():
+    modules = _parsed_modules()
+    graph = {m: _package_imports(m, tree, modules) for m, tree in modules.items()}
+    assert set().union(*graph.values()) <= set(modules)
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 def test_benchmark_wrappers_resolve_and_restore():

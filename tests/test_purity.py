@@ -25,7 +25,7 @@ from flowstable.prober import (
 from flowstable.simnet import Role, load_topology
 from flowstable.tracer import DEFAULT_MAX_TTL, trace
 
-from conftest import FIXTURES, flapping
+from conftest import FIXTURES, flapping, scratch_log
 
 DOMAINS = ("control.example", "blocked.example")
 FLAP = [(2, Health.FAILED), (3, Health.ACTIVE)]
@@ -127,8 +127,9 @@ def test_topology_unchanged_after_use(registry):
     topology = build()
     dest = topology.nodes[3].address
     transport = SimTransport(topology)
-    run_rq2(plan_rq2([dest], seed=3), transport, protocols=[AppProtocol.HTTPS],
-            registry=registry)
+    with scratch_log() as log:
+        run_rq2(plan_rq2([dest], seed=3), transport, log, protocols=[AppProtocol.HTTPS],
+                registry=registry)
     params = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
     trace(ProbeSpec(AppProtocol.HTTPS, dest, DOMAINS[1],
                     Sensitivity.SENSITIVE, params),

@@ -33,7 +33,7 @@ from flowstable.prober import (
 from flowstable.simnet import Role, load_topology, route
 from flowstable.tracer import trace
 
-from conftest import FIXTURES, flapping
+from conftest import FIXTURES, flapping, scratch_log
 from test_hops import DOMAINS, censored_documents
 
 schedules = st.lists(
@@ -207,7 +207,8 @@ def test_matrix_opens_a_session_per_route_plus_fallbacks(opened, p):
         fallbacks += session.dropped
 
     opened.clear()
-    (matrix,) = run_rq2(plan, SimTransport(topology), protocols=[protocol]).values()
+    with scratch_log() as log:
+        (matrix,) = run_rq2(plan, SimTransport(topology), log, protocols=[protocol]).values()
     assert len(matrix) == 1664
     assert len(opened) <= len(routes) + fallbacks
     if p:
@@ -223,13 +224,15 @@ def test_results_past_the_limit_are_not_kept(opened, monkeypatch):
     topology = load_topology(json.loads((FIXTURES / "half_split.topo").read_text()))
     plan = plan_rq2([topology.nodes[3].address], seed=1)
     protocols = [AppProtocol.HTTPS]
-    (expected,) = run_rq2(plan, SimTransport(topology), protocols=protocols).values()
+    with scratch_log() as log:
+        (expected,) = run_rq2(plan, SimTransport(topology), log, protocols=protocols).values()
     assert len(opened) == 2
 
     monkeypatch.setattr(prober, "SHARED_LIMIT", 1)
     opened.clear()
     transport = SimTransport(topology)
-    (matrix,) = run_rq2(plan, transport, protocols=protocols).values()
+    with scratch_log() as log:
+        (matrix,) = run_rq2(plan, transport, log, protocols=protocols).values()
     assert matrix == expected
     assert len(transport._shared) == 1
     assert len(opened) == 1 + 1664 // 2
