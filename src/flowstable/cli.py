@@ -16,7 +16,7 @@ import hashlib
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import analysis, experiments, logio, prober, simnet, tracer
 from .core import AppProtocol, Ipv4Address, Sensitivity, SourceParams
@@ -88,6 +88,14 @@ def _int_in(lo: int, hi: Optional[int] = None):
     return parse
 
 
+def _address(text: str) -> Ipv4Address:
+    """An argparse type: a dotted-quad IPv4 address."""
+    try:
+        return Ipv4Address.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _protocols(text: str) -> List[AppProtocol]:
     """An argparse type: comma-separated protocols, each kept once, in
     first-seen order; a list that names none is refused."""
@@ -137,7 +145,7 @@ def _cmd_trace(args) -> int:
         dst_ip,
         args.domain,
         Sensitivity.SENSITIVE if args.sensitive else Sensitivity.CONTROL,
-        SourceParams(Ipv4Address.parse(args.src_ip), args.src_port),
+        SourceParams(args.src_ip, args.src_port),
     )
     if args.out:
         run_id = _run_id(
@@ -167,16 +175,10 @@ def _cmd_rq1(args) -> int:
     )
     pathsets = experiments.run_rq1(plans, transport, log, max_ttl=args.max_ttl)
 
-    counts: Dict[Tuple[str, int], int] = {}
-    for variation in experiments.Rq1Variation:
-        n = analysis.num_paths(pathsets[variation])
-        counts[(variation.value, n)] = counts.get((variation.value, n), 0) + 1
-    order = {v.value: i for i, v in enumerate(experiments.Rq1Variation)}
+    # One row per variation, so each (variation, num_paths) counts once.
     rows = [
-        (variation, n, count)
-        for (variation, n), count in sorted(
-            counts.items(), key=lambda kv: (order[kv[0][0]], kv[0][1])
-        )
+        (variation.value, analysis.num_paths(pathsets[variation]), 1)
+        for variation in experiments.Rq1Variation
     ]
     csv_path = log.path.with_name(log.path.stem + "_paths.csv")
     _write_csv(csv_path, ["variation", "num_paths", "count"], rows)
@@ -385,8 +387,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("trace", help="trace one flow and print its hops")
     p.add_argument("--topology", required=True)
     p.add_argument("--dest", required=True, help="endpoint node id or address")
-    p.add_argument("--src-ip", required=True)
-    p.add_argument("--src-port", type=int, required=True)
+    p.add_argument("--src-ip", type=_address, required=True)
+    p.add_argument("--src-port", type=_int_in(0, 65535), required=True)
     p.add_argument("--protocol", required=True, choices=[x.value for x in AppProtocol])
     p.add_argument("--domain", default=experiments.BENIGN_DOMAIN)
     p.add_argument("--sensitive", action="store_true")

@@ -31,6 +31,7 @@ from .prober import (
     DEFAULT_REPETITIONS,
     BlockpageRegistry,
     Cell,
+    CellResult,
     EMPTY_REGISTRY,
     ProbeSpec,
     TransportUnavailableError,
@@ -227,11 +228,12 @@ def run_rq2(
     """Verdict matrix per (destination, protocol).
 
     Cells run one at a time in grid order, each in its own session or
-    taking the result of an earlier cell on its route (see run_cell),
-    with its verdict and the fixed part of its log line. What a cell
-    fixes but its source is built once per (destination, protocol). A
-    transport that cannot carry probes makes a cell Excluded with no
-    observations, so one bad cell never aborts a sweep.
+    taking the result of an earlier cell on its route (see run_cell).
+    What a cell fixes but its source is built once per (destination,
+    protocol), and so are its log lines (logio.VerdictLines), whose
+    fixed part is encoded once per distinct result. A transport that
+    cannot carry probes makes a cell Excluded with no observations, so
+    one bad cell never aborts a sweep.
 
     Cells whose verdict log (from logio.open_run) holds under this
     run's id are not run again and their verdicts are taken from it;
@@ -246,7 +248,7 @@ def run_rq2(
         for protocol in protocols:
             done = log.verdicts.get((dst, protocol), {})
             lines = logio.VerdictLines(log.run_id, dst, protocol)
-            cell = Cell(protocol, dst, plan.domain_pair, repetitions, registry, lines)
+            cell = Cell(protocol, dst, plan.domain_pair, repetitions, registry)
             matrix: Dict[SourceParams, Verdict] = {}
             for params in plan.grid:
                 if params in done:
@@ -255,9 +257,9 @@ def run_rq2(
                 try:
                     result = run_cell(cell, params, transport)
                 except TransportUnavailableError:
-                    result = cell.result((), (), Verdict.excluded())
+                    result = CellResult((), (), Verdict.excluded())
                 matrix[params] = result.verdict
-                appender.add(lines.line(result.encoded, params))
+                appender.add(lines.line(result, params))
             appender.flush()
             out[(dst, protocol)] = matrix
     return out

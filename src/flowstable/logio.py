@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -29,7 +30,7 @@ from .core import (
     Verdict,
     VerdictKind,
 )
-from .prober import Observation
+from .prober import CellResult, Observation
 from .tracer import Terminal, TerminalKind, TracePath
 
 SCHEMA_VERSION = 2
@@ -189,12 +190,12 @@ class _Reader:
     """The values of one read, each parsed once.
 
     A log repeats a few values on every line: its destinations,
-    protocols, sources, verdicts and terminals. Each table maps the raw
-    JSON values to the immutable object built from them, so a read
-    parses each distinct value once and every record that holds it
+    protocols, sources, verdicts, terminals and ladders. Each table maps
+    the raw JSON values to the immutable object built from them, so a
+    read parses each distinct value once and every record that holds it
     shares the object. A miss goes to the one parser of that value
-    (Ipv4Address.parse, parse_verdict, parse_terminal). The tables live
-    as long as the read.
+    (Ipv4Address.parse, parse_verdict, parse_terminal, or trace's check
+    of a ladder). The tables live as long as the read.
     """
 
     def __init__(self) -> None:
@@ -203,6 +204,7 @@ class _Reader:
         self._keys: Dict[Tuple[str, str], Tuple[Ipv4Address, AppProtocol]] = {}
         self._verdicts: Dict[Tuple[str, Optional[str]], Verdict] = {}
         self._terminals: Dict[str, Terminal] = {}
+        self._ladders: Dict[Tuple, Tuple[Optional[int], ...]] = {}
 
     def _address(self, text: str) -> Ipv4Address:
         address = self._addresses.get(text)
@@ -237,7 +239,15 @@ class _Reader:
         terminal = self._terminals.get(record["terminal"])
         if terminal is None:
             terminal = self._terminals[record["terminal"]] = parse_terminal(record["terminal"])
-        return TracePath(dst, self.source(record), protocol, tuple(record["hops"]), terminal)
+        if type(record["hops"]) is not list:
+            raise ValueError(f"hops is not a list: {record['hops']!r}")
+        hops = tuple(record["hops"])
+        ladder = self._ladders.get(hops)
+        if ladder is None:  # a hop is a node id (an integer >= 0) or None
+            if any(h is not None and (type(h) is not int or h < 0) for h in hops):
+                raise ValueError(f"bad hops {record['hops']!r}")
+            ladder = self._ladders[hops] = hops
+        return TracePath(dst, self.source(record), protocol, ladder, terminal)
 
 
 #: What a well-formed JSON record can still get wrong: a missing field
@@ -420,39 +430,38 @@ def _source_fields(source: SourceParams) -> str:
     return f'"src_ip": "{source.src_ip}", "src_port": {source.src_port}'
 
 
-@dataclass(frozen=True)
 class VerdictLines:
     """The verdict lines of one run's (destination, protocol) matrix.
 
-    Called with a cell's control and sensitive observations and its
-    verdict, it returns the fixed part of the cell's line: every field
-    but the source, cut from encode_record's own output, so escaping is
-    json's. line() splices a cell's source fields in. An rq2 Cell takes
-    it as its encode, so the fixed part is encoded once per shared
-    result; it compares equal only to one of the same run id,
-    destination and protocol, so a shared result's line names its own
-    run. Each line equals encode_record(verdict_record(...)).
+    line() encodes the fixed part of a line, every field but the
+    source, once per distinct result object, cut from encode_record's
+    own output so escaping is json's, and splices each cell's source
+    fields in. Every cell that takes a shared result
+    (prober.SimTransport.run) gets the same object, so it is encoded
+    once per matrix; a part is kept only while its result lives. Each
+    line equals encode_record(verdict_record(...)).
     """
 
-    run_id: str
-    dst: Ipv4Address
-    protocol: AppProtocol
+    def __init__(self, run_id: str, dst: Ipv4Address, protocol: AppProtocol) -> None:
+        self.run_id = run_id
+        self.dst = dst
+        self.protocol = protocol
+        #: id(result) -> fixed part, for each result still alive.
+        self._fixed: Dict[int, Tuple[str, str]] = {}
 
-    def __call__(
-        self,
-        control: Sequence[Observation],
-        sensitive: Sequence[Observation],
-        verdict: Verdict,
-    ) -> Tuple[str, str]:
-        text = encode_record(verdict_record(
-            self.run_id, self.dst, self.protocol, _NO_SOURCE, control, sensitive, verdict
-        ))
-        head, tail = text.split(_source_fields(_NO_SOURCE))
-        return head, tail
-
-    @staticmethod
-    def line(fixed: Tuple[str, str], source: SourceParams) -> str:
-        """The line of the cell from source whose fixed part is fixed."""
+    def line(self, result: CellResult, source: SourceParams) -> str:
+        """The line of the cell from source whose result is result."""
+        key = id(result)
+        fixed = self._fixed.get(key)
+        if fixed is None:
+            text = encode_record(verdict_record(
+                self.run_id, self.dst, self.protocol, _NO_SOURCE,
+                result.control, result.sensitive, result.verdict,
+            ))
+            fixed = self._fixed[key] = tuple(text.split(_source_fields(_NO_SOURCE)))
+            # Dropped as the result dies, so no later object takes its id
+            # here and an unshared result's part is not held.
+            weakref.finalize(result, self._fixed.pop, key, None)
         head, tail = fixed
         return head + _source_fields(source) + tail
 

@@ -7,7 +7,8 @@ backend opens each session there, on the flow's compiled route, and
 shares the result among flows on the same route; the live adapter
 deliberately only raises. run_cell probes and classifies a
 control/sensitive cell and tracer.trace climbs a TTL ladder, both
-through run().
+through run(). This module holds probes only: the route and the loss
+key are simnet's, and a result's log line is logio's.
 
 Verdicts follow the all-repetitions rule: a cell is Censored only when
 every sensitive repetition shows the censoring behavior and every
@@ -37,16 +38,15 @@ from .core import (
     VerdictKind,
 )
 from .simnet import (
+    DrawPoint,
     LossStream,
-    NodeId,
     Route,
     Topology,
     TransitKind,
     TransitResult,
     compile_route,
-    draw_key,
+    drops,
     forward,
-    loss_key_parts,
     route,
 )
 from .censors import ActionKind, CensorEvent, CensorRule
@@ -136,13 +136,11 @@ EMPTY_REGISTRY = BlockpageRegistry()
 
 @dataclass(frozen=True)
 class CellResult:
-    """What a control/sensitive cell observed, its verdict, and what the
-    cell's encode made of them (None without one)."""
+    """What a control/sensitive cell observed, and its verdict."""
 
     control: Tuple[Observation, ...]
     sensitive: Tuple[Observation, ...]
     verdict: Verdict
-    encoded: object
 
 
 @dataclass(frozen=True)
@@ -150,12 +148,8 @@ class Cell:
     """Everything a control/sensitive cell fixes but its source: the
     destination, protocol and (control, sensitive) domain pair its two
     probes carry, their repetitions, and the registry classify reads.
-
-    encode, when set, is called as encode(control, sensitive, verdict)
-    and its value becomes CellResult.encoded; rq2 makes it the fixed
-    part of the cell's log line. Like classify, it runs once per result
-    that run_cell shares, so it may read only its arguments and itself;
-    key covers it, and the registry, by their own equality.
+    classify runs once per result that run_cell shares, so key covers
+    the registry by its own equality.
     """
 
     protocol: AppProtocol
@@ -163,7 +157,6 @@ class Cell:
     domains: Tuple[str, str]
     repetitions: int = DEFAULT_REPETITIONS
     registry: BlockpageRegistry = EMPTY_REGISTRY
-    encode: Optional[Callable[..., object]] = None
     #: With the route, what fixes every packet the cell sends and every
     #: value it returns (see SimTransport.run).
     key: Tuple = field(init=False, repr=False, compare=False)
@@ -175,7 +168,7 @@ class Cell:
         # Enum values, not members: members hash slowly.
         key = (
             "cell", self.protocol.value, self.dst_ip.value, control, sensitive,
-            self.repetitions, self.registry, self.encode,
+            self.repetitions, self.registry,
         )
         object.__setattr__(self, "key", key)
 
@@ -186,16 +179,6 @@ class Cell:
             ProbeSpec(self.protocol, self.dst_ip, control, Sensitivity.CONTROL, source),
             ProbeSpec(self.protocol, self.dst_ip, sensitive, Sensitivity.SENSITIVE, source),
         )
-
-    def result(
-        self,
-        control: Tuple[Observation, ...],
-        sensitive: Tuple[Observation, ...],
-        verdict: Verdict,
-    ) -> CellResult:
-        """The cell's result of these observations and verdict."""
-        encoded = self.encode(control, sensitive, verdict) if self.encode else None
-        return CellResult(control, sensitive, verdict, encoded)
 
 
 @dataclass(frozen=True)
@@ -222,9 +205,6 @@ class LiveTransport:
         raise TransportUnavailableError(_LIVE_UNAVAILABLE)
 
 
-#: A point where a session drew loss: (epoch, packet kind, ip_id, node, p).
-DrawPoint = Tuple[int, PacketKind, int, NodeId, float]
-
 #: Most results a SimTransport keeps for one (destination, protocol).
 #: Beyond it a new route is simulated for every flow, as without
 #: sharing; this bounds memory where flows rarely share a route.
@@ -240,10 +220,10 @@ class SimTransport:
     once per (route, key), the key naming the probe and everything but
     the source that its packets and its result depend on, and hands the
     result to every later flow on that route whose own loss draws, at
-    the points the simulation drew, all pass; a flow with a draw that
-    drops is simulated in full. Until its first drop a lossy run is the
-    loss-free run, so the shared result is exactly what the flow's own
-    simulation gives.
+    the points the simulation drew, all pass (simnet.drops); a flow with
+    a draw that drops is simulated in full. Until its first drop a lossy
+    run is the loss-free run, so the shared result is exactly what the
+    flow's own simulation gives.
 
     The shared results are kept for one (destination, protocol) at a
     time, at most SHARED_LIMIT of them, and dropped when a probe of
@@ -254,8 +234,8 @@ class SimTransport:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._scope: Optional[Tuple[Ipv4Address, int]] = None
-        #: (route nodes, key) -> (result, (loss key head, tail, p) of each draw point)
-        self._shared: Dict[Tuple, Tuple[object, Tuple[Tuple[bytes, bytes, float], ...]]] = {}
+        #: (route nodes, key) -> (result, its run's distinct draw points)
+        self._shared: Dict[Tuple, Tuple[object, Tuple[DrawPoint, ...]]] = {}
 
     def run(self, flow: FlowId, key: Hashable, probe: Callable[["Session"], R]) -> R:
         """probe(session) on a fresh session of flow, or the result of the
@@ -270,8 +250,8 @@ class SimTransport:
 
         The session opens on the flow's compiled route alone; nothing
         here looks the destination up. Whether the route ends at the
-        flow's destination is the session's one rule
-        (Session.at_destination).
+        flow's destination is the route's one rule (Route.at_destination).
+        A kept run's draw points are the ones its session recorded.
         """
         topology = self.topology
         nodes = route(topology, flow)
@@ -282,30 +262,15 @@ class SimTransport:
             self._shared = {}
         shared_key = (nodes, key)
         shared = self._shared.get(shared_key)
-        if shared is not None and not _drops(flow, shared[1]):
-            return shared[0]
+        if shared is not None:
+            result, points = shared
+            if not points or not drops(points, flow.to_bytes()):
+                return result
         session = Session(compile_route(topology, flow, nodes))
         result = probe(session)
         if shared is None and not session.dropped and len(self._shared) < SHARED_LIMIT:
-            seed = topology.seed
-            keys = tuple(
-                loss_key_parts(seed, epoch, kind, ip_id, node) + (p,)
-                for epoch, kind, ip_id, node, p in dict.fromkeys(session.draws)
-            )
-            self._shared[shared_key] = (result, keys)
+            self._shared[shared_key] = (result, tuple(dict.fromkeys(session.draws)))
         return result
-
-
-def _drops(flow: FlowId, keys: Sequence[Tuple[bytes, bytes, float]]) -> bool:
-    """Whether flow's loss draw at any (head, tail, p) of keys, the loss
-    key parts and drop probability of a draw point, drops its packet."""
-    if not keys:
-        return False
-    flow_bytes = flow.to_bytes()
-    for head, tail, p in keys:
-        if draw_key(head + flow_bytes + tail) < p:
-            return True
-    return False
 
 
 class Session:
@@ -315,28 +280,20 @@ class Session:
 
     Routing is pure in the flow, and so is everything a packet meets on
     the way. The session is opened on the flow's compiled route alone
-    (simnet.compile_route), which fixes once: the route's hops with the
-    censor rules that can fire on the flow, each hop's endpoint,
-    responsiveness and drop probability, and the flow's serialized bytes
-    for loss draws. Every packet the session sends replays those hops.
-    The session only carries packets of its own flow.
+    (simnet.compile_route) and reads no topology. Every packet the
+    session sends replays the route's hops, and a delivered one gets the
+    origin's answer only on a route that ends at the flow's destination
+    (Route.at_destination). The session only carries packets of its own
+    flow.
 
-    at_destination is the one rule for "did a packet reach its
-    destination": the route's last node has the flow's destination
-    address. Only then does a delivered packet get the origin's answer,
-    and only then does a trace's delivered copy count as reached; a
-    route that ends at another endpoint delivers to a host that stays
-    silent.
-
-    draws lists each point where a packet drew loss, as (epoch, kind,
-    ip_id, node, p), and dropped says whether any of those draws dropped
-    its packet; SimTransport.run replays other flows' draws there.
+    draws lists each point where a packet drew loss (simnet.DrawPoint),
+    and dropped says whether any of those draws dropped its packet;
+    SimTransport.run replays other flows' draws there.
     """
 
     def __init__(self, route: Route) -> None:
         self.route = route
-        self.flow = flow = route.flow
-        self.at_destination = route.topology.nodes[route.nodes[-1]].address == flow.dst_ip
+        self.flow = route.flow
         #: The origin's reply to each (kind, body_tag) of probe, built once.
         self._replies: Dict[Tuple[PacketKind, str], Optional[Packet]] = {}
         self.epoch = 0
@@ -353,14 +310,12 @@ class Session:
         comes back. A packet of another flow raises ValueError."""
         if packet.flow is not self.flow and packet.flow != self.flow:
             raise ValueError(f"packet flow {packet.flow} is not the session's flow {self.flow}")
-        stream = LossStream(self.route.topology.seed, self.epoch, packet, self.route.flow_bytes)
-        result = forward(packet, self.route, stream, self.residual)
+        route = self.route
+        stream = LossStream(route.seed, self.epoch, packet, route.flow_bytes)
+        result = forward(packet, route, stream, self.residual)
         if stream.drawn:
-            hops = self.route.hops
-            self.draws.extend(
-                (self.epoch, packet.kind, packet.ip_id, node, hops[node].loss)
-                for node in stream.drawn
-            )
+            hops = route.hops
+            self.draws.extend((head, tail, hops[node].loss) for node, head, tail in stream.drawn)
             self.dropped = self.dropped or result.kind is TransitKind.LOST
 
         responses: List[Packet] = []
@@ -369,7 +324,7 @@ class Session:
             injected = self._injected_packet(packet, event)
             if injected is not None:
                 responses.append(injected)
-        if result.kind is TransitKind.DELIVERED and self.at_destination:
+        if result.kind is TransitKind.DELIVERED and route.at_destination:
             key = (packet.kind, packet.body_tag)
             if key not in self._replies:
                 self._replies[key] = self._origin_response(packet)
@@ -478,16 +433,16 @@ def run_cell(cell: Cell, source: SourceParams, transport) -> CellResult:
     opened by a sensitive hit also covers the control probes after it.
     The cell runs through transport.run, so a cell whose route an
     earlier source of the same cell already simulated, and whose own
-    loss draws all pass, gets that result: its observations, its verdict
-    and its encoded value. The result is shared, so callers must not
-    change it.
+    loss draws all pass, gets that very result object: its observations
+    and its verdict. The result is shared, so callers must not change
+    it.
     """
     flow = _flow(cell.protocol, cell.dst_ip, source)
     return transport.run(flow, cell.key, lambda session: _run_cell(cell, source, session))
 
 
 def _run_cell(cell: Cell, source: SourceParams, session: Session) -> CellResult:
-    """run_cell's repetitions on one session, classified and encoded."""
+    """run_cell's repetitions on one session, classified."""
     control, sensitive = cell.specs(source)
     packets_c, packets_s = _exchange_packets(control), _exchange_packets(sensitive)
     obs_c: List[Observation] = []
@@ -497,7 +452,7 @@ def _run_cell(cell: Cell, source: SourceParams, session: Session) -> CellResult:
         obs_c.append(_run_exchange(control, session, packets_c))
         obs_s.append(_run_exchange(sensitive, session, packets_s))
     verdict = classify(obs_c, obs_s, cell.protocol, cell.registry)
-    return cell.result(tuple(obs_c), tuple(obs_s), verdict)
+    return CellResult(tuple(obs_c), tuple(obs_s), verdict)
 
 
 def classify(

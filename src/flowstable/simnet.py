@@ -18,7 +18,7 @@ ever delivered at the last node of its route, which may be another
 endpoint than its destination's. A Topology is immutable once loaded;
 the only state a walk changes is the residual-censorship map its caller
 passes in. oracle_paths() is the route ground truth the tracer is
-checked against.
+checked against. drops() replays recorded loss draws for another flow.
 """
 
 from __future__ import annotations
@@ -342,6 +342,19 @@ def draw_key(key: bytes) -> float:
     return int.from_bytes(digest, "big") / float(1 << 64)
 
 
+#: Where a packet drew loss: its key's parts around the flow's bytes
+#: (loss_key_parts) and the hop's drop probability.
+DrawPoint = Tuple[bytes, bytes, float]
+
+
+def drops(points: Sequence[DrawPoint], flow_bytes: bytes) -> bool:
+    """Whether the flow of flow_bytes drops its packet at any point."""
+    for head, tail, p in points:
+        if draw_key(head + flow_bytes + tail) < p:
+            return True
+    return False
+
+
 class LossStream:
     """Counter-free deterministic loss stream of one packet.
 
@@ -354,8 +367,9 @@ class LossStream:
 
     flow_bytes are the flow's serialized bytes, FlowId.to_bytes(): a
     session passes its route's, built once (Route.flow_bytes, None on a
-    route where no hop draws). drawn lists the nodes drawn at, in order,
-    so a session can record where its packets met loss.
+    route where no hop draws). drawn lists each draw, in order, as
+    (node, head, tail) of its key, so a session records its draw points
+    without building a key again.
     """
 
     def __init__(
@@ -365,12 +379,12 @@ class LossStream:
         self._packet = packet
         self._flow_bytes = flow_bytes
         self.epoch = epoch
-        self.drawn: List[NodeId] = []
+        self.drawn: List[Tuple[NodeId, bytes, bytes]] = []
 
     def uniform(self, node: NodeId) -> float:
-        self.drawn.append(node)
         packet = self._packet
         head, tail = loss_key_parts(self._seed, self.epoch, packet.kind, packet.ip_id, node)
+        self.drawn.append((node, head, tail))
         return draw_key(head + self._flow_bytes + tail)
 
 
@@ -412,10 +426,8 @@ class Hop(NamedTuple):
 @dataclass(frozen=True)
 class Route:
     """A flow's route compiled against one topology (see compile_route):
-    everything forward() reads to carry a packet of the flow, and the
-    topology a session takes its seed and the route's last node from."""
+    everything a session reads to carry a packet of the flow."""
 
-    topology: Topology
     flow: FlowId
     #: The node ids of route(topology, flow).
     nodes: Tuple[NodeId, ...]
@@ -424,6 +436,11 @@ class Route:
     hops: Dict[NodeId, Hop]
     #: flow.to_bytes(), the loss key's flow part; None when no hop drops.
     flow_bytes: Optional[bytes]
+    #: The topology's seed, the loss key's first part.
+    seed: int
+    #: The one "reached" rule: the last node has the flow's destination
+    #: address. Elsewhere a delivered packet meets a silent host.
+    at_destination: bool
 
 
 def compile_route(
@@ -436,7 +453,8 @@ def compile_route(
         nodes = route(topology, flow)
     hops = topology.hop_table(flow)
     flow_bytes = flow.to_bytes() if any(hops[n].loss > 0.0 for n in nodes) else None
-    return Route(topology, flow, nodes, hops, flow_bytes)
+    at_destination = topology.nodes[nodes[-1]].address == flow.dst_ip
+    return Route(flow, nodes, hops, flow_bytes, topology.seed, at_destination)
 
 
 def forward(

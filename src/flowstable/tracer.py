@@ -76,7 +76,7 @@ def trace(
     Emits one copy per TTL from 1 up with ip_id = ttl and the one
     shared flow id, and stops after the copy that reaches the
     destination or after max_ttl. A copy reaches the destination when
-    it is delivered on a route that ends there (Session.at_destination);
+    it is delivered on a route that ends there (Route.at_destination);
     a route that ends at another endpoint exhausts the ladder. An
     injected RST tears the session down: remaining TTLs are not sent and
     the terminal records where censorship struck. Other censor actions
@@ -129,7 +129,7 @@ def _climb(
                 rst = True
         if rst:
             return ladder(ttl), Terminal(TerminalKind.CENSORED_AT, max(hops) if hops else None)
-        if result.transit.kind is TransitKind.DELIVERED and session.at_destination:
+        if result.transit.kind is TransitKind.DELIVERED and session.route.at_destination:
             return ladder(ttl - 1), Terminal(TerminalKind.REACHED_DESTINATION)
     return ladder(max_ttl), Terminal(TerminalKind.EXHAUSTED)
 

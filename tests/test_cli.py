@@ -530,11 +530,21 @@ class TestRefusedBeforeWriting:
         ("rq2", ["--repetitions", "0"]), ("rq2", ["--repetitions", "x"]),
         ("rq2", ["--protocols", ","]),
         ("rq1", ["--seed", "-1"]), ("rq2", ["--seed", "18446744073709551616"]),
+        ("trace", ["--src-port", "70000"]), ("trace", ["--src-port", "-1"]),
+        ("trace", ["--src-port", "abc"]), ("trace", ["--src-ip", "198.51.100.300"]),
+        ("trace", ["--src-ip", "198.51.100"]),
     ])
     def test_out_of_range_count_writes_no_log(self, tmp_path, capsys, command, flag):
         log = tmp_path / "a.log"
-        target = (["--dests", str(FIXTURES / "half_split.dests")] if command == "rq2"
-                  else ["--dest", "3"])
+        target = {
+            "rq1": ["--dest", "3"],
+            "rq2": ["--dests", str(FIXTURES / "half_split.dests")],
+            # trace's other required flags, each once: the flag under
+            # test is the only value given for its option.
+            "trace": ["--dest", "3", "--protocol", "https", *[
+                arg for other in (["--src-ip", "198.51.100.7"], ["--src-port", "40000"])
+                if other[0] != flag[0] for arg in other]],
+        }[command]
         code, _, err = run(capsys, command, "--topology", str(FIXTURES / "half_split.topo"),
                            *target, *flag, "--out", str(log))
         assert code == 1

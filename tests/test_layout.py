@@ -1,8 +1,8 @@
 """src/ holds only what the commands run: importing the command-line
 front end loads every module of the package. Every import of the
 package sits at module level, and its modules import each other
-without a cycle. And the benchmark's span wrappers (perfbench/spans.py)
-still find every name they patch."""
+without a cycle. The loss key has one home, simnet. And the benchmark's
+span wrappers (perfbench/spans.py) still find every name they patch."""
 
 import ast
 import graphlib
@@ -80,6 +80,24 @@ def test_module_imports_have_no_cycle():
         list(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_loss_key_has_one_home():
+    # Only simnet lays out or hashes a loss key; others replay recorded
+    # draw points through simnet.drops.
+    names = {"loss_key_parts", "draw_key"}
+    found = sorted(
+        f"{module}: {name}"
+        for module, tree in _parsed_modules().items() if module != "simnet"
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [node.id] if isinstance(node, ast.Name) else []
+        )
+        if name in names
+    )
+    assert found == []
 
 
 def test_benchmark_wrappers_resolve_and_restore():

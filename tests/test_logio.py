@@ -218,6 +218,15 @@ def _verdict_line(drop=None, **changes):
     return (json.dumps(record) + "\n").encode()
 
 
+def _trace_line(**changes):
+    """One trace record's line, to DST, with changes applied."""
+    trace = TracePath(DST, SourceParams(DST, 1), AppProtocol.DNS, (),
+                      Terminal(TerminalKind.EXHAUSTED))
+    record = logio.trace_record("r", trace, "t0")
+    record.update(changes)
+    return (json.dumps(record) + "\n").encode()
+
+
 class TestMalformedRecord:
     """A complete line that is JSON but not a well-formed record is a data
     error naming the file and the line, like a line that is not JSON."""
@@ -243,11 +252,22 @@ class TestMalformedRecord:
         assert "port out of range" in self.read(tmp_path, _verdict_line(src_port=70000))
 
     def test_bad_terminal(self, tmp_path):
-        trace = TracePath(DST, SourceParams(DST, 1), AppProtocol.DNS, (),
-                          Terminal(TerminalKind.EXHAUSTED))
-        record = logio.trace_record("r", trace, "t0")
-        record["terminal"] = "censored@x"
-        self.read(tmp_path, (json.dumps(record) + "\n").encode())
+        self.read(tmp_path, _trace_line(terminal="censored@x"))
+
+    # A ladder is a list of node ids (integers >= 0, not booleans) and nulls.
+    @pytest.mark.parametrize("hops", ["0x", "", [0, "x"], [True, 2.5], [3, -1], [1.0],
+                                      [None, [2]], {"0": 1}, None])
+    def test_bad_ladder(self, tmp_path, hops):
+        self.read(tmp_path, _trace_line(hops=hops))
+
+    @pytest.mark.parametrize("hops", ["0x", [0, "x"], [True, 2.5]])
+    def test_graph_exits_2_on_a_bad_ladder(self, tmp_path, capsys, hops):
+        self.read(tmp_path, _trace_line(hops=hops))
+        code = cli_main(["graph", "--log", str(tmp_path / "run.log"), "--dest", str(DST),
+                         "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert "run.log line 3: " in capsys.readouterr().err
+        assert list(tmp_path.glob("g_*")) == []
 
     def test_extra_data_after_the_object(self, tmp_path):
         assert "Extra data" in self.read(tmp_path, _verdict_line().replace(b"}\n", b"} {}\n"))
@@ -366,5 +386,7 @@ def test_interned_read_equals_reference(tmp_path_factory, records):
         addresses = [d for d, _ in run.verdicts] + [
             s.src_ip for m in run.verdicts.values() for s in m]
         assert len({id(a) for a in addresses}) == len(set(addresses))
+        ladders = [t.hops for t in run.traces.values()]
+        assert len({id(h) for h in ladders}) == len(set(ladders))
     assert logio.traces_from_records(records) == [
         _reference_trace(r) for r in records if r["record_kind"] == "trace"]

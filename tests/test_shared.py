@@ -2,15 +2,17 @@
 
 SimTransport.run simulates a probe once per (route, everything but the
 source) and hands the result to every later flow on that route whose own
-loss draws, at the points the simulation drew, all pass. A cell's result
-carries its verdict and the fixed part of its rq2 log line. These tests
-check that no flow can tell: on random documents with loss, residual
-windows, health schedules, failed rules and every action kind, each
-flow's cell and trace on one shared transport equal what a fresh
+loss draws, at the points the simulation drew, all pass. rq2 encodes the
+fixed part of a line once per distinct result (logio.VerdictLines).
+These tests check that no flow can tell: on random documents with loss,
+residual windows, health schedules, failed rules and every action kind,
+each flow's cell and trace on one shared transport equal what a fresh
 transport gives for that flow alone, and each rq2 line equals the line
 encoded from that cell's own observations; that the key covers the
-blockpage registry and the run id; and that a 1664-cell matrix opens no
-more sessions than it has routes plus cells whose own loss draws drop.
+blockpage registry and each line names its own run; that a 1664-cell
+matrix opens no more sessions than it has routes plus cells whose own
+loss draws drop; and that it encodes no more line parts than it opens
+sessions.
 """
 
 import json
@@ -130,7 +132,7 @@ def test_rq2_lines_equal_each_cells_own_record(
 def test_key_covers_registry_and_run_id(tmp_path, registry):
     # One transport keeps its results across calls for one (destination,
     # protocol): a later call must not take a result whose verdict read
-    # another registry, or whose line names another run.
+    # another registry, nor write a line that names another run.
     topology = load_topology((FIXTURES / "blockpage_chain.topo").read_text())
     plan = plan_rq2([topology.nodes[3].address], seed=1)
     transport = SimTransport(topology)
@@ -215,6 +217,30 @@ def test_matrix_opens_a_session_per_route_plus_fallbacks(opened, p):
         assert fallbacks > 0
     else:
         assert len(opened) == len(routes)
+
+
+def test_rq2_encodes_a_line_once_per_simulated_result(opened, monkeypatch):
+    # Every cell that takes a shared result takes the same object, so the
+    # fixed part of its line is encoded once for all of them.
+    doc = json.loads((FIXTURES / "half_split.topo").read_text())
+    doc["loss"] = [{"node": 1, "p": 0.05}, {"node": 2, "p": 0.05}]
+    topology = load_topology(doc)
+    dst = topology.nodes[3].address
+    plan = plan_rq2([dst], seed=1)
+    encodings = []
+    encode = logio.encode_record
+
+    def counting_encode(record):
+        encodings.append(record)
+        return encode(record)
+
+    with scratch_log() as log:
+        monkeypatch.setattr(logio, "encode_record", counting_encode)
+        opened.clear()
+        (matrix,) = run_rq2(plan, SimTransport(topology), log,
+                            protocols=[AppProtocol.HTTPS]).values()
+    assert len(matrix) == 1664
+    assert 0 < len(encodings) <= len(opened) < 1664
 
 
 def test_results_past_the_limit_are_not_kept(opened, monkeypatch):
