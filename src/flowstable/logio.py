@@ -10,12 +10,21 @@ a cache of a run, never the source of truth: a run is reproducible from
 topology, plan, and seed. A reader discards a truncated final line
 (crash recovery) with a warning, and open_run cuts it off before
 anything is appended.
+
+The write side encodes the fixed part of a verdict line once per cell
+result (VerdictLines); the read side mirrors it. A line's cell fields
+are src_ip, src_port, a trace's trace_id and rq1's sample_index; the
+rest of the line is its body, and a log holds few distinct bodies.
+read_run decodes the first line with each body in full and reads every
+later line with the same body bytes from that line's template, parsing
+only its cell fields.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -30,7 +39,7 @@ from .core import (
     Verdict,
     VerdictKind,
 )
-from .prober import CellResult, Observation
+from .prober import CellResult, Observation, ObservationKind
 from .tracer import Terminal, TerminalKind, TracePath
 
 SCHEMA_VERSION = 2
@@ -144,46 +153,69 @@ class Appender:
 _decode = json.JSONDecoder().decode
 
 
-def _records(path: Union[str, Path]) -> Iterator[Tuple[int, Dict]]:
-    """Yield (line number, record) for the log's records in file order,
-    reading it once. Each line is decoded as UTF-8 text, then as JSON.
-
-    A partial trailing line is dropped with a warning. Any other line
-    that is not UTF-8 or not a record of a known kind raises
-    CorruptRecordError naming the file and the line; a record of
-    another schema version raises SchemaVersionUnknownError.
-    """
+def _lines(path: Union[str, Path]) -> Iterator[Tuple[int, bytes]]:
+    """Yield (line number, line) for the log's complete lines in file
+    order, reading it once; every read of a log opens it here. A partial
+    trailing line is dropped with a warning."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):
                 if line.strip():
                     warnings.warn(f"discarding partial trailing record in {path}")
                 return
-            try:
-                record = _decode(line.decode())
-            except UnicodeDecodeError as exc:
-                raise CorruptRecordError(f"{path} line {lineno}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                if not line.strip():  # a blank line holds no record
-                    continue
-                raise CorruptRecordError(f"{path} line {lineno}: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise CorruptRecordError(f"{path} line {lineno}: not a JSON object")
-            version = record.get("schema_version")
-            if version != SCHEMA_VERSION:
-                raise SchemaVersionUnknownError(
-                    f"{path} line {lineno}: schema_version {version!r}"
-                )
-            if record.get("record_kind") not in _KNOWN_KINDS:
-                raise CorruptRecordError(
-                    f"{path} line {lineno}: record_kind {record.get('record_kind')!r}"
-                )
+            yield lineno, line
+
+
+def _record(path: Union[str, Path], lineno: int, line: bytes) -> Optional[Dict]:
+    """The record of a complete line, decoded as UTF-8 text, then as
+    JSON; None for a blank line. A line that is not UTF-8 or not a record
+    of a known kind raises CorruptRecordError naming the file and the
+    line; a record of another schema version raises
+    SchemaVersionUnknownError."""
+    try:
+        record = _decode(line.decode())
+    except UnicodeDecodeError as exc:
+        raise CorruptRecordError(f"{path} line {lineno}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        if not line.strip():  # a blank line holds no record
+            return None
+        raise CorruptRecordError(f"{path} line {lineno}: {exc.msg}") from exc
+    if not isinstance(record, dict):
+        raise CorruptRecordError(f"{path} line {lineno}: not a JSON object")
+    version = record.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaVersionUnknownError(f"{path} line {lineno}: schema_version {version!r}")
+    if record.get("record_kind") not in _KNOWN_KINDS:
+        raise CorruptRecordError(
+            f"{path} line {lineno}: record_kind {record.get('record_kind')!r}"
+        )
+    return record
+
+
+def _records(path: Union[str, Path]) -> Iterator[Tuple[int, Dict]]:
+    """Yield (line number, record) for the log's records in file order."""
+    for lineno, line in _lines(path):
+        record = _record(path, lineno, line)
+        if record is not None:
             yield lineno, record
 
 
 def read_log(path: Union[str, Path]) -> List[Dict]:
     """All records of the log, as dicts in file order."""
     return [record for _, record in _records(path)]
+
+
+#: The outcome names a control or sensitive entry may hold.
+_OUTCOMES = frozenset(k.value for k in ObservationKind)
+
+
+def _is_outcome(entry) -> bool:
+    """Whether a control or sensitive entry is [epoch, outcome, tag]: an
+    epoch >= 1 that is not a boolean, an ObservationKind value, a str."""
+    return (type(entry) is list and len(entry) == 3
+            and type(entry[0]) is int and entry[0] >= 1
+            and type(entry[1]) is str and entry[1] in _OUTCOMES
+            and type(entry[2]) is str)
 
 
 class _Reader:
@@ -195,12 +227,15 @@ class _Reader:
     read parses each distinct value once and every record that holds it
     shares the object. A miss goes to the one parser of that value
     (Ipv4Address.parse, parse_verdict, parse_terminal, or trace's check
-    of a ladder). The tables live as long as the read.
+    of a ladder). A raw value is checked for its JSON type before it is
+    looked up, so 1, 1.0 and true never share a parse. The tables live
+    as long as the read.
     """
 
     def __init__(self) -> None:
         self._addresses: Dict[str, Ipv4Address] = {}
         self._sources: Dict[Tuple[str, int], SourceParams] = {}
+        self._cut_sources: Dict[bytes, SourceParams] = {}
         self._keys: Dict[Tuple[str, str], Tuple[Ipv4Address, AppProtocol]] = {}
         self._verdicts: Dict[Tuple[str, Optional[str]], Verdict] = {}
         self._terminals: Dict[str, Terminal] = {}
@@ -220,11 +255,27 @@ class _Reader:
             key = self._keys[raw] = (self._address(raw[0]), AppProtocol(raw[1]))
         return key
 
-    def source(self, record: Dict) -> SourceParams:
-        raw = (record["src_ip"], record["src_port"])
+    def _source(self, src_ip: str, src_port: int) -> SourceParams:
+        raw = (src_ip, src_port)
         source = self._sources.get(raw)
         if source is None:
-            source = self._sources[raw] = SourceParams(self._address(raw[0]), raw[1])
+            source = self._sources[raw] = SourceParams(self._address(src_ip), src_port)
+        return source
+
+    def source(self, record: Dict) -> SourceParams:
+        src_ip, src_port = record["src_ip"], record["src_port"]
+        if type(src_port) is not int:
+            raise ValueError(f"src_port is not an integer: {src_port!r}")
+        return self._source(src_ip, src_port)
+
+    def cut_source(self, cells: "re.Match[bytes]") -> SourceParams:
+        """The source whose values a body pattern (_body_pattern) cut
+        from a line."""
+        raw = cells["source"]
+        source = self._cut_sources.get(raw)
+        if source is None:
+            source = self._cut_sources[raw] = self._source(
+                cells["src_ip"].decode(), int(cells["src_port"]))
         return source
 
     def verdict(self, record: Dict) -> Verdict:
@@ -234,19 +285,32 @@ class _Reader:
             verdict = self._verdicts[raw] = parse_verdict(record)
         return verdict
 
+    @staticmethod
+    def repetitions(record: Dict, verdict: Verdict) -> Tuple[int, int]:
+        """The lengths of a verdict record's control and sensitive lists.
+        Each holds one [epoch, outcome, tag] entry per repetition; both
+        are empty only for an Excluded cell that its transport could not
+        carry (experiments.run_rq2)."""
+        control, sensitive = record["control"], record["sensitive"]
+        for name, entries in (("control", control), ("sensitive", sensitive)):
+            if type(entries) is not list or not all(map(_is_outcome, entries)):
+                raise ValueError(f"bad {name} {entries!r}")
+        if not (control and sensitive) and (control or sensitive or not verdict.is_excluded):
+            raise ValueError(f"empty control or sensitive list: {control!r}, {sensitive!r}")
+        return len(control), len(sensitive)
+
     def trace(self, record: Dict) -> TracePath:
         dst, protocol = self.key(record)
         terminal = self._terminals.get(record["terminal"])
         if terminal is None:
             terminal = self._terminals[record["terminal"]] = parse_terminal(record["terminal"])
-        if type(record["hops"]) is not list:
-            raise ValueError(f"hops is not a list: {record['hops']!r}")
-        hops = tuple(record["hops"])
-        ladder = self._ladders.get(hops)
-        if ladder is None:  # a hop is a node id (an integer >= 0) or None
-            if any(h is not None and (type(h) is not int or h < 0) for h in hops):
-                raise ValueError(f"bad hops {record['hops']!r}")
-            ladder = self._ladders[hops] = hops
+        hops = record["hops"]
+        # a hop is a node id (an integer >= 0, not a boolean) or None
+        if type(hops) is not list or any(
+                h is not None and (type(h) is not int or h < 0) for h in hops):
+            raise ValueError(f"bad hops {hops!r}")
+        hops = tuple(hops)
+        ladder = self._ladders.setdefault(hops, hops)
         return TracePath(dst, self.source(record), protocol, ladder, terminal)
 
 
@@ -254,6 +318,107 @@ class _Reader:
 #: (KeyError), a bad enum value, address or port (ValueError), or a
 #: value of the wrong JSON type (TypeError, AttributeError).
 _FIELD_ERRORS = (KeyError, ValueError, TypeError, AttributeError)
+
+#: The cell fields of a line in the order encode_record writes them, each
+#: with the bytes its value is cut from and its JSON type. Each class is
+#: one that JSON reads verbatim (digits without a leading zero; a dotted
+#: quad; printable ASCII with no quote or backslash), so two lines equal
+#: outside their cut values lex alike.
+_CELL_FIELDS = {
+    "sample_index": (rb"0|[1-9][0-9]*", int),
+    "src_ip": (rb"[0-9]{1,3}(?:\.[0-9]{1,3}){3}", str),
+    "src_port": (rb"0|[1-9][0-9]{0,4}", int),
+    "trace_id": (rb"[ !#-\[\]-~]*", str),
+}
+_SOURCE = re.compile(rb'"src_ip": "(%s)", "src_port": (%s)[,}]' % (
+    _CELL_FIELDS["src_ip"][0], _CELL_FIELDS["src_port"][0]))
+_SAMPLE_INDEX = re.compile(rb"(%s)[,}]" % _CELL_FIELDS["sample_index"][0])
+_TRACE_ID = re.compile(rb'"trace_id": "(%s)"' % _CELL_FIELDS["trace_id"][0])
+
+#: Most line bodies one read keeps a template for, checked or not.
+_TEMPLATES = 1024
+
+#: What a template does with a line of its body.
+_SKIP, _VERDICT, _TRACE = range(3)
+
+
+def _head_end(line: bytes) -> int:
+    """Where a line's first cell value may start: at its last
+    "sample_index" before its last "src_ip", else at that "src_ip"; -1
+    for a line with no "src_ip". What comes before is the line's head."""
+    at = line.rfind(b'"src_ip": "')
+    if at < 0:
+        return -1
+    index = line.rfind(b'"sample_index": ', 0, at)
+    return index + 16 if index >= 0 else at
+
+
+def _cells(line: bytes, start: int) -> Optional[List[Tuple[str, int, int]]]:
+    """(field, start, end) of each value the line's cell fields hold past
+    start (its _head_end), in line order; None when its source cannot be
+    cut. A sample index or trace id that cannot be cut stays in the
+    body."""
+    cells = []
+    index = _SAMPLE_INDEX.match(line, start)
+    if index is not None:
+        cells.append(("sample_index", *index.span(1)))
+    source = _SOURCE.match(line, line.rfind(b'"src_ip": "'))
+    if source is None:
+        return None
+    cells += [("src_ip", *source.span(1)), ("src_port", *source.span(2))]
+    trace_id = _TRACE_ID.search(line, source.end())
+    if trace_id is not None:
+        cells.append(("trace_id", *trace_id.span(1)))
+    return cells
+
+
+def _cells_are_fields(line: bytes, cells: List[Tuple[str, int, int]]) -> bool:
+    """Whether each cut value is the whole value of the record's
+    top-level field of its name, so that every line with the same body
+    reads as this one with its own cell values. It is when the record
+    holds each value, and when the line with a 1 written before each
+    value decodes to the record with exactly those fields changed, each
+    to its marked value. A value that lies in another field, in a nested
+    one or under a key that a duplicate overrides fails one of the two."""
+    marked = bytearray(line)
+    for _, start, _ in reversed(cells):
+        marked[start:start] = b"1"
+    record = _decode(line.decode())
+    try:
+        changed = _decode(marked.decode())
+    except ValueError:
+        return False
+    if not isinstance(changed, dict):
+        return False
+    for name, start, end in cells:
+        kind = _CELL_FIELDS[name][1]
+        text = line[start:end].decode()
+        for holder, value in ((record, kind(text)), (changed, kind("1" + text))):
+            if type(holder.get(name)) is not kind or holder[name] != value:
+                return False
+        record[name] = changed[name]
+    return record == changed
+
+
+def _body_pattern(line: bytes, start: int):
+    """The pattern that matches, from start, exactly the lines with this
+    line's head whose body is this line's (the bytes outside its cut
+    values), capturing each cut value under its field's name; None when
+    the line's cell values cannot be cut or are not its fields."""
+    cells = _cells(line, start)
+    if cells is None or not _cells_are_fields(line, cells):
+        return None
+    parts = []
+    for name, value_start, value_end in cells:
+        group = b"(?P<%s>%s)" % (name.encode(), _CELL_FIELDS[name][0])
+        if name == "src_ip":  # the source is one group too, for cut_source
+            group = b"(?P<source>" + group
+        elif name == "src_port":
+            group += b")"
+        parts += [re.escape(line[start:value_start]), group]
+        start = value_end
+    parts.append(re.escape(line[start:]))
+    return re.compile(b"".join(parts))
 
 
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
@@ -266,6 +431,18 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     Runs over disjoint (destination, protocol) pairs, and a run resumed
     under its own id, read as before.
 
+    A line's cell fields are its src_ip and src_port, a trace's
+    trace_id and rq1's sample_index; the rest of the line is its body,
+    and a log holds few distinct bodies. The first line with a body is
+    decoded in full and its reading kept as a template: the run id, the
+    (destination, protocol), and the verdict and repetitions or the
+    ladder and terminal. A later line with the same body bytes takes the
+    template and parses only its cell fields, each distinct value once.
+    A template is kept for at most _TEMPLATES bodies, and used only once
+    _cells_are_fields shows that its line's cut values are the record's
+    own fields. A line whose cell fields cannot be cut (see _cells), or
+    whose body has no template, is decoded in full.
+
     The read parses each distinct address, source, (destination,
     protocol), verdict and terminal once and shares the immutable
     object among the records that hold it. A record that lacks a field
@@ -274,33 +451,80 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """
     run = RunLog(Path(path), run_id, {}, {}, set())
     reader = _Reader()
+    cut_sources = reader._cut_sources
     #: Without run_id, the run whose verdicts each raw (dst, protocol) holds.
     owners: Dict[Tuple[str, str], str] = {}
-    for lineno, record in _records(path):
+    #: head -> [pattern, template, first line] of each body with that
+    #: head; pattern is None until a second line with the head checks the
+    #: first, and False if that check failed.
+    heads: Dict[bytes, List[List]] = {}
+    kept = 0
+
+    def take(lineno: int, record: Dict) -> Tuple:
+        """Read a decoded record into run; its template."""
+        kind = record["record_kind"]
+        if kind == KIND_META:
+            run.run_ids.add(record["run_id"])
+            return (_SKIP,)
+        if run_id is not None and record["run_id"] != run_id:
+            return (_SKIP,)
+        if kind == KIND_VERDICT:
+            if run_id is None:
+                raw = (record["dst"], record["protocol"])
+                first = owners.setdefault(raw, record["run_id"])
+                if first != record["run_id"]:
+                    raise MixedRunsError(
+                        f"{path} line {lineno}: {raw[0]} {raw[1]} holds verdicts of "
+                        f"runs {first} and {record['run_id']}; write each run to its "
+                        f"own log"
+                    )
+            matrix = run.verdicts.setdefault(reader.key(record), {})
+            verdict = reader.verdict(record)
+            matrix[reader.source(record)] = verdict
+            run.repetitions.update(reader.repetitions(record, verdict))
+            return (_VERDICT, matrix, verdict)
+        trace = reader.trace(record)
+        trace_id = lineno if run_id is None else record["trace_id"]
+        run.traces[trace_id] = trace
+        return (_TRACE, trace.dst_ip, trace.protocol, trace.hops, trace.terminal, trace_id)
+
+    for lineno, line in _lines(path):
         try:
-            kind = record["record_kind"]
-            if kind == KIND_META:
-                run.run_ids.add(record["run_id"])
-            elif run_id is not None and record["run_id"] != run_id:
+            start = _head_end(line)
+            template = None
+            if start >= 0:
+                for candidate in heads.get(line[:start], ()):
+                    pattern = candidate[0]
+                    if pattern is None:
+                        pattern = candidate[0] = _body_pattern(candidate[2], start) or False
+                        candidate[2] = None
+                    cells = pattern.fullmatch(line, start) if pattern else None
+                    if cells is not None:
+                        template = candidate[1]
+                        break
+            if template is None:
+                record = _record(path, lineno, line)
+                if record is None:
+                    continue
+                template = take(lineno, record)
+                if start >= 0 and kept < _TEMPLATES:
+                    heads.setdefault(line[:start], []).append([None, template, line])
+                    kept += 1
                 continue
-            elif kind == KIND_VERDICT:
-                if run_id is None:
-                    raw = (record["dst"], record["protocol"])
-                    first = owners.setdefault(raw, record["run_id"])
-                    if first != record["run_id"]:
-                        raise MixedRunsError(
-                            f"{path} line {lineno}: {raw[0]} {raw[1]} holds verdicts of "
-                            f"runs {first} and {record['run_id']}; write each run to its "
-                            f"own log"
-                        )
-                matrix = run.verdicts.setdefault(reader.key(record), {})
-                matrix[reader.source(record)] = reader.verdict(record)
-                run.repetitions.update((len(record["control"]), len(record["sensitive"])))
-            elif run_id is not None:
-                run.traces[record["trace_id"]] = reader.trace(record)
-            else:
-                run.traces[lineno] = reader.trace(record)
-        except MixedRunsError:
+            action = template[0]
+            if action == _SKIP:
+                continue
+            source = cut_sources.get(cells["source"]) or reader.cut_source(cells)
+            if action == _VERDICT:
+                template[1][source] = template[2]
+                continue
+            _, dst, protocol, ladder, terminal, trace_id = template
+            if run_id is None:
+                trace_id = lineno
+            elif cells.lastgroup == "trace_id":
+                trace_id = cells["trace_id"].decode()
+            run.traces[trace_id] = TracePath(dst, source, protocol, ladder, terminal)
+        except (CorruptRecordError, SchemaVersionUnknownError, MixedRunsError):
             raise
         except _FIELD_ERRORS as exc:
             what = f"missing field {exc}" if isinstance(exc, KeyError) else exc

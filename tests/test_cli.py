@@ -273,13 +273,13 @@ class TestReadsLogOnce:
         from flowstable import logio
 
         calls = []
-        records = logio._records
+        lines = logio._lines
 
         def counting(path):
             calls.append(path)
-            return records(path)
+            return lines(path)
 
-        monkeypatch.setattr(logio, "_records", counting)
+        monkeypatch.setattr(logio, "_lines", counting)
         return calls
 
     def test_rq2_trace_affected_rerun(self, rq2_run, reads, capsys):

@@ -187,3 +187,6 @@ class TestRunners:
                                             Verdict.excluded()), sort_keys=True)
             for params in plan.grid
         ]
+        run = logio.read_run(path)
+        assert run.verdicts == {(DEST, AppProtocol.HTTP): matrix}
+        assert run.repetitions == {0}

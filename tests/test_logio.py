@@ -231,10 +231,10 @@ class TestMalformedRecord:
     """A complete line that is JSON but not a well-formed record is a data
     error naming the file and the line, like a line that is not JSON."""
 
-    def read(self, tmp_path, bad_line):
+    def read(self, tmp_path, bad_line, good_line=None):
         path = tmp_path / "run.log"
         meta = json.dumps(logio.make_record(logio.KIND_META, "r")) + "\n"
-        path.write_bytes(meta.encode() + _verdict_line() + bad_line)
+        path.write_bytes(meta.encode() + (good_line or _verdict_line()) + bad_line)
         with pytest.raises(logio.CorruptRecordError, match=r"run\.log line 3: ") as info:
             logio.read_run(path)
         return str(info.value)
@@ -251,6 +251,40 @@ class TestMalformedRecord:
     def test_bad_port(self, tmp_path):
         assert "port out of range" in self.read(tmp_path, _verdict_line(src_port=70000))
 
+    # A port is a JSON integer, not a boolean, a fraction or a string.
+    @pytest.mark.parametrize("port", [True, False, 2.5, 40404.0, "40404", None, [40404]])
+    def test_port_is_an_integer(self, tmp_path, port):
+        assert "src_port" in self.read(tmp_path, _verdict_line(src_port=port))
+
+    # The same bad ports, each after a line whose port JSON compares equal
+    # to it, on the verdict and on the trace path.
+    @pytest.mark.parametrize("good, bad", [(1, True), (0, False), (40404, 40404.0)])
+    @pytest.mark.parametrize("line", [_verdict_line, _trace_line])
+    def test_port_after_an_equal_good_port(self, tmp_path, line, good, bad):
+        self.read(tmp_path, line(src_port=bad), good_line=line(src_port=good))
+
+    # control and sensitive are non-empty lists of [epoch, outcome, tag]:
+    # an epoch >= 1 that is not a boolean, an ObservationKind value, a str.
+    @pytest.mark.parametrize("entries", [
+        "abc", {"a": 1, "b": 2, "c": 3}, None, 3, [], [[]], [1, "no_response", ""],
+        [[0, "no_response", ""]], [[-1, "no_response", ""]], [[True, "no_response", ""]],
+        [[1.0, "no_response", ""]], [["1", "no_response", ""]], [[1, "maybe", ""]],
+        [[1, ["no_response"], ""]], [[1, "no_response", None]], [[1, "no_response"]],
+        [[1, "no_response", "", ""]], [[1, "no_response", ""], "x"],
+    ])
+    @pytest.mark.parametrize("field", ["control", "sensitive"])
+    def test_bad_outcomes(self, tmp_path, field, entries):
+        self.read(tmp_path, _verdict_line(**{field: entries}))
+
+    # Both lists are empty only for an Excluded cell that its transport
+    # could not carry (experiments.run_rq2).
+    @pytest.mark.parametrize("control, sensitive, verdict", [
+        ([], [], "not_censored"), ([], [[1, "no_response", ""]], "excluded"),
+        ([[1, "no_response", ""]], [], "excluded")])
+    def test_empty_outcomes(self, tmp_path, control, sensitive, verdict):
+        assert "empty" in self.read(tmp_path, _verdict_line(
+            control=control, sensitive=sensitive, verdict=verdict))
+
     def test_bad_terminal(self, tmp_path):
         self.read(tmp_path, _trace_line(terminal="censored@x"))
 
@@ -259,6 +293,10 @@ class TestMalformedRecord:
                                       [None, [2]], {"0": 1}, None])
     def test_bad_ladder(self, tmp_path, hops):
         self.read(tmp_path, _trace_line(hops=hops))
+
+    @pytest.mark.parametrize("bad", [[1.0], [True]])
+    def test_bad_ladder_after_an_equal_good_one(self, tmp_path, bad):
+        self.read(tmp_path, _trace_line(hops=bad), good_line=_trace_line(hops=[1]))
 
     @pytest.mark.parametrize("hops", ["0x", [0, "x"], [True, 2.5]])
     def test_graph_exits_2_on_a_bad_ladder(self, tmp_path, capsys, hops):
@@ -284,11 +322,20 @@ class TestMalformedRecord:
         assert "run.log line 3: missing field 'dst'" in capsys.readouterr().err
 
 
-# --- the interned read against a per-record reference parser -------------
+# --- the templated read against a per-line reference parser ---------------
 
 RUN_IDS = ["run-a", "run-b", "run-c"]
 ADDRESSES = ["10.0.3.4", "10.0.7.1", "192.0.2.9", "198.51.100.7", "198.51.100.200"]
 TERMINALS = ["reached", "exhausted", "censored@?", "censored@0", "censored@3", "censored@12"]
+#: Tags and trace ids that a cut must not split: escaped quotes and
+#: backslashes, text that is not ASCII, and the escaped text of a source.
+TAGS = ["", "bp-01", 'say "hi"', "back\\slash", "naïve ☃",
+        ', "src_ip": "10.0.3.4", "src_port": 53']
+TRACE_IDS = ["t0", "t1", "10.0.3.4|http|198.51.100.7:40000", 't"2', "t\\3", "tö"]
+#: How a line is written: mostly as encode_record writes it, else by
+#: hand. A leading zero port is not JSON, so it ends most reads it is in.
+STYLES = ["sorted"] * 40 + ["shuffled", "utf-8", "src_ip first", "duplicate src_ip first",
+                            "duplicate src_ip last", "nested source"] * 2 + ["leading zero port"]
 
 
 def _reference_terminal(text):
@@ -308,11 +355,16 @@ def _reference_trace(r):
     )
 
 
-def _reference_run(records, run_id):
-    """What read_run should give, one record at a time, with nothing
-    shared; None where it should raise MixedRunsError."""
+def _reference_run(lines, run_id):
+    """What read_run should give, one line at a time with json.loads and
+    nothing shared: (verdicts, traces, run_ids, repetitions), or the
+    error class and line number it should raise."""
     verdicts, traces, run_ids, repetitions, owners = {}, {}, set(), set(), {}
-    for lineno, r in enumerate(records, start=1):
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            r = json.loads(line)
+        except ValueError:
+            return logio.CorruptRecordError, lineno
         if r["record_kind"] == "meta":
             run_ids.add(r["run_id"])
             continue
@@ -323,7 +375,7 @@ def _reference_run(records, run_id):
             continue
         key = (Ipv4Address(ip_to_int(r["dst"])), AppProtocol(r["protocol"]))
         if run_id is None and owners.setdefault(key, r["run_id"]) != r["run_id"]:
-            return None
+            return logio.MixedRunsError, lineno
         source = SourceParams(Ipv4Address(ip_to_int(r["src_ip"])), r["src_port"])
         mechanism = None if r["mechanism"] is None else Mechanism(r["mechanism"])
         verdicts.setdefault(key, {})[source] = Verdict(VerdictKind(r["verdict"]), mechanism)
@@ -331,46 +383,88 @@ def _reference_run(records, run_id):
     return verdicts, traces, run_ids, repetitions
 
 
+def _write(record, style, rng):
+    """The line of record, written in style."""
+    if style == "shuffled":
+        keys = list(record)
+        rng.shuffle(keys)
+        record = {k: record[k] for k in keys}
+    elif style == "src_ip first" and "src_ip" in record:
+        record = {"src_ip": record["src_ip"], **record}
+    text = json.dumps(record, sort_keys=style != "shuffled" and style != "src_ip first",
+                      ensure_ascii=style != "utf-8")
+    other = f'"src_ip": "{ADDRESSES[2]}"'
+    if style == "duplicate src_ip first":
+        text = "{" + other + ", " + text[1:]
+    elif style == "duplicate src_ip last":
+        text = text[:-1] + ", " + other + "}"
+    elif style == "nested source":
+        text = text[:-1] + ', "extra": {' + other + ', "src_port": 53}}'
+    elif style == "leading zero port" and "src_port" in record:
+        port = f'"src_port": {record["src_port"]}'
+        text = text.replace(port, port.replace(": ", ": 0"))
+    return (text + "\n").encode()
+
+
 _flow = st.fixed_dictionaries({
     "run_id": st.sampled_from(RUN_IDS),
     "dst": st.sampled_from(ADDRESSES[:3]),
-    "src_ip": st.sampled_from(ADDRESSES),
-    "src_port": st.sampled_from([0, 53, 40000, 65535]),
     "protocol": st.sampled_from([p.value for p in AppProtocol]),
 })
 _outcomes = st.lists(
     st.tuples(st.integers(1, 3), st.sampled_from([k.value for k in ObservationKind]),
-              st.sampled_from(["", "bp-01"])).map(list),
+              st.sampled_from(TAGS)).map(list),
     min_size=1, max_size=3)
 _verdict = st.one_of(
     st.sampled_from([(VerdictKind.NOT_CENSORED.value, None), (VerdictKind.EXCLUDED.value, None)]),
     st.sampled_from([(VerdictKind.CENSORED.value, m.value) for m in Mechanism]),
 )
-_verdict_record = st.builds(
+_verdict_body = st.builds(
     lambda flow, verdict, control, sensitive: logio.make_record(
         logio.KIND_VERDICT, verdict=verdict[0], mechanism=verdict[1], control=control,
         sensitive=sensitive, **flow),
     _flow, _verdict, _outcomes, _outcomes)
-_trace_record = st.builds(
-    lambda flow, hops, terminal, trace_id: logio.make_record(
-        logio.KIND_TRACE_HOP, hops=hops, terminal=terminal, trace_id=trace_id, **flow),
+_trace_body = st.builds(
+    lambda flow, hops, terminal, extra: logio.make_record(
+        logio.KIND_TRACE_HOP, hops=hops, terminal=terminal, **extra, **flow),
     _flow, st.lists(st.one_of(st.none(), st.integers(0, 40)), max_size=6),
-    st.sampled_from(TERMINALS), st.sampled_from(["t0", "t1", "t2", "t3"]))
-_meta_record = st.builds(
+    st.sampled_from(TERMINALS),
+    st.sampled_from([{}, {"variation": "vary_ip", "sample_index": 0},
+                     {"variation": "vary_port", "sample_index": "x"}]))
+_meta_body = st.builds(
     lambda run_id: logio.make_record(logio.KIND_META, run_id, command="rq2"),
     st.sampled_from(RUN_IDS))
+#: A line: which body, its cell values, and how it is written.
+_line = st.tuples(
+    st.integers(0, 7), st.sampled_from(ADDRESSES), st.sampled_from([0, 53, 40000, 65535]),
+    st.sampled_from(TRACE_IDS), st.integers(0, 12), st.sampled_from(STYLES))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(_verdict_record, _trace_record, _meta_record), max_size=60))
-def test_interned_read_equals_reference(tmp_path_factory, records):
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_verdict_body, _trace_body, _meta_body), min_size=1, max_size=8),
+       st.lists(_line, min_size=20, max_size=80), st.randoms(use_true_random=False))
+def test_interned_read_equals_reference(tmp_path_factory, bodies, cells, rng):
+    """Lines draw their bodies from a few, so most repeat one; each read
+    equals a per-line json.loads reference or raises the same error at
+    the same line."""
+    lines, records = [], []
+    for body, src_ip, src_port, trace_id, sample_index, style in cells:
+        record = dict(bodies[body % len(bodies)])
+        if record["record_kind"] != "meta":
+            record.update(src_ip=src_ip, src_port=src_port)
+        if record["record_kind"] == "trace":
+            record["trace_id"] = trace_id
+            if isinstance(record.get("sample_index"), int):
+                record["sample_index"] = sample_index
+        lines.append(_write(record, style, rng))
+        records.append(record)
     path = tmp_path_factory.mktemp("log") / "run.log"
-    path.write_bytes(b"")
-    logio.append_records(path, records)
+    path.write_bytes(b"".join(lines))
     for run_id in [None, *RUN_IDS]:
-        expected = _reference_run(records, run_id)
-        if expected is None:
-            with pytest.raises(logio.MixedRunsError):
+        expected = _reference_run(lines, run_id)
+        if len(expected) == 2:
+            error, lineno = expected
+            with pytest.raises(error, match=rf"run\.log line {lineno}: "):
                 logio.read_run(path, run_id)
             continue
         run = logio.read_run(path, run_id)
