@@ -227,9 +227,10 @@ class _Reader:
     read parses each distinct value once and every record that holds it
     shares the object. A miss goes to the one parser of that value
     (Ipv4Address.parse, parse_verdict, parse_terminal, or trace's check
-    of a ladder). A raw value is checked for its JSON type before it is
-    looked up, so 1, 1.0 and true never share a parse. The tables live
-    as long as the read.
+    of a ladder). A port and a ladder are checked for their JSON type
+    before they are looked up, and the other parsers refuse a value of
+    the wrong type, so 1, 1.0 and true never share a parse. The tables
+    live as long as the read.
     """
 
     def __init__(self) -> None:
@@ -320,10 +321,10 @@ class _Reader:
 _FIELD_ERRORS = (KeyError, ValueError, TypeError, AttributeError)
 
 #: The cell fields of a line in the order encode_record writes them, each
-#: with the bytes its value is cut from and its JSON type. Each class is
-#: one that JSON reads verbatim (digits without a leading zero; a dotted
-#: quad; printable ASCII with no quote or backslash), so two lines equal
-#: outside their cut values lex alike.
+#: with the pattern its value must match to be cut and its JSON type.
+#: Each pattern takes only bytes that JSON reads verbatim (digits without
+#: a leading zero; a dotted quad; printable ASCII with no quote or
+#: backslash), so two lines equal outside their cut values lex alike.
 _CELL_FIELDS = {
     "sample_index": (rb"0|[1-9][0-9]*", int),
     "src_ip": (rb"[0-9]{1,3}(?:\.[0-9]{1,3}){3}", str),
