@@ -402,10 +402,13 @@ def _cells_are_fields(line: bytes, cells: List[Tuple[str, int, int]]) -> bool:
 
 
 def _body_pattern(line: bytes, start: int):
-    """The pattern that matches, from start, exactly the lines with this
-    line's head whose body is this line's (the bytes outside its cut
-    values), capturing each cut value under its field's name; None when
-    the line's cell values cannot be cut or are not its fields."""
+    """(pattern, tail) of the lines with this line's head whose body is
+    this line's (the bytes outside its cut values): such a line matches
+    pattern from start up to the end of its last cut value, with each
+    value captured under its field's name, and holds tail after it. The
+    tail stays out of the pattern, so bodies that differ only there
+    share one compiled pattern. None when the line's cell values cannot
+    be cut or are not its fields."""
     cells = _cells(line, start)
     if cells is None or not _cells_are_fields(line, cells):
         return None
@@ -418,8 +421,7 @@ def _body_pattern(line: bytes, start: int):
             group += b")"
         parts += [re.escape(line[start:value_start]), group]
         start = value_end
-    parts.append(re.escape(line[start:]))
-    return re.compile(b"".join(parts))
+    return re.compile(b"".join(parts)), line[start:]
 
 
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
@@ -455,9 +457,9 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     cut_sources = reader._cut_sources
     #: Without run_id, the run whose verdicts each raw (dst, protocol) holds.
     owners: Dict[Tuple[str, str], str] = {}
-    #: head -> [pattern, template, first line] of each body with that
-    #: head; pattern is None until a second line with the head checks the
-    #: first, and False if that check failed.
+    #: head -> [(pattern, tail), template, first line] of each body with
+    #: that head; (pattern, tail) is None until a second line with the
+    #: head checks the first, and False if that check failed.
     heads: Dict[bytes, List[List]] = {}
     kept = 0
 
@@ -495,14 +497,16 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
             template = None
             if start >= 0:
                 for candidate in heads.get(line[:start], ()):
-                    pattern = candidate[0]
-                    if pattern is None:
-                        pattern = candidate[0] = _body_pattern(candidate[2], start) or False
+                    body = candidate[0]
+                    if body is None:
+                        body = candidate[0] = _body_pattern(candidate[2], start) or False
                         candidate[2] = None
-                    cells = pattern.fullmatch(line, start) if pattern else None
-                    if cells is not None:
-                        template = candidate[1]
-                        break
+                    if body:
+                        pattern, tail = body
+                        cells = pattern.match(line, start)
+                        if cells is not None and line[cells.end():] == tail:
+                            template = candidate[1]
+                            break
             if template is None:
                 record = _record(path, lineno, line)
                 if record is None:
