@@ -389,8 +389,6 @@ def _cells_are_fields(line: bytes, cells: List[Tuple[str, int, int]]) -> bool:
         changed = _decode(marked.decode())
     except ValueError:
         return False
-    if not isinstance(changed, dict):
-        return False
     for name, start, end in cells:
         kind = _CELL_FIELDS[name][1]
         text = line[start:end].decode()
