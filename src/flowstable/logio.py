@@ -280,7 +280,7 @@ class _Reader:
         return source
 
     def verdict(self, record: Dict) -> Verdict:
-        raw = (record["verdict"], record.get("mechanism"))
+        raw = (record["verdict"], record["mechanism"])
         verdict = self._verdicts.get(raw)
         if verdict is None:
             verdict = self._verdicts[raw] = parse_verdict(record)
@@ -590,10 +590,21 @@ def terminal_str(terminal: Terminal) -> str:
     return terminal.kind.value
 
 
+#: The TTL of a censored@<ttl> terminal as terminal_str writes it.
+_TTL = re.compile(r"[1-9][0-9]*")
+
+
 def parse_terminal(text: str) -> Terminal:
+    """The terminal terminal_str wrote as text: a kind's value, or
+    censored@ and either ? or a TTL >= 1 in ASCII digits with no sign,
+    space or leading zero."""
     if text.startswith("censored@"):
-        where = text.split("@", 1)[1]
-        return Terminal(TerminalKind.CENSORED_AT, None if where == "?" else int(where))
+        where = text[len("censored@"):]
+        if where == "?":
+            return Terminal(TerminalKind.CENSORED_AT, None)
+        if not _TTL.fullmatch(where):
+            raise ValueError(f"bad terminal {text!r}")
+        return Terminal(TerminalKind.CENSORED_AT, int(where))
     return Terminal(TerminalKind(text))
 
 
@@ -694,7 +705,11 @@ class VerdictLines:
 
 
 def parse_verdict(record: Dict) -> Verdict:
-    kind = VerdictKind(record["verdict"])
+    """A verdict record's verdict; its mechanism is null unless it is
+    censored, as verdict_record writes it."""
+    kind, mechanism = VerdictKind(record["verdict"]), record["mechanism"]
     if kind is VerdictKind.CENSORED:
-        return Verdict.censored(Mechanism(record["mechanism"]))
+        return Verdict.censored(Mechanism(mechanism))
+    if mechanism is not None:
+        raise ValueError(f"mechanism {mechanism!r} on a {kind.value} verdict")
     return Verdict(kind)

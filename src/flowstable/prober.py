@@ -39,13 +39,13 @@ from .core import (
 )
 from .simnet import (
     DrawPoint,
+    DrawTree,
     LossStream,
     Route,
     Topology,
     TransitKind,
     TransitResult,
     compile_route,
-    drops,
     forward,
     route,
 )
@@ -206,52 +206,59 @@ class LiveTransport:
 
 
 #: Most results a SimTransport keeps for one (destination, protocol).
-#: Beyond it a new route is simulated for every flow, as without
-#: sharing; this bounds memory where flows rarely share a route.
+#: Beyond it a flow that finds no kept result is simulated, and its
+#: result not kept, as without sharing; this bounds memory where flows
+#: rarely share a route or a loss outcome.
 SHARED_LIMIT = 256
 
 
 class SimTransport:
-    """Transport bound to a simulated topology: one simulation per route.
+    """Transport bound to a simulated topology: one simulation per route
+    and loss outcome.
 
     A flow's route fixes every censor, fault and endpoint its packets
     meet, so what a probe observes depends on its source only through
-    the route and the loss draws. run() therefore simulates a probe
-    once per (route, key), the key naming the probe and everything but
-    the source that its packets and its result depend on, and hands the
-    result to every later flow on that route whose own loss draws, at
-    the points the simulation drew, all pass (simnet.drops); a flow with
-    a draw that drops is simulated in full. Until its first drop a lossy
-    run is the loss-free run, so the shared result is exactly what the
-    flow's own simulation gives.
+    the route and the loss draws. run() keeps the results of a probe's
+    runs per (route, key), the key naming the probe and everything but
+    the source that its packets and its result depend on, in a decision
+    tree over the runs' loss draws (simnet.DrawTree): an inner node is
+    the next distinct draw point the runs consulted, a branch its
+    outcome, and a leaf a result. A later flow on that route computes
+    its own draw at each node on its way, one loss key per node, and
+    takes the leaf it reaches; where a branch is missing it is simulated
+    and its run grafted on. This is exact: a run's result depends only
+    on its route, its key and the outcomes of the draws it consulted,
+    in the order it consulted them, so a flow that draws the same
+    outcomes gets the result its own simulation gives.
 
-    The shared results are kept for one (destination, protocol) at a
-    time, at most SHARED_LIMIT of them, and dropped when a probe of
-    another one runs, so memory does not grow with the sweep or with
-    the number of routes. The topology itself is never changed.
+    The trees are kept for one (destination, protocol) at a time, at
+    most SHARED_LIMIT leaves in all, and dropped when a probe of another
+    one runs, so memory does not grow with the sweep or with the number
+    of routes. The topology itself is never changed.
     """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._scope: Optional[Tuple[Ipv4Address, int]] = None
-        #: (route nodes, key) -> (result, its run's distinct draw points)
-        self._shared: Dict[Tuple, Tuple[object, Tuple[DrawPoint, ...]]] = {}
+        #: (route nodes, key) -> the tree of its runs' results
+        self._shared: Dict[Tuple, DrawTree] = {}
+        #: How many leaves the trees in _shared hold.
+        self._leaves = 0
 
     def run(self, flow: FlowId, key: Hashable, probe: Callable[["Session"], R]) -> R:
-        """probe(session) on a fresh session of flow, or the result of the
-        first such run with the same key on the same route that drew no
-        drop, when flow draws no drop at its draw points.
+        """probe(session) on a fresh session of flow, or the result of an
+        earlier such run with the same key on the same route whose draws
+        had the outcomes flow's own draws have at the same points.
 
         key must name the probe and everything other than the source
         that the probe's packets and its result depend on. A run that
-        raises or draws a drop is not kept, nor is one past
-        SHARED_LIMIT. The result is shared, so callers must not change
-        it.
+        raises is not kept, nor is one past SHARED_LIMIT. The result is
+        shared, so callers must not change it.
 
         The session opens on the flow's compiled route alone; nothing
         here looks the destination up. Whether the route ends at the
         flow's destination is the route's one rule (Route.at_destination).
-        A kept run's draw points are the ones its session recorded.
+        A kept run's path in its tree is the draws its session recorded.
         """
         topology = self.topology
         nodes = route(topology, flow)
@@ -260,16 +267,20 @@ class SimTransport:
         if scope != self._scope:
             self._scope = scope
             self._shared = {}
+            self._leaves = 0
         shared_key = (nodes, key)
-        shared = self._shared.get(shared_key)
-        if shared is not None:
-            result, points = shared
-            if not points or not drops(points, flow.to_bytes()):
-                return result
+        tree = self._shared.get(shared_key)
+        if tree is not None:
+            leaf = tree.find(flow)
+            if leaf is not None:
+                return leaf.value
         session = Session(compile_route(topology, flow, nodes))
         result = probe(session)
-        if shared is None and not session.dropped and len(self._shared) < SHARED_LIMIT:
-            self._shared[shared_key] = (result, tuple(dict.fromkeys(session.draws)))
+        if self._leaves < SHARED_LIMIT:
+            if tree is None:
+                tree = self._shared[shared_key] = DrawTree()
+            tree.graft(session.draws, result)
+            self._leaves += 1
         return result
 
 
@@ -286,9 +297,11 @@ class Session:
     (Route.at_destination). The session only carries packets of its own
     flow.
 
-    draws lists each point where a packet drew loss (simnet.DrawPoint),
-    and dropped says whether any of those draws dropped its packet;
-    SimTransport.run replays other flows' draws there.
+    draws maps each distinct point where a packet drew loss
+    (simnet.DrawPoint), in the order first drawn, to whether that draw
+    dropped the packet: the run's path in SimTransport.run's tree. A
+    point drawn again keeps its first outcome, which the flow always
+    draws again there: a control probe and its sensitive twin share it.
     """
 
     def __init__(self, route: Route) -> None:
@@ -298,8 +311,7 @@ class Session:
         self._replies: Dict[Tuple[PacketKind, str], Optional[Packet]] = {}
         self.epoch = 0
         self.residual: Dict[CensorRule, int] = {}
-        self.draws: List[DrawPoint] = []
-        self.dropped = False
+        self.draws: Dict[DrawPoint, bool] = {}
 
     def advance(self) -> None:
         """Start the next epoch: a probe's repetitions run in epochs 1..n."""
@@ -313,10 +325,15 @@ class Session:
         route = self.route
         stream = LossStream(route.seed, self.epoch, packet, route.flow_bytes)
         result = forward(packet, route, stream, self.residual)
-        if stream.drawn:
-            hops = route.hops
-            self.draws.extend((head, tail, hops[node].loss) for node, head, tail in stream.drawn)
-            self.dropped = self.dropped or result.kind is TransitKind.LOST
+        drawn = stream.drawn
+        if drawn:
+            # forward returns at the first drop: every draw passed but
+            # the last one of a lost packet.
+            hops, draws = route.hops, self.draws
+            for node, head, tail in drawn[:-1]:
+                draws.setdefault((head, tail, hops[node].loss), False)
+            node, head, tail = drawn[-1]
+            draws.setdefault((head, tail, hops[node].loss), result.kind is TransitKind.LOST)
 
         responses: List[Packet] = []
         # Injected packets win any race with the origin, so they come first.
@@ -432,9 +449,9 @@ def run_cell(cell: Cell, source: SourceParams, transport) -> CellResult:
     path in the same epoch. They share one session: a residual window
     opened by a sensitive hit also covers the control probes after it.
     The cell runs through transport.run, so a cell whose route an
-    earlier source of the same cell already simulated, and whose own
-    loss draws all pass, gets that very result object: its observations
-    and its verdict. The result is shared, so callers must not change
+    earlier source of the same cell already simulated, with the loss
+    outcomes its own draws have, gets that very result object: its
+    observations and its verdict. The result is shared, so callers must not change
     it.
     """
     flow = _flow(cell.protocol, cell.dst_ip, source)

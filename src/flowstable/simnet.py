@@ -18,7 +18,11 @@ ever delivered at the last node of its route, which may be another
 endpoint than its destination's. A Topology is immutable once loaded;
 the only state a walk changes is the residual-censorship map its caller
 passes in. oracle_paths() is the route ground truth the tracer is
-checked against. drops() replays recorded loss draws for another flow.
+checked against. A DrawTree keeps the values of runs on one route by
+the outcomes of the loss draws each consulted; looking a flow up there
+costs one of its own draw keys per draw point on its way, and the value
+it finds is the one its own run gives, since nothing else a run meets
+depends on the flow.
 """
 
 from __future__ import annotations
@@ -347,12 +351,68 @@ def draw_key(key: bytes) -> float:
 DrawPoint = Tuple[bytes, bytes, float]
 
 
-def drops(points: Sequence[DrawPoint], flow_bytes: bytes) -> bool:
-    """Whether the flow of flow_bytes drops its packet at any point."""
-    for head, tail, p in points:
-        if draw_key(head + flow_bytes + tail) < p:
-            return True
-    return False
+class Leaf:
+    """A DrawTree's value for one sequence of draw outcomes."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: object) -> None:
+        self.value = value
+
+
+class _Draw:
+    """An inner node of a DrawTree: a draw point and the subtree of each
+    outcome there, indexed by whether the draw dropped."""
+
+    __slots__ = ("point", "branches")
+
+    def __init__(self, point: DrawPoint) -> None:
+        self.point = point
+        self.branches: List[Union["_Draw", Leaf, None]] = [None, None]
+
+
+class DrawTree:
+    """The values of runs that meet the same route and differ only in
+    their flow, by the outcomes of the loss draws each consulted.
+
+    A loss draw is the only thing such a run meets that depends on its
+    flow beyond the route. Before its first draw every run does the
+    same; after it, what a run does next depends only on whether the
+    draw dropped; and so on. So a run's value is a function of the
+    outcomes of the draw points it consulted, in the order it first
+    consulted them, and which point comes next is a function of the
+    outcomes before it. An inner node is such a point, its two branches
+    its outcomes (pass, drop), and a leaf a run's value. A point a run
+    consults again gives its flow the same outcome, so it appears once
+    on a path. find() follows a flow's own outcomes down the tree, one
+    draw key per inner node on its path; graft() adds a run's path.
+    """
+
+    def __init__(self) -> None:
+        #: The root, in a one-slot list so graft() fills it like a branch.
+        self._top: List[Union[_Draw, Leaf, None]] = [None]
+
+    def find(self, flow: FlowId) -> Optional[Leaf]:
+        """The leaf flow's own draws lead to, or None where no run with
+        its outcomes has been grafted yet."""
+        node = self._top[0]
+        if type(node) is _Draw:
+            flow_bytes = flow.to_bytes()
+            while type(node) is _Draw:
+                head, tail, p = node.point
+                node = node.branches[draw_key(head + flow_bytes + tail) < p]
+        return node
+
+    def graft(self, draws: Mapping[DrawPoint, bool], value: object) -> None:
+        """Add the path of a run that find() missed: its distinct draw
+        points in the order it first consulted them, each mapped to
+        whether it dropped, and its value."""
+        branches, slot = self._top, 0
+        for point, dropped in draws.items():
+            if branches[slot] is None:
+                branches[slot] = _Draw(point)
+            branches, slot = branches[slot].branches, dropped
+        branches[slot] = Leaf(value)
 
 
 class LossStream:

@@ -84,8 +84,8 @@ def trace(
     starts with no residual windows.
 
     The ladder runs through transport.run: a trace of a route an earlier
-    trace of the same spec fields already climbed, whose own loss draws
-    all pass, gets that trace's ladder and terminal. The TracePath,
+    trace of the same spec fields already climbed, with the loss
+    outcomes its own draws have, gets that trace's ladder and terminal. The TracePath,
     spec's source with them, is built once, here.
     """
     if not 1 <= max_ttl <= MAX_TTL_CEILING:

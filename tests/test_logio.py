@@ -286,7 +286,22 @@ class TestMalformedRecord:
             control=control, sensitive=sensitive, verdict=verdict))
 
     def test_bad_terminal(self, tmp_path):
-        self.read(tmp_path, _trace_line(terminal="censored@x"))
+        # A TTL is ASCII digits of an integer >= 1, as terminal_str writes it.
+        for terminal in ["censored@x", "censored@-1", "censored@ 3", "censored@+3",
+                         "censored@\u0663", "censored@0", "censored@03"]:
+            assert repr(terminal) in self.read(tmp_path, _trace_line(terminal=terminal))
+
+    # verdict_record writes a null mechanism on a verdict that is not
+    # censored, and always writes the field.
+    @pytest.mark.parametrize("verdict", ["excluded", "not_censored"])
+    def test_mechanism_on_an_uncensored_verdict(self, tmp_path, verdict):
+        assert "mechanism 'drop'" in self.read(
+            tmp_path, _verdict_line(verdict=verdict, mechanism="drop"))
+
+    @pytest.mark.parametrize("changes", [{"mechanism": 5}, {"drop": "mechanism"}])
+    def test_mechanism_after_an_equal_verdict(self, tmp_path, changes):
+        self.read(tmp_path, _verdict_line(verdict="excluded", **changes),
+                  good_line=_verdict_line(verdict="excluded"))
 
     # A ladder is a list of node ids (integers >= 0, not booleans) and nulls.
     @pytest.mark.parametrize("hops", ["0x", "", [0, "x"], [True, 2.5], [3, -1], [1.0],
@@ -341,7 +356,11 @@ STYLES = ["sorted"] * 40 + ["shuffled", "utf-8", "src_ip first", "duplicate src_
 def _reference_terminal(text):
     if text.startswith("censored@"):
         where = text[len("censored@"):]
-        return Terminal(TerminalKind.CENSORED_AT, None if where == "?" else int(where))
+        if where == "?":
+            return Terminal(TerminalKind.CENSORED_AT, None)
+        if not (where.isascii() and where.isdigit() and where[0] != "0"):
+            raise ValueError(text)
+        return Terminal(TerminalKind.CENSORED_AT, int(where))
     return Terminal(TerminalKind(text))
 
 
@@ -371,7 +390,11 @@ def _reference_run(lines, run_id):
         if run_id is not None and r["run_id"] != run_id:
             continue
         if r["record_kind"] == "trace":
-            traces[r["trace_id"] if run_id is not None else lineno] = _reference_trace(r)
+            try:
+                trace = _reference_trace(r)
+            except ValueError:
+                return logio.CorruptRecordError, lineno
+            traces[r["trace_id"] if run_id is not None else lineno] = trace
             continue
         key = (Ipv4Address(ip_to_int(r["dst"])), AppProtocol(r["protocol"]))
         if run_id is None and owners.setdefault(key, r["run_id"]) != r["run_id"]:
@@ -482,5 +505,10 @@ def test_interned_read_equals_reference(tmp_path_factory, bodies, cells, rng):
         assert len({id(a) for a in addresses}) == len(set(addresses))
         ladders = [t.hops for t in run.traces.values()]
         assert len({id(h) for h in ladders}) == len(set(ladders))
-    assert logio.traces_from_records(records) == [
-        _reference_trace(r) for r in records if r["record_kind"] == "trace"]
+    try:
+        traces = [_reference_trace(r) for r in records if r["record_kind"] == "trace"]
+    except ValueError:
+        with pytest.raises(ValueError):
+            logio.traces_from_records(records)
+    else:
+        assert logio.traces_from_records(records) == traces
