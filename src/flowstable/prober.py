@@ -4,10 +4,10 @@ A probe spec fixes every packet field that feeds ECMP hashing, so all
 packets of one spec share a single flow id and therefore a single
 route. Every probe runs through a transport's run(): the simulator
 backend opens each session there, on the flow's compiled route, and
-shares the result among flows on the same route; the live adapter
-deliberately only raises. run_cell probes and classifies a
-control/sensitive cell and tracer.trace climbs a TTL ladder, both
-through run(). This module holds probes only: the route and the loss
+shares the result among flows on the same route whose loss draws have
+the same outcomes; the live adapter deliberately only raises. run_cell
+probes and classifies a control/sensitive cell and tracer.trace climbs
+a TTL ladder, both through run(). This module holds probes only: the route and the loss
 key are simnet's, and a result's log line is logio's.
 
 Verdicts follow the all-repetitions rule: a cell is Censored only when

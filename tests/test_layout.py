@@ -83,8 +83,8 @@ def test_module_imports_have_no_cycle():
 
 
 def test_loss_key_has_one_home():
-    # Only simnet lays out or hashes a loss key; others replay recorded
-    # draw points through simnet.drops.
+    # Only simnet lays out or hashes a loss key; others look a flow's
+    # own draws up in a tree of recorded draw points (simnet.DrawTree).
     names = {"loss_key_parts", "draw_key"}
     found = sorted(
         f"{module}: {name}"

@@ -298,7 +298,8 @@ class TestMalformedRecord:
         assert "mechanism 'drop'" in self.read(
             tmp_path, _verdict_line(verdict=verdict, mechanism="drop"))
 
-    @pytest.mark.parametrize("changes", [{"mechanism": 5}, {"drop": "mechanism"}])
+    @pytest.mark.parametrize("changes", [{"mechanism": 5}, {"drop": "mechanism"}],
+                             ids=["mechanism_5", "no_mechanism"])
     def test_mechanism_after_an_equal_verdict(self, tmp_path, changes):
         self.read(tmp_path, _verdict_line(verdict="excluded", **changes),
                   good_line=_verdict_line(verdict="excluded"))

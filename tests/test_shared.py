@@ -1,18 +1,25 @@
-"""One simulation per route: a shared result is the flow's own result.
+"""One simulation per route and loss outcome: a shared result is the
+flow's own result.
 
-SimTransport.run simulates a probe once per (route, everything but the
-source) and hands the result to every later flow on that route whose own
-loss draws, at the points the simulation drew, all pass. rq2 encodes the
-fixed part of a line once per distinct result (logio.VerdictLines).
-These tests check that no flow can tell: on random documents with loss,
-residual windows, health schedules, failed rules and every action kind,
-each flow's cell and trace on one shared transport equal what a fresh
-transport gives for that flow alone, and each rq2 line equals the line
-encoded from that cell's own observations; that the key covers the
-blockpage registry and each line names its own run; that a 1664-cell
-matrix opens no more sessions than it has routes plus cells whose own
-loss draws drop; and that it encodes no more line parts than it opens
-sessions.
+SimTransport.run keeps a probe's results per (route, everything but the
+source) in a tree over the loss draws its runs consulted
+(simnet.DrawTree): an inner node is the next distinct draw point, a
+branch its outcome, a leaf a result. A later flow on that route
+computes its own draw at each node on its way, one loss key per node,
+and takes the leaf it reaches; a flow that reaches no leaf is simulated
+and grafted on. That is exact because a run's result depends only on
+its route, its key and its draws' outcomes in the order it consulted
+them. rq2 encodes the fixed part of a line once per distinct result
+(logio.VerdictLines). These tests check that no flow can tell: on
+random documents with loss, residual windows, health schedules, failed
+rules and every action kind, each flow's cell and trace on one shared
+transport equal what a fresh transport gives for that flow alone, and
+each rq2 line equals the line encoded from that cell's own
+observations; that the key covers the blockpage registry and each line
+names its own run; that flows whose draws drop alike share one result;
+that a 1664-cell matrix opens one session per (route, draw outcomes)
+class, no more than it has routes plus cells whose own loss draws
+drop; and that it encodes no more line parts than it opens sessions.
 """
 
 import json
@@ -168,7 +175,7 @@ def opened(monkeypatch):
 def test_later_flows_replay_their_own_loss_draws(opened):
     # Light loss on both of half_split's routers: most cells draw no
     # drop, so each route keeps a result early, and later cells on that
-    # route whose own draws drop must be simulated, not handed it.
+    # route whose own draws drop must not be handed it.
     doc = json.loads((FIXTURES / "half_split.topo").read_text())
     doc["loss"] = [{"node": 1, "p": 0.03}, {"node": 2, "p": 0.03}]
     topology = load_topology(doc)
@@ -187,6 +194,33 @@ def test_later_flows_replay_their_own_loss_draws(opened):
             replayed += 1
     assert len(kept) == 2
     assert replayed >= 20
+
+
+def test_flows_that_drop_alike_share_one_result(opened):
+    # On lossy half_split routes, cells whose own draws drop at the same
+    # points, with the same outcomes everywhere else, take one result
+    # object: the first of them is simulated and the later ones take its
+    # result. Each result is what a fresh transport gives for that cell.
+    doc = json.loads((FIXTURES / "half_split.topo").read_text())
+    doc["loss"] = [{"node": 1, "p": 0.1}, {"node": 2, "p": 0.1}]
+    topology = load_topology(doc)
+    dst = topology.nodes[3].address
+    cell = Cell(AppProtocol.HTTPS, dst, DOMAINS)
+    shared = SimTransport(topology)
+    by_outcomes = {}
+    for source in plan_rq2([dst], seed=1).grid[:400]:
+        opened.clear()
+        own = run_cell(cell, source, SimTransport(topology))
+        (session,) = opened
+        result = run_cell(cell, source, shared)
+        assert result == own
+        if any(session.draws.values()):
+            key = (session.route.nodes, tuple(session.draws.items()))
+            by_outcomes.setdefault(key, []).append(result)
+    alike = [results for results in by_outcomes.values() if len(results) >= 3]
+    assert len(alike) >= 5
+    for results in alike:
+        assert all(result is results[0] for result in results)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.05])
@@ -217,6 +251,29 @@ def test_matrix_opens_a_session_per_route_plus_fallbacks(opened, p):
         assert fallbacks > 0
     else:
         assert len(opened) == len(routes)
+
+
+def test_matrix_opens_a_session_per_route_and_loss_outcome(opened):
+    # One session per class of cells with equal route and equal draw
+    # outcomes, each point at its first draw, as fresh transports see them.
+    doc = json.loads((FIXTURES / "half_split.topo").read_text())
+    doc["loss"] = [{"node": 1, "p": 0.05}, {"node": 2, "p": 0.05}]
+    topology = load_topology(doc)
+    dst = topology.nodes[3].address
+    plan = plan_rq2([dst], seed=1)
+    protocol = AppProtocol.HTTPS
+    classes = set()
+    for source in plan.grid:
+        opened.clear()
+        run_cell(Cell(protocol, dst, DOMAINS), source, SimTransport(topology))
+        (session,) = opened
+        classes.add((session.route.nodes, tuple(session.draws.items())))
+
+    opened.clear()
+    with scratch_log() as log:
+        (matrix,) = run_rq2(plan, SimTransport(topology), log, protocols=[protocol]).values()
+    assert len(matrix) == 1664
+    assert len(opened) == len(classes)
 
 
 def test_rq2_encodes_a_line_once_per_simulated_result(opened, monkeypatch):
