@@ -26,7 +26,6 @@ import json
 import os
 import re
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -40,7 +39,7 @@ from .core import (
     VerdictKind,
 )
 from .prober import CellResult, Observation, ObservationKind
-from .tracer import Terminal, TerminalKind, TracePath
+from .tracer import MAX_TTL_CEILING, Terminal, TerminalKind, TracePath
 
 SCHEMA_VERSION = 2
 
@@ -310,6 +309,9 @@ class _Reader:
         if type(hops) is not list or any(
                 h is not None and (type(h) is not int or h < 0) for h in hops):
             raise ValueError(f"bad hops {hops!r}")
+        # a ladder has at most MAX_TTL_CEILING hops, a censored TTL among them
+        if len(hops) > MAX_TTL_CEILING or (terminal.censored_at or 0) > len(hops):
+            raise ValueError(f"terminal {record['terminal']!r} on a ladder of {len(hops)} hops")
         hops = tuple(hops)
         ladder = self._ladders.setdefault(hops, hops)
         return TracePath(dst, self.source(record), protocol, ladder, terminal)
@@ -676,31 +678,29 @@ class VerdictLines:
     own output so escaping is json's, and splices each cell's source
     fields in. Every cell that takes a shared result
     (prober.SimTransport.run) gets the same object, so it is encoded
-    once per matrix; a part is kept only while its result lives. Each
-    line equals encode_record(verdict_record(...)).
+    once per matrix. The memo holds each result, so no other object takes
+    its id; it lives for one matrix, as SimTransport's kept results do.
+    Each line equals encode_record(verdict_record(...)).
     """
 
     def __init__(self, run_id: str, dst: Ipv4Address, protocol: AppProtocol) -> None:
         self.run_id = run_id
         self.dst = dst
         self.protocol = protocol
-        #: id(result) -> fixed part, for each result still alive.
-        self._fixed: Dict[int, Tuple[str, str]] = {}
+        #: id(result) -> (result, fixed part around the source).
+        self._fixed: Dict[int, Tuple[CellResult, str, str]] = {}
 
     def line(self, result: CellResult, source: SourceParams) -> str:
         """The line of the cell from source whose result is result."""
-        key = id(result)
-        fixed = self._fixed.get(key)
+        fixed = self._fixed.get(id(result))
         if fixed is None:
             text = encode_record(verdict_record(
                 self.run_id, self.dst, self.protocol, _NO_SOURCE,
                 result.control, result.sensitive, result.verdict,
             ))
-            fixed = self._fixed[key] = tuple(text.split(_source_fields(_NO_SOURCE)))
-            # Dropped as the result dies, so no later object takes its id
-            # here and an unshared result's part is not held.
-            weakref.finalize(result, self._fixed.pop, key, None)
-        head, tail = fixed
+            head, tail = text.split(_source_fields(_NO_SOURCE))
+            fixed = self._fixed[id(result)] = (result, head, tail)
+        _, head, tail = fixed
         return head + _source_fields(source) + tail
 
 

@@ -44,7 +44,6 @@ from .simnet import (
     Route,
     Topology,
     TransitKind,
-    TransitResult,
     compile_route,
     forward,
     route,
@@ -183,10 +182,11 @@ class Cell:
 
 @dataclass(frozen=True)
 class SendResult:
-    """What the transport hands back for one emitted packet."""
+    """What the transport hands back for one emitted packet: its replies
+    and whether it reached the flow's destination (Session.send decides)."""
 
     responses: Tuple[Packet, ...]
-    transit: TransitResult
+    reached: bool
 
 
 _LIVE_UNAVAILABLE = "live probing is intentionally not implemented; use the simulator backend"
@@ -258,7 +258,7 @@ class SimTransport:
         The session opens on the flow's compiled route alone; nothing
         here looks the destination up. Whether the route ends at the
         flow's destination is the route's one rule (Route.at_destination).
-        A kept run's path in its tree is the draws its session recorded.
+        A kept run's path in its tree is Session.draws; a result is never None.
         """
         topology = self.topology
         nodes = route(topology, flow)
@@ -271,9 +271,9 @@ class SimTransport:
         shared_key = (nodes, key)
         tree = self._shared.get(shared_key)
         if tree is not None:
-            leaf = tree.find(flow)
-            if leaf is not None:
-                return leaf.value
+            kept = tree.find(flow)
+            if kept is not None:
+                return kept
         session = Session(compile_route(topology, flow, nodes))
         result = probe(session)
         if self._leaves < SHARED_LIMIT:
@@ -299,9 +299,10 @@ class Session:
 
     draws maps each distinct point where a packet drew loss
     (simnet.DrawPoint), in the order first drawn, to whether that draw
-    dropped the packet: the run's path in SimTransport.run's tree. A
-    point drawn again keeps its first outcome, which the flow always
-    draws again there: a control probe and its sensitive twin share it.
+    dropped the packet: the run's path in SimTransport.run's tree. Each
+    packet's simnet.LossStream records its draws there as it draws them;
+    the session only hands the map over. A control probe and its
+    sensitive twin share a point.
     """
 
     def __init__(self, route: Route) -> None:
@@ -323,25 +324,16 @@ class Session:
         if packet.flow is not self.flow and packet.flow != self.flow:
             raise ValueError(f"packet flow {packet.flow} is not the session's flow {self.flow}")
         route = self.route
-        stream = LossStream(route.seed, self.epoch, packet, route.flow_bytes)
+        stream = LossStream(route.seed, self.epoch, packet, route.flow_bytes, self.draws)
         result = forward(packet, route, stream, self.residual)
-        drawn = stream.drawn
-        if drawn:
-            # forward returns at the first drop: every draw passed but
-            # the last one of a lost packet.
-            hops, draws = route.hops, self.draws
-            for node, head, tail in drawn[:-1]:
-                draws.setdefault((head, tail, hops[node].loss), False)
-            node, head, tail = drawn[-1]
-            draws.setdefault((head, tail, hops[node].loss), result.kind is TransitKind.LOST)
-
+        reached = result.kind is TransitKind.DELIVERED and route.at_destination
         responses: List[Packet] = []
         # Injected packets win any race with the origin, so they come first.
         for event in result.events:
             injected = self._injected_packet(packet, event)
             if injected is not None:
                 responses.append(injected)
-        if result.kind is TransitKind.DELIVERED and route.at_destination:
+        if reached:
             key = (packet.kind, packet.body_tag)
             if key not in self._replies:
                 self._replies[key] = self._origin_response(packet)
@@ -350,7 +342,7 @@ class Session:
                 responses.append(origin)
         if result.icmp is not None:
             responses.append(result.icmp)
-        return SendResult(tuple(responses), result)
+        return SendResult(tuple(responses), reached)
 
     def _injected_packet(self, probe: Packet, event: CensorEvent) -> Optional[Packet]:
         kind = event.action.kind
@@ -411,6 +403,18 @@ def _exchange_packets(spec: ProbeSpec) -> Tuple[Packet, ...]:
     )
 
 
+def _handshake(session: Session, syn: Packet, ack: Packet) -> Optional[ObservationKind]:
+    """The TCP handshake: syn, then ack once syn draws a SYN-ACK and no
+    RST. None then, else what syn drew (RST_RECEIVED or HANDSHAKE_FAILED)."""
+    responses = session.send(syn).responses
+    if _first(responses, PacketKind.TCP_RST) is not None:
+        return ObservationKind.RST_RECEIVED
+    if _first(responses, PacketKind.TCP_SYNACK) is None:
+        return ObservationKind.HANDSHAKE_FAILED
+    session.send(ack)
+    return None
+
+
 def _run_exchange(
     spec: ProbeSpec, session: Session, packets: Tuple[Packet, ...]
 ) -> Observation:
@@ -424,14 +428,11 @@ def _run_exchange(
             return Observation(epoch, ObservationKind.DNS_RESPONSE, answer.body_tag)
         return Observation(epoch, ObservationKind.NO_RESPONSE)
 
-    # TCP: three-way handshake, then the sensitive-or-control payload.
+    # TCP: the handshake, then the sensitive-or-control payload.
     syn, ack, payload = packets
-    syn_result = session.send(syn)
-    if _first(syn_result.responses, PacketKind.TCP_RST) is not None:
-        return Observation(epoch, ObservationKind.RST_RECEIVED)
-    if _first(syn_result.responses, PacketKind.TCP_SYNACK) is None:
-        return Observation(epoch, ObservationKind.HANDSHAKE_FAILED)
-    session.send(ack)
+    failed = _handshake(session, syn, ack)
+    if failed is not None:
+        return Observation(epoch, failed)
     responses = session.send(payload).responses
     hit = _first(responses, PacketKind.TCP_RST, PacketKind.HTTP_RESPONSE)
     if hit is None:

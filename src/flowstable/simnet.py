@@ -351,15 +351,6 @@ def draw_key(key: bytes) -> float:
 DrawPoint = Tuple[bytes, bytes, float]
 
 
-class Leaf:
-    """A DrawTree's value for one sequence of draw outcomes."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object) -> None:
-        self.value = value
-
-
 class _Draw:
     """An inner node of a DrawTree: a draw point and the subtree of each
     outcome there, indexed by whether the draw dropped."""
@@ -368,7 +359,7 @@ class _Draw:
 
     def __init__(self, point: DrawPoint) -> None:
         self.point = point
-        self.branches: List[Union["_Draw", Leaf, None]] = [None, None]
+        self.branches: List[object] = [None, None]
 
 
 class DrawTree:
@@ -382,18 +373,19 @@ class DrawTree:
     outcomes of the draw points it consulted, in the order it first
     consulted them, and which point comes next is a function of the
     outcomes before it. An inner node is such a point, its two branches
-    its outcomes (pass, drop), and a leaf a run's value. A point a run
-    consults again gives its flow the same outcome, so it appears once
-    on a path. find() follows a flow's own outcomes down the tree, one
-    draw key per inner node on its path; graft() adds a run's path.
+    its outcomes (pass, drop), and a path ends in the run's value
+    itself, never None. A point a run consults again gives its flow the
+    same outcome, so it appears once on a path. find() follows a flow's
+    own outcomes down the tree, one draw key per inner node on its path;
+    graft() adds a run's path.
     """
 
     def __init__(self) -> None:
         #: The root, in a one-slot list so graft() fills it like a branch.
-        self._top: List[Union[_Draw, Leaf, None]] = [None]
+        self._top: List[object] = [None]
 
-    def find(self, flow: FlowId) -> Optional[Leaf]:
-        """The leaf flow's own draws lead to, or None where no run with
+    def find(self, flow: FlowId) -> object:
+        """The value flow's own draws lead to, or None where no run with
         its outcomes has been grafted yet."""
         node = self._top[0]
         if type(node) is _Draw:
@@ -406,13 +398,13 @@ class DrawTree:
     def graft(self, draws: Mapping[DrawPoint, bool], value: object) -> None:
         """Add the path of a run that find() missed: its distinct draw
         points in the order it first consulted them, each mapped to
-        whether it dropped, and its value."""
+        whether it dropped, and its value (not None)."""
         branches, slot = self._top, 0
         for point, dropped in draws.items():
             if branches[slot] is None:
                 branches[slot] = _Draw(point)
             branches, slot = branches[slot].branches, dropped
-        branches[slot] = Leaf(value)
+        branches[slot] = value
 
 
 class LossStream:
@@ -427,25 +419,26 @@ class LossStream:
 
     flow_bytes are the flow's serialized bytes, FlowId.to_bytes(): a
     session passes its route's, built once (Route.flow_bytes, None on a
-    route where no hop draws). drawn lists each draw, in order, as
-    (node, head, tail) of its key, so a session records its draw points
-    without building a key again.
+    route where no hop draws). uniform(node, p) records the draw's point
+    in draws, its session's map (a DrawTree path), with whether it
+    dropped the packet, in the order first drawn.
     """
 
-    def __init__(
-        self, seed: int, epoch: int, packet: Packet, flow_bytes: Optional[bytes]
-    ) -> None:
+    def __init__(self, seed: int, epoch: int, packet: Packet,
+                 flow_bytes: Optional[bytes], draws: Dict[DrawPoint, bool]) -> None:
         self._seed = seed
         self._packet = packet
         self._flow_bytes = flow_bytes
+        self._draws = draws
         self.epoch = epoch
-        self.drawn: List[Tuple[NodeId, bytes, bytes]] = []
 
-    def uniform(self, node: NodeId) -> float:
+    def uniform(self, node: NodeId, p: float) -> float:
+        """The draw at node, recorded as a drop when below p, the node's drop probability."""
         packet = self._packet
         head, tail = loss_key_parts(self._seed, self.epoch, packet.kind, packet.ip_id, node)
-        self.drawn.append((node, head, tail))
-        return draw_key(head + self._flow_bytes + tail)
+        draw = draw_key(head + self._flow_bytes + tail)
+        self._draws.setdefault((head, tail, p), draw < p)
+        return draw
 
 
 def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
@@ -577,7 +570,7 @@ def forward(
                 TransitKind.TTL_EXCEEDED, path.nodes[:depth], tuple(events), icmp
             )
 
-        if p > 0.0 and rng_stream.uniform(node_id) < p:
+        if p > 0.0 and rng_stream.uniform(node_id, p) < p:
             return TransitResult(TransitKind.LOST, path.nodes[:depth], tuple(events))
     raise LoopGuardExceededError(f"packet exceeded {LOOP_GUARD} hops")
 

@@ -1,7 +1,7 @@
 """Mid-flow, route-stable traceroute that sends the cell's own packets.
 
-The probe's SYN and ACK (prober._exchange_packets) complete a TCP
-handshake first, then its payload packet is re-emitted once per TTL
+The probe's SYN and ACK complete a cell's own TCP handshake first
+(prober._handshake), then its payload packet is re-emitted once per TTL
 from 1 up, with only the TTL and IP ID, a copy of the TTL, changed, so
 ICMP quotations can be matched back to ladder positions. The connection
 stays up for the whole ladder; there are no retransmissions. Because
@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import EmptyPathSetError, PathSet, TraceGroup
 from .core import AppProtocol, Ipv4Address, Mechanism, PacketKind, SourceParams, Verdict
-from .prober import HandshakeFailedError, ProbeSpec, Session, _exchange_packets, _first
-from .simnet import TransitKind
+from .prober import HandshakeFailedError, ProbeSpec, Session, _exchange_packets, _handshake
 
 MAX_TTL_CEILING = 64
 DEFAULT_MAX_TTL = 32
@@ -103,14 +102,13 @@ def _climb(
     spec: ProbeSpec, max_ttl: int, session: Session
 ) -> Tuple[Tuple[Optional[int], ...], Terminal]:
     """trace's TTL ladder on one session: its hops and its terminal.
-    Raises HandshakeFailedError when a TCP SYN draws no SYN-ACK."""
+    Raises HandshakeFailedError when prober._handshake fails, that is
+    when the SYN draws no SYN-ACK: a fresh session's first packet, with
+    no payload, opens no residual window and draws no RST."""
     session.advance()
     *handshake, payload = _exchange_packets(spec)
-    if handshake:
-        syn, ack = handshake
-        if _first(session.send(syn).responses, PacketKind.TCP_SYNACK) is None:
-            raise HandshakeFailedError(f"no handshake for {spec.source} -> {spec.dst_ip}")
-        session.send(ack)
+    if handshake and _handshake(session, *handshake) is not None:
+        raise HandshakeFailedError(f"no handshake for {spec.source} -> {spec.dst_ip}")
 
     hops: Dict[int, int] = {}
 
@@ -129,7 +127,7 @@ def _climb(
                 rst = True
         if rst:
             return ladder(ttl), Terminal(TerminalKind.CENSORED_AT, max(hops) if hops else None)
-        if result.transit.kind is TransitKind.DELIVERED and session.route.at_destination:
+        if result.reached:
             return ladder(ttl - 1), Terminal(TerminalKind.REACHED_DESTINATION)
     return ladder(max_ttl), Terminal(TerminalKind.EXHAUSTED)
 

@@ -8,7 +8,9 @@ residual windows, failed rules and loss, each packet a session sends
 (cell exchanges and trace ladders alike) meets the same fate as in a
 reference walk that looks every node up in the topology as it goes. The
 expected censor events are built by censors.apply in that walk; they
-name no flow, only the node, action and epoch.
+name no flow, only the node, action and epoch. The walk also keys and
+draws loss itself, so after each send the session's recorded draws
+(Session.draws) must be the very draws forward acted on.
 """
 
 import contextlib
@@ -23,11 +25,12 @@ from flowstable.prober import Cell, HandshakeFailedError, SimTransport, run_cell
 from flowstable.simnet import (
     LOOP_GUARD,
     LoopGuardExceededError,
-    LossStream,
     Role,
     TransitKind,
     compile_route,
+    draw_key,
     load_topology,
+    loss_key_parts,
     next_hop,
 )
 from flowstable.tracer import trace
@@ -90,11 +93,12 @@ def censored_documents(draw):
             "seed": draw(st.integers(0, 2**64 - 1))}
 
 
-def reference_forward(topology, packet, epoch, residual):
+def reference_forward(topology, packet, epoch, residual, draws):
     """(kind, at, hops, events) of one packet, walked node by node from
     the entry with next_hop, looking up nodes, censors_at and loss at
-    each node. residual is the session's residual map, updated in place."""
-    stream = LossStream(topology.seed, epoch, packet, packet.flow.to_bytes())
+    each node. residual is the session's residual map, and draws maps
+    each distinct draw point (head, tail, p) of the session, in the
+    order first drawn, to whether it dropped; both are updated in place."""
     node_id, hops, events, ttl = topology.entry, [], [], packet.ttl
     while True:
         if len(hops) == LOOP_GUARD:
@@ -117,8 +121,13 @@ def reference_forward(topology, packet, epoch, residual):
             p = topology.loss.get(node_id, 0.0)
             if ttl == 0:
                 fate = TransitKind.TTL_EXCEEDED
-            elif p > 0.0 and stream.uniform(node_id) < p:
-                fate = TransitKind.LOST
+            elif p > 0.0:
+                head, tail = loss_key_parts(topology.seed, epoch, packet.kind, packet.ip_id,
+                                            node_id)
+                dropped = draw_key(head + packet.flow.to_bytes() + tail) < p
+                draws.setdefault((head, tail, p), dropped)
+                if dropped:
+                    fate = TransitKind.LOST
         if fate is not None:
             return fate, node_id, tuple(hops), tuple(events)
         node_id = next_hop(topology.policies[node_id], packet.flow)
@@ -126,23 +135,36 @@ def reference_forward(topology, packet, epoch, residual):
 
 @contextlib.contextmanager
 def checked_sends(topology):
-    """Check every Session.send against reference_forward; yields the
-    list of checked packets."""
-    send = prober.Session.send
+    """Check every packet a Session.send forwards (prober.forward)
+    against reference_forward, and after each send whether it reached
+    the flow's destination and the session's residual map and recorded
+    draws against the walk's; yields the list of checked packets."""
+    send, forward = prober.Session.send, prober.forward
     shadows = {}
+    expected = []
     checked = []
 
-    def checking_send(session, packet):
-        shadow = shadows.setdefault(session, {})
-        expected = reference_forward(topology, packet, session.epoch, shadow)
-        result = send(session, packet)
-        got = result.transit
-        assert (got.kind, got.hops[-1], got.hops, got.events) == expected
-        assert session.residual == shadow
+    def checking_forward(packet, path, stream, residual):
+        got = forward(packet, path, stream, residual)
+        assert (got.kind, got.hops[-1], got.hops, got.events) == expected.pop()
         checked.append(packet)
+        return got
+
+    def checking_send(session, packet):
+        residual, draws = shadows.setdefault(session, ({}, {}))
+        kind, at, hops, events = reference_forward(
+            topology, packet, session.epoch, residual, draws)
+        expected.append((kind, at, hops, events))
+        result = send(session, packet)
+        assert expected == []  # forwarded once
+        assert result.reached == (kind is TransitKind.DELIVERED
+                                  and topology.nodes[at].address == packet.flow.dst_ip)
+        assert session.residual == residual
+        assert list(session.draws.items()) == list(draws.items())
         return result
 
-    with mock.patch.object(prober.Session, "send", checking_send):
+    with mock.patch.object(prober.Session, "send", checking_send), \
+            mock.patch.object(prober, "forward", checking_forward):
         yield checked
 
 

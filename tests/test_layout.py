@@ -1,8 +1,10 @@
 """src/ holds only what the commands run: importing the command-line
 front end loads every module of the package. Every import of the
 package sits at module level, and its modules import each other
-without a cycle. The loss key has one home, simnet. And the benchmark's
-span wrappers (perfbench/spans.py) still find every name they patch."""
+without a cycle. The loss key has one home, simnet, and so has the
+outcome of a loss draw; whether a packet reached its destination is
+decided in prober alone. And the benchmark's span wrappers
+(perfbench/spans.py) still find every name they patch."""
 
 import ast
 import graphlib
@@ -97,6 +99,23 @@ def test_loss_key_has_one_home():
         )
         if name in names
     )
+    assert found == []
+
+
+def test_draw_outcome_and_reached_have_one_home():
+    # Only simnet names a lost packet: its loss streams record each
+    # draw's outcome as they draw it, so no one rebuilds it afterwards.
+    # The tracer reads prober's reached flag and imports nothing of simnet.
+    modules = _parsed_modules()
+    found = sorted(
+        f"{module}: TransitKind.LOST"
+        for module, tree in modules.items() if module != "simnet"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "LOST"
+        and getattr(node.value, "id", getattr(node.value, "attr", None)) == "TransitKind"
+    )
+    if "simnet" in _package_imports("tracer", modules["tracer"], modules):
+        found.append("tracer: imports simnet")
     assert found == []
 
 

@@ -16,7 +16,7 @@ from flowstable.core import (
     VerdictKind,
 )
 from flowstable.prober import Observation, ObservationKind
-from flowstable.tracer import Terminal, TerminalKind, TracePath
+from flowstable.tracer import MAX_TTL_CEILING, Terminal, TerminalKind, TracePath
 from reference import ip_to_int
 
 DST = Ipv4Address.parse("10.0.3.4")
@@ -310,6 +310,23 @@ class TestMalformedRecord:
     def test_bad_ladder(self, tmp_path, hops):
         self.read(tmp_path, _trace_line(hops=hops))
 
+    # A ladder holds at most MAX_TTL_CEILING hops, and a censored
+    # terminal's TTL is one of its positions, as tracer.trace writes them.
+    @pytest.mark.parametrize("hops, terminal", [
+        ([1], "censored@999"), ([], "censored@1"), ([1, None], "censored@3"),
+        ([1] * (MAX_TTL_CEILING + 1), "exhausted"), ([None] * (MAX_TTL_CEILING + 1), "reached"),
+    ])
+    def test_terminal_outside_its_ladder(self, tmp_path, hops, terminal):
+        assert "ladder" in self.read(tmp_path, _trace_line(hops=hops, terminal=terminal))
+
+    def test_terminal_at_its_ladder_end_reads(self, tmp_path):
+        path = tmp_path / "run.log"
+        hops = [None] * (MAX_TTL_CEILING - 1) + [7]
+        path.write_bytes(_trace_line(hops=hops, terminal=f"censored@{MAX_TTL_CEILING}"))
+        (trace,) = logio.read_run(path).traces.values()
+        assert trace.terminal == Terminal(TerminalKind.CENSORED_AT, MAX_TTL_CEILING)
+        assert len(trace.hops) == MAX_TTL_CEILING
+
     @pytest.mark.parametrize("bad", [[1.0], [True]])
     def test_bad_ladder_after_an_equal_good_one(self, tmp_path, bad):
         self.read(tmp_path, _trace_line(hops=bad), good_line=_trace_line(hops=[1]))
@@ -366,12 +383,15 @@ def _reference_terminal(text):
 
 
 def _reference_trace(r):
+    hops, terminal = tuple(r["hops"]), _reference_terminal(r["terminal"])
+    if len(hops) > MAX_TTL_CEILING or (terminal.censored_at or 0) > len(hops):
+        raise ValueError(f"{r['terminal']} outside a ladder of {len(hops)}")
     return TracePath(
         dst_ip=Ipv4Address(ip_to_int(r["dst"])),
         source=SourceParams(Ipv4Address(ip_to_int(r["src_ip"])), r["src_port"]),
         protocol=AppProtocol(r["protocol"]),
-        hops=tuple(r["hops"]),
-        terminal=_reference_terminal(r["terminal"]),
+        hops=hops,
+        terminal=terminal,
     )
 
 

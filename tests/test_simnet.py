@@ -62,7 +62,7 @@ def make_flow(src_ip=0x0A000001, dst_ip=0x0A000102, src_port=40000, dst_port=80,
 def walk(topology, packet, seed, epoch=1):
     """forward() of packet on its flow's route compiled against topology."""
     path = compile_route(topology, packet.flow)
-    return forward(packet, path, LossStream(seed, epoch, packet, path.flow_bytes), {})
+    return forward(packet, path, LossStream(seed, epoch, packet, path.flow_bytes, {}), {})
 
 
 class TestFnv:
@@ -248,12 +248,12 @@ class TestForward:
         packet = Packet(make_flow(), ttl=255, kind=PacketKind.TCP_PAYLOAD)
         compiled = compile_route(topo, make_flow())
         with pytest.raises(LoopGuardExceededError):
-            forward(packet, compiled, LossStream(0, 1, packet, None), {})
+            forward(packet, compiled, LossStream(0, 1, packet, None, {}), {})
         with pytest.raises(LoopGuardExceededError):
             oracle_paths(topo, 1, [SourceParams(Ipv4Address(1), 2)], Protocol.TCP, 80)
         for ttl in (1, 63, LOOP_GUARD):
             packet = Packet(make_flow(), ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
-            result = forward(packet, compiled, LossStream(0, 1, packet, None), {})
+            result = forward(packet, compiled, LossStream(0, 1, packet, None, {}), {})
             assert result.kind is TransitKind.TTL_EXCEEDED
             assert result.hops == path[:ttl]
 
@@ -473,10 +473,10 @@ class TestLoss:
 
     def test_stream_uniform_and_deterministic(self):
         packet = Packet(make_flow(), ttl=9, kind=PacketKind.TCP_PAYLOAD)
-        s1 = LossStream(1, 2, packet, packet.flow.to_bytes())
-        s2 = LossStream(1, 2, packet, packet.flow.to_bytes())
-        values = [s1.uniform(n) for n in range(500)]
-        assert values == [s2.uniform(n) for n in range(500)]
+        s1 = LossStream(1, 2, packet, packet.flow.to_bytes(), {})
+        s2 = LossStream(1, 2, packet, packet.flow.to_bytes(), {})
+        values = [s1.uniform(n, 0.5) for n in range(500)]
+        assert values == [s2.uniform(n, 0.5) for n in range(500)]
         assert all(0.0 <= v < 1.0 for v in values)
         assert 0.35 < sum(values) / len(values) < 0.65
 
@@ -499,8 +499,15 @@ class TestLoss:
         flow = make_flow(src_port=src_port)
         packet = Packet(flow, ttl=9, ip_id=ip_id, kind=kind)
         raw = flow_bytes(str(flow.src_ip), str(flow.dst_ip), src_port, 80, 6)
-        stream = LossStream(seed, epoch, packet, raw)
+        draws = {}
+        stream = LossStream(seed, epoch, packet, raw, draws)
         expected = loss_uniform(seed, epoch, raw, kind.value, ip_id, node)
-        assert stream.uniform(node) == expected
-        assert stream.uniform(node + 1) == loss_uniform(seed, epoch, raw, kind.value, ip_id,
-                                                        node + 1)
+        after = loss_uniform(seed, epoch, raw, kind.value, ip_id, node + 1)
+        assert stream.uniform(node, 0.5) == expected
+        assert stream.uniform(node + 1, 0.25) == after
+        assert stream.uniform(node, 0.5) == expected
+        # each distinct draw point once, in the order first drawn, with
+        # whether its draw dropped the packet
+        assert list(draws.items()) == [
+            ((*loss_key_parts(seed, epoch, kind, ip_id, node), 0.5), expected < 0.5),
+            ((*loss_key_parts(seed, epoch, kind, ip_id, node + 1), 0.25), after < 0.25)]
