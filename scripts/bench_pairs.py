@@ -40,7 +40,8 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str):
-    """'1001-1010' or '1,5,9' -> list of ints."""
+    """'1001-1010' or '1,5,9' -> list of ints; a range whose end comes
+    before its start is empty."""
     if "-" in text:
         lo, hi = (int(x) for x in text.split("-"))
         return list(range(lo, hi + 1))
@@ -115,9 +116,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
+    seeds = parse_seeds(args.seeds)
+    if len(seeds) < 2:
+        # quartiles() needs two runs per side; refuse before any run.
+        parser.error(f"--seeds {args.seeds} gives {len(seeds)} seed(s); at least two "
+                     f"seeds are needed")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    seeds = parse_seeds(args.seeds)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     args.logs.mkdir(parents=True, exist_ok=True)
 

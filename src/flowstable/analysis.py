@@ -53,10 +53,6 @@ class TraceGroup:
             out |= t.node_set
         return frozenset(out)
 
-    @property
-    def trace_sets(self) -> Tuple[frozenset, ...]:
-        return tuple(t.node_set for t in self.traces)
-
 
 @dataclass(frozen=True)
 class PathSet:
@@ -65,13 +61,13 @@ class PathSet:
 
 
 def num_paths(pathset: PathSet) -> int:
-    """Count of distinct per-trace hop sets across all groups."""
+    """Count of distinct per-trace hop sets across all groups. Traces
+    that share a result share its ladder, so the distinct ladders come
+    first and each gives one hop set."""
     if not pathset.groups:
         raise EmptyPathSetError("path set has no groups")
-    distinct: Set[frozenset] = set()
-    for group in pathset.groups.values():
-        distinct.update(group.trace_sets)
-    return len(distinct)
+    by_ladder = {t.hops: t for group in pathset.groups.values() for t in group.traces}
+    return len({t.node_set for t in by_ladder.values()})
 
 
 def num_nodes(pathset: PathSet) -> int:

@@ -16,7 +16,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     AppProtocol,
@@ -162,25 +162,27 @@ def flow_trace_id(dst_ip: Ipv4Address, protocol: AppProtocol, source: SourcePara
     return f"{dst_ip}|{protocol.value}|{source}"
 
 
-def take_trace(log: logio.RunLog, appender: logio.Appender, trace_id: str,
-               make_spec: Callable[[], ProbeSpec], max_ttl: int, transport,
-               **extra) -> TracePath:
+def take_trace(log: logio.RunLog, appender: logio.Appender, lines: logio.SharedLines,
+               trace_id: str, make_spec: Callable[[], ProbeSpec], max_ttl: int, transport,
+               sample_index: Optional[int] = None) -> TracePath:
     """The trace log holds under trace_id for its run; else a trace of
-    make_spec(), its record (with extra keys) queued on appender. A
-    resumed run thus traces, and builds specs for, only what it lacks."""
+    make_spec(), its line (lines.trace, with sample_index) queued on
+    appender. A resumed run thus traces, and builds specs for, only what
+    it lacks."""
     held = log.traces.get(trace_id)
     if held is not None:
         return held
     path = trace(make_spec(), max_ttl, transport)
-    appender.add(logio.trace_record(log.run_id, path, trace_id, **extra))
+    appender.add(lines.trace(path, trace_id, sample_index))
     return path
 
 
 def trace_flow(spec: ProbeSpec, max_ttl: int, transport, log: logio.RunLog) -> TracePath:
     """trace --out: spec's trace, taken or appended under its flow id."""
     appender = logio.Appender(log.path)
+    lines = logio.SharedLines(log.run_id, spec.dst_ip, spec.protocol)
     trace_id = flow_trace_id(spec.dst_ip, spec.protocol, spec.source)
-    path = take_trace(log, appender, trace_id, lambda: spec, max_ttl, transport)
+    path = take_trace(log, appender, lines, trace_id, lambda: spec, max_ttl, transport)
     appender.flush()
     return path
 
@@ -203,14 +205,16 @@ def run_rq1(
     out: Dict[Rq1Variation, PathSet] = {}
     appender = logio.Appender(log.path)
     for plan in plans:
+        lines = logio.SharedLines(log.run_id, plan.dst_ip, plan.protocol,
+                                  variation=plan.variation.value)
         traces: List[TracePath] = []
         for idx, params in enumerate(plan.samples):
             traces.append(take_trace(
-                log, appender, f"{plan.variation.value}:{idx}",
+                log, appender, lines, f"{plan.variation.value}:{idx}",
                 lambda: ProbeSpec(
                     plan.protocol, plan.dst_ip, BENIGN_DOMAIN, Sensitivity.CONTROL, params
                 ),
-                max_ttl, transport, variation=plan.variation.value, sample_index=idx,
+                max_ttl, transport, sample_index=idx,
             ))
         appender.flush()
         out[plan.variation] = merge_paths(traces)
@@ -230,7 +234,7 @@ def run_rq2(
     Cells run one at a time in grid order, each in its own session or
     taking the result of an earlier cell on its route (see run_cell).
     What a cell fixes but its source is built once per (destination,
-    protocol), and so are its log lines (logio.VerdictLines), whose
+    protocol), and so are its log lines (logio.SharedLines), whose
     fixed part is encoded once per distinct result. A transport that
     cannot carry probes makes a cell Excluded with no observations, so
     one bad cell never aborts a sweep.
@@ -247,7 +251,7 @@ def run_rq2(
     for dst in plan.destinations:
         for protocol in protocols:
             done = log.verdicts.get((dst, protocol), {})
-            lines = logio.VerdictLines(log.run_id, dst, protocol)
+            lines = logio.SharedLines(log.run_id, dst, protocol)
             cell = Cell(protocol, dst, plan.domain_pair, repetitions, registry)
             matrix: Dict[SourceParams, Verdict] = {}
             for params in plan.grid:
@@ -259,7 +263,7 @@ def run_rq2(
                 except TransportUnavailableError:
                     result = CellResult((), (), Verdict.excluded())
                 matrix[params] = result.verdict
-                appender.add(lines.line(result, params))
+                appender.add(lines.verdict(result, params))
             appender.flush()
             out[(dst, protocol)] = matrix
     return out
@@ -281,11 +285,12 @@ def trace_affected(
     ):
         if not is_affected(matrix):
             continue
+        lines = logio.SharedLines(log.run_id, dst_ip, protocol)
         for params in sorted(matrix):
             if matrix[params].is_excluded:
                 continue
             take_trace(
-                log, appender, flow_trace_id(dst_ip, protocol, params),
+                log, appender, lines, flow_trace_id(dst_ip, protocol, params),
                 lambda: ProbeSpec(protocol, dst_ip, domain, Sensitivity.SENSITIVE, params),
                 DEFAULT_MAX_TTL, transport,
             )

@@ -11,10 +11,12 @@ topology, plan, and seed. A reader discards a truncated final line
 (crash recovery) with a warning, and open_run cuts it off before
 anything is appended.
 
-The write side encodes the fixed part of a verdict line once per cell
-result (VerdictLines); the read side mirrors it. A line's cell fields
-are src_ip, src_port, a trace's trace_id and rq1's sample_index; the
-rest of the line is its body, and a log holds few distinct bodies.
+A line's cell fields are src_ip, src_port, a trace's trace_id and rq1's
+sample_index; the rest of the line is its body, and a log holds few
+distinct bodies. The write side encodes each body once per shared
+result, a cell's result or a trace's ladder and terminal, and splices
+each line's cell fields in (SharedLines, one encoder for verdict and
+trace lines); the read side mirrors it.
 read_run decodes the first line with each body in full and reads every
 later line with the same body bytes from that line's template, parsing
 only its cell fields.
@@ -109,15 +111,20 @@ def make_record(kind: str, run_id: str, **payload) -> Dict:
     return record
 
 
+#: What json.dumps(value, sort_keys=True) gives, without building an
+#: encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def encode_record(record: Dict) -> str:
     """The record's line: its JSON with sorted keys, then a newline."""
-    return json.dumps(record, sort_keys=True) + "\n"
+    return _encode(record) + "\n"
 
 
 def append_records(path: Union[str, Path], records: Iterable[Union[Dict, str]]) -> None:
     """Append records as one write so a crash loses whole records only.
-    A record is a dict, or its line as encode_record or
-    VerdictLines.line wrote it."""
+    A record is a dict, or its line as encode_record or SharedLines
+    wrote it."""
     chunk = "".join(r if isinstance(r, str) else encode_record(r) for r in records)
     if not chunk:
         return
@@ -660,48 +667,97 @@ def verdict_record(
     )
 
 
-#: Stands in for a cell's source in the fixed part of its verdict line.
+#: Stands in for a line's source in the fixed part of its line.
 _NO_SOURCE = SourceParams(Ipv4Address(0), 0)
 
 
 def _source_fields(source: SourceParams) -> str:
-    """A verdict line's source fields as encode_record writes them: a
-    dotted quad and a port hold nothing JSON escapes."""
+    """A line's source fields as encode_record writes them: a dotted
+    quad and a port hold nothing JSON escapes."""
     return f'"src_ip": "{source.src_ip}", "src_port": {source.src_port}'
 
 
-class VerdictLines:
-    """The verdict lines of one run's (destination, protocol) matrix.
+#: Each cell field of a line's fixed part as encode_record writes its
+#: stand-in value (SharedLines).
+_SAMPLE_INDEX_HOLE = '"sample_index": 0'
+_SOURCE_HOLE = _source_fields(_NO_SOURCE)
+_TRACE_ID_HOLE = '"trace_id": ""'
 
-    line() encodes the fixed part of a line, every field but the
-    source, once per distinct result object, cut from encode_record's
-    own output so escaping is json's, and splices each cell's source
-    fields in. Every cell that takes a shared result
-    (prober.SimTransport.run) gets the same object, so it is encoded
-    once per matrix. The memo holds each result, so no other object takes
-    its id; it lives for one matrix, as SimTransport's kept results do.
-    Each line equals encode_record(verdict_record(...)).
+
+def _cut(text: str, holes: Sequence[str]) -> Tuple[str, ...]:
+    """The parts of text around holes, in order; each hole must occur
+    exactly once. A hole names a top-level key with its quotes bare, and
+    json escapes every quote inside a string, so it can only match that
+    key's own field."""
+    parts = []
+    for hole in holes:
+        part, text = text.split(hole)
+        parts.append(part)
+    return (*parts, text)
+
+
+class SharedLines:
+    """The verdict or trace lines of one run's (destination, protocol):
+    one encoder for the lines of both kinds, each line equal to
+    encode_record(verdict_record(...)) or encode_record(trace_record(...)).
+
+    A line's cell fields are src_ip and src_port, a trace's trace_id and
+    rq1's sample_index. Every other field is fixed by the line's result
+    (a cell's CellResult; a trace's ladder and terminal) and by the
+    encoder: run id, destination, protocol, and fixed, the keys every
+    line adds (rq1's variation). verdict() and trace() encode that fixed
+    part once per distinct result, cut from encode_record's own output
+    around the cell fields so escaping is json's, and splice each line's
+    cell fields in: in sorted-key order they leave one hole in a verdict
+    line and two or three in a trace line. A trace_id is JSON-encoded
+    per line. Every flow that takes a shared result
+    (prober.SimTransport.run) gets the very same objects, so the fixed
+    part is encoded once per shared result. The memo holds the objects
+    whose ids key it, so no other object takes one of those ids; an
+    encoder lives for one matrix or one rq1 plan, as SimTransport's kept
+    results do.
     """
 
-    def __init__(self, run_id: str, dst: Ipv4Address, protocol: AppProtocol) -> None:
+    def __init__(self, run_id: str, dst: Ipv4Address, protocol: AppProtocol, **fixed) -> None:
         self.run_id = run_id
         self.dst = dst
         self.protocol = protocol
-        #: id(result) -> (result, fixed part around the source).
-        self._fixed: Dict[int, Tuple[CellResult, str, str]] = {}
+        self.fixed = fixed
+        #: memo key -> (the objects its ids name, the fixed part's pieces)
+        self._parts: Dict[object, Tuple] = {}
 
-    def line(self, result: CellResult, source: SourceParams) -> str:
+    def verdict(self, result: CellResult, source: SourceParams) -> str:
         """The line of the cell from source whose result is result."""
-        fixed = self._fixed.get(id(result))
-        if fixed is None:
+        parts = self._parts.get(id(result))
+        if parts is None:
             text = encode_record(verdict_record(
                 self.run_id, self.dst, self.protocol, _NO_SOURCE,
                 result.control, result.sensitive, result.verdict,
             ))
-            head, tail = text.split(_source_fields(_NO_SOURCE))
-            fixed = self._fixed[id(result)] = (result, head, tail)
-        _, head, tail = fixed
+            parts = self._parts[id(result)] = (result, *_cut(text, (_SOURCE_HOLE,)))
+        _, head, tail = parts
         return head + _source_fields(source) + tail
+
+    def trace(self, trace: TracePath, trace_id: str, sample_index: Optional[int] = None) -> str:
+        """The line of trace, of the encoder's destination and protocol,
+        under trace_id, with sample_index when it is not None."""
+        hops, terminal = trace.hops, trace.terminal
+        key = (id(hops), id(terminal), sample_index is None)
+        parts = self._parts.get(key)
+        if parts is None:
+            stand_in = TracePath(self.dst, _NO_SOURCE, self.protocol, hops, terminal)
+            if sample_index is None:
+                text = encode_record(trace_record(self.run_id, stand_in, "", **self.fixed))
+                pieces = ("", *_cut(text, (_SOURCE_HOLE, _TRACE_ID_HOLE)))
+            else:
+                text = encode_record(trace_record(
+                    self.run_id, stand_in, "", **self.fixed, sample_index=0))
+                pieces = _cut(text, (_SAMPLE_INDEX_HOLE, _SOURCE_HOLE, _TRACE_ID_HOLE))
+            parts = self._parts[key] = ((hops, terminal), *pieces)
+        _, before_index, before_source, before_id, tail = parts
+        index = "" if sample_index is None else f'"sample_index": {sample_index}'
+        return (before_index + index + before_source + _source_fields(trace.source)
+                + before_id + '"trace_id": ' + _encode(trace_id) + tail)
 
 
 def parse_verdict(record: Dict) -> Verdict:

@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
-    Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+    Callable, Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    TypeVar,
 )
 
 from .core import (
@@ -180,8 +181,7 @@ class Cell:
         )
 
 
-@dataclass(frozen=True)
-class SendResult:
+class SendResult(NamedTuple):
     """What the transport hands back for one emitted packet: its replies
     and whether it reached the flow's destination (Session.send decides)."""
 

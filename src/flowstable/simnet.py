@@ -31,6 +31,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import censors as censors_mod
@@ -110,17 +111,13 @@ _FIELD_SLICES = {
     HashField.PROTOCOL: slice(12, 13),
 }
 
-
-def _field_value(flow: FlowId, f: HashField) -> int:
-    if f is HashField.SRC_IP:
-        return flow.src_ip.value
-    if f is HashField.DST_IP:
-        return flow.dst_ip.value
-    if f is HashField.SRC_PORT:
-        return flow.src_port
-    if f is HashField.DST_PORT:
-        return flow.dst_port
-    raise ValueError("protocol has no low-bits view")
+#: The value a low_bits selector reads of each field but the protocol.
+_FIELD_VALUES = {
+    HashField.SRC_IP: attrgetter("src_ip.value"),
+    HashField.DST_IP: attrgetter("dst_ip.value"),
+    HashField.SRC_PORT: attrgetter("src_port"),
+    HashField.DST_PORT: attrgetter("dst_port"),
+}
 
 
 @dataclass(frozen=True)
@@ -136,9 +133,6 @@ class LowBitsSelector:
         if not 1 <= self.n_bits <= 8:
             raise SchemaError(f"n_bits must be in 1..8, got {self.n_bits}")
 
-    def index(self, flow: FlowId, fanout: int, hashes: Optional[dict] = None) -> int:
-        return (_field_value(flow, self.fld) & ((1 << self.n_bits) - 1)) % fanout
-
 
 @dataclass(frozen=True)
 class HashTupleSelector:
@@ -149,24 +143,6 @@ class HashTupleSelector:
     def __post_init__(self) -> None:
         if not self.fields:
             raise SchemaError("hash_tuple selector needs at least one field")
-        slices = tuple(s for f, s in _FIELD_SLICES.items() if f in self.fields)
-        object.__setattr__(self, "_slices", slices)
-
-    def key(self, flow_bytes: bytes) -> bytes:
-        """The hashed bytes: the selected fields sliced from flow_bytes,
-        a flow's FlowId.to_bytes(), in layout order."""
-        return b"".join([flow_bytes[s] for s in self._slices])
-
-    def index(self, flow: FlowId, fanout: int, hashes: Optional[dict] = None) -> int:
-        """hashes, when given, caches the flow's FNV hash per field set:
-        the hash depends on nothing but the flow and the fields, so a
-        walk passes one dict to every hop and hashes each set once."""
-        if hashes is None:
-            hashes = {}
-        h = hashes.get(self.fields)
-        if h is None:
-            h = hashes[self.fields] = fnv1a_64(self.key(flow.to_bytes()))
-        return h % fanout
 
 
 Selector = Union[LowBitsSelector, HashTupleSelector]
@@ -182,10 +158,37 @@ class EcmpPolicy:
             raise EmptyNextHopsError("policy with no next hops")
 
 
-def next_hop(policy: EcmpPolicy, flow: FlowId, hashes: Optional[dict] = None) -> NodeId:
-    """Deterministic ECMP choice; pure in (policy, flow). A walk passes
-    one hashes dict for all its hops (HashTupleSelector.index)."""
-    return policy.next_hops[policy.selector.index(flow, len(policy.next_hops), hashes)]
+#: A router's policy compiled for route(): (slot, part, mask, targets,
+#: fanout). A low_bits step has slot None, part its field's getter and mask
+#: its n_bits low bits; a hash_tuple step has its field set's slot in a
+#: walk's hash list, part the set's byte slices of FlowId.to_bytes() in
+#: layout order (adjacent fields merged) and mask None. targets holds, per
+#: next hop, its node id and its own step (None at an endpoint).
+Step = Tuple[Optional[int], object, Optional[int], List[Tuple[NodeId, Optional[tuple]]], int]
+
+
+def _compile_steps(policies: Mapping[NodeId, EcmpPolicy]) -> Tuple[Dict[NodeId, Step], int]:
+    """Each router's Step, and how many distinct hash_tuple field sets
+    (slots) they hash."""
+    slots: Dict[frozenset, int] = {}
+    steps: Dict[NodeId, Step] = {}
+    for node_id, policy in policies.items():
+        selector, fanout = policy.selector, len(policy.next_hops)
+        if type(selector) is LowBitsSelector:
+            steps[node_id] = (None, _FIELD_VALUES[selector.fld], (1 << selector.n_bits) - 1,
+                              [], fanout)
+            continue
+        slices: List[slice] = []
+        for fld, part in _FIELD_SLICES.items():
+            if fld in selector.fields:
+                if slices and slices[-1].stop == part.start:
+                    part = slice(slices.pop().start, part.stop)
+                slices.append(part)
+        slot = slots.setdefault(selector.fields, len(slots))
+        steps[node_id] = (slot, tuple(slices), None, [], fanout)
+    for node_id, step in steps.items():
+        step[3].extend((hop, steps.get(hop)) for hop in policies[node_id].next_hops)
+    return steps, len(slots)
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,7 @@ class TransitKind(Enum):
     CENSOR_ACTION = "censor_action"
 
 
-@dataclass(frozen=True)
-class TransitResult:
+class TransitResult(NamedTuple):
     """Fate of one forwarded packet.
 
     hops is the ordered node sequence traversed (a prefix of the route
@@ -243,8 +245,10 @@ class TransitResult:
 @dataclass(frozen=True)
 class Topology:
     """A loaded topology document. Shared read-only by every session;
-    derive variants with dataclasses.replace. hop_table() keeps what it
-    derives; nothing else changes after loading."""
+    derive variants with dataclasses.replace. Loading compiles each
+    router's policy once into a step (Step) that route() reads, so a
+    walk dispatches on no selector. hop_table() keeps what it derives;
+    nothing else changes after loading."""
 
     nodes: Dict[NodeId, Node]
     policies: Dict[NodeId, EcmpPolicy]
@@ -261,9 +265,10 @@ class Topology:
             by_address.setdefault(node.address.value, []).append(node)
         object.__setattr__(self, "_censors_at", censors_at)
         object.__setattr__(self, "_by_address", by_address)
-        object.__setattr__(self, "_endpoints", frozenset(
-            n.id for n in self.nodes.values() if n.role is Role.ENDPOINT))
         object.__setattr__(self, "_entry", self._pick_entry())
+        steps, n_slots = _compile_steps(self.policies)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_unhashed", [None] * n_slots)
         object.__setattr__(self, "_hop_tables", {})
 
     def _pick_entry(self) -> NodeId:
@@ -445,21 +450,42 @@ def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
     """The flow's node walk from the entry up to (and including) the
     first endpoint, ignoring TTL, loss and censors.
 
-    The FNV hash of a hash_tuple selector depends only on the flow and
-    the selected fields, never on the node, so the walk hands one hash
-    cache to next_hop at every hop and each field set is hashed once. On
-    a looping topology the walk stops after LOOP_GUARD nodes, so the
-    route ends on a router; a packet that gets that far raises in
-    forward().
+    The one home of the branch rule. Each hop is one step of the table
+    the topology compiled at load (Step): a low_bits step takes its
+    field's value's masked low bits modulo the fanout; a hash_tuple step
+    takes the FNV hash (fnv1a_64) of its fields' bytes of
+    flow.to_bytes(), in layout order, modulo the fanout. That hash
+    depends only on the flow and the field set, never on the node, so
+    the walk hashes each field set once, and builds the flow's bytes at
+    most once. Every router has a step, so the walk ends at the first
+    node without one, an endpoint. On a looping topology the walk stops
+    after LOOP_GUARD nodes, so the route ends on a router; a packet that
+    gets that far raises in forward().
     """
-    endpoints, policies = topology._endpoints, topology.policies
     node_id = topology.entry
     path = [node_id]
-    hashes: Dict[frozenset, int] = {}
-    while node_id not in endpoints and len(path) < LOOP_GUARD:
-        node_id = next_hop(policies[node_id], flow, hashes)
+    step = topology._steps.get(node_id)
+    hashes = topology._unhashed.copy()
+    flow_bytes = None
+    for _ in _LOOP_HOPS:
+        if step is None:
+            break
+        slot, part, mask, targets, fanout = step
+        if slot is None:
+            node_id, step = targets[(part(flow) & mask) % fanout]
+        else:
+            h = hashes[slot]
+            if h is None:
+                if flow_bytes is None:
+                    flow_bytes = flow.to_bytes()
+                h = hashes[slot] = fnv1a_64(b"".join([flow_bytes[s] for s in part]))
+            node_id, step = targets[h % fanout]
         path.append(node_id)
     return tuple(path)
+
+
+#: The most hops a walk takes: LOOP_GUARD nodes, the entry included.
+_LOOP_HOPS = range(LOOP_GUARD - 1)
 
 
 class Hop(NamedTuple):

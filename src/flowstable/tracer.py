@@ -11,12 +11,12 @@ flow's one path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import EmptyPathSetError, PathSet, TraceGroup
-from .core import AppProtocol, Ipv4Address, Mechanism, PacketKind, SourceParams, Verdict
+from .core import AppProtocol, Ipv4Address, Mechanism, Packet, PacketKind, SourceParams, Verdict
 from .prober import HandshakeFailedError, ProbeSpec, Session, _exchange_packets, _handshake
 
 MAX_TTL_CEILING = 64
@@ -115,8 +115,11 @@ def _climb(
     def ladder(top: int) -> Tuple[Optional[int], ...]:
         return tuple(hops.get(t) for t in range(1, top + 1))
 
+    flow, kind, sensitivity, body_tag = (
+        payload.flow, payload.kind, payload.sensitivity, payload.body_tag)
     for ttl in range(1, max_ttl + 1):
-        result = session.send(replace(payload, ttl=ttl, ip_id=ttl))
+        # payload with only its TTL and IP ID changed, built directly
+        result = session.send(Packet(flow, ttl, ttl, kind, sensitivity, body_tag))
         rst = False
         for pkt in result.responses:
             if pkt.kind is PacketKind.ICMP_TTL_EXCEEDED:

@@ -50,3 +50,42 @@ def loss_uniform(seed: int, epoch: int, flow: bytes, kind: str, ip_id: int, node
     ])
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2**64
+
+
+#: Byte range of each hashed field in the canonical 13-byte flow layout.
+FLOW_SLICES = {
+    "src_ip": slice(0, 4),
+    "dst_ip": slice(4, 8),
+    "src_port": slice(8, 10),
+    "dst_port": slice(10, 12),
+    "protocol": slice(12, 13),
+}
+
+
+def next_hop(policy: dict, flow: bytes) -> int:
+    """The node a topology document's policy picks for the flow whose
+    canonical bytes are flow, by its selector's documented rule:
+    low_bits takes the field's n_bits lowest bits modulo the fanout;
+    hash_tuple takes the FNV-1a-64 of the selected fields' bytes, in
+    layout order, modulo the fanout."""
+    selector, hops = policy["selector"], policy["next_hops"]
+    if selector["kind"] == "low_bits":
+        value = int.from_bytes(flow[FLOW_SLICES[selector["field"]]], "big")
+        choice = (value & ((1 << selector["n_bits"]) - 1)) % len(hops)
+    else:
+        data = b"".join(flow[FLOW_SLICES[f]] for f in FLOW_SLICES if f in selector["fields"])
+        choice = fnv1a64(data) % len(hops)
+    return hops[choice]
+
+
+def walk(doc: dict, flow: bytes, limit: int) -> tuple:
+    """The route of the flow whose canonical bytes are flow through a
+    topology document whose entry is node 0, applying next_hop node by
+    node; stops at the first endpoint or after limit nodes."""
+    roles = {n["id"]: n["role"] for n in doc["nodes"]}
+    policies = {p["node"]: p for p in doc["policies"]}
+    node, path = 0, [0]
+    while roles[node] == "router" and len(path) < limit:
+        node = next_hop(policies[node], flow)
+        path.append(node)
+    return tuple(path)

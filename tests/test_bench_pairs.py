@@ -36,6 +36,28 @@ class TestParseSeeds:
         assert bench_pairs.parse_seeds("42") == [42]
 
 
+class TestMain:
+    """main() refuses a seed list too short to summarise before it runs
+    anything: quartiles need at least two runs per side."""
+
+    @pytest.mark.parametrize("seeds", ["42", "7-7", "1010-1001"])
+    def test_fewer_than_two_seeds_is_a_usage_error(self, seeds, tmp_path, monkeypatch,
+                                                   capsys):
+        runs = []
+        monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: "0" * 40)
+        monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args) or {
+            "metrics": {"items_per_s": {"value": 1.0}}, "correct": True, "failed": 0,
+            "digest": ""})
+        argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--seeds", seeds,
+                "--logs", str(tmp_path / "logs"), "--out", str(tmp_path / "out.json")]
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv)
+        assert exit_info.value.code == 2
+        assert "at least two seeds" in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestSummarise:
     def test_higher_is_better(self):
         pairs = _pairs("items_per_s", [10, 10, 10, 10], [20, 5, 10, 30])

@@ -31,11 +31,12 @@ from flowstable.simnet import (
     draw_key,
     load_topology,
     loss_key_parts,
-    next_hop,
+    route,
 )
 from flowstable.tracer import trace
 
 from conftest import load_fixture
+from reference import FLOW_SLICES, flow_bytes, next_hop, walk
 
 DOMAINS = ("control.example", "blocked.example")
 
@@ -50,11 +51,23 @@ RULE_KINDS = [
 ]
 
 
+#: Any selector a document may hold: low_bits on any of the four fields
+#: it may read, with 1 to 8 bits, or hash_tuple on any field set, listed
+#: in any order.
+selectors = st.one_of(
+    st.builds(lambda fld, n_bits: {"kind": "low_bits", "field": fld, "n_bits": n_bits},
+              st.sampled_from(["src_ip", "dst_ip", "src_port", "dst_port"]),
+              st.integers(1, 8)),
+    st.lists(st.sampled_from(list(FLOW_SLICES)), min_size=1, max_size=5, unique=True).map(
+        lambda fields: {"kind": "hash_tuple", "fields": fields}),
+)
+
+
 @st.composite
 def censored_documents(draw):
     """A topology document whose routers may point at any node but the
-    entry 0 (so loops occur), with rules of every kind on any node and
-    loss on any router."""
+    entry 0 (so loops occur), with fanouts of 1 to 5 where the nodes
+    allow, rules of every kind on any node and loss on any router."""
     n_routers = draw(st.integers(1, 5))
     n_endpoints = draw(st.integers(1, 2))
     n_nodes = n_routers + n_endpoints
@@ -65,14 +78,9 @@ def censored_documents(draw):
     ]
     policies = []
     for router in range(n_routers):
-        hops = draw(st.lists(st.integers(1, n_nodes - 1), min_size=1, max_size=3,
+        hops = draw(st.lists(st.integers(1, n_nodes - 1), min_size=1, max_size=5,
                              unique=True))
-        selector = draw(st.sampled_from([
-            {"kind": "low_bits", "field": "src_ip", "n_bits": 1},
-            {"kind": "low_bits", "field": "src_port", "n_bits": 2},
-            {"kind": "hash_tuple", "fields": ["src_ip", "src_port", "dst_port"]},
-        ]))
-        policies.append({"node": router, "selector": selector, "next_hops": hops})
+        policies.append({"node": router, "selector": draw(selectors), "next_hops": hops})
     rules = []
     for _ in range(draw(st.integers(0, 6))):
         protocol, kind, tag = draw(st.sampled_from(RULE_KINDS))
@@ -93,12 +101,19 @@ def censored_documents(draw):
             "seed": draw(st.integers(0, 2**64 - 1))}
 
 
-def reference_forward(topology, packet, epoch, residual, draws):
+def _flow_bytes(flow):
+    return flow_bytes(str(flow.src_ip), str(flow.dst_ip), flow.src_port, flow.dst_port,
+                      flow.protocol.value)
+
+
+def reference_forward(topology, doc, packet, epoch, residual, draws):
     """(kind, at, hops, events) of one packet, walked node by node from
-    the entry with next_hop, looking up nodes, censors_at and loss at
-    each node. residual is the session's residual map, and draws maps
-    each distinct draw point (head, tail, p) of the session, in the
-    order first drawn, to whether it dropped; both are updated in place."""
+    the entry with the document's policies (reference.next_hop), looking
+    up nodes, censors_at and loss at each node. residual is the
+    session's residual map, and draws maps each distinct draw point
+    (head, tail, p) of the session, in the order first drawn, to whether
+    it dropped; both are updated in place."""
+    policies = {p["node"]: p for p in doc["policies"]}
     node_id, hops, events, ttl = topology.entry, [], [], packet.ttl
     while True:
         if len(hops) == LOOP_GUARD:
@@ -130,11 +145,11 @@ def reference_forward(topology, packet, epoch, residual, draws):
                     fate = TransitKind.LOST
         if fate is not None:
             return fate, node_id, tuple(hops), tuple(events)
-        node_id = next_hop(topology.policies[node_id], packet.flow)
+        node_id = next_hop(policies[node_id], _flow_bytes(packet.flow))
 
 
 @contextlib.contextmanager
-def checked_sends(topology):
+def checked_sends(topology, doc):
     """Check every packet a Session.send forwards (prober.forward)
     against reference_forward, and after each send whether it reached
     the flow's destination and the session's residual map and recorded
@@ -153,7 +168,7 @@ def checked_sends(topology):
     def checking_send(session, packet):
         residual, draws = shadows.setdefault(session, ({}, {}))
         kind, at, hops, events = reference_forward(
-            topology, packet, session.epoch, residual, draws)
+            topology, doc, packet, session.epoch, residual, draws)
         expected.append((kind, at, hops, events))
         result = send(session, packet)
         assert expected == []  # forwarded once
@@ -180,11 +195,36 @@ def test_session_packets_match_per_node_walk(doc, host, src_port, protocol, reps
     _, sensitive = cell.specs(source)
     # A fresh transport per probe: nothing it could share with an earlier
     # flow, so every packet is simulated and checked.
-    with checked_sends(topology) as checked:
+    with checked_sends(topology, doc) as checked:
         run_cell(cell, source, SimTransport(topology))
         with contextlib.suppress(HandshakeFailedError):
             trace(sensitive, data.draw(st.integers(1, 20)), SimTransport(topology))
     assert checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(censored_documents(), st.booleans(), st.integers(0, 2**32 - 1),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1),
+       st.sampled_from(list(Protocol)), st.data())
+def test_route_matches_reference_walk(doc, looping, src_ip, dst_ip, src_port, dst_port,
+                                      protocol, data):
+    """route() reads the step table the topology compiled at load; it
+    gives the walk that applies each selector's documented rule node by
+    node (reference.walk). With looping, every router points at
+    routers only, and at the entry 0 only when it is the one router, so
+    the walk is cut at LOOP_GUARD nodes."""
+    if looping:
+        routers = [n["id"] for n in doc["nodes"] if n["role"] == "router"]
+        for policy in doc["policies"]:
+            policy["next_hops"] = data.draw(st.lists(
+                st.sampled_from(routers[1:] or routers), min_size=1, max_size=5,
+                unique=True))
+    topology = load_topology(doc)
+    flow = FlowId(Ipv4Address(src_ip), Ipv4Address(dst_ip), src_port, dst_port, protocol)
+    path = route(topology, flow)
+    assert path == walk(doc, _flow_bytes(flow), LOOP_GUARD)
+    if looping:
+        assert len(path) == LOOP_GUARD
 
 
 def test_hop_keeps_only_rules_that_can_fire():

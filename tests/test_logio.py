@@ -533,3 +533,44 @@ def test_interned_read_equals_reference(tmp_path_factory, bodies, cells, rng):
             logio.traces_from_records(records)
     else:
         assert logio.traces_from_records(records) == traces
+
+
+#: A ladder: node ids and gaps, up to the longest a trace may climb.
+_ladders = st.lists(st.one_of(st.none(), st.integers(0, 2**16)), max_size=MAX_TTL_CEILING).map(
+    tuple)
+_terminals = st.one_of(
+    st.sampled_from([Terminal(TerminalKind.REACHED_DESTINATION),
+                     Terminal(TerminalKind.EXHAUSTED),
+                     Terminal(TerminalKind.CENSORED_AT, None)]),
+    st.builds(Terminal, st.just(TerminalKind.CENSORED_AT), st.integers(1, MAX_TTL_CEILING)))
+_sources = st.builds(SourceParams, st.builds(Ipv4Address, st.integers(0, 2**32 - 1)),
+                     st.integers(0, 2**16 - 1))
+#: Trace ids with what JSON must escape, or may write as is, drawn often.
+_trace_ids = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é☃\U0001d11e:|'),
+                               st.characters()), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_ladders, _terminals), max_size=4),
+       st.lists(st.tuples(st.integers(0, 5), _sources, _trace_ids,
+                          st.one_of(st.none(), st.integers(0, 10**6))), max_size=24),
+       st.sampled_from(list(AppProtocol)), st.booleans())
+def test_shared_trace_lines_equal_plain_encoding(results, cells, protocol, rq1):
+    """Each trace line SharedLines splices equals the line encoded from
+    the trace's own record, with and without rq1's variation and
+    sample_index, whichever result and cell fields it has. The first two
+    results share one ladder object, the empty tuple, and differ in
+    their terminal, so a memo keyed on the ladder alone would give the
+    second the first one's line."""
+    results = [((), Terminal(TerminalKind.REACHED_DESTINATION)),
+               ((), Terminal(TerminalKind.EXHAUSTED)), *results]
+    source = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
+    cells = [(0, source, "t0", None), (1, source, "t0", None), *cells]
+    fixed = {"variation": "vary_both"} if rq1 else {}
+    lines = logio.SharedLines("run-s", DST, protocol, **fixed)
+    for pick, source, trace_id, sample_index in cells:
+        hops, terminal = results[pick % len(results)]
+        trace = TracePath(DST, source, protocol, hops, terminal)
+        extra = dict(fixed) if sample_index is None else {**fixed, "sample_index": sample_index}
+        assert lines.trace(trace, trace_id, sample_index) == logio.encode_record(
+            logio.trace_record("run-s", trace, trace_id, **extra))

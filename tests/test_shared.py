@@ -10,7 +10,7 @@ and takes the leaf it reaches; a flow that reaches no leaf is simulated
 and grafted on. That is exact because a run's result depends only on
 its route, its key and its draws' outcomes in the order it consulted
 them. rq2 encodes the fixed part of a line once per distinct result
-(logio.VerdictLines). These tests check that no flow can tell: on
+(logio.SharedLines). These tests check that no flow can tell: on
 random documents with loss, residual windows, health schedules, failed
 rules and every action kind, each flow's cell and trace on one shared
 transport equal what a fresh transport gives for that flow alone, and

@@ -12,7 +12,6 @@ from flowstable.simnet import (
     LOOP_GUARD,
     DanglingNodeRefError,
     LoopGuardExceededError,
-    EcmpPolicy,
     EmptyNextHopsError,
     HashField,
     HashTupleSelector,
@@ -27,13 +26,13 @@ from flowstable.simnet import (
     forward,
     load_topology,
     loss_key_parts,
-    next_hop,
     oracle_paths,
     route,
 )
 
 from conftest import load_fixture
-from reference import flow_bytes, fnv1a64 as fnv_reference, ip_to_int, loss_uniform
+from reference import FLOW_SLICES, flow_bytes, fnv1a64 as fnv_reference, loss_uniform
+from reference import next_hop as reference_next_hop, walk as reference_walk
 
 
 def minimal_doc(**overrides):
@@ -77,43 +76,55 @@ class TestFnv:
         assert fnv1a_64(data) == fnv_reference(data)
 
 
+def one_router(selector, fanout):
+    """A document whose entry router 0 picks among endpoints 1..fanout by
+    selector."""
+    nodes = [{"id": i, "role": "router" if i == 0 else "endpoint", "asn": 1 + i,
+              "subnet24": f"10.0.{i}.0/24", "geo": "x", "responsive": True}
+             for i in range(fanout + 1)]
+    policies = [{"node": 0, "selector": selector, "next_hops": list(range(1, fanout + 1))}]
+    return {"nodes": nodes, "policies": policies, "seed": 0}
+
+
+def pick(doc, flow):
+    """The endpoint route() takes flow to from doc's one router."""
+    path = route(load_topology(doc), flow)
+    assert len(path) == 2
+    return path[1]
+
+
 class TestNextHop:
     def test_low_bits_host_octet(self):
-        policy = EcmpPolicy(
-            LowBitsSelector(HashField.SRC_IP, 3), tuple(range(100, 108))
-        )
+        doc = one_router({"kind": "low_bits", "field": "src_ip", "n_bits": 3}, 8)
         flow = make_flow(src_ip=0x0A000005)  # host octet 5
-        assert next_hop(policy, flow) == 105
+        assert pick(doc, flow) == 1 + 5
 
     def test_hash_tuple_src_port_against_reference(self):
-        policy = EcmpPolicy(
-            HashTupleSelector(frozenset({HashField.SRC_PORT})), (0, 1, 2, 3)
-        )
+        doc = one_router({"kind": "hash_tuple", "fields": ["src_port"]}, 4)
         flow = make_flow(src_port=40000)
         expected = fnv_reference(bytes([0x9C, 0x40])) % 4
-        assert next_hop(policy, flow) == policy.next_hops[expected]
+        assert pick(doc, flow) == 1 + expected
 
     def test_hash_tuple_field_order_is_canonical(self):
-        sel = HashTupleSelector(frozenset({HashField.SRC_IP, HashField.SRC_PORT}))
+        # listed out of layout order in the document, hashed in layout order
+        doc = one_router({"kind": "hash_tuple", "fields": ["src_port", "src_ip"]}, 5)
         flow = make_flow()
         expected = fnv_reference(
             flow.src_ip.to_bytes() + flow.src_port.to_bytes(2, "big")
         ) % 5
-        policy = EcmpPolicy(sel, tuple(range(5)))
-        assert next_hop(policy, flow) == expected
+        assert pick(doc, flow) == 1 + expected
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 0xFFFF), st.data())
     def test_ignores_ttl_and_ip_id_by_construction(self, src_ip, src_port, data):
-        # The selector sees only the flow, so two packets differing in
+        # The walk sees only the flow, so two packets differing in
         # ttl/ip_id cannot steer differently; checked end to end too.
         flow = make_flow(src_ip=src_ip, src_port=src_port)
-        policy = EcmpPolicy(
-            HashTupleSelector(frozenset({HashField.SRC_IP, HashField.SRC_PORT,
-                                         HashField.PROTOCOL})),
-            tuple(range(7)),
-        )
-        assert next_hop(policy, flow) == next_hop(policy, flow)
+        doc = one_router(
+            {"kind": "hash_tuple", "fields": ["src_ip", "src_port", "protocol"]}, 7)
+        raw = flow_bytes(str(flow.src_ip), str(flow.dst_ip), src_port, 80, 6)
+        assert pick(doc, flow) == pick(doc, flow) == reference_next_hop(
+            doc["policies"][0], raw)
 
     def test_empty_hash_tuple_rejected(self):
         with pytest.raises(SchemaError):
@@ -318,40 +329,6 @@ class TestForward:
             assert hops == baseline
 
 
-#: Byte range of each hashed field in the canonical 13-byte flow layout.
-FLOW_SLICES = {
-    "src_ip": slice(0, 4),
-    "dst_ip": slice(4, 8),
-    "src_port": slice(8, 10),
-    "dst_port": slice(10, 12),
-    "protocol": slice(12, 13),
-}
-
-
-def reference_walk(doc, src_ip, dst_ip, src_port, dst_port, proto_num):
-    """The route of one flow through a topology document, from node 0,
-    computed from the document alone with the reference FNV and byte
-    layout; stops at the first endpoint or after LOOP_GUARD nodes."""
-    raw = flow_bytes(src_ip, dst_ip, src_port, dst_port, proto_num)
-    values = {"src_ip": ip_to_int(src_ip), "dst_ip": ip_to_int(dst_ip),
-              "src_port": src_port, "dst_port": dst_port}
-    roles = {n["id"]: n["role"] for n in doc["nodes"]}
-    policies = {p["node"]: p for p in doc["policies"]}
-    node, path = 0, [0]
-    while roles[node] == "router" and len(path) < LOOP_GUARD:
-        selector, hops = policies[node]["selector"], policies[node]["next_hops"]
-        if selector["kind"] == "low_bits":
-            mask = (1 << selector["n_bits"]) - 1
-            choice = (values[selector["field"]] & mask) % len(hops)
-        else:
-            data = b"".join(raw[FLOW_SLICES[f]] for f in FLOW_SLICES
-                            if f in selector["fields"])
-            choice = fnv_reference(data) % len(hops)
-        node = hops[choice]
-        path.append(node)
-    return tuple(path)
-
-
 @st.composite
 def routed_documents(draw):
     """A topology document whose routers may point at any node but the
@@ -388,8 +365,9 @@ class TestRoute:
         dst = max(topo.nodes)
         flow = FlowId(Ipv4Address(0xC6336400 + host), topo.nodes[dst].address,
                       src_port, dst_port, protocol)
-        expected = reference_walk(doc, str(flow.src_ip), str(flow.dst_ip), src_port,
-                                  dst_port, protocol.value)
+        raw = flow_bytes(str(flow.src_ip), str(flow.dst_ip), src_port, dst_port,
+                         protocol.value)
+        expected = reference_walk(doc, raw, LOOP_GUARD)
         assert route(topo, flow) == expected
 
     def test_hashes_each_field_set_once(self, monkeypatch):
