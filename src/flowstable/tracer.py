@@ -118,7 +118,7 @@ def _climb(
     flow, kind, sensitivity, body_tag = (
         payload.flow, payload.kind, payload.sensitivity, payload.body_tag)
     for ttl in range(1, max_ttl + 1):
-        # payload with only its TTL and IP ID changed, built directly
+        # payload with only its TTL and IP ID changed
         result = session.send(Packet(flow, ttl, ttl, kind, sensitivity, body_tag))
         rst = False
         for pkt in result.responses:
