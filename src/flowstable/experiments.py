@@ -180,7 +180,7 @@ def take_trace(log: logio.RunLog, appender: logio.Appender, lines: logio.SharedL
 def trace_flow(spec: ProbeSpec, max_ttl: int, transport, log: logio.RunLog) -> TracePath:
     """trace --out: spec's trace, taken or appended under its flow id."""
     appender = logio.Appender(log.path)
-    lines = logio.SharedLines(log.run_id, spec.dst_ip, spec.protocol)
+    lines = logio.SharedLines(log, spec.dst_ip, spec.protocol)
     trace_id = flow_trace_id(spec.dst_ip, spec.protocol, spec.source)
     path = take_trace(log, appender, lines, trace_id, lambda: spec, max_ttl, transport)
     appender.flush()
@@ -205,7 +205,7 @@ def run_rq1(
     out: Dict[Rq1Variation, PathSet] = {}
     appender = logio.Appender(log.path)
     for plan in plans:
-        lines = logio.SharedLines(log.run_id, plan.dst_ip, plan.protocol,
+        lines = logio.SharedLines(log, plan.dst_ip, plan.protocol,
                                   variation=plan.variation.value)
         traces: List[TracePath] = []
         for idx, params in enumerate(plan.samples):
@@ -251,7 +251,7 @@ def run_rq2(
     for dst in plan.destinations:
         for protocol in protocols:
             done = log.verdicts.get((dst, protocol), {})
-            lines = logio.SharedLines(log.run_id, dst, protocol)
+            lines = logio.SharedLines(log, dst, protocol)
             cell = Cell(protocol, dst, plan.domain_pair, repetitions, registry)
             matrix: Dict[SourceParams, Verdict] = {}
             for params in plan.grid:
@@ -285,7 +285,7 @@ def trace_affected(
     ):
         if not is_affected(matrix):
             continue
-        lines = logio.SharedLines(log.run_id, dst_ip, protocol)
+        lines = logio.SharedLines(log, dst_ip, protocol)
         for params in sorted(matrix):
             if matrix[params].is_excluded:
                 continue

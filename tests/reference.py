@@ -5,6 +5,7 @@ deliberately not importing anything from the package under test.
 """
 
 import hashlib
+import json
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -89,3 +90,79 @@ def walk(doc: dict, flow: bytes, limit: int) -> tuple:
         node = next_hop(policies[node], flow)
         path.append(node)
     return tuple(path)
+
+
+# --- run log v3, from its documented layout ---------------------------------
+
+#: The fields of a verdict or trace line that differ from cell to cell;
+#: every other field is the line's body, recorded once per run.
+CELL_FIELDS = ("src_ip", "src_port", "trace_id", "sample_index")
+
+
+def verdict_record(run_id, dst, protocol, source, control, sensitive, verdict) -> dict:
+    """One cell's verdict line with its body merged in, as
+    logio.read_log gives it."""
+    return {
+        "record_kind": "verdict", "run_id": run_id, "schema_version": 3,
+        "dst": str(dst), "protocol": protocol.value,
+        "src_ip": str(source.src_ip), "src_port": source.src_port,
+        "verdict": verdict.kind.value,
+        "mechanism": verdict.mechanism.value if verdict.mechanism else None,
+        "control": [[o.epoch, o.kind.value, o.tag] for o in control],
+        "sensitive": [[o.epoch, o.kind.value, o.tag] for o in sensitive],
+    }
+
+
+def terminal_text(terminal) -> str:
+    """A terminal as a log writes it: its kind, or censored@<ttl or ?>."""
+    if terminal.kind.value == "censored":
+        return f"censored@{'?' if terminal.censored_at is None else terminal.censored_at}"
+    return terminal.kind.value
+
+
+def trace_record(run_id, trace, trace_id, **extra) -> dict:
+    """One trace's line with its body merged in, as logio.read_log
+    gives it; extra holds rq1's variation and sample_index."""
+    return {
+        "record_kind": "trace", "run_id": run_id, "schema_version": 3,
+        "dst": str(trace.dst_ip), "protocol": trace.protocol.value,
+        "src_ip": str(trace.source.src_ip), "src_port": trace.source.src_port,
+        "hops": list(trace.hops), "terminal": terminal_text(trace.terminal),
+        "trace_id": trace_id, **extra,
+    }
+
+
+def split_record(record: dict):
+    """(body, cells) of a verdict or trace record: the body record
+    without its id (its kind under "kind", record_kind "body"), and the
+    line's run_id and cell fields."""
+    body = {k: v for k, v in record.items() if k not in CELL_FIELDS}
+    body["kind"], body["record_kind"] = body["record_kind"], "body"
+    cells = {k: record[k] for k in ("run_id", *CELL_FIELDS) if k in record}
+    return body, cells
+
+
+def log_lines(records) -> list:
+    """The line objects of a log holding records (meta records, and
+    verdict and trace records with their bodies merged in): each distinct
+    body of a run (by its JSON text) gets the run's next id, from 0, and
+    is recorded in front of the first line that cites it."""
+    ids, lines = {}, []
+    for record in records:
+        if record["record_kind"] == "meta":
+            lines.append(record)
+            continue
+        body, cells = split_record(record)
+        run_ids = ids.setdefault(record["run_id"], {})
+        text = json.dumps(body, sort_keys=True)
+        if text not in run_ids:
+            run_ids[text] = len(run_ids)
+            lines.append({"body": run_ids[text], **body})
+        lines.append({"body": run_ids[text], **cells})
+    return lines
+
+
+def log_bytes(records) -> bytes:
+    """log_lines(records) as JSON lines with sorted keys."""
+    return b"".join(json.dumps(line, sort_keys=True).encode() + b"\n"
+                    for line in log_lines(records))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from flowstable import logio
 from flowstable.cli import cli_main
 
 from conftest import FIXTURES
@@ -116,7 +117,7 @@ class TestSeedPrecedence:
         def meta_free(path):
             return sorted(
                 line for line in path.read_text().splitlines()
-                if json.loads(line)["record_kind"] != "meta"
+                if json.loads(line).get("record_kind") != "meta"
             )
 
         assert meta_free(log_a) == meta_free(log_b)
@@ -309,14 +310,18 @@ class TestReadsLogOnce:
 
 class TestRunLog:
     def test_v1_log_is_data_error(self, tmp_path, capsys):
-        log = tmp_path / "v1.log"
-        log.write_text(json.dumps({"record_kind": "meta", "run_id": "r",
-                                   "schema_version": 1}) + "\n")
-        for argv in (["bits", "--log", str(log), "--group-by", "src_ip_low3"],
-                     RQ2_ARGV + ["--out", str(log)]):
-            code, _, err = run(capsys, *argv)
-            assert code == 2
-            assert "schema_version 1" in err
+        # A v2 log, one line per cell, is refused the same way.
+        for version in (1, 2):
+            log = tmp_path / f"v{version}.log"
+            log.write_text(json.dumps({"record_kind": "meta", "run_id": "r",
+                                       "schema_version": version}) + "\n")
+            before = log.read_bytes()
+            for argv in (["bits", "--log", str(log), "--group-by", "src_ip_low3"],
+                         RQ2_ARGV + ["--out", str(log)]):
+                code, _, err = run(capsys, *argv)
+                assert code == 2
+                assert f"schema_version {version}" in err and "fresh --out" in err
+                assert log.read_bytes() == before
 
     def test_rq1_runs_sharing_a_log_keep_their_own_traces(self, tmp_path, capsys):
         argv = ["rq1", "--topology", str(FIXTURES / "srcip_hash.topo"), "--dest", "5"]
@@ -325,7 +330,7 @@ class TestRunLog:
         seed1_csv = (tmp_path / "shared_paths.csv").read_text()
         assert cli_main(argv + ["--seed", "2", "--out", str(shared)]) == 0
         assert cli_main(argv + ["--seed", "2", "--out", str(fresh)]) == 0
-        kinds = [json.loads(line)["record_kind"] for line in open(shared)]
+        kinds = [r["record_kind"] for r in logio.read_log(shared)]
         assert (kinds.count("meta"), kinds.count("trace")) == (2, 2 * 4 * 144)
         assert shared.read_text().endswith(fresh.read_text())
         assert (tmp_path / "shared_paths.csv").read_text() == (
@@ -347,10 +352,10 @@ class TestRunLog:
         shared, fresh = tmp_path / "shared.log", tmp_path / "fresh.log"
         assert cli_main(argv("half_split.topo", shared)) == 0
         half_split_table = (tmp_path / "shared_table.csv").read_text()
-        before = len(shared.read_text().splitlines())
+        before = len(logio.read_log(shared))
         assert cli_main(argv("rst_chain.topo", shared)) == 0
         assert cli_main(argv("rst_chain.topo", fresh)) == 0
-        kinds = [json.loads(line)["record_kind"] for line in open(shared)]
+        kinds = [r["record_kind"] for r in logio.read_log(shared)]
         assert len(kinds) - before == 1 + 1664
         assert (kinds.count("meta"), kinds.count("verdict")) == (2, 2 * 1664)
         assert shared.read_text().endswith(fresh.read_text())
@@ -374,7 +379,7 @@ class TestRunLog:
             outputs[name] = [(tmp_path / f"{name}{suffix}").read_bytes()
                              for suffix in (".log", "_table.csv", "_cdf.csv")]
         assert outputs["twice"] == outputs["protocol_twice"] == outputs["once"]
-        assert len(outputs["once"][0].splitlines()) == 1 + 1664
+        assert len(logio.read_log(tmp_path / "once.log")) == 1 + 1664
 
     def test_rq2_trace_pass_traces_each_runs_affected_cells(self, tmp_path, capsys):
         # Two runs that differ only in --control-domain have two run ids
@@ -390,7 +395,7 @@ class TestRunLog:
         assert cli_main(argv("control.example", shared)) == 0
         assert cli_main(argv("other.example", shared)) == 0
         assert cli_main(argv("other.example", fresh)) == 0
-        records = [json.loads(line) for line in open(shared)]
+        records = logio.read_log(shared)
         first, second = [r["run_id"] for r in records if r["record_kind"] == "meta"]
         trace_ids = {first: [], second: []}
         for r in records:
@@ -451,8 +456,8 @@ class TestRunLog:
         for command in (argv, argv + ["--sensitive", "--domain", "blocked.example"]):
             assert cli_main(command) == 0
         capsys.readouterr()
-        traces = logio.read_run(log).traces  # meta, trace, meta, trace
-        assert list(traces) == [2, 4]
+        traces = logio.read_run(log).traces  # meta, body, trace, meta, body, trace
+        assert list(traces) == [3, 6]
         assert [logio.terminal_str(t.terminal) for t in traces.values()] == [
             "reached", "censored@2"]
         # graph sees both: one flow traced clear by one run and censored
@@ -487,7 +492,7 @@ class TestRunLog:
         assert cli_main(argv + ["--protocols", "https", "--sensitive-domain",
                                 "other.example"]) == 0
         capsys.readouterr()
-        assert len(log.read_text().splitlines()) == 3 + 3 * 1664
+        assert len(logio.read_log(log)) == 3 + 3 * 1664
         (second_run,) = {json.loads(line)["run_id"] for line in log.open()} - first_run
         for command in (bits, ["classify", "--log", str(log), "--topology",
                                str(FIXTURES / "half_split.topo")]):

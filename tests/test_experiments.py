@@ -17,8 +17,15 @@ from flowstable.experiments import (
 from flowstable.prober import LiveTransport, SimTransport, is_affected
 
 from conftest import load_fixture, scratch_log
+from reference import log_bytes, verdict_record
 
 DEST = Ipv4Address.parse("10.0.3.4")  # chain.topo endpoint
+
+
+def cited(lines):
+    """The indexes of the verdict and trace lines among a log's lines:
+    those that cite a body and name no record_kind."""
+    return [i for i, line in enumerate(lines) if "record_kind" not in json.loads(line)]
 
 
 class TestPlanRq1:
@@ -130,11 +137,13 @@ class TestRunners:
         full_log = tmp_path / "full.log"
         full = run_rq1(plans, SimTransport(topo), log=logio.open_run(full_log, "rq1"))
         lines = full_log.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 1 + 144  # the meta record, then one line per trace
+        traces = cited(lines)
+        assert len(traces) == 144  # one line per trace, after the meta record
+        assert "record_kind" in json.loads(lines[0])
 
         # interruption between sample appends: keep the first 70 samples
         partial_log = tmp_path / "partial.log"
-        partial_log.write_bytes(b"".join(lines[:1 + 70]))
+        partial_log.write_bytes(b"".join(lines[:traces[69] + 1]))
         resumed = run_rq1(plans, SimTransport(topo),
                           log=logio.open_run(partial_log, "rq1"))
 
@@ -149,11 +158,13 @@ class TestRunners:
         full = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
                        registry=registry, log=logio.open_run(full_log, "rq2"))
         lines = full_log.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 1 + 1664  # the meta record, then one line per cell
+        cells = cited(lines)
+        assert len(cells) == 1664  # one line per cell, after the meta record
+        assert "record_kind" in json.loads(lines[0])
 
         # interruption between cell appends: keep the first third of the cells
         partial_log = tmp_path / "partial.log"
-        partial_log.write_bytes(b"".join(lines[:1 + 1664 // 3]))
+        partial_log.write_bytes(b"".join(lines[:cells[1664 // 3 - 1] + 1]))
         log = logio.open_run(partial_log, "rq2")
         assert sum(map(len, log.verdicts.values())) == 1664 // 3
         resumed = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
@@ -182,11 +193,11 @@ class TestRunners:
         (matrix,) = run_rq2(plan, LiveTransport(), protocols=[AppProtocol.HTTP],
                             log=log).values()
         assert set(matrix.values()) == {Verdict.excluded()}
-        assert path.read_text().splitlines()[1:] == [
-            json.dumps(logio.verdict_record("rq2", DEST, AppProtocol.HTTP, params, [], [],
-                                            Verdict.excluded()), sort_keys=True)
-            for params in plan.grid
-        ]
+        meta = {"record_kind": "meta", "run_id": "rq2", "schema_version": 3}
+        records = [verdict_record("rq2", DEST, AppProtocol.HTTP, params, [], [],
+                                  Verdict.excluded()) for params in plan.grid]
+        assert logio.read_log(path) == [meta, *records]
+        assert path.read_bytes() == log_bytes([meta, *records])
         run = logio.read_run(path)
         assert run.verdicts == {(DEST, AppProtocol.HTTP): matrix}
         assert run.repetitions == {0}

@@ -22,7 +22,7 @@ GOLDEN = {
          "--registry", str(FIXTURES / "blockpages.json"), "--seed", "1",
          "--trace-affected"],
         {
-            ".log": "66b010e45d377afd4a2c70c5fab66aa27ef8769ff18395589215ce186a46e329",
+            ".log": "0403ecf3b9a6749f810eead57ada8dd151987dde3e0952bd5e1024baf3d5c7a9",
             "_table.csv": "7d693ef7ade58b165f8a04dc54627039cd70a96ade3890f459921fc4f6ba0d1a",
             "_cdf.csv": "bd44e0dd4a2c968959f8bfcc9efb90f8013488b5534160d57cc4a3ab98e429eb",
         },
@@ -35,7 +35,7 @@ GOLDEN = {
          "--registry", str(FIXTURES / "blockpages.json"), "--seed", "1",
          "--trace-affected"],
         {
-            ".log": "1387c3426363e77b652f8a5b4225c0a158aeb455f79ce144107826304773f617",
+            ".log": "cea1afb82b8c8160d50606369c5f6b13bf4af2b45148c09dd61425ddbfa86a3a",
             "_table.csv": "5d58984409a01266ac25e20614e0bf76e0fb2621560f413d10aabeb215afddec",
             "_cdf.csv": "b04fc61fa97658d5ad9107be023df5a7ef7abf2de222b18af56e152f2e60b0f5",
         },
@@ -44,7 +44,7 @@ GOLDEN = {
         ["rq1", "--topology", str(FIXTURES / "srcip_hash.topo"), "--dest", "5",
          "--seed", "1"],
         {
-            ".log": "c783c651c24e99d318ebd7e7c5c4b262d842217007fe1a54ccc5c056645d24c1",
+            ".log": "be561ccfd4a49d7ca61f8eb07ee9d6093f004f7d6b12493dfec8cdda770fd2a9",
             "_paths.csv": "8bd791cd3169b95ebfc7ab896f5ab0d3f6897b0d5a50c551b78f36db977f7cac",
         },
     ),

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,9 @@ from flowstable.core import (
     Verdict,
     VerdictKind,
 )
-from flowstable.prober import Observation, ObservationKind
+from flowstable.prober import CellResult, Observation, ObservationKind
 from flowstable.tracer import MAX_TTL_CEILING, Terminal, TerminalKind, TracePath
-from reference import ip_to_int
+from reference import ip_to_int, log_bytes, split_record, trace_record, verdict_record
 
 DST = Ipv4Address.parse("10.0.3.4")
 
@@ -37,18 +38,30 @@ def random_cell(rng, i):
     return DST, protocol, params, control, sensitive, verdict
 
 
+def _canonical(path):
+    """Whether each line of the log is its JSON with sorted keys."""
+    return all(line == json.dumps(json.loads(line), sort_keys=True)
+               for line in path.read_text().splitlines())
+
+
 def test_round_trip_1000_records(tmp_path):
     path = tmp_path / "run.log"
     rng = random.Random(0)
     cells = [random_cell(rng, i) for i in range(1000)]
-    records = [logio.verdict_record("run-a", *cell) for cell in cells]
-    logio.append_records(path, records[:500])
-    for r in records[500:]:
-        logio.append_records(path, [r])
-    assert logio.read_log(path) == records
-    assert [len(line) for line in path.read_bytes().splitlines()] == [
-        len(json.dumps(r, sort_keys=True)) for r in records
-    ]
+    log = logio.open_run(path, "run-a")
+    encoders = {}
+    lines = []
+    for dst, protocol, params, control, sensitive, verdict in cells:
+        encoder = encoders.setdefault(protocol, logio.SharedLines(log, dst, protocol))
+        lines.append(encoder.verdict(CellResult(control, sensitive, verdict), params))
+    logio.append_records(path, lines[:500])
+    for line in lines[500:]:
+        logio.append_records(path, [line])
+    records = [verdict_record("run-a", *cell) for cell in cells]
+    meta = {"record_kind": "meta", "run_id": "run-a", "schema_version": 3}
+    assert logio.read_log(path) == [meta, *records]
+    assert path.read_bytes() == log_bytes([meta, *records])
+    assert _canonical(path)
 
     run = logio.read_run(path)
     expected = {}
@@ -111,17 +124,18 @@ def test_trace_rows_round_trip(tmp_path):
         hops=(0, None, 2),
         terminal=Terminal(TerminalKind.CENSORED_AT, 3),
     )
-    record = logio.trace_record("run-b", trace, "t0", variation="vary_ip", sample_index=7)
+    path = tmp_path / "run.log"
+    log = logio.open_run(path, "run-b")
+    lines = logio.SharedLines(log, DST, AppProtocol.HTTPS, variation="vary_ip")
+    logio.append_records(path, [lines.trace(trace, "t0", 7)])
+    record = logio.read_log(path)[-1]
+    assert record == trace_record("run-b", trace, "t0", variation="vary_ip", sample_index=7)
     assert record["hops"] == [0, None, 2]
     assert record["terminal"] == "censored@3"
-    assert (record["trace_id"], record["variation"], record["sample_index"]) == (
-        "t0", "vary_ip", 7)
     assert logio.traces_from_records([record]) == [trace]
 
-    path = tmp_path / "run.log"
-    logio.append_records(path, [record])
-    assert path.read_text().count("\n") == 1
-    assert logio.read_run(path).traces == {1: trace}
+    assert path.read_text().count("\n") == 3  # meta, body, trace
+    assert logio.read_run(path).traces == {3: trace}
     assert logio.read_run(path, "run-b").traces == {"t0": trace}
 
 
@@ -136,17 +150,21 @@ def test_terminal_string_round_trip():
         assert logio.parse_terminal(logio.terminal_str(terminal)) == terminal
 
 
-def test_verdict_record_round_trip():
+def test_verdict_record_round_trip(tmp_path):
     params = SourceParams(Ipv4Address.parse("198.51.100.9"), 40404)
-    control = [Observation(1, ObservationKind.PAYLOAD_RESPONSE, "origin:control.example")]
-    sensitive = [Observation(1, ObservationKind.PAYLOAD_RESPONSE, "bp-01")]
+    control = (Observation(1, ObservationKind.PAYLOAD_RESPONSE, "origin:control.example"),)
+    sensitive = (Observation(1, ObservationKind.PAYLOAD_RESPONSE, "bp-01"),)
     for verdict in (
         Verdict.censored(Mechanism.BLOCKPAGE),
         Verdict.not_censored(),
         Verdict.excluded(),
     ):
-        record = logio.verdict_record(
-            "r", DST, AppProtocol.HTTP, params, control, sensitive, verdict)
+        path = tmp_path / f"{verdict.kind.value}.log"
+        log = logio.open_run(path, "r")
+        lines = logio.SharedLines(log, DST, AppProtocol.HTTP)
+        logio.append_records(path, [lines.verdict(CellResult(control, sensitive, verdict),
+                                                  params)])
+        record = logio.read_log(path)[-1]
         assert logio.parse_verdict(record) == verdict
         assert record["control"] == [[1, "payload_response", "origin:control.example"]]
         assert record["sensitive"] == [[1, "payload_response", "bp-01"]]
@@ -159,6 +177,19 @@ def test_v1_log_rejected(tmp_path):
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(logio.SchemaVersionUnknownError, match="line 1: schema_version 1"):
         logio.read_run(path)
+
+
+def test_v2_log_rejected_with_what_to_do(tmp_path):
+    path = tmp_path / "run.log"
+    lines = [{"record_kind": "meta", "run_id": "r", "schema_version": 2},
+             {**trace_record("r", TracePath(DST, SourceParams(DST, 1), AppProtocol.DNS, (),
+                                            Terminal(TerminalKind.EXHAUSTED)), "t0"),
+              "schema_version": 2}]
+    for lineno, start in ((1, 0), (1, 1)):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines[start:]))
+        with pytest.raises(logio.SchemaVersionUnknownError,
+                           match=f"line {lineno}: schema_version 2, .*fresh --out"):
+            logio.read_run(path)
 
 
 def test_unknown_kind_in_log_is_corrupt(tmp_path):
@@ -208,35 +239,50 @@ class TestOpenRun:
 
 
 def _verdict_line(drop=None, **changes):
-    """One verdict record's line, with changes applied and drop removed."""
+    """One verdict line with its body merged in, with changes applied and
+    drop removed."""
     params = SourceParams(Ipv4Address.parse("198.51.100.9"), 40404)
     control = [Observation(1, ObservationKind.PAYLOAD_RESPONSE, "")]
-    record = logio.verdict_record("r", DST, AppProtocol.HTTP, params, control, control,
-                                  Verdict.not_censored())
+    record = verdict_record("r", DST, AppProtocol.HTTP, params, control, control,
+                            Verdict.not_censored())
     record.update(changes)
     record.pop(drop, None)
-    return (json.dumps(record) + "\n").encode()
+    return record
 
 
-def _trace_line(**changes):
-    """One trace record's line, to DST, with changes applied."""
+def _trace_line(drop=None, **changes):
+    """One trace line with its body merged in, to DST, with changes
+    applied and drop removed."""
     trace = TracePath(DST, SourceParams(DST, 1), AppProtocol.DNS, (),
                       Terminal(TerminalKind.EXHAUSTED))
-    record = logio.trace_record("r", trace, "t0")
+    record = trace_record("r", trace, "t0")
     record.update(changes)
-    return (json.dumps(record) + "\n").encode()
+    record.pop(drop, None)
+    return record
+
+
+META = {"record_kind": "meta", "run_id": "r", "schema_version": 3}
 
 
 class TestMalformedRecord:
     """A complete line that is JSON but not a well-formed record is a data
-    error naming the file and the line, like a line that is not JSON."""
+    error naming the file and the line, like a line that is not JSON.
 
-    def read(self, tmp_path, bad_line, good_line=None):
+    The log holds a meta record, a good line and the bad one, each line
+    after the body record it cites (reference.log_lines). The bad line
+    shares the good one's body when only its cell fields differ, so
+    either way the first line the bad one adds, line 4, is the one to
+    refuse: its body record, or its own line."""
+
+    def read(self, tmp_path, bad_line, good_line=None, mangle=None, run_id=None):
         path = tmp_path / "run.log"
-        meta = json.dumps(logio.make_record(logio.KIND_META, "r")) + "\n"
-        path.write_bytes(meta.encode() + (good_line or _verdict_line()) + bad_line)
-        with pytest.raises(logio.CorruptRecordError, match=r"run\.log line 3: ") as info:
-            logio.read_run(path)
+        lines = log_bytes([META, good_line or _verdict_line(), bad_line]).splitlines(
+            keepends=True)
+        if mangle is not None:
+            lines[3] = mangle(lines[3])
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(logio.CorruptRecordError, match=r"run\.log line 4: ") as info:
+            logio.read_run(path, run_id)
         return str(info.value)
 
     def test_missing_field(self, tmp_path):
@@ -262,6 +308,22 @@ class TestMalformedRecord:
     @pytest.mark.parametrize("line", [_verdict_line, _trace_line])
     def test_port_after_an_equal_good_port(self, tmp_path, line, good, bad):
         self.read(tmp_path, line(src_port=bad), good_line=line(src_port=good))
+
+    # A trace line's trace_id is a JSON string, read for one run or for all.
+    @pytest.mark.parametrize("run_id", [None, "r"])
+    @pytest.mark.parametrize("changes", [{"trace_id": 5}, {"trace_id": None},
+                                         {"trace_id": True}, {"trace_id": ["t1"]},
+                                         {"drop": "trace_id"}],
+                             ids=["5", "null", "true", "list", "missing"])
+    def test_trace_id_is_a_string(self, tmp_path, capsys, changes, run_id):
+        error = self.read(tmp_path, _trace_line(**changes), good_line=_trace_line(),
+                          run_id=run_id)
+        assert "trace_id" in error
+        code = cli_main(["graph", "--log", str(tmp_path / "run.log"), "--dest", str(DST),
+                         "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert "run.log line 4: " in capsys.readouterr().err
+        assert list(tmp_path.glob("g_*")) == []
 
     # control and sensitive are non-empty lists of [epoch, outcome, tag]:
     # an epoch >= 1 that is not a boolean, an ObservationKind value, a str.
@@ -291,7 +353,7 @@ class TestMalformedRecord:
                          "censored@\u0663", "censored@0", "censored@03"]:
             assert repr(terminal) in self.read(tmp_path, _trace_line(terminal=terminal))
 
-    # verdict_record writes a null mechanism on a verdict that is not
+    # SharedLines writes a null mechanism on a verdict that is not
     # censored, and always writes the field.
     @pytest.mark.parametrize("verdict", ["excluded", "not_censored"])
     def test_mechanism_on_an_uncensored_verdict(self, tmp_path, verdict):
@@ -322,7 +384,8 @@ class TestMalformedRecord:
     def test_terminal_at_its_ladder_end_reads(self, tmp_path):
         path = tmp_path / "run.log"
         hops = [None] * (MAX_TTL_CEILING - 1) + [7]
-        path.write_bytes(_trace_line(hops=hops, terminal=f"censored@{MAX_TTL_CEILING}"))
+        line = _trace_line(hops=hops, terminal=f"censored@{MAX_TTL_CEILING}")
+        path.write_bytes(log_bytes([line]))
         (trace,) = logio.read_run(path).traces.values()
         assert trace.terminal == Terminal(TerminalKind.CENSORED_AT, MAX_TTL_CEILING)
         assert len(trace.hops) == MAX_TTL_CEILING
@@ -337,38 +400,100 @@ class TestMalformedRecord:
         code = cli_main(["graph", "--log", str(tmp_path / "run.log"), "--dest", str(DST),
                          "--out", str(tmp_path / "g")])
         assert code == 2
-        assert "run.log line 3: " in capsys.readouterr().err
+        assert "run.log line 4: " in capsys.readouterr().err
         assert list(tmp_path.glob("g_*")) == []
 
     def test_extra_data_after_the_object(self, tmp_path):
-        assert "Extra data" in self.read(tmp_path, _verdict_line().replace(b"}\n", b"} {}\n"))
+        assert "Extra data" in self.read(tmp_path, _verdict_line(),
+                                         mangle=lambda line: line.replace(b"}\n", b"} {}\n"))
 
     def test_invalid_utf8(self, tmp_path):
-        line = _verdict_line().replace(b"198.51", b"\xff98.51")
-        assert "utf-8" in self.read(tmp_path, line)
+        error = self.read(tmp_path, _verdict_line(),
+                          mangle=lambda line: line.replace(b"198.51", b"\xff98.51"))
+        assert "utf-8" in error
 
     def test_cli_exits_2_naming_the_line(self, tmp_path, capsys):
         self.read(tmp_path, _verdict_line(drop="dst"))
         code = cli_main(["bits", "--log", str(tmp_path / "run.log"), "--group-by",
                          "src_ip_low3"])
         assert code == 2
-        assert "run.log line 3: missing field 'dst'" in capsys.readouterr().err
+        assert "run.log line 4: missing field 'dst'" in capsys.readouterr().err
 
 
-# --- the templated read against a per-line reference parser ---------------
+class TestBodyIds:
+    """A line cites a body its own run recorded on an earlier line; a run
+    numbers its bodies 0, 1, ... and never gives an id other content."""
+
+    BODY, CELLS = split_record(_verdict_line())
+    OTHER = {**BODY, "verdict": "excluded"}
+
+    def write(self, tmp_path, *lines):
+        path = tmp_path / "run.log"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        return path
+
+    @pytest.mark.parametrize("lines, lineno, message", [
+        pytest.param([META, {"body": 0, **CELLS}, {"body": 0, **BODY}], 2, "cites body 0",
+                     id="line-before-its-body"),
+        pytest.param([META, {"body": 0, **BODY}, {"body": 1, **CELLS}], 3, "cites body 1",
+                     id="unknown-id"),
+        pytest.param([META, {"body": 0, **BODY}, {"body": True, **CELLS}], 3, "not an integer",
+                     id="boolean-id"),
+        pytest.param([META, {"body": 0, **BODY}, {"body": 0, **OTHER}], 3, "redefines body 0",
+                     id="redefined-id"),
+        pytest.param([META, {"body": 1, **BODY}], 2, "not run 'r''s next id, 0",
+                     id="skipped-id"),
+        pytest.param([META, {"body": "0", **BODY}], 2, "not an integer", id="string-id"),
+        pytest.param([META, {"body": 0, **BODY, "kind": "meta"}], 2, "body of kind 'meta'",
+                     id="meta-body"),
+        pytest.param([META, _verdict_line()], 2, "record_kind 'verdict'", id="v2-style-line"),
+    ])
+    @pytest.mark.parametrize("run_id", [None, "r"])
+    def test_refused(self, tmp_path, lines, lineno, message, run_id):
+        path = self.write(tmp_path, *lines)
+        with pytest.raises(logio.CorruptRecordError, match=rf"run\.log line {lineno}: "
+                                                           rf".*{re.escape(message)}"):
+            logio.read_run(path, run_id)
+        with pytest.raises(logio.CorruptRecordError, match=rf"run\.log line {lineno}: "):
+            logio.read_log(path)
+
+    def test_id_of_another_run(self, tmp_path):
+        other = {**self.BODY, "run_id": "s"}
+        path = self.write(tmp_path, META, {**META, "run_id": "s"}, {"body": 0, **other},
+                          {"body": 0, **self.CELLS})
+        for run_id in (None, "r"):
+            with pytest.raises(logio.CorruptRecordError, match=r"line 4: cites body 0"):
+                logio.read_run(path, run_id)
+        assert logio.read_run(path, "s").verdicts == {}
+
+    def test_same_content_again_reads(self, tmp_path):
+        path = self.write(tmp_path, META, {"body": 0, **self.BODY}, {"body": 0, **self.BODY},
+                          {"body": 0, **self.CELLS})
+        run = logio.read_run(path, "r")
+        assert run.verdicts == {(DST, AppProtocol.HTTP): {
+            SourceParams(Ipv4Address.parse("198.51.100.9"), 40404): Verdict.not_censored()}}
+        assert (run.next_body, list(run.bodies.values())) == (1, [0])
+
+
+# --- the read against a per-line reference parser -------------------------
 
 RUN_IDS = ["run-a", "run-b", "run-c"]
 ADDRESSES = ["10.0.3.4", "10.0.7.1", "192.0.2.9", "198.51.100.7", "198.51.100.200"]
 TERMINALS = ["reached", "exhausted", "censored@?", "censored@0", "censored@3", "censored@12"]
-#: Tags and trace ids that a cut must not split: escaped quotes and
-#: backslashes, text that is not ASCII, and the escaped text of a source.
+#: Tags and trace ids whose JSON needs escapes: quotes and backslashes,
+#: text that is not ASCII, and the escaped text of a source; and trace
+#: ids that are not strings.
 TAGS = ["", "bp-01", 'say "hi"', "back\\slash", "naïve ☃",
         ', "src_ip": "10.0.3.4", "src_port": 53']
-TRACE_IDS = ["t0", "t1", "10.0.3.4|http|198.51.100.7:40000", 't"2', "t\\3", "tö"]
-#: How a line is written: mostly as encode_record writes it, else by
-#: hand. A leading zero port is not JSON, so it ends most reads it is in.
+TRACE_IDS = ["t0", "t1", "10.0.3.4|http|198.51.100.7:40000", 't"2', "t\\3", "tö"] * 6 + [
+    5, None, True]
+#: How a line is written: mostly with sorted keys, else by hand. A
+#: leading zero port is not JSON, so it ends most reads it is in.
 STYLES = ["sorted"] * 40 + ["shuffled", "utf-8", "src_ip first", "duplicate src_ip first",
                             "duplicate src_ip last", "nested source"] * 2 + ["leading zero port"]
+#: What one line of a log may do wrong with body ids, if any does.
+FAULTS = [None] + ["line before its body", "unknown id", "id of another run",
+                       "redefined id", "same body again", "skipped id", "no trace_id"]
 
 
 def _reference_terminal(text):
@@ -396,35 +521,56 @@ def _reference_trace(r):
 
 
 def _reference_run(lines, run_id):
-    """What read_run should give, one line at a time with json.loads and
-    nothing shared: (verdicts, traces, run_ids, repetitions), or the
-    error class and line number it should raise."""
+    """What read_run should give, one line at a time with json.loads,
+    each line's body resolved by (run_id, body id), nothing shared:
+    (verdicts, traces, run_ids, repetitions, bodies recorded by run_id),
+    or the error class and line number it should raise."""
     verdicts, traces, run_ids, repetitions, owners = {}, {}, set(), set(), {}
+    bodies = {}  # (run, id) -> body record
     for lineno, line in enumerate(lines, start=1):
         try:
             r = json.loads(line)
         except ValueError:
             return logio.CorruptRecordError, lineno
-        if r["record_kind"] == "meta":
+        if r.get("record_kind") == "meta":
             run_ids.add(r["run_id"])
             continue
         if run_id is not None and r["run_id"] != run_id:
             continue
-        if r["record_kind"] == "trace":
+        key = (r["run_id"], r["body"])
+        if r.get("record_kind") == "body":
+            if key in bodies:
+                if json.dumps(bodies[key], sort_keys=True) != json.dumps(r, sort_keys=True):
+                    return logio.CorruptRecordError, lineno
+                continue
+            if r["body"] != sum(1 for run, _ in bodies if run == r["run_id"]):
+                return logio.CorruptRecordError, lineno
+            bodies[key] = r
             try:
-                trace = _reference_trace(r)
+                if r["kind"] == "trace":
+                    _reference_trace({**r, "src_ip": "0.0.0.0", "src_port": 0})
+                else:
+                    repetitions |= {len(r["control"]), len(r["sensitive"])}
             except ValueError:
                 return logio.CorruptRecordError, lineno
-            traces[r["trace_id"] if run_id is not None else lineno] = trace
             continue
-        key = (Ipv4Address(ip_to_int(r["dst"])), AppProtocol(r["protocol"]))
-        if run_id is None and owners.setdefault(key, r["run_id"]) != r["run_id"]:
+        if key not in bodies:
+            return logio.CorruptRecordError, lineno
+        body = bodies[key]
+        merged = {**body, **r}
+        if body["kind"] == "trace":
+            if type(r.get("trace_id")) is not str:
+                return logio.CorruptRecordError, lineno
+            traces[r["trace_id"] if run_id is not None else lineno] = _reference_trace(merged)
+            continue
+        dst = (Ipv4Address(ip_to_int(body["dst"])), AppProtocol(body["protocol"]))
+        if run_id is None and owners.setdefault(dst, r["run_id"]) != r["run_id"]:
             return logio.MixedRunsError, lineno
         source = SourceParams(Ipv4Address(ip_to_int(r["src_ip"])), r["src_port"])
-        mechanism = None if r["mechanism"] is None else Mechanism(r["mechanism"])
-        verdicts.setdefault(key, {})[source] = Verdict(VerdictKind(r["verdict"]), mechanism)
-        repetitions |= {len(r["control"]), len(r["sensitive"])}
-    return verdicts, traces, run_ids, repetitions
+        mechanism = None if body["mechanism"] is None else Mechanism(body["mechanism"])
+        verdicts.setdefault(dst, {})[source] = Verdict(VerdictKind(body["verdict"]), mechanism)
+    recorded = sum(1 for run, _ in bodies if run == run_id)
+    return verdicts, traces, run_ids, repetitions, recorded
 
 
 def _write(record, style, rng):
@@ -450,6 +596,52 @@ def _write(record, style, rng):
     return (text + "\n").encode()
 
 
+def _log(records, styles, fault, at, rng):
+    """The lines of a log of records (meta records, and verdict and trace
+    records with their bodies merged in), each written in its style,
+    after the body record it cites. The first line from index at on
+    where fault can apply has it."""
+    ids = {run: {} for run in RUN_IDS}  # run -> body text -> id
+    lines = []
+
+    def put(line, style):
+        lines.append(_write(line, style, rng))
+
+    for i, (record, style) in enumerate(zip(records, styles)):
+        if record["record_kind"] == "meta":
+            put(record, style)
+            continue
+        body, cells = split_record(record)
+        run = record["run_id"]
+        text = json.dumps(body, sort_keys=True)
+        known = ids[run]
+        ahead = [r for r in RUN_IDS if len(ids[r]) > len(known)]
+        due = fault if i >= at else None
+        if due == "line before its body" and text not in known:
+            put({"body": len(known), **cells}, style)
+        elif due == "unknown id":
+            put({"body": len(known) + 7, **cells}, style)
+        elif due == "id of another run" and ahead:
+            put({"body": len(ids[ahead[0]]) - 1, **cells}, style)
+        elif due == "redefined id" and known and known.get(text) != 0:
+            put({"body": 0, **body}, style)
+        elif due == "same body again" and text in known:
+            put({"body": known[text], **body}, style)
+        elif due == "skipped id":
+            put({"body": len(known) + 1, **body}, style)
+        elif due == "no trace_id" and "trace_id" in cells:
+            del cells["trace_id"]
+        else:
+            due = None  # not here; a later line may do
+        if due is not None:
+            fault = None
+        if text not in known:
+            known[text] = len(known)
+            put({"body": known[text], **body}, style)
+        put({"body": known[text], **cells}, style)
+    return lines
+
+
 _flow = st.fixed_dictionaries({
     "run_id": st.sampled_from(RUN_IDS),
     "dst": st.sampled_from(ADDRESSES[:3]),
@@ -464,13 +656,13 @@ _verdict = st.one_of(
     st.sampled_from([(VerdictKind.CENSORED.value, m.value) for m in Mechanism]),
 )
 _verdict_body = st.builds(
-    lambda flow, verdict, control, sensitive: logio.make_record(
-        logio.KIND_VERDICT, verdict=verdict[0], mechanism=verdict[1], control=control,
-        sensitive=sensitive, **flow),
+    lambda flow, verdict, control, sensitive: dict(
+        record_kind="verdict", schema_version=3, verdict=verdict[0], mechanism=verdict[1],
+        control=control, sensitive=sensitive, **flow),
     _flow, _verdict, _outcomes, _outcomes)
 _trace_body = st.builds(
-    lambda flow, hops, terminal, extra: logio.make_record(
-        logio.KIND_TRACE_HOP, hops=hops, terminal=terminal, **extra, **flow),
+    lambda flow, hops, terminal, extra: dict(
+        record_kind="trace", schema_version=3, hops=hops, terminal=terminal, **extra, **flow),
     _flow, st.lists(st.one_of(st.none(), st.integers(0, 40)), max_size=6),
     st.sampled_from(TERMINALS),
     st.sampled_from([{}, {"variation": "vary_ip", "sample_index": 0},
@@ -486,12 +678,15 @@ _line = st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(_verdict_body, _trace_body, _meta_body), min_size=1, max_size=8),
-       st.lists(_line, min_size=20, max_size=80), st.randoms(use_true_random=False))
-def test_interned_read_equals_reference(tmp_path_factory, bodies, cells, rng):
-    """Lines draw their bodies from a few, so most repeat one; each read
-    equals a per-line json.loads reference or raises the same error at
-    the same line."""
-    lines, records = [], []
+       st.lists(_line, min_size=20, max_size=80), st.randoms(use_true_random=False),
+       st.sampled_from(FAULTS), st.integers(0, 59))
+def test_interned_read_equals_reference(tmp_path_factory, bodies, cells, rng, fault, at):
+    """Lines draw their bodies from a few, so most cite a body recorded
+    before; each read equals a per-line json.loads reference that
+    resolves body ids itself, or raises the same error at the same
+    line. One line, at or after line at, may have a fault in its body
+    ids."""
+    records, styles = [], []
     for body, src_ip, src_port, trace_id, sample_index, style in cells:
         record = dict(bodies[body % len(bodies)])
         if record["record_kind"] != "meta":
@@ -500,8 +695,9 @@ def test_interned_read_equals_reference(tmp_path_factory, bodies, cells, rng):
             record["trace_id"] = trace_id
             if isinstance(record.get("sample_index"), int):
                 record["sample_index"] = sample_index
-        lines.append(_write(record, style, rng))
         records.append(record)
+        styles.append(style)
+    lines = _log(records, styles, fault, at, rng)
     path = tmp_path_factory.mktemp("log") / "run.log"
     path.write_bytes(b"".join(lines))
     for run_id in [None, *RUN_IDS]:
@@ -512,7 +708,7 @@ def test_interned_read_equals_reference(tmp_path_factory, bodies, cells, rng):
                 logio.read_run(path, run_id)
             continue
         run = logio.read_run(path, run_id)
-        verdicts, traces, run_ids, repetitions = expected
+        verdicts, traces, run_ids, repetitions, recorded = expected
         assert run.verdicts == verdicts
         assert list(run.verdicts) == list(verdicts)
         for key, matrix in verdicts.items():
@@ -520,6 +716,7 @@ def test_interned_read_equals_reference(tmp_path_factory, bodies, cells, rng):
         assert run.traces == traces
         assert list(run.traces) == list(traces)
         assert (run.run_ids, run.repetitions) == (run_ids, repetitions)
+        assert run.next_body == recorded
         # equal values are one shared object
         addresses = [d for d, _ in run.verdicts] + [
             s.src_ip for m in run.verdicts.values() for s in m]
@@ -556,21 +753,33 @@ _trace_ids = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é☃\U0001
                           st.one_of(st.none(), st.integers(0, 10**6))), max_size=24),
        st.sampled_from(list(AppProtocol)), st.booleans())
 def test_shared_trace_lines_equal_plain_encoding(results, cells, protocol, rq1):
-    """Each trace line SharedLines splices equals the line encoded from
-    the trace's own record, with and without rq1's variation and
-    sample_index, whichever result and cell fields it has. The first two
+    """Each trace line SharedLines writes is JSON with sorted keys and
+    decodes, with the body record it cites, to the trace's own record,
+    with and without rq1's variation and sample_index, whichever result
+    and cell fields it has; a body record comes once per distinct body,
+    in front of its first line, with the run's next id. The first two
     results share one ladder object, the empty tuple, and differ in
     their terminal, so a memo keyed on the ladder alone would give the
-    second the first one's line."""
+    second the first one's body."""
     results = [((), Terminal(TerminalKind.REACHED_DESTINATION)),
                ((), Terminal(TerminalKind.EXHAUSTED)), *results]
     source = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
     cells = [(0, source, "t0", None), (1, source, "t0", None), *cells]
     fixed = {"variation": "vary_both"} if rq1 else {}
-    lines = logio.SharedLines("run-s", DST, protocol, **fixed)
+    log = logio.RunLog(None, "run-s", {}, {}, set())
+    lines = logio.SharedLines(log, DST, protocol, **fixed)
+    bodies = {}
     for pick, source, trace_id, sample_index in cells:
         hops, terminal = results[pick % len(results)]
         trace = TracePath(DST, source, protocol, hops, terminal)
         extra = dict(fixed) if sample_index is None else {**fixed, "sample_index": sample_index}
-        assert lines.trace(trace, trace_id, sample_index) == logio.encode_record(
-            logio.trace_record("run-s", trace, trace_id, **extra))
+        expected = trace_record("run-s", trace, trace_id, **extra)
+        body, fields = split_record(expected)
+        written = lines.trace(trace, trace_id, sample_index).splitlines(keepends=True)
+        decoded = [json.loads(line) for line in written]
+        assert written == [logio.encode_record(line) for line in decoded]
+        text = json.dumps(body, sort_keys=True)
+        if text not in bodies:
+            bodies[text] = len(bodies)
+            assert decoded.pop(0) == {"body": bodies[text], **body}
+        assert decoded == [{"body": bodies[text], **fields}]

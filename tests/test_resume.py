@@ -4,10 +4,12 @@ A finished log is cut at a byte offset, as a crash in the middle of a
 write would leave it, and the same command is run again on it. The log
 and the CSVs must then be byte-identical to those of the uninterrupted
 run: a torn write costs at most one line, the resume cuts that line off
-before it appends, and every unit of work is one line appended in plan
-order.
+before it appends, every unit of work is one line appended in plan
+order, and a body record the log holds keeps its id for the lines the
+resumed run writes.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -67,6 +69,20 @@ def assert_resume_after_cut(finished, name, cut):
 def test_resume_after_cut_at_start_and_end(finished, name, from_end):
     size = len(finished[name][".log"])
     assert_resume_after_cut(finished, name, 0 if from_end is None else size - from_end)
+
+
+@pytest.mark.parametrize("name, kind", [("rq1", "trace"), ("rq2", "verdict"),
+                                        ("rq2", "trace")])
+def test_resume_after_cut_just_past_a_first_body(finished, name, kind):
+    # The first body record of the log, or of rq2's --trace-affected
+    # pass, is written; the line that cites it is not.
+    lines = finished[name][".log"].splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    at = next(i for i, r in enumerate(records)
+              if r.get("record_kind") == "body" and r["kind"] == kind)
+    assert "record_kind" not in records[at + 1]
+    assert records[at + 1]["body"] == records[at]["body"]
+    assert_resume_after_cut(finished, name, len(b"".join(lines[:at + 1])))
 
 
 @settings(max_examples=25, deadline=None)

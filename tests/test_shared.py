@@ -43,6 +43,7 @@ from flowstable.simnet import Role, load_topology, route
 from flowstable.tracer import trace
 
 from conftest import FIXTURES, flapping, scratch_log
+from reference import log_bytes, verdict_record
 from test_hops import DOMAINS, censored_documents
 
 schedules = st.lists(
@@ -130,10 +131,11 @@ def test_rq2_lines_equal_each_cells_own_record(
         own = run_cell(Cell(protocol, dst, (control, sensitive), reps, registry), source,
                        SimTransport(topology))
         verdict = classify(own.control, own.sensitive, protocol, registry)
-        record = logio.verdict_record(log.run_id, dst, protocol, source, own.control,
-                                      own.sensitive, verdict)
-        expected.append(json.dumps(record, sort_keys=True).encode() + b"\n")
-    assert path.read_bytes().splitlines(keepends=True)[1:] == expected
+        expected.append(verdict_record(log.run_id, dst, protocol, source, own.control,
+                                       own.sensitive, verdict))
+    meta = logio.read_log(path)[0]
+    assert logio.read_log(path) == [meta, *expected]
+    assert path.read_bytes() == log_bytes([meta, *expected])
 
 
 def test_key_covers_registry_and_run_id(tmp_path, registry):
