@@ -24,7 +24,6 @@ and open_run cuts it off before anything is appended.
 from __future__ import annotations
 
 import json
-import json.scanner
 import os
 import re
 import warnings
@@ -166,12 +165,6 @@ class Appender:
 #: raises.
 _decode = json.JSONDecoder().decode
 
-#: Decodes the JSON value at an index of a str: (value, end), or
-#: StopIteration. A line that is one value and its newline needs no more;
-#: _record hands any other line to _decode, which allows whitespace
-#: around the value and says what is wrong.
-_scan = json.scanner.make_scanner(json.JSONDecoder())
-
 
 def _lines(path: Union[str, Path]) -> Iterator[Tuple[int, bytes]]:
     """Yield (line number, line) for the log's complete lines in file
@@ -195,13 +188,7 @@ def _record(path: Union[str, Path], lineno: int, line: bytes) -> Optional[Dict]:
     A line with no record_kind is a verdict or trace line, checked
     against the body it cites (_cited)."""
     try:
-        text = line.decode()
-        try:
-            record, end = _scan(text, 0)
-        except StopIteration:
-            end = None
-        if end != len(text) - 1:
-            record = _decode(text)
+        record = _decode(line.decode())
     except UnicodeDecodeError as exc:
         raise CorruptRecordError(f"{path} line {lineno}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -354,10 +341,17 @@ def _ladder(body: Dict) -> Tuple[Tuple[Optional[int], ...], Terminal]:
     return tuple(hops), terminal
 
 
-def _source(src_ip: str, src_port: int) -> SourceParams:
+def _port(src_port: int) -> int:
+    """A line's src_port, which must be a JSON integer: not a float or a
+    boolean, which would also pass for the int it equals (True == 1)."""
     if type(src_port) is not int:
         raise ValueError(f"src_port is not an integer: {src_port!r}")
-    return SourceParams(Ipv4Address.parse(src_ip), src_port)
+    return src_port
+
+
+def _source(src_ip: str, src_port: int,
+            parse: Callable[[str], Ipv4Address] = Ipv4Address.parse) -> SourceParams:
+    return SourceParams(parse(src_ip), _port(src_port))
 
 
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
@@ -382,6 +376,8 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     addresses: Dict[str, Ipv4Address] = {}
     ladders: Dict[Tuple[Optional[int], ...], Tuple[Optional[int], ...]] = {}
     sources: Dict[Tuple[str, int], SourceParams] = {}
+    #: The matrix each verdict body's lines fill, by (run, body id).
+    matrices: Dict[Tuple[str, int], Dict[SourceParams, Verdict]] = {}
     #: Without run_id, the run whose verdicts each (dst, protocol) holds.
     owners: Dict[Tuple[Ipv4Address, AppProtocol], str] = {}
 
@@ -391,22 +387,22 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
             parsed = addresses[text] = Ipv4Address.parse(text)
         return parsed
 
-    def reading(body: Dict) -> Union[List, Tuple]:
-        """What a line citing body reads: [kind, (dst, protocol), verdict,
-        matrix once cited] or (kind, dst, protocol, ladder, terminal)."""
-        dst, protocol = address(body["dst"]), AppProtocol(body["protocol"])
-        if body["kind"] == KIND_VERDICT:
-            verdict = parse_verdict(body)
-            run.repetitions.update(_repetitions(body, verdict))
-            out = [KIND_VERDICT, (dst, protocol), verdict, None]
+    def reading(body: Dict) -> Tuple:
+        """What each line citing body reads: (kind, (dst, protocol), what),
+        where what is a verdict body's verdict or a trace body's (ladder,
+        terminal)."""
+        kind, key = body["kind"], (address(body["dst"]), AppProtocol(body["protocol"]))
+        if kind == KIND_VERDICT:
+            what = parse_verdict(body)
+            run.repetitions.update(_repetitions(body, what))
         else:
             ladder, terminal = _ladder(body)
-            out = (KIND_TRACE_HOP, dst, protocol, ladders.setdefault(ladder, ladder), terminal)
+            what = (ladders.setdefault(ladder, ladder), terminal)
         if run_id is not None:
             text = encode_record({k: v for k, v in body.items() if k != "body"})
             run.bodies[text] = body["body"]
             run.next_body = body["body"] + 1
-        return out
+        return kind, key, what
 
     lineno = 0
     try:
@@ -414,31 +410,33 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
             if cited is None:
                 run.run_ids.add(record["run_id"])
                 continue
-            src_ip, src_port = record["src_ip"], record["src_port"]
-            if type(src_port) is not int:
-                raise ValueError(f"src_port is not an integer: {src_port!r}")
-            source = sources.get((src_ip, src_port))
+            cell = (record["src_ip"], _port(record["src_port"]))
+            source = sources.get(cell)
             if source is None:
-                source = sources[(src_ip, src_port)] = SourceParams(address(src_ip), src_port)
-            if cited[0] == KIND_VERDICT:
-                matrix = cited[3]
-                if matrix is None:  # the body's first line
-                    key, line_run = cited[1], record["run_id"]
-                    if run_id is None and owners.setdefault(key, line_run) != line_run:
+                source = sources[cell] = _source(*cell, address)
+            kind, key, what = cited
+            if kind == KIND_VERDICT:
+                cited_body = (record["run_id"], record["body"])
+                matrix = matrices.get(cited_body)
+                if matrix is None:
+                    # Body ids are per run, so a run's first line of a
+                    # (dst, protocol) cites a body no other run's line
+                    # cited: checking the owner on each body's first
+                    # line checks every run of the log.
+                    if run_id is None and owners.setdefault(key, cited_body[0]) != cited_body[0]:
                         raise MixedRunsError(
                             f"{path} line {lineno}: {key[0]} {key[1].value} holds verdicts "
-                            f"of runs {owners[key]} and {line_run}; write each run to its "
+                            f"of runs {owners[key]} and {cited_body[0]}; write each run to its "
                             f"own log"
                         )
-                    matrix = cited[3] = run.verdicts.setdefault(key, {})
-                matrix[source] = cited[2]
+                    matrix = matrices[cited_body] = run.verdicts.setdefault(key, {})
+                matrix[source] = what
                 continue
             trace_id = record["trace_id"]
             if type(trace_id) is not str:
                 raise ValueError(f"trace_id is not a string: {trace_id!r}")
-            _, dst, protocol, ladder, terminal = cited
             run.traces[lineno if run_id is None else trace_id] = TracePath(
-                dst, source, protocol, ladder, terminal)
+                key[0], source, key[1], *what)
     except _NAMED_ERRORS:
         raise
     except _FIELD_ERRORS as exc:
