@@ -382,7 +382,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="schema-check a topology file")
     p.add_argument("topology")
-    p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("trace", help="trace one flow and print its hops")
     p.add_argument("--topology", required=True)
@@ -395,7 +394,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-ttl", type=_int_in(1, tracer.MAX_TTL_CEILING),
                    default=tracer.DEFAULT_MAX_TTL)
     p.add_argument("--out", help="optionally append the trace to this run log")
-    p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
         "rq1",
@@ -411,7 +409,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--protocol", default="http", choices=[x.value for x in AppProtocol])
     p.add_argument("--max-ttl", type=_int_in(1, tracer.MAX_TTL_CEILING),
                    default=tracer.DEFAULT_MAX_TTL)
-    p.set_defaults(fn=_cmd_rq1)
 
     p = sub.add_parser(
         "rq2",
@@ -434,7 +431,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--sensitive-domain", default="blocked.example")
     p.add_argument("--trace-affected", action="store_true",
                    help="also trace decided cells of affected destinations")
-    p.set_defaults(fn=_cmd_rq2)
 
     p = sub.add_parser(
         "graph",
@@ -447,7 +443,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--protocol", choices=[x.value for x in AppProtocol])
     p.add_argument("--topology", help="enriches nodes with asn/subnet/geo columns")
-    p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser(
         "classify",
@@ -461,7 +456,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--topology", required=True)
     p.add_argument("--dest")
     p.add_argument("--protocol", choices=[x.value for x in AppProtocol])
-    p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser(
         "bits",
@@ -473,15 +467,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--group-by", required=True,
                    choices=[g.value for g in analysis.BitGrouping])
     p.add_argument("--protocol", choices=[x.value for x in AppProtocol])
-    p.set_defaults(fn=_cmd_bits)
     return parser
 
 
+#: Built once per process; parse_args keeps no state between calls.
+_PARSER = _build_parser()
+
+
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = _PARSER.parse_args(argv)
+        # looked up by name at each call, so a replaced _cmd_* is the one run
+        return globals()[f"_cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,9 @@ a run's lines are the same bytes whatever else shares the log.
 
 Only this module knows the layout: runners and reports read a log
 through read_run (or open_run, to append to it), which streams the file
-once, parses and checks each body record once and each line's cell
-fields. The write side (SharedLines, one encoder for verdict and trace
+once, in one loop (_cited) that decodes each line with one call of
+JSON's scanner, and parses and checks each body record once and each
+line's cell fields. The write side (SharedLines, one encoder for verdict and trace
 lines) encodes each body once per shared result and writes its record
 the first time its run cites it. The log is a cache of a run, never the
 source of truth: a run is reproducible from topology, plan, and seed. A
@@ -160,57 +161,6 @@ class Appender:
         self._records = []
 
 
-#: Decodes one line, as str. A module-level decoder spares each line
-#: json.loads' encoding detection; extra data after the object still
-#: raises.
-_decode = json.JSONDecoder().decode
-
-
-def _lines(path: Union[str, Path]) -> Iterator[Tuple[int, bytes]]:
-    """Yield (line number, line) for the log's complete lines in file
-    order, reading it once; every read of a log opens it here. A partial
-    trailing line is dropped with a warning."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n"):
-                if line.strip():
-                    warnings.warn(f"discarding partial trailing record in {path}")
-                return
-            yield lineno, line
-
-
-def _record(path: Union[str, Path], lineno: int, line: bytes) -> Optional[Dict]:
-    """The record of a complete line, decoded as UTF-8 text, then as
-    JSON; None for a blank line. A line that is not UTF-8 or not a JSON
-    object, or that names a record_kind other than meta or body, raises
-    CorruptRecordError naming the file and the line; a meta or body
-    record of another schema version raises SchemaVersionUnknownError.
-    A line with no record_kind is a verdict or trace line, checked
-    against the body it cites (_cited)."""
-    try:
-        record = _decode(line.decode())
-    except UnicodeDecodeError as exc:
-        raise CorruptRecordError(f"{path} line {lineno}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        if not line.strip():  # a blank line holds no record
-            return None
-        raise CorruptRecordError(f"{path} line {lineno}: {exc.msg}") from exc
-    if not isinstance(record, dict):
-        raise CorruptRecordError(f"{path} line {lineno}: not a JSON object")
-    kind = record.get("record_kind")
-    if kind is None:
-        return record
-    version = record.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionUnknownError(
-            f"{path} line {lineno}: schema_version {version!r}, but this reader reads "
-            f"schema_version {SCHEMA_VERSION} only; re-run the command with a fresh --out"
-        )
-    if kind not in _LINE_KINDS:
-        raise CorruptRecordError(f"{path} line {lineno}: record_kind {kind!r}")
-    return record
-
-
 #: What a well-formed JSON record can still get wrong: a missing field
 #: (KeyError), a bad enum value, address or port (ValueError), or a
 #: value of the wrong JSON type (TypeError, AttributeError).
@@ -225,6 +175,15 @@ def _corrupt(path: Union[str, Path], lineno: int, exc: Exception) -> CorruptReco
     return CorruptRecordError(f"{path} line {lineno}: {what}")
 
 
+#: JSON's whitespace, which may pad a line; str.strip() would also take
+#: characters that JSON refuses.
+_JSON_SPACE = " \t\n\r"
+
+#: The value that starts at an index of a str and the index after it, or
+#: StopIteration: the scanner json.loads reads a value with.
+_scan = json.JSONDecoder().scan_once
+
+
 def _cited(path: Union[str, Path], run_id: Optional[str],
            reading: Callable[[Dict], object]) -> Iterator[Tuple[int, Dict, object]]:
     """Yield (line number, record, None) for each meta record of the log,
@@ -233,49 +192,84 @@ def _cited(path: Union[str, Path], run_id: Optional[str],
     record the line cites; reading is called once per body record of
     those runs, in file order.
 
+    Every read of a log opens it here, once, and takes each complete line
+    in one trip through one loop: decoded as UTF-8, stripped of JSON
+    whitespace and scanned as one JSON value with nothing after it, the
+    line reads as json.loads reads it; a blank one holds no record, and
+    a partial last line is dropped with a warning. A line that is not
+    UTF-8 or not a JSON object, or names a record_kind other than meta or
+    body, raises CorruptRecordError naming the file and the line; a meta
+    or body record of another schema version raises
+    SchemaVersionUnknownError. A line with no record_kind is a verdict or
+    trace line.
+
     A body record's id is an integer: its run's next id (0, 1, ... in
     first-seen order), or an earlier id with the same content. A line
     cites a body its own run recorded on an earlier line. Any other id,
     a body of a kind other than verdict or trace, a missing field, or a
     body reading refuses raises CorruptRecordError naming the line."""
-    bodies: Dict[Tuple[str, int], Tuple[Dict, object]] = {}
+    #: (run, id) -> (the text of the body's line, its reading)
+    bodies: Dict[Tuple[str, int], Tuple[str, object]] = {}
     next_ids: Dict[str, int] = {}
-    for lineno, line in _lines(path):
-        try:
-            record = _record(path, lineno, line)
-            if record is None:
-                continue
-            kind = record.get("record_kind")
-            if kind == KIND_META:
-                yield lineno, record, None
-                continue
-            run = record["run_id"]
-            if run_id is not None and run != run_id:
-                continue
-            key = (run, record["body"])
-            if type(key[1]) is not int:
-                raise ValueError(f"body id {key[1]!r} is not an integer")
-            known = bodies.get(key)
-            if kind is None:
-                if known is None:
-                    raise ValueError(f"cites body {key[1]}, which run {run!r} has not "
-                                     f"recorded before this line")
-                yield lineno, record, known[1]
-            elif known is not None:
-                if _encode(record) != _encode(known[0]):
-                    raise ValueError(f"redefines body {key[1]} of run {run!r}")
-            elif key[1] != next_ids.get(run, 0):
-                raise ValueError(f"body id {key[1]} is not run {run!r}'s next id, "
-                                 f"{next_ids.get(run, 0)}")
-            elif record["kind"] not in _BODY_KINDS:
-                raise ValueError(f"body of kind {record['kind']!r}")
-            else:
-                next_ids[run] = key[1] + 1
-                bodies[key] = (record, reading(record))
-        except _NAMED_ERRORS:
-            raise
-        except _FIELD_ERRORS as exc:
-            raise _corrupt(path, lineno, exc) from exc
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                if line.strip():
+                    warnings.warn(f"discarding partial trailing record in {path}")
+                return
+            try:
+                text = line.decode().strip(_JSON_SPACE)
+                record, end = _scan(text, 0)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
+                if type(record) is not dict:
+                    raise ValueError("not a JSON object")
+                kind = record.get("record_kind")
+                if kind is not None:
+                    version = record.get("schema_version")
+                    if version != SCHEMA_VERSION:
+                        raise SchemaVersionUnknownError(
+                            f"{path} line {lineno}: schema_version {version!r}, but this "
+                            f"reader reads schema_version {SCHEMA_VERSION} only; re-run the "
+                            f"command with a fresh --out")
+                    if kind == KIND_META:
+                        yield lineno, record, None
+                        continue
+                    if kind != KIND_BODY:
+                        raise ValueError(f"record_kind {kind!r}")
+                run = record["run_id"]
+                if run_id is not None and run != run_id:
+                    continue
+                key = (run, record["body"])
+                if type(key[1]) is not int:
+                    raise ValueError(f"body id {key[1]!r} is not an integer")
+                known = bodies.get(key)
+                if kind is None:
+                    if known is None:
+                        raise ValueError(f"cites body {key[1]}, which run {run!r} has not "
+                                         f"recorded before this line")
+                    yield lineno, record, known[1]
+                elif known is not None:
+                    # Recorded again: in other text, the two records'
+                    # canonical encodings must match.
+                    if text != known[0] and _encode(record) != _encode(_scan(known[0], 0)[0]):
+                        raise ValueError(f"redefines body {key[1]} of run {run!r}")
+                elif key[1] != next_ids.get(run, 0):
+                    raise ValueError(f"body id {key[1]} is not run {run!r}'s next id, "
+                                     f"{next_ids.get(run, 0)}")
+                elif record["kind"] not in _BODY_KINDS:
+                    raise ValueError(f"body of kind {record['kind']!r}")
+                else:
+                    next_ids[run] = key[1] + 1
+                    bodies[key] = (text, reading(record))
+            except StopIteration:  # no JSON value starts the line
+                if not line.strip():
+                    continue  # a blank line holds no record
+                raise CorruptRecordError(f"{path} line {lineno}: Expecting value") from None
+            except _NAMED_ERRORS:
+                raise
+            except _FIELD_ERRORS as exc:
+                raise _corrupt(path, lineno, exc) from exc
 
 
 def _merged(body: Dict) -> Dict:
@@ -349,11 +343,6 @@ def _port(src_port: int) -> int:
     return src_port
 
 
-def _source(src_ip: str, src_port: int,
-            parse: Callable[[str], Ipv4Address] = Ipv4Address.parse) -> SourceParams:
-    return SourceParams(parse(src_ip), _port(src_port))
-
-
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """The log's verdicts, traces and run ids, in one streaming pass
     that keeps no line dicts. With run_id, only that run's verdicts
@@ -364,11 +353,11 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     Runs over disjoint (destination, protocol) pairs, and a run resumed
     under its own id, read as before.
 
-    Every line is decoded. A body record is parsed and checked once,
-    into its (destination, protocol) and verdict, or its ladder and
-    terminal; a line adds its source (each distinct one parsed once) and
-    a trace's trace_id, a JSON string. Equal addresses and ladders are
-    one shared object. A line that lacks a field, holds a value that
+    Each line is one trip through _cited's loop and one decode. A body
+    record is parsed and checked once, into its (destination, protocol)
+    and verdict, or its ladder and terminal; a line adds its source (each
+    distinct one parsed once) and a trace's trace_id, a JSON string.
+    Equal addresses and ladders are one shared object. A line that lacks a field, holds a value that
     does not parse, or cites a body its run has not recorded (see
     _cited) raises CorruptRecordError naming the file and the line.
     """
@@ -410,10 +399,14 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
             if cited is None:
                 run.run_ids.add(record["run_id"])
                 continue
-            cell = (record["src_ip"], _port(record["src_port"]))
+            # _port's rule, checked before the lookup: True would hit 1's entry
+            port = record["src_port"]
+            if type(port) is not int:
+                raise ValueError(f"src_port is not an integer: {port!r}")
+            cell = (record["src_ip"], port)
             source = sources.get(cell)
             if source is None:
-                source = sources[cell] = _source(*cell, address)
+                source = sources[cell] = SourceParams(address(cell[0]), port)
             kind, key, what = cited
             if kind == KIND_VERDICT:
                 cited_body = (record["run_id"], record["body"])
@@ -525,7 +518,7 @@ def traces_from_records(records: Iterable[Dict]) -> List[TracePath]:
     traces = []
     for r in records:
         if r["record_kind"] == KIND_TRACE_HOP:
-            source = _source(r["src_ip"], r["src_port"])
+            source = SourceParams(Ipv4Address.parse(r["src_ip"]), _port(r["src_port"]))
             traces.append(TracePath(Ipv4Address.parse(r["dst"]), source,
                                     AppProtocol(r["protocol"]), *_ladder(r)))
     return traces

@@ -166,3 +166,26 @@ def log_bytes(records) -> bytes:
     """log_lines(records) as JSON lines with sorted keys."""
     return b"".join(json.dumps(line, sort_keys=True).encode() + b"\n"
                     for line in log_lines(records))
+
+
+def log_records(data: bytes):
+    """A log's records, one json.loads per line of UTF-8 text:
+    ([(line number, record)], whether a partial last line was dropped).
+    Only a line that ends in a newline is complete; a partial last line
+    is dropped, and counts as dropped unless it is blank. A blank line
+    (bytes.strip() leaves nothing) holds no record. A line that is not
+    UTF-8, that json.loads refuses, or whose value is not an object
+    ends the list as (line number, None)."""
+    lines = data.split(b"\n")
+    records = []
+    for lineno, line in enumerate(lines[:-1], start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+            record = None
+        records.append((lineno, record if isinstance(record, dict) else None))
+        if records[-1][1] is None:
+            return records, False
+    return records, bool(lines[-1].strip())

@@ -271,16 +271,18 @@ class TestRq2Reports:
 class TestReadsLogOnce:
     @pytest.fixture
     def reads(self, monkeypatch):
+        """The logs opened through logio's one line reader, _cited, in
+        order: each is noted as the reader starts, when it opens its log."""
         from flowstable import logio
 
         calls = []
-        lines = logio._lines
+        cited = logio._cited
 
-        def counting(path):
+        def counting(path, *args):
             calls.append(path)
-            return lines(path)
+            yield from cited(path, *args)
 
-        monkeypatch.setattr(logio, "_lines", counting)
+        monkeypatch.setattr(logio, "_cited", counting)
         return calls
 
     def test_rq2_trace_affected_rerun(self, rq2_run, reads, capsys):

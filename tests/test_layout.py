@@ -3,8 +3,9 @@ front end loads every module of the package. Every import of the
 package sits at module level, and its modules import each other
 without a cycle. The loss key has one home, simnet, and so has the
 outcome of a loss draw; whether a packet reached its destination is
-decided in prober alone. And the benchmark's span wrappers
-(perfbench/spans.py) still find every name they patch."""
+decided in prober alone; logio decodes each log line at one call site.
+And the benchmark's span wrappers (perfbench/spans.py) still find every
+name they patch."""
 
 import ast
 import graphlib
@@ -117,6 +118,44 @@ def test_draw_outcome_and_reached_have_one_home():
     if "simnet" in _package_imports("tracer", modules["tracer"], modules):
         found.append("tracer: imports simnet")
     assert found == []
+
+
+#: What decodes JSON: json's functions, its decoder class and module,
+#: and the methods and scanners a decoder holds.
+_JSON_DECODING = {"loads", "load", "JSONDecoder", "decoder", "scanner", "make_scanner",
+                  "c_make_scanner", "py_make_scanner", "raw_decode", "scan_once"}
+
+
+def test_log_lines_have_one_decode_site():
+    # logio binds one JSON decoder to one module-level name, and _cited
+    # decodes each line it reads with one call of it; the decoder's one
+    # other call re-reads the text of a body recorded earlier, when the
+    # body is recorded again in other text. A second decode path for
+    # lines, say a fast path with a fallback, fails here.
+    tree = _parsed_modules()["logio"]
+
+    def decodes(node):
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr in _JSON_DECODING)
+            or (isinstance(n, ast.Name) and n.id in _JSON_DECODING)
+            or (isinstance(n, ast.ImportFrom) and (n.module or "").startswith("json"))
+            or (isinstance(n, ast.Import) and any(a.name.startswith("json.") for a in n.names))
+            for n in ast.walk(node))
+
+    bindings = [node for node in tree.body if decodes(node)]
+    assert len(bindings) == 1, [ast.unparse(node) for node in bindings]
+    (binding,) = bindings
+    assert isinstance(binding, ast.Assign) and len(binding.targets) == 1
+    assert isinstance(binding.targets[0], ast.Name)
+    name = binding.targets[0].id
+    (cited,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_cited"]
+    calls = [node for node in ast.walk(cited) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == name]
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name]
+    assert sorted(ast.unparse(call) for call in calls) == [
+        f"{name}(known[0], 0)", f"{name}(text, 0)"]
+    assert len(uses) == 1 + len(calls), [ast.unparse(node) for node in uses]
 
 
 def test_benchmark_wrappers_resolve_and_restore():

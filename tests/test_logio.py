@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,14 @@ from flowstable.core import (
 )
 from flowstable.prober import CellResult, Observation, ObservationKind
 from flowstable.tracer import MAX_TTL_CEILING, Terminal, TerminalKind, TracePath
-from reference import ip_to_int, log_bytes, split_record, trace_record, verdict_record
+from reference import (
+    ip_to_int,
+    log_bytes,
+    log_records,
+    split_record,
+    trace_record,
+    verdict_record,
+)
 
 DST = Ipv4Address.parse("10.0.3.4")
 
@@ -466,6 +474,38 @@ class TestBodyIds:
                 logio.read_run(path, run_id)
         assert logio.read_run(path, "s").verdicts == {}
 
+    # The same content in other text: keys in another order, other
+    # JSON whitespace, or escapes where the first had none.
+    @pytest.mark.parametrize("again", [
+        lambda body: json.dumps(dict(reversed(list(body.items())))),
+        lambda body: json.dumps(body, separators=(",", ":")),
+        lambda body: json.dumps(body, sort_keys=True).replace(": ", ":\t"),
+        lambda body: json.dumps(body).replace('"dst"', '"\\u0064st"'),
+    ], ids=["reordered-keys", "compact", "tabs", "escaped-key"])
+    def test_same_content_in_other_text_reads(self, tmp_path, again):
+        path = self.write(tmp_path, META, {"body": 0, **self.BODY})
+        with open(path, "a") as fh:
+            fh.write(again({"body": 0, **self.BODY}) + "\n" + json.dumps(
+                {"body": 0, **self.CELLS}) + "\n")
+        for run_id in (None, "r"):
+            assert logio.read_run(path, run_id).verdicts == {(DST, AppProtocol.HTTP): {
+                SourceParams(Ipv4Address.parse("198.51.100.9"), 40404):
+                    Verdict.not_censored()}}
+
+    # Another value, also one Python finds equal (1.0 and True == 1), or
+    # another field: each is other content under the same id.
+    @pytest.mark.parametrize("changes", [
+        {"dst": "10.0.3.5"}, {"control": [[1.0, "payload_response", ""]]},
+        {"sensitive": [[True, "payload_response", ""]]}, {"schema_version": 3.0},
+        {"note": None}, {"kind": "trace"}],
+        ids=["dst", "epoch-1.0", "epoch-true", "version-3.0", "extra-field", "kind"])
+    def test_changed_content_under_the_same_id_is_refused(self, tmp_path, changes):
+        path = self.write(tmp_path, META, {"body": 0, **self.BODY},
+                          dict(reversed(list({"body": 0, **self.BODY, **changes}.items()))))
+        for run_id in (None, "r"):
+            with pytest.raises(logio.CorruptRecordError, match=r"line 3: redefines body 0"):
+                logio.read_run(path, run_id)
+
     def test_same_content_again_reads(self, tmp_path):
         path = self.write(tmp_path, META, {"body": 0, **self.BODY}, {"body": 0, **self.BODY},
                           {"body": 0, **self.CELLS})
@@ -473,6 +513,104 @@ class TestBodyIds:
         assert run.verdicts == {(DST, AppProtocol.HTTP): {
             SourceParams(Ipv4Address.parse("198.51.100.9"), 40404): Verdict.not_censored()}}
         assert (run.next_body, list(run.bodies.values())) == (1, [0])
+
+
+class TestReadsAsJsonLoads:
+    """A line reads as json.loads reads its UTF-8 text, and no other way
+    (reference.log_records): JSON whitespace may pad it, a blank line
+    holds no record, a partial last line is dropped with a warning, and
+    a line json.loads refuses, or whose value is not an object, is
+    refused at its line number. The log holds a meta record, two verdict
+    lines of one body and a trace line, one of them changed."""
+
+    LINES = log_bytes([META, _verdict_line(), _verdict_line(src_ip="198.51.100.10"),
+                       _trace_line()]).splitlines(keepends=True)
+
+    def check(self, tmp_path, data):
+        """Read data with read_log and read_run, with and without a run id:
+        each refuses it at the line the reference refuses, or reads what
+        it reads from the log of the reference's records as sorted JSON
+        lines, and warns when the reference drops a partial last line."""
+        path, clean = tmp_path / "run.log", tmp_path / "clean.log"
+        path.write_bytes(data)
+        records, dropped = log_records(data)
+        reads = [logio.read_log, logio.read_run, lambda p: logio.read_run(p, "r")]
+        if records and records[-1][1] is None:
+            for read in reads:
+                with pytest.raises(logio.CorruptRecordError,
+                                   match=rf"run\.log line {records[-1][0]}: "):
+                    read(path)
+            return
+        clean.write_bytes(b"".join(json.dumps(r, sort_keys=True).encode() + b"\n"
+                                   for _, r in records))
+        for read in reads:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = read(path)
+            assert [str(w.message) for w in caught] == (
+                [f"discarding partial trailing record in {path}"] if dropped else [])
+            want = read(clean)
+            if isinstance(got, logio.RunLog):
+                got, want = [{**vars(run), "path": None} for run in (got, want)]
+                if got["run_id"] is None:  # traces keyed by line number
+                    got["traces"] = list(got["traces"].values())
+                    want["traces"] = list(want["traces"].values())
+            assert got == want
+
+    @pytest.mark.parametrize("at", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("pad", [b" ", b"\t", b"\r", b" \t\r \r"])
+    def test_json_whitespace_pads_a_line(self, tmp_path, at, pad):
+        lines = list(self.LINES)
+        lines[at] = pad + lines[at][:-1] + pad + b"\n"
+        assert log_records(b"".join(lines))[0][-1][1] is not None
+        self.check(tmp_path, b"".join(lines))
+
+    # What str.strip() and bytes.strip() would also take, but JSON does not.
+    @pytest.mark.parametrize("pad", ["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+                                     "\u2028", "\u3000", "\ufeff"])
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_other_whitespace_is_refused(self, tmp_path, pad, side):
+        lines = list(self.LINES)
+        pad = pad.encode()
+        lines[2] = (pad + lines[2]) if side == "before" else (lines[2][:-1] + pad + b"\n")
+        assert log_records(b"".join(lines))[0][-1] == (3, None)
+        self.check(tmp_path, b"".join(lines))
+
+    @pytest.mark.parametrize("after", [b" {}", b"}", b"x", b"5", b" []", b"\x00", b" \x0c"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_extra_data_after_the_object(self, tmp_path, after, at):
+        lines = list(self.LINES)
+        lines[at] = lines[at][:-1] + after + b"\n"
+        self.check(tmp_path, b"".join(lines))
+
+    @pytest.mark.parametrize("value", [b"[1, 2]", b"[]", b'"text"', b'""', b"5", b"null",
+                                       b"true", b"[{}]"])
+    def test_top_level_value_not_an_object(self, tmp_path, value):
+        lines = list(self.LINES)
+        lines[2] = value + b"\n"
+        self.check(tmp_path, b"".join(lines))
+
+    @pytest.mark.parametrize("blank", [b"\n", b" \n", b"\t\r\n", b"\x0b\x0c\n", b" \x0c \n"])
+    @pytest.mark.parametrize("at", [1, 2, 4])
+    def test_blank_line_mid_file(self, tmp_path, blank, at):
+        lines = list(self.LINES)
+        lines.insert(at, blank)
+        self.check(tmp_path, b"".join(lines))
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"])
+    @pytest.mark.parametrize("where", [b"198.51", b'"r"'])
+    def test_invalid_utf8(self, tmp_path, bad, where):
+        lines = list(self.LINES)
+        lines[2] = lines[2].replace(where, bad + where, 1)
+        self.check(tmp_path, b"".join(lines))
+
+    @pytest.mark.parametrize("tail", [b"{", b'{"body": 0, "run_id": "r"}', b"   ", b"\x0c",
+                                      b"\xff"])
+    def test_partial_trailing_line(self, tmp_path, tail):
+        self.check(tmp_path, b"".join(self.LINES) + tail)
+
+    def test_crlf_line_ends_read(self, tmp_path):
+        self.check(tmp_path, b"".join(line[:-1] + b"\r\n" for line in self.LINES))
 
 
 # --- the read against a per-line reference parser -------------------------
@@ -521,16 +659,15 @@ def _reference_trace(r):
 
 
 def _reference_run(lines, run_id):
-    """What read_run should give, one line at a time with json.loads,
+    """What read_run should give, one line at a time with json.loads
+    (reference.log_records),
     each line's body resolved by (run_id, body id), nothing shared:
     (verdicts, traces, run_ids, repetitions, bodies recorded by run_id),
     or the error class and line number it should raise."""
     verdicts, traces, run_ids, repetitions, owners = {}, {}, set(), set(), {}
     bodies = {}  # (run, id) -> body record
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            r = json.loads(line)
-        except ValueError:
+    for lineno, r in log_records(b"".join(lines))[0]:
+        if r is None:
             return logio.CorruptRecordError, lineno
         if r.get("record_kind") == "meta":
             run_ids.add(r["run_id"])
