@@ -219,7 +219,12 @@ def _cited(path: Union[str, Path], run_id: Optional[str],
                 return
             try:
                 text = line.decode().strip(_JSON_SPACE)
-                record, end = _scan(text, 0)
+                try:
+                    record, end = _scan(text, 0)
+                except StopIteration:  # no JSON value starts the line
+                    if not line.strip():
+                        continue  # a blank line holds no record
+                    raise ValueError("Expecting value") from None
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
                 if type(record) is not dict:
@@ -262,10 +267,6 @@ def _cited(path: Union[str, Path], run_id: Optional[str],
                 else:
                     next_ids[run] = key[1] + 1
                     bodies[key] = (text, reading(record))
-            except StopIteration:  # no JSON value starts the line
-                if not line.strip():
-                    continue  # a blank line holds no record
-                raise CorruptRecordError(f"{path} line {lineno}: Expecting value") from None
             except _NAMED_ERRORS:
                 raise
             except _FIELD_ERRORS as exc:
@@ -357,9 +358,10 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     record is parsed and checked once, into its (destination, protocol)
     and verdict, or its ladder and terminal; a line adds its source (each
     distinct one parsed once) and a trace's trace_id, a JSON string.
-    Equal addresses and ladders are one shared object. A line that lacks a field, holds a value that
-    does not parse, or cites a body its run has not recorded (see
-    _cited) raises CorruptRecordError naming the file and the line.
+    Equal addresses and ladders are one shared object. A line that lacks
+    a field, holds a value that does not parse, or cites a body its run
+    has not recorded (see _cited) raises CorruptRecordError naming the
+    file and the line.
     """
     run = RunLog(Path(path), run_id, {}, {}, set())
     addresses: Dict[str, Ipv4Address] = {}
