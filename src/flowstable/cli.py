@@ -57,8 +57,9 @@ def _parse_dest(topology: simnet.Topology, text: str) -> simnet.Node:
     resolved once to that endpoint; probes go to its address. A router's
     id or an address that is no endpoint's raises
     DestinationResolutionError, so a command fails before it writes
-    anything."""
-    if not text.isdigit():
+    anything. A node id is ASCII digits: str.isdigit() and int() would
+    also take other scripts' digits, "٣" as node 3."""
+    if not (text.isascii() and text.isdigit()):
         return topology.resolve_destination(Ipv4Address.parse(text))
     node_id = int(text)
     node = topology.nodes.get(node_id)
@@ -73,12 +74,13 @@ def _parse_dest(topology: simnet.Topology, text: str) -> simnet.Node:
 def _int_in(lo: int, hi: Optional[int] = None):
     """An argparse type: an integer of at least lo and, with hi, at most
     hi, checked while the arguments are parsed, so a command refuses it
-    before it writes anything."""
+    before it writes anything. Its digits are ASCII: int() of the text
+    would also read other scripts' digits, "٣" as 3."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
+            value = int(text.encode("ascii"))
+        except ValueError:  # UnicodeEncodeError included
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < lo or (hi is not None and value > hi):
             bounds = f"in {lo}..{hi}" if hi is not None else f">= {lo}"

@@ -3,11 +3,23 @@
 Everything in here is an immutable value object: addresses, flow
 identifiers, packets, probe verdicts. Instances are safe to share
 between concurrent workers.
+
+Ipv4Address, SourceParams and FlowId are tuples of their fields (named
+tuple subclasses with no instance dict), so hashing, equality and order
+run in C: a run's cells are keyed, hashed and sorted by them. Their
+hashes, reprs and sort order are those of the frozen dataclasses they
+replaced, which hashed and compared the same tuples. Every constructor
+they expose (the class, _make, _replace, copy and pickle) checks the
+fields' ranges. Being tuples, each is equal to a plain tuple of the same
+fields, and json would write one as an array: they are never handed to
+json, and a log holds their text (logio writes str(address) and the
+port).
 """
 
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -20,47 +32,68 @@ class Protocol(Enum):
     UDP = 17
 
 
+#: Each application protocol's port, by the protocol's value.
+_APP_PORTS = {"dns": 53, "http": 80, "https": 443}
+
+
 class AppProtocol(Enum):
-    """Application protocol of a probe; fixes transport and port."""
+    """Application protocol of a probe; fixes transport and port, which
+    each member holds as plain attributes (no lookup keyed by a member,
+    whose hash runs in Python)."""
 
     DNS = "dns"
     HTTP = "http"
     HTTPS = "https"
 
-    @property
-    def transport(self) -> Protocol:
-        return Protocol.UDP if self is AppProtocol.DNS else Protocol.TCP
-
-    @property
-    def port(self) -> int:
-        return _APP_PORTS[self]
-
-
-_APP_PORTS = {AppProtocol.DNS: 53, AppProtocol.HTTP: 80, AppProtocol.HTTPS: 443}
+    def __init__(self, value: str) -> None:
+        self.port: int = _APP_PORTS[value]
+        self.transport = Protocol.UDP if value == "dns" else Protocol.TCP
 
 
 #: Ephemeral source-port range planners draw from (inclusive).
 EPHEMERAL_PORT_RANGE = (32768, 60999)
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, order=True)
-class Ipv4Address:
+
+def _checked_make(cls, iterable):
+    return cls(*iterable)
+
+
+def _reduce(self):
+    return type(self), tuple(self)
+
+
+def _fields(typename: str, names: str):
+    """The named-tuple base of a value type whose __new__ checks its
+    fields: its _make (which _replace calls) and its copy and pickle
+    construct through that __new__, never around it."""
+    base = namedtuple(typename, names)
+    base._make = classmethod(_checked_make)
+    base.__reduce__ = _reduce
+    return base
+
+
+class Ipv4Address(_fields("Ipv4Address", "value")):
     """An IPv4 address held as a 32-bit unsigned integer."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 0xFFFFFFFF:
-            raise ValueError(f"address out of range: {self.value}")
+    def __new__(cls, value: int) -> "Ipv4Address":
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise ValueError(f"address out of range: {value}")
+        return _tuple_new(cls, (value,))
 
     @classmethod
     def parse(cls, dotted: str) -> "Ipv4Address":
+        """A dotted quad of ASCII decimal octets, 0 to 255, with no sign,
+        space or leading zero."""
         parts = dotted.split(".")
         if len(parts) != 4:
             raise ValueError(f"not a dotted quad: {dotted!r}")
         value = 0
         for part in parts:
-            if not part.isdigit() or (len(part) > 1 and part[0] == "0"):
+            if not (part.isascii() and part.isdigit()) or (len(part) > 1 and part[0] == "0"):
                 raise ValueError(f"bad octet {part!r} in {dotted!r}")
             octet = int(part)
             if octet > 255:
@@ -86,20 +119,17 @@ class Ipv4Address:
         return self.value.to_bytes(4, "big")
 
 
-@dataclass(frozen=True, order=True)
-class FlowId:
+class FlowId(_fields("FlowId", "src_ip dst_ip src_port dst_port protocol")):
     """The 5-tuple routers hash when picking an ECMP next hop."""
 
-    src_ip: Ipv4Address
-    dst_ip: Ipv4Address
-    src_port: int
-    dst_port: int
-    protocol: Protocol
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for port in (self.src_port, self.dst_port):
+    def __new__(cls, src_ip: Ipv4Address, dst_ip: Ipv4Address, src_port: int,
+                dst_port: int, protocol: Protocol) -> "FlowId":
+        for port in (src_port, dst_port):
             if not 0 <= port <= 0xFFFF:
                 raise ValueError(f"port out of range: {port}")
+        return _tuple_new(cls, (src_ip, dst_ip, src_port, dst_port, protocol))
 
     def to_bytes(self) -> bytes:
         """Canonical 13-byte layout: ips, ports big-endian, protocol number."""
@@ -113,16 +143,15 @@ class FlowId:
         )
 
 
-@dataclass(frozen=True, order=True)
-class SourceParams:
+class SourceParams(_fields("SourceParams", "src_ip src_port")):
     """The prober-controlled half of a flow: source IP and port."""
 
-    src_ip: Ipv4Address
-    src_port: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.src_port <= 0xFFFF:
-            raise ValueError(f"port out of range: {self.src_port}")
+    def __new__(cls, src_ip: Ipv4Address, src_port: int) -> "SourceParams":
+        if not 0 <= src_port <= 0xFFFF:
+            raise ValueError(f"port out of range: {src_port}")
+        return _tuple_new(cls, (src_ip, src_port))
 
     def __str__(self) -> str:
         return f"{self.src_ip}:{self.src_port}"

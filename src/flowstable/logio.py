@@ -112,8 +112,17 @@ class RunLog:
 
 
 def make_record(record_kind: str, run_id: str, /, **payload) -> Dict:
+    """A meta or body record holding payload's fields. No field, and no
+    item of a list field, may be a tuple, which json would write as an
+    array: core's Ipv4Address, SourceParams and FlowId are tuples, and a
+    record holds their text (str(address), a port)."""
     if record_kind not in _LINE_KINDS:
         raise ValueError(f"unknown record kind {record_kind!r}")
+    for name, value in payload.items():
+        if isinstance(value, tuple) or (
+                type(value) is list and any(isinstance(item, tuple) for item in value)):
+            raise TypeError(f"field {name!r} of a {record_kind} record holds a tuple; "
+                            f"a record holds its text")
     record = {"record_kind": record_kind, "run_id": run_id, "schema_version": SCHEMA_VERSION}
     record.update(payload)
     return record

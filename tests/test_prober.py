@@ -5,6 +5,7 @@ import pytest
 from flowstable.analysis import no_censorship_fraction
 from flowstable.core import (
     AppProtocol,
+    FlowId,
     Ipv4Address,
     Mechanism,
     Packet,
@@ -195,15 +196,15 @@ class TestRunProbe:
             Cell(AppProtocol.HTTP, topo.nodes[3].address, DOMAINS, repetitions=0)
 
     def test_session_rejects_packet_of_another_flow(self):
-        import dataclasses
-
         topo = load_fixture("chain.topo")
         spec = spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0])
         session = Session(compile_route(topo, spec.flow))
-        same = dataclasses.replace(spec.flow)
+        flow = spec.flow
+        same = FlowId(flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port, flow.protocol)
         assert same is not spec.flow
         assert session.send(Packet(same, ttl=64, kind=PacketKind.TCP_SYN)).responses
-        other = dataclasses.replace(spec.flow, src_port=spec.flow.src_port + 1)
+        other = FlowId(flow.src_ip, flow.dst_ip, flow.src_port + 1, flow.dst_port,
+                       flow.protocol)
         with pytest.raises(ValueError):
             session.send(Packet(other, ttl=64, kind=PacketKind.TCP_SYN))
 
