@@ -6,6 +6,63 @@ deliberately not importing anything from the package under test.
 
 import hashlib
 import json
+import struct
+from dataclasses import dataclass
+
+# --- flow identities as frozen dataclasses ----------------------------------
+# The value types as they were written before they became tuples: hash,
+# equality, order, str, repr and bytes of the package's types must equal
+# these, so set order, run ids and every output byte stay as they were.
+# A FlowId's protocol is whatever the caller passes (the package's
+# Protocol member), so the two hash and compare it alike.
+
+
+@dataclass(frozen=True, order=True)
+class Ipv4Address:
+    value: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.value <= 0xFFFFFFFF:
+            raise ValueError(f"address out of range: {self.value}")
+
+    def __str__(self) -> str:
+        v = self.value
+        return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+
+    def to_bytes(self) -> bytes:
+        return self.value.to_bytes(4, "big")
+
+
+@dataclass(frozen=True, order=True)
+class FlowId:
+    src_ip: Ipv4Address
+    dst_ip: Ipv4Address
+    src_port: int
+    dst_port: int
+    protocol: object
+
+    def __post_init__(self) -> None:
+        for port in (self.src_port, self.dst_port):
+            if not 0 <= port <= 0xFFFF:
+                raise ValueError(f"port out of range: {port}")
+
+    def to_bytes(self) -> bytes:
+        return struct.pack(">IIHHB", self.src_ip.value, self.dst_ip.value, self.src_port,
+                           self.dst_port, self.protocol.value)
+
+
+@dataclass(frozen=True, order=True)
+class SourceParams:
+    src_ip: Ipv4Address
+    src_port: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.src_port <= 0xFFFF:
+            raise ValueError(f"port out of range: {self.src_port}")
+
+    def __str__(self) -> str:
+        return f"{self.src_ip}:{self.src_port}"
+
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3

@@ -513,6 +513,11 @@ class TestRefusedBeforeWriting:
         *(pytest.param(command, "half_split.topo", "10.0.3.7",
                        "no endpoint has address 10.0.3.7", id=f"{command}-address")
           for command in ("rq1", "rq2", "trace")),
+        # Arabic-Indic three: half_split's node 3 is an endpoint, but a
+        # node id is ASCII digits.
+        *(pytest.param(command, "half_split.topo", "\u0663",
+                       "not a dotted quad: '\u0663'", id=f"{command}-non-ascii-id")
+          for command in ("rq1", "rq2", "trace")),
     ])
     def test_router_destination_writes_no_log(self, tmp_path, capsys, command, topology,
                                               dest, message):
@@ -540,6 +545,9 @@ class TestRefusedBeforeWriting:
         ("trace", ["--src-port", "70000"]), ("trace", ["--src-port", "-1"]),
         ("trace", ["--src-port", "abc"]), ("trace", ["--src-ip", "198.51.100.300"]),
         ("trace", ["--src-ip", "198.51.100"]),
+        # fullwidth digits, which int() and str.isdigit() would take
+        ("trace", ["--src-port", "\uff14\uff10\uff10\uff10\uff10"]),
+        ("trace", ["--src-ip", "198.51.100.\uff17"]), ("rq1", ["--seed", "\uff11"]),
     ])
     def test_out_of_range_count_writes_no_log(self, tmp_path, capsys, command, flag):
         log = tmp_path / "a.log"

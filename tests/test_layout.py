@@ -4,18 +4,21 @@ package sits at module level, and its modules import each other
 without a cycle. The loss key has one home, simnet, and so has the
 outcome of a loss draw; whether a packet reached its destination is
 decided in prober alone; logio decodes each log line at one call site.
-And the benchmark's span wrappers (perfbench/spans.py) still find every
-name they patch."""
+The flow identities hash, compare and order in C. And the benchmark's
+span wrappers (perfbench/spans.py) still find every name they patch."""
 
 import ast
 import graphlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from flowstable import core
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -118,6 +121,16 @@ def test_draw_outcome_and_reached_have_one_home():
     if "simnet" in _package_imports("tracer", modules["tracer"], modules):
         found.append("tracer: imports simnet")
     assert found == []
+
+
+@pytest.mark.parametrize("name", ["Ipv4Address", "SourceParams", "FlowId"])
+def test_flow_identities_hash_compare_and_order_in_c(name):
+    # A run keys, hashes and sorts its cells by these; a dunder written
+    # in Python (or generated by dataclass) costs a frame per call.
+    cls = getattr(core, name)
+    assert [method for method in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__",
+                                  "__gt__", "__ge__")
+            if inspect.isfunction(getattr(cls, method))] == []
 
 
 #: What decodes JSON: json's functions, its decoder class and module,

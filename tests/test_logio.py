@@ -124,6 +124,16 @@ def test_unknown_record_kind_rejected():
         logio.make_record("bogus", "r")
 
 
+# json would write an address, a source or a flow as an array: a record
+# holds their text.
+@pytest.mark.parametrize("payload", [
+    {"dest": DST}, {"dests": ["10.0.3.4", DST]},
+    {"source": SourceParams(DST, 1)}, {"pair": (1, 2)}])
+def test_record_refuses_a_tuple_field(payload):
+    with pytest.raises(TypeError, match="holds a tuple"):
+        logio.make_record(logio.KIND_META, "r", **payload)
+
+
 def test_trace_rows_round_trip(tmp_path):
     trace = TracePath(
         dst_ip=DST,
@@ -301,6 +311,13 @@ class TestMalformedRecord:
 
     def test_bad_address(self, tmp_path):
         assert "10.0.3.256" in self.read(tmp_path, _verdict_line(src_ip="10.0.3.256"))
+
+    # An address is ASCII digits: str.isdigit() and int() would read
+    # Arabic-Indic "١٠" as 10 and fullwidth "１" as 1.
+    @pytest.mark.parametrize("src_ip", ["\u0661\u0660.0.0.1", "10.0.0.\uff11"])
+    @pytest.mark.parametrize("line", [_verdict_line, _trace_line])
+    def test_address_of_other_scripts_digits(self, tmp_path, line, src_ip):
+        assert repr(src_ip) in self.read(tmp_path, line(src_ip=src_ip), good_line=line())
 
     def test_bad_port(self, tmp_path):
         assert "port out of range" in self.read(tmp_path, _verdict_line(src_port=70000))
