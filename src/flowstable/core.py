@@ -158,6 +158,10 @@ class SourceParams(_fields("SourceParams", "src_ip src_port")):
 
 
 class PacketKind(Enum):
+    """What a packet is. Each member holds its value's ASCII bytes as a
+    plain attribute, encoded: a key that hashes in C, where a member's
+    own hash runs in Python."""
+
     TCP_SYN = "tcp_syn"
     TCP_SYNACK = "tcp_synack"
     TCP_ACK = "tcp_ack"
@@ -167,6 +171,9 @@ class PacketKind(Enum):
     ICMP_TTL_EXCEEDED = "icmp_ttl_exceeded"
     DNS_RESPONSE = "dns_response"
     HTTP_RESPONSE = "http_response"
+
+    def __init__(self, value: str) -> None:
+        self.encoded: bytes = value.encode()
 
 
 class Sensitivity(Enum):

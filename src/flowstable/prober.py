@@ -308,8 +308,9 @@ class Session:
     def __init__(self, route: Route) -> None:
         self.route = route
         self.flow = route.flow
-        #: The origin's reply to each (kind, body_tag) of probe, built once.
-        self._replies: Dict[Tuple[PacketKind, str], Optional[Packet]] = {}
+        #: The origin's reply to each (kind, body_tag) of probe, built once;
+        #: keyed by the kind's bytes, which hash in C.
+        self._replies: Dict[Tuple[bytes, str], Optional[Packet]] = {}
         self.epoch = 0
         self.residual: Dict[CensorRule, int] = {}
         self.draws: Dict[DrawPoint, bool] = {}
@@ -334,7 +335,7 @@ class Session:
             if injected is not None:
                 responses.append(injected)
         if reached:
-            key = (packet.kind, packet.body_tag)
+            key = (packet.kind.encoded, packet.body_tag)
             if key not in self._replies:
                 self._replies[key] = self._origin_response(packet)
             origin = self._replies[key]
@@ -532,5 +533,7 @@ def classify(
 def is_affected(matrix: Mapping[SourceParams, Verdict]) -> bool:
     """A destination is affected by routing iff the matrix holds both
     Censored and NotCensored cells (Excluded cells are ignored)."""
-    kinds = {v.kind for v in matrix.values()}
+    # A list, not a set: `in` finds a member by identity, without the
+    # member's hash, which runs in Python.
+    kinds = [v.kind for v in matrix.values()]
     return VerdictKind.CENSORED in kinds and VerdictKind.NOT_CENSORED in kinds

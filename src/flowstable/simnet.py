@@ -20,9 +20,13 @@ the only state a walk changes is the residual-censorship map its caller
 passes in. oracle_paths() is the route ground truth the tracer is
 checked against. A DrawTree keeps the values of runs on one route by
 the outcomes of the loss draws each consulted; looking a flow up there
-costs one of its own draw keys per draw point on its way, and the value
+costs one hash of its own flow bytes and key tail per draw point on its
+way, into a hasher its node prefilled with the key's head, and the value
 it finds is the one its own run gives, since nothing else a run meets
-depends on the flow.
+depends on the flow. Every outcome, in a stream and in a tree, is one
+comparison of a key's 8-byte digest with its hop's drop threshold
+(drop_threshold), which gives what comparing the key's draw with the
+drop probability would, with no float.
 """
 
 from __future__ import annotations
@@ -296,19 +300,22 @@ class Topology:
     def hop_table(self, flow: FlowId) -> Dict[NodeId, "Hop"]:
         """The Hop of every node for flows with flow's transport and
         destination port, the only parts of a flow a hop depends on;
-        built on the first call per (transport, port) and kept."""
+        built on the first call per (transport, port) and kept, with
+        each node's drop threshold computed once."""
         key = (flow.protocol, flow.dst_port)
         table = self._hop_tables.get(key)
         if table is None:
             table = {}
             for node_id, node in self.nodes.items():
                 rules = tuple(r for r in self.censors_at(node_id) if r.can_fire_on(flow))
+                p = self.loss.get(node_id, 0.0)
                 table[node_id] = Hop(
                     node_id,
                     rules,
                     node.role is Role.ENDPOINT,
                     node.responsive,
-                    self.loss.get(node_id, 0.0),
+                    p,
+                    drop_threshold(p),
                 )
             self._hop_tables[key] = table
         return table
@@ -325,10 +332,6 @@ class Topology:
         return owners[0]
 
 
-#: A packet kind's bytes in the loss key.
-_KIND_KEY = {kind: kind.value.encode() for kind in PacketKind}
-
-
 def loss_key_parts(
     seed: int, epoch: int, kind: PacketKind, ip_id: int, node: NodeId
 ) -> Tuple[bytes, bytes]:
@@ -336,34 +339,75 @@ def loss_key_parts(
     head + flow_bytes + tail, laid out as
     seed(8)|epoch(8, signed)|flow(13)|kind|ip_id(2)|loss|node(8), with
     integers big-endian, flow as FlowId.to_bytes(), kind as the packet
-    kind's value and `|` a literal separator. The only place the key's
-    layout is written down."""
+    kind's value (PacketKind.encoded) and `|` a literal separator. The
+    only place the key's layout is written down."""
     head = seed.to_bytes(8, "big") + b"|" + epoch.to_bytes(8, "big", signed=True) + b"|"
-    tail = (b"|" + _KIND_KEY[kind] + b"|" + ip_id.to_bytes(2, "big") + b"|loss|"
+    tail = (b"|" + kind.encoded + b"|" + ip_id.to_bytes(2, "big") + b"|loss|"
             + node.to_bytes(8, "big"))
     return head, tail
 
 
+def _loss_hasher(data: bytes):
+    """The loss hash, blake2b with an 8-byte digest, fed data."""
+    return hashlib.blake2b(data, digest_size=8)
+
+
+def _draw(value: int) -> float:
+    """The draw of an 8-byte digest read as a big-endian integer."""
+    return value / float(1 << 64)
+
+
 def draw_key(key: bytes) -> float:
-    """The uniform draw in [0, 1) of one loss key: its blake2b 8-byte
-    digest, big-endian, over 2**64."""
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / float(1 << 64)
+    """The uniform draw of one loss key, which defines a draw's outcome:
+    its 8-byte loss digest, big-endian, over 2**64. The division rounds
+    to the nearest float, so the 1,024 largest digests (those >= 2**64 -
+    1024) draw exactly 1.0, and draws lie in [0, 1]. A packet drops
+    where its draw is below its hop's drop probability p; a run decides
+    that by comparing the digest with drop_threshold(p), with no float."""
+    return _draw(int.from_bytes(_loss_hasher(key).digest(), "big"))
+
+
+#: Above every 8-byte digest: bytes compare in order, and a proper
+#: prefix is less, so b"\xff" * 8 is below it too.
+_ABOVE_EVERY_DIGEST = b"\xff" * 9
+
+
+def drop_threshold(p: float) -> bytes:
+    """The drop threshold of probability p: the least 8-byte digest
+    (big-endian) whose draw is at least p, so a digest is below it
+    exactly where its draw is below p. Found by bisection on the draw's
+    own arithmetic (_draw), since p * 2**64 rounds otherwise than the
+    draw does. For p >= 1 it lies above every digest, so every packet
+    drops, the 1,024 whose draw rounds to 1.0 included."""
+    if p >= 1.0:
+        return _ABOVE_EVERY_DIGEST
+    # _draw(2**64 - 1) is 1.0, so the least such digest is at most that.
+    lo, hi = 0, _U64
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if _draw(mid) < p:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo.to_bytes(8, "big")
 
 
 #: Where a packet drew loss: its key's parts around the flow's bytes
-#: (loss_key_parts) and the hop's drop probability.
-DrawPoint = Tuple[bytes, bytes, float]
+#: (loss_key_parts) and the hop's drop threshold (drop_threshold).
+DrawPoint = Tuple[bytes, bytes, bytes]
 
 
 class _Draw:
-    """An inner node of a DrawTree: a draw point and the subtree of each
-    outcome there, indexed by whether the draw dropped."""
+    """An inner node of a DrawTree: a draw point, held as a loss hasher
+    prefilled with the key's head, the key's tail and the threshold, and
+    the subtree of each outcome there, indexed by whether the draw
+    dropped."""
 
-    __slots__ = ("point", "branches")
+    __slots__ = ("hasher", "tail", "threshold", "branches")
 
     def __init__(self, point: DrawPoint) -> None:
-        self.point = point
+        head, self.tail, self.threshold = point
+        self.hasher = _loss_hasher(head)
         self.branches: List[object] = [None, None]
 
 
@@ -381,8 +425,11 @@ class DrawTree:
     its outcomes (pass, drop), and a path ends in the run's value
     itself, never None. A point a run consults again gives its flow the
     same outcome, so it appears once on a path. find() follows a flow's
-    own outcomes down the tree, one draw key per inner node on its path;
-    graft() adds a run's path.
+    own outcomes down the tree: at each inner node on its path it copies
+    the node's hasher, which already holds the key's head, feeds it the
+    flow's bytes and the key's tail, and compares the digest with the
+    node's threshold, the comparison LossStream.uniform makes; graft()
+    adds a run's path.
     """
 
     def __init__(self) -> None:
@@ -396,8 +443,9 @@ class DrawTree:
         if type(node) is _Draw:
             flow_bytes = flow.to_bytes()
             while type(node) is _Draw:
-                head, tail, p = node.point
-                node = node.branches[draw_key(head + flow_bytes + tail) < p]
+                hasher = node.hasher.copy()
+                hasher.update(flow_bytes + node.tail)
+                node = node.branches[hasher.digest() < node.threshold]
         return node
 
     def graft(self, draws: Mapping[DrawPoint, bool], value: object) -> None:
@@ -424,9 +472,11 @@ class LossStream:
 
     flow_bytes are the flow's serialized bytes, FlowId.to_bytes(): a
     session passes its route's, built once (Route.flow_bytes, None on a
-    route where no hop draws). uniform(node, p) records the draw's point
-    in draws, its session's map (a DrawTree path), with whether it
-    dropped the packet, in the order first drawn.
+    route where no hop draws). uniform(node, threshold) decides the draw
+    at a node by comparing its key's 8-byte digest with the hop's drop
+    threshold (Hop.threshold), the one rule for an outcome, and records
+    the draw's point in draws, its session's map (a DrawTree path), with
+    whether it dropped the packet, in the order first drawn.
     """
 
     def __init__(self, seed: int, epoch: int, packet: Packet,
@@ -437,13 +487,14 @@ class LossStream:
         self._draws = draws
         self.epoch = epoch
 
-    def uniform(self, node: NodeId, p: float) -> float:
-        """The draw at node, recorded as a drop when below p, the node's drop probability."""
+    def uniform(self, node: NodeId, threshold: bytes) -> bool:
+        """Whether the draw at node drops the packet: its key's digest is
+        below threshold, the node's drop threshold. Recorded in draws."""
         packet = self._packet
         head, tail = loss_key_parts(self._seed, self.epoch, packet.kind, packet.ip_id, node)
-        draw = draw_key(head + self._flow_bytes + tail)
-        self._draws.setdefault((head, tail, p), draw < p)
-        return draw
+        dropped = _loss_hasher(head + self._flow_bytes + tail).digest() < threshold
+        self._draws.setdefault((head, tail, threshold), dropped)
+        return dropped
 
 
 def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
@@ -500,6 +551,8 @@ class Hop(NamedTuple):
     responsive: bool
     #: Drop probability; 0.0 where the document lists no loss.
     loss: float
+    #: drop_threshold(loss): a draw here drops where its digest is below it.
+    threshold: bytes
 
 
 @dataclass(frozen=True)
@@ -548,7 +601,8 @@ def forward(
     Per hop, in order: record the hop; consult the hop's censor rules (a
     silent drop consumes the packet, injections do not); deliver if the
     hop is an endpoint; decrement TTL and expire responsively or not;
-    draw loss if the hop has any; move on to the next hop. A packet that
+    draw loss if the hop has any, lost where the stream's outcome is a
+    drop (LossStream.uniform); move on to the next hop. A packet that
     outlives a route cut by the loop guard raises
     LoopGuardExceededError. residual is the sending session's
     residual-censorship map (see censors.apply).
@@ -561,7 +615,7 @@ def forward(
     epoch = rng_stream.epoch
     hops = path.hops
     for depth, node_id in enumerate(path.nodes, start=1):
-        _, rules, endpoint, responsive, p = hops[node_id]
+        _, rules, endpoint, responsive, p, threshold = hops[node_id]
         if rules:
             consumed = False
             for rule in rules:
@@ -596,7 +650,7 @@ def forward(
                 TransitKind.TTL_EXCEEDED, path.nodes[:depth], tuple(events), icmp
             )
 
-        if p > 0.0 and rng_stream.uniform(node_id, p) < p:
+        if p > 0.0 and rng_stream.uniform(node_id, threshold):
             return TransitResult(TransitKind.LOST, path.nodes[:depth], tuple(events))
     raise LoopGuardExceededError(f"packet exceeded {LOOP_GUARD} hops")
 

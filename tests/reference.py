@@ -106,8 +106,25 @@ def loss_uniform(seed: int, epoch: int, flow: bytes, kind: str, ip_id: int, node
         b"loss",
         node.to_bytes(8, "big"),
     ])
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2**64
+    return digest_draw(int.from_bytes(loss_digest(key), "big"))
+
+
+def loss_digest(key: bytes) -> bytes:
+    """A loss key's blake2b digest, 8 bytes."""
+    return hashlib.blake2b(key, digest_size=8).digest()
+
+
+def digest_draw(value: int) -> float:
+    """The draw of a digest read as a big-endian integer: value / 2**64,
+    divided as integers, so correctly rounded to the nearest float."""
+    return value / 2**64
+
+
+def is_affected(matrix) -> bool:
+    """Both a censored and a not-censored verdict among the matrix's,
+    by the verdict kinds' values gathered in a set."""
+    kinds = {verdict.kind.value for verdict in matrix.values()}
+    return "censored" in kinds and "not_censored" in kinds
 
 
 #: Byte range of each hashed field in the canonical 13-byte flow layout.

@@ -29,6 +29,7 @@ from flowstable.simnet import (
     TransitKind,
     compile_route,
     draw_key,
+    drop_threshold,
     load_topology,
     loss_key_parts,
     route,
@@ -111,8 +112,9 @@ def reference_forward(topology, doc, packet, epoch, residual, draws):
     the entry with the document's policies (reference.next_hop), looking
     up nodes, censors_at and loss at each node. residual is the
     session's residual map, and draws maps each distinct draw point
-    (head, tail, p) of the session, in the order first drawn, to whether
-    it dropped; both are updated in place."""
+    (head, tail, drop_threshold(p)) of the session, in the order first
+    drawn, to whether it dropped, decided by the float draw against p;
+    both are updated in place."""
     policies = {p["node"]: p for p in doc["policies"]}
     node_id, hops, events, ttl = topology.entry, [], [], packet.ttl
     while True:
@@ -140,7 +142,7 @@ def reference_forward(topology, doc, packet, epoch, residual, draws):
                 head, tail = loss_key_parts(topology.seed, epoch, packet.kind, packet.ip_id,
                                             node_id)
                 dropped = draw_key(head + packet.flow.to_bytes() + tail) < p
-                draws.setdefault((head, tail, p), dropped)
+                draws.setdefault((head, tail, drop_threshold(p)), dropped)
                 if dropped:
                     fate = TransitKind.LOST
         if fate is not None:

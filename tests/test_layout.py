@@ -88,20 +88,35 @@ def test_module_imports_have_no_cycle():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+#: The functions outside simnet that may hash with blake2b: a run id and
+#: a planner's random stream, neither of them a loss draw.
+_OTHER_BLAKE2B = {"cli._run_id", "experiments._rng"}
+
+
+def _names_in(tree):
+    """(enclosing top-level function or None, name) for every name tree
+    imports, reads as an attribute or refers to."""
+    for top in tree.body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                yield from ((scope, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                yield scope, node.attr
+            elif isinstance(node, ast.Name):
+                yield scope, node.id
+
+
 def test_loss_key_has_one_home():
-    # Only simnet lays out or hashes a loss key; others look a flow's
-    # own draws up in a tree of recorded draw points (simnet.DrawTree).
-    names = {"loss_key_parts", "draw_key"}
+    # Only simnet lays out or hashes a loss key, or computes a drop
+    # threshold; others look a flow's own draws up in a tree of recorded
+    # draw points (simnet.DrawTree).
+    names = {"loss_key_parts", "draw_key", "drop_threshold"}
     found = sorted(
         f"{module}: {name}"
         for module, tree in _parsed_modules().items() if module != "simnet"
-        for node in ast.walk(tree)
-        for name in (
-            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
-            else [node.attr] if isinstance(node, ast.Attribute)
-            else [node.id] if isinstance(node, ast.Name) else []
-        )
-        if name in names
+        for scope, name in _names_in(tree)
+        if name in names or name == "blake2b" and f"{module}.{scope}" not in _OTHER_BLAKE2B
     )
     assert found == []
 

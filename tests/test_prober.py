@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowstable.analysis import no_censorship_fraction
 from flowstable.core import (
@@ -12,6 +14,8 @@ from flowstable.core import (
     PacketKind,
     Sensitivity,
     SourceParams,
+    Verdict,
+    VerdictKind,
 )
 from flowstable.censors import Health
 from builders import random_topology
@@ -34,6 +38,7 @@ from flowstable.prober import (
 from flowstable.simnet import compile_route
 
 from conftest import flapping, load_fixture
+from reference import is_affected as reference_is_affected
 
 PARAMS = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
 DOMAINS = ("control.example", "blocked.example")
@@ -244,6 +249,27 @@ class TestVerdictMatrix:
         matrix = verdict_grid(topo.nodes[3].address, grid, AppProtocol.HTTPS, transport)
         assert all(v.is_not_censored for v in matrix.values())
         assert not is_affected(matrix)
+
+
+#: One verdict of each kind.
+_VERDICTS = {
+    VerdictKind.CENSORED: Verdict.censored(Mechanism.RST_INJECTION),
+    VerdictKind.NOT_CENSORED: Verdict.not_censored(),
+    VerdictKind.EXCLUDED: Verdict.excluded(),
+}
+
+
+def _matrix(kinds):
+    return {SourceParams(Ipv4Address(0xC6336400 + i), 40000): _VERDICTS[kind]
+            for i, kind in enumerate(kinds)}
+
+
+class TestIsAffected:
+    @given(st.lists(st.sampled_from(list(VerdictKind)), max_size=40))
+    def test_matches_set_reference(self, kinds):
+        # Every mix of kinds, each any number of times, in any order.
+        matrix = _matrix(kinds)
+        assert is_affected(matrix) == reference_is_affected(matrix)
 
 
 class TestGroundTruth:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from builders import random_topology
 from flowstable.simnet import (
     LOOP_GUARD,
     DanglingNodeRefError,
+    DrawTree,
     LoopGuardExceededError,
     EmptyNextHopsError,
     HashField,
@@ -22,6 +25,7 @@ from flowstable.simnet import (
     TransitKind,
     compile_route,
     draw_key,
+    drop_threshold,
     fnv1a_64,
     forward,
     load_topology,
@@ -31,7 +35,8 @@ from flowstable.simnet import (
 )
 
 from conftest import load_fixture
-from reference import FLOW_SLICES, flow_bytes, fnv1a64 as fnv_reference, loss_uniform
+from reference import FLOW_SLICES, digest_draw, flow_bytes, fnv1a64 as fnv_reference
+from reference import loss_digest, loss_uniform
 from reference import next_hop as reference_next_hop, walk as reference_walk
 
 
@@ -453,10 +458,11 @@ class TestLoss:
         packet = Packet(make_flow(), ttl=9, kind=PacketKind.TCP_PAYLOAD)
         s1 = LossStream(1, 2, packet, packet.flow.to_bytes(), {})
         s2 = LossStream(1, 2, packet, packet.flow.to_bytes(), {})
-        values = [s1.uniform(n, 0.5) for n in range(500)]
-        assert values == [s2.uniform(n, 0.5) for n in range(500)]
-        assert all(0.0 <= v < 1.0 for v in values)
-        assert 0.35 < sum(values) / len(values) < 0.65
+        half = drop_threshold(0.5)
+        dropped = [s1.uniform(n, half) for n in range(500)]
+        assert dropped == [s2.uniform(n, half) for n in range(500)]
+        assert all(type(d) is bool for d in dropped)
+        assert 0.35 < sum(dropped) / len(dropped) < 0.65
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**63 - 1),
@@ -481,11 +487,93 @@ class TestLoss:
         stream = LossStream(seed, epoch, packet, raw, draws)
         expected = loss_uniform(seed, epoch, raw, kind.value, ip_id, node)
         after = loss_uniform(seed, epoch, raw, kind.value, ip_id, node + 1)
-        assert stream.uniform(node, 0.5) == expected
-        assert stream.uniform(node + 1, 0.25) == after
-        assert stream.uniform(node, 0.5) == expected
+        half, quarter = drop_threshold(0.5), drop_threshold(0.25)
+        assert stream.uniform(node, half) == (expected < 0.5)
+        assert stream.uniform(node + 1, quarter) == (after < 0.25)
+        assert stream.uniform(node, half) == (expected < 0.5)
         # each distinct draw point once, in the order first drawn, with
         # whether its draw dropped the packet
         assert list(draws.items()) == [
-            ((*loss_key_parts(seed, epoch, kind, ip_id, node), 0.5), expected < 0.5),
-            ((*loss_key_parts(seed, epoch, kind, ip_id, node + 1), 0.25), after < 0.25)]
+            ((*loss_key_parts(seed, epoch, kind, ip_id, node), half), expected < 0.5),
+            ((*loss_key_parts(seed, epoch, kind, ip_id, node + 1), quarter), after < 0.25)]
+
+
+def _value(threshold):
+    return int.from_bytes(threshold, "big")
+
+
+class TestDropThreshold:
+    """A draw drops where its digest is below drop_threshold(p), which
+    must be exactly where its float draw is below p."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.binary(max_size=64))
+    def test_digest_below_threshold_iff_draw_below_p(self, p, key):
+        assert (loss_digest(key) < drop_threshold(p)) == (draw_key(key) < p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_threshold_is_the_least_digest_that_draws_p(self, p):
+        threshold = drop_threshold(p)
+        value = _value(threshold)
+        assert len(threshold) == 8
+        assert digest_draw(value) >= p
+        assert digest_draw(value - 1) < p
+
+    @pytest.mark.parametrize("p, expected", [
+        pytest.param(2.0**-64, 1, id="2**-64"),
+        pytest.param(math.ulp(0.0), 1, id="subnormal"),
+        # Floats below 2**64 are 2**11 apart, so digests from half a step
+        # below 2**64 - 2**11 round up to it; the tie rounds to even, down.
+        pytest.param(1.0 - 2.0**-53, 2**64 - 3 * 2**10 + 1, id="1-2**-53"),
+    ])
+    def test_edges(self, p, expected):
+        threshold = drop_threshold(p)
+        assert _value(threshold) == expected
+        below, at = (expected - 1).to_bytes(8, "big"), expected.to_bytes(8, "big")
+        assert below < threshold and digest_draw(expected - 1) < p
+        assert not at < threshold and digest_draw(expected) >= p
+
+    def test_p_one_drops_every_digest(self):
+        # The largest digests draw exactly 1.0, not below p = 1.0; they drop all the same.
+        top = b"\xff" * 8
+        assert digest_draw(_value(top)) == 1.0
+        assert top < drop_threshold(1.0)
+        assert bytes(8) < drop_threshold(1.0)
+
+    def test_p_zero_drops_nothing(self):
+        assert drop_threshold(0.0) == bytes(8)
+
+    def test_digest_at_threshold_passes_and_below_drops(self):
+        # A stream and a tree compare the digest with the threshold
+        # strictly: equal passes, one above it drops.
+        packet = Packet(make_flow(), ttl=9, kind=PacketKind.TCP_PAYLOAD)
+        raw = packet.flow.to_bytes()
+        head, tail = loss_key_parts(7, 1, packet.kind, packet.ip_id, 3)
+        digest = loss_digest(head + raw + tail)
+        above = (_value(digest) + 1).to_bytes(8, "big")
+        for threshold, dropped in ((digest, False), (above, True)):
+            draws = {}
+            assert LossStream(7, 1, packet, raw, draws).uniform(3, threshold) is dropped
+            assert draws == {(head, tail, threshold): dropped}
+            tree = DrawTree()
+            tree.graft({(head, tail, threshold): False}, "passed")
+            tree.graft({(head, tail, threshold): True}, "dropped")
+            assert tree.find(packet.flow) == ("dropped" if dropped else "passed")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**16 - 1), st.integers(1, 2**16))
+    def test_stream_and_tree_drop_where_the_draw_is_below_p(self, p, seed, src_port, node):
+        flow = make_flow(src_port=src_port)
+        packet = Packet(flow, ttl=9, kind=PacketKind.TCP_SYN)
+        raw = flow.to_bytes()
+        expected = loss_uniform(seed, 2, raw, "tcp_syn", 0, node) < p or p == 1.0
+        draws = {}
+        assert LossStream(seed, 2, packet, raw, draws).uniform(node, drop_threshold(p)) \
+            is expected
+        tree = DrawTree()
+        tree.graft(draws, "first")
+        ((point, dropped),) = draws.items()
+        tree.graft({point: not dropped}, "second")
+        assert tree.find(flow) == "first"
