@@ -370,6 +370,7 @@ def draw_key(key: bytes) -> float:
 #: Above every 8-byte digest: bytes compare in order, and a proper
 #: prefix is less, so b"\xff" * 8 is below it too.
 _ABOVE_EVERY_DIGEST = b"\xff" * 9
+_ZERO_DIGEST = bytes(8)
 
 
 def drop_threshold(p: float) -> bytes:
@@ -378,9 +379,12 @@ def drop_threshold(p: float) -> bytes:
     exactly where its draw is below p. Found by bisection on the draw's
     own arithmetic (_draw), since p * 2**64 rounds otherwise than the
     draw does. For p >= 1 it lies above every digest, so every packet
-    drops, the 1,024 whose draw rounds to 1.0 included."""
+    drops, the 1,024 whose draw rounds to 1.0 included. For p <= 0 it is
+    the zero digest, without a search: most hops have no loss."""
     if p >= 1.0:
         return _ABOVE_EVERY_DIGEST
+    if p <= 0.0:
+        return _ZERO_DIGEST
     # _draw(2**64 - 1) is 1.0, so the least such digest is at most that.
     lo, hi = 0, _U64
     while lo < hi:
