@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import random
@@ -546,7 +545,8 @@ class TestDropThreshold:
 
     def test_digest_at_threshold_passes_and_below_drops(self):
         # A stream and a tree compare the digest with the threshold
-        # strictly: equal passes, one above it drops.
+        # strictly: a threshold equal to the digest passes the draw, one
+        # above it drops it.
         packet = Packet(make_flow(), ttl=9, kind=PacketKind.TCP_PAYLOAD)
         raw = packet.flow.to_bytes()
         head, tail = loss_key_parts(7, 1, packet.kind, packet.ip_id, 3)
