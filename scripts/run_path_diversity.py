@@ -14,13 +14,20 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from flowstable import logio
-from flowstable.analysis import num_nodes, num_paths
+from flowstable.analysis import EmptyPathSetError, PathSet, num_paths
 from flowstable.core import AppProtocol
 from flowstable.experiments import plan_rq1, run_rq1
 from flowstable.prober import SimTransport
 from flowstable.simnet import Role, load_topology
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def num_nodes(pathset: PathSet) -> int:
+    """Size of the union of hops over all groups."""
+    if not pathset.groups:
+        raise EmptyPathSetError("path set has no groups")
+    return len(frozenset().union(*(group.node_set for group in pathset.groups.values())))
 
 
 def main() -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import Ipv4Address, SourceParams, Verdict
 from .simnet import Node
@@ -37,8 +37,7 @@ class AnnotationMissingError(LookupError):
     """A graph node has no topology annotation."""
 
 
-@dataclass(frozen=True)
-class TraceGroup:
+class TraceGroup(NamedTuple):
     """All traces sharing one (destination, source-params) combination."""
 
     params: SourceParams
@@ -68,16 +67,6 @@ def num_paths(pathset: PathSet) -> int:
         raise EmptyPathSetError("path set has no groups")
     by_ladder = {t.hops: t for group in pathset.groups.values() for t in group.traces}
     return len({t.node_set for t in by_ladder.values()})
-
-
-def num_nodes(pathset: PathSet) -> int:
-    """Size of the union of hops over all groups."""
-    if not pathset.groups:
-        raise EmptyPathSetError("path set has no groups")
-    union: Set[int] = set()
-    for group in pathset.groups.values():
-        union |= group.node_set
-    return len(union)
 
 
 def no_censorship_fraction(matrix: Mapping[SourceParams, Verdict]) -> Fraction:
@@ -133,14 +122,16 @@ def bit_group_summary(
     """
     censored_cells: Dict[str, int] = {}
     affected: Dict[str, Set] = {}
-    seen_groups: Set[str] = set()
+    labels: Dict[SourceParams, str] = {}  # once per source, not per matrix
     for dst, matrix in matrices.items():
         for params, verdict in matrix.items():
-            label = _group_label(params, grouping)
-            seen_groups.add(label)
+            label = labels.get(params)
+            if label is None:
+                label = labels[params] = _group_label(params, grouping)
             if verdict.is_censored:
                 censored_cells[label] = censored_cells.get(label, 0) + 1
                 affected.setdefault(label, set()).add(dst)
+    seen_groups = set(labels.values())
 
     if grouping in (BitGrouping.SRC_IP_LOW3, BitGrouping.SRC_PORT_LOW3):
         expected = {format(i, "03b") for i in range(8)}
@@ -189,19 +180,20 @@ class DualGraph:
 
 
 def _graph_from_groups(groups: Sequence[TraceGroup]) -> Tuple[PathGraph, Dict[int, int]]:
+    """The groups' graph and each node's least depth, walking each
+    distinct ladder once."""
     nodes: Set[int] = set()
     edges: Set[Tuple[int, int]] = set()
     depth: Dict[int, int] = {}
-    for group in groups:
-        for t in group.traces:
-            present = [(pos + 1, h) for pos, h in enumerate(t.hops) if h is not None]
-            for (pos, h) in present:
-                nodes.add(h)
-                if h not in depth or pos < depth[h]:
-                    depth[h] = pos
-            # consecutive present hops; gaps are skipped over
-            for (_, a), (_, b) in zip(present, present[1:]):
-                edges.add((a, b))
+    for hops in {t.hops for group in groups for t in group.traces}:
+        present = [(pos, h) for pos, h in enumerate(hops, start=1) if h is not None]
+        for (pos, h) in present:
+            nodes.add(h)
+            if h not in depth or pos < depth[h]:
+                depth[h] = pos
+        # consecutive present hops; gaps are skipped over
+        for (_, a), (_, b) in zip(present, present[1:]):
+            edges.add((a, b))
     return PathGraph(frozenset(nodes), frozenset(edges)), depth
 
 

@@ -153,12 +153,13 @@ def plan_rq2(
     ports = rng.sample(
         range(EPHEMERAL_PORT_RANGE[0], EPHEMERAL_PORT_RANGE[1] + 1), RQ2_PORT_COUNT
     )
-    grid = tuple(SourceParams(_ip(h), p) for h in octets for p in ports)
+    grid = tuple(SourceParams(ip, p) for ip in map(_ip, octets) for p in ports)
     return Rq2Plan(grid, tuple(destinations), domain_pair)
 
 
-def flow_trace_id(dst_ip: Ipv4Address, protocol: AppProtocol, source: SourceParams) -> str:
-    """The trace id of rq2's trace pass and trace --out."""
+def flow_trace_id(dst_ip: Ipv4Address, protocol: AppProtocol, source) -> str:
+    """The trace id of rq2's trace pass and trace --out; with source ""
+    the start of every id of dst_ip and protocol."""
     return f"{dst_ip}|{protocol.value}|{source}"
 
 
@@ -286,11 +287,12 @@ def trace_affected(
         if not is_affected(matrix):
             continue
         lines = logio.SharedLines(log, dst_ip, protocol)
+        prefix = flow_trace_id(dst_ip, protocol, "")
         for params in sorted(matrix):
             if matrix[params].is_excluded:
                 continue
             take_trace(
-                log, appender, lines, flow_trace_id(dst_ip, protocol, params),
+                log, appender, lines, prefix + str(params),
                 lambda: ProbeSpec(protocol, dst_ip, domain, Sensitivity.SENSITIVE, params),
                 DEFAULT_MAX_TTL, transport,
             )

@@ -324,9 +324,10 @@ class Session:
         comes back. A packet of another flow raises ValueError."""
         if packet.flow is not self.flow and packet.flow != self.flow:
             raise ValueError(f"packet flow {packet.flow} is not the session's flow {self.flow}")
-        route = self.route
-        stream = LossStream(route.seed, self.epoch, packet, route.flow_bytes, self.draws)
-        result = forward(packet, route, stream, self.residual)
+        route, epoch = self.route, self.epoch
+        stream = None if route.flow_bytes is None else LossStream(
+            route.seed, epoch, packet, route.flow_bytes, self.draws)
+        result = forward(packet, route, epoch, stream, self.residual)
         reached = result.kind is TransitKind.DELIVERED and route.at_destination
         responses: List[Packet] = []
         # Injected packets win any race with the origin, so they come first.

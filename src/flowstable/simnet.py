@@ -352,44 +352,31 @@ def _loss_hasher(data: bytes):
     return hashlib.blake2b(data, digest_size=8)
 
 
-def _draw(value: int) -> float:
-    """The draw of an 8-byte digest read as a big-endian integer."""
-    return value / float(1 << 64)
-
-
-def draw_key(key: bytes) -> float:
-    """The uniform draw of one loss key, which defines a draw's outcome:
-    its 8-byte loss digest, big-endian, over 2**64. The division rounds
-    to the nearest float, so the 1,024 largest digests (those >= 2**64 -
-    1024) draw exactly 1.0, and draws lie in [0, 1]. A packet drops
-    where its draw is below its hop's drop probability p; a run decides
-    that by comparing the digest with drop_threshold(p), with no float."""
-    return _draw(int.from_bytes(_loss_hasher(key).digest(), "big"))
-
-
 #: Above every 8-byte digest: bytes compare in order, and a proper
 #: prefix is less, so b"\xff" * 8 is below it too.
 _ABOVE_EVERY_DIGEST = b"\xff" * 9
 _ZERO_DIGEST = bytes(8)
+_TWO_64 = float(1 << 64)
 
 
 def drop_threshold(p: float) -> bytes:
     """The drop threshold of probability p: the least 8-byte digest
     (big-endian) whose draw is at least p, so a digest is below it
-    exactly where its draw is below p. Found by bisection on the draw's
-    own arithmetic (_draw), since p * 2**64 rounds otherwise than the
-    draw does. For p >= 1 it lies above every digest, so every packet
+    exactly where its draw is below p. A loss key's draw, which defines
+    whether it drops, is its digest over 2**64, rounded to the nearest
+    float. Found by bisection on that arithmetic, since p * 2**64 rounds
+    otherwise than the draw does. For p >= 1 it lies above every digest, so every packet
     drops, the 1,024 whose draw rounds to 1.0 included. For p <= 0 it is
     the zero digest, without a search: most hops have no loss."""
     if p >= 1.0:
         return _ABOVE_EVERY_DIGEST
     if p <= 0.0:
         return _ZERO_DIGEST
-    # _draw(2**64 - 1) is 1.0, so the least such digest is at most that.
+    # (2**64 - 1) draws 1.0, so the least such digest is at most that.
     lo, hi = 0, _U64
     while lo < hi:
         mid = (lo + hi) >> 1
-        if _draw(mid) < p:
+        if mid / _TWO_64 < p:
             lo = mid + 1
         else:
             hi = mid
@@ -475,8 +462,8 @@ class LossStream:
     the verdict classifier's conservativeness rests on that.
 
     flow_bytes are the flow's serialized bytes, FlowId.to_bytes(): a
-    session passes its route's, built once (Route.flow_bytes, None on a
-    route where no hop draws). uniform(node, threshold) decides the draw
+    session passes its route's, built once (Route.flow_bytes), and has no
+    stream where no hop draws. uniform(node, threshold) decides the draw
     at a node by comparing its key's 8-byte digest with the hop's drop
     threshold (Hop.threshold), the one rule for an outcome, and records
     the draw's point in draws, its session's map (a DrawTree path), with
@@ -484,18 +471,18 @@ class LossStream:
     """
 
     def __init__(self, seed: int, epoch: int, packet: Packet,
-                 flow_bytes: Optional[bytes], draws: Dict[DrawPoint, bool]) -> None:
+                 flow_bytes: bytes, draws: Dict[DrawPoint, bool]) -> None:
         self._seed = seed
         self._packet = packet
         self._flow_bytes = flow_bytes
         self._draws = draws
-        self.epoch = epoch
+        self._epoch = epoch
 
     def uniform(self, node: NodeId, threshold: bytes) -> bool:
         """Whether the draw at node drops the packet: its key's digest is
         below threshold, the node's drop threshold. Recorded in draws."""
         packet = self._packet
-        head, tail = loss_key_parts(self._seed, self.epoch, packet.kind, packet.ip_id, node)
+        head, tail = loss_key_parts(self._seed, self._epoch, packet.kind, packet.ip_id, node)
         dropped = _loss_hasher(head + self._flow_bytes + tail).digest() < threshold
         self._draws.setdefault((head, tail, threshold), dropped)
         return dropped
@@ -596,19 +583,20 @@ def compile_route(
 def forward(
     packet: Packet,
     path: Route,
-    rng_stream: LossStream,
+    epoch: int,
+    rng_stream: Optional[LossStream],
     residual: Dict[censors_mod.CensorRule, int],
 ) -> TransitResult:
-    """Carry one packet along path, its flow's compiled route (see
-    compile_route()), which holds all forward reads of the topology.
+    """Carry one packet of epoch along path, its flow's compiled route
+    (see compile_route()), which holds all forward reads of the topology.
 
     Per hop, in order: record the hop; consult the hop's censor rules (a
     silent drop consumes the packet, injections do not); deliver if the
     hop is an endpoint; decrement TTL and expire responsively or not;
     draw loss if the hop has any, lost where the stream's outcome is a
-    drop (LossStream.uniform); move on to the next hop. A packet that
-    outlives a route cut by the loop guard raises
-    LoopGuardExceededError. residual is the sending session's
+    drop (rng_stream.uniform, None where no hop draws); move on to the
+    next hop. A packet that outlives a route cut by the loop guard
+    raises LoopGuardExceededError. residual is the sending session's
     residual-censorship map (see censors.apply).
     """
     if packet.ttl < 1:
@@ -616,7 +604,6 @@ def forward(
 
     events: List[censors_mod.CensorEvent] = []
     ttl = packet.ttl
-    epoch = rng_stream.epoch
     hops = path.hops
     for depth, node_id in enumerate(path.nodes, start=1):
         _, rules, endpoint, responsive, p, threshold = hops[node_id]

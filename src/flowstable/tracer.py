@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .analysis import EmptyPathSetError, PathSet, TraceGroup
 from .core import AppProtocol, Ipv4Address, Mechanism, Packet, PacketKind, SourceParams, Verdict
@@ -37,13 +37,13 @@ class Terminal:
     censored_at: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class TracePath:
+class TracePath(NamedTuple):
     """Reconstructed path of one flow.
 
     hops[i] is the node seen at TTL i+1, or None for a gap (unresponsive
     hop, lost copy, or a copy consumed by a censor). The destination is
-    not a hop; reaching it is recorded in the terminal.
+    not a hop; reaching it is recorded in the terminal. A tuple, built
+    in C: a log read builds one per trace line.
     """
 
     dst_ip: Ipv4Address

@@ -31,6 +31,16 @@ def registry():
     return BlockpageRegistry.load((FIXTURES / "blockpages.json").read_text())
 
 
+def load_script(name: str):
+    """scripts/<name>.py as a module, its main() not run."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(name, FIXTURES.parent / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_fixture(name: str):
     from flowstable.simnet import load_topology
 

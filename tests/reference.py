@@ -64,6 +64,54 @@ class SourceParams:
         return f"{self.src_ip}:{self.src_port}"
 
 
+# --- traces and trace groups as frozen dataclasses ---------------------------
+# tracer.TracePath and analysis.TraceGroup as they were written before they
+# became tuples: their construction, equality, hash and repr must equal
+# these, so path sets, graphs and every output built from them hold.
+
+
+@dataclass(frozen=True)
+class TracePath:
+    dst_ip: object
+    source: object
+    protocol: object
+    hops: tuple
+    terminal: object
+
+    @property
+    def present_hops(self) -> tuple:
+        return tuple(h for h in self.hops if h is not None)
+
+    @property
+    def node_set(self) -> frozenset:
+        return frozenset(self.present_hops)
+
+
+@dataclass(frozen=True)
+class TraceGroup:
+    params: object
+    traces: tuple
+    verdict: object
+
+    @property
+    def node_set(self) -> frozenset:
+        return frozenset(h for t in self.traces for h in t.node_set)
+
+
+def graph_walk(traces) -> tuple:
+    """(nodes, edges, depth) of traces walked one trace at a time: a
+    trace's present hops are nodes, consecutive present hops (over gaps)
+    are edges, and a node's depth is the least TTL it was seen at."""
+    nodes, edges, depth = set(), set(), {}
+    for t in traces:
+        present = [(ttl, h) for ttl, h in enumerate(t.hops, start=1) if h is not None]
+        for ttl, h in present:
+            nodes.add(h)
+            depth[h] = min(depth.get(h, ttl), ttl)
+        edges.update((a, b) for (_, a), (_, b) in zip(present, present[1:]))
+    return nodes, edges, depth
+
+
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowstable.analysis import (
     AllExcludedError,
@@ -19,7 +21,6 @@ from flowstable.analysis import (
     classify_effect,
     divergence_node,
     no_censorship_fraction,
-    num_nodes,
     num_paths,
 )
 from flowstable.core import (
@@ -42,7 +43,10 @@ from builders import (
 from flowstable.prober import BlockpageRegistry, Cell, ProbeSpec, SimTransport, run_cell
 from flowstable.tracer import TracePath, Terminal, TerminalKind, merge_paths, trace
 
-from conftest import load_fixture
+from conftest import load_fixture, load_script
+from reference import graph_walk
+
+num_nodes = load_script("run_path_diversity").num_nodes
 
 DST = Ipv4Address.parse("10.0.9.10")
 REGISTRY = BlockpageRegistry({"bp-01": "provider block notice"})
@@ -237,6 +241,46 @@ class TestDualGraph:
         # diverging next hops inside the censoring AS colored exclusively
         assert dual.node_color[3] is NodeColor.ONLY_CENSORED
         assert dual.node_color[2] is NodeColor.ONLY_CLEAR
+
+
+#: A few ladders over few nodes, gaps included, so that groups share some.
+_ladders = st.lists(st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=5),
+                    min_size=1, max_size=4)
+
+
+class TestDualGraphMatchesPerTraceWalk:
+    """build_dual_graph walks each distinct ladder once; its graphs and
+    depths equal a walk of every trace (reference.graph_walk)."""
+
+    @given(st.lists(st.tuples(st.sampled_from(["censored", "clear"]),
+                              st.lists(st.integers(0, 3), min_size=1, max_size=4)),
+                    min_size=2, max_size=8),
+           _ladders, st.lists(st.integers(0, 5), max_size=2))
+    def test_graphs_and_depths(self, groups, ladders, truth):
+        groups[0] = ("censored", groups[0][1])
+        groups[1] = ("clear", groups[1][1])
+        built = {}
+        for i, (side, picks) in enumerate(groups):
+            params = params_at(i + 1)
+            # a fresh tuple per trace: equal ladders that are distinct objects
+            traces = tuple(TracePath(DST, params, AppProtocol.HTTP,
+                                     tuple(ladders[k % len(ladders)]),
+                                     Terminal(TerminalKind.REACHED_DESTINATION))
+                           for k in picks)
+            verdict = (Verdict.censored(Mechanism.RST_INJECTION) if side == "censored"
+                       else Verdict.not_censored())
+            built[params] = TraceGroup(params, traces, verdict)
+        dual = build_dual_graph(PathSet(DST, built), censor_nodes=truth or None)
+
+        def walk(side):
+            return graph_walk(t for (s, _), g in zip(groups, built.values()) if s == side
+                              for t in g.traces)
+
+        (c_nodes, c_edges, c_depth), (l_nodes, l_edges, l_depth) = walk("censored"), walk("clear")
+        assert (dual.censored.nodes, dual.censored.edges) == (c_nodes, c_edges)
+        assert (dual.clear.nodes, dual.clear.edges) == (l_nodes, l_edges)
+        assert dual.depth == {n: min(c_depth.get(n, 99), l_depth.get(n, 99))
+                              for n in c_nodes | l_nodes}
 
 
 def run_fixture_pipeline(fx, grid=None):

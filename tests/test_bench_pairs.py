@@ -1,15 +1,11 @@
 """Unit tests of scripts/bench_pairs.py's pure parts: seed lists and the
 per-metric summary. They start no process and touch no git."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_SCRIPT = Path(__file__).parent.parent / "scripts" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+from conftest import load_script
+
+bench_pairs = load_script("bench_pairs")
 
 
 def _pairs(name, parent, change):

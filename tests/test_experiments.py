@@ -1,18 +1,21 @@
 import json
+import random
 from collections import Counter
 
 import pytest
 
 from flowstable.analysis import no_censorship_fraction, num_paths
-from flowstable.core import AppProtocol, EPHEMERAL_PORT_RANGE, Ipv4Address, Verdict
-from flowstable import logio
+from flowstable.core import AppProtocol, EPHEMERAL_PORT_RANGE, Ipv4Address, Mechanism, Verdict
+from flowstable import experiments, logio
 from flowstable.experiments import (
     EmptyCandidatesError,
     Rq1Variation,
+    flow_trace_id,
     plan_rq1,
     plan_rq2,
     run_rq1,
     run_rq2,
+    trace_affected,
 )
 from flowstable.prober import LiveTransport, SimTransport, is_affected
 
@@ -201,3 +204,29 @@ class TestRunners:
         run = logio.read_run(path)
         assert run.verdicts == {(DEST, AppProtocol.HTTP): matrix}
         assert run.repetitions == {0}
+
+
+def test_trace_pass_looks_up_each_decided_cells_flow_trace_id(monkeypatch):
+    # trace_affected writes each id's <dst>|<protocol>| part once per
+    # matrix; every id it looks up must still be flow_trace_id's.
+    other = Ipv4Address.parse("10.0.3.5")
+    plan = plan_rq2([DEST, other], seed=5)
+    rng = random.Random(5)
+    kinds = [Verdict.censored(Mechanism.RST_INJECTION), Verdict.not_censored(),
+             Verdict.excluded()]
+    matrices = {
+        (dst, protocol): {params: rng.choice(kinds) for params in plan.grid}
+        for dst in (DEST, other) for protocol in (AppProtocol.HTTPS, AppProtocol.DNS)}
+    matrices[(other, AppProtocol.DNS)] = dict.fromkeys(plan.grid, Verdict.not_censored())
+    looked_up = []
+    monkeypatch.setattr(experiments, "take_trace",
+                        lambda log, appender, lines, trace_id, *rest: looked_up.append(trace_id))
+    with scratch_log() as log:
+        trace_affected(plan, matrices, transport=None, log=log)
+    assert looked_up == [
+        flow_trace_id(dst, protocol, params)
+        for (dst, protocol), matrix in sorted(matrices.items(),
+                                              key=lambda kv: (kv[0][0].value, kv[0][1].value))
+        if is_affected(matrix)
+        for params in sorted(matrix) if not matrix[params].is_excluded]
+    assert len(looked_up) > 3 * 1664 // 2

@@ -28,7 +28,6 @@ from flowstable.simnet import (
     Role,
     TransitKind,
     compile_route,
-    draw_key,
     drop_threshold,
     load_topology,
     loss_key_parts,
@@ -37,7 +36,7 @@ from flowstable.simnet import (
 from flowstable.tracer import trace
 
 from conftest import load_fixture
-from reference import FLOW_SLICES, flow_bytes, next_hop, walk
+from reference import FLOW_SLICES, digest_draw, flow_bytes, loss_digest, next_hop, walk
 
 DOMAINS = ("control.example", "blocked.example")
 
@@ -141,7 +140,8 @@ def reference_forward(topology, doc, packet, epoch, residual, draws):
             elif p > 0.0:
                 head, tail = loss_key_parts(topology.seed, epoch, packet.kind, packet.ip_id,
                                             node_id)
-                dropped = draw_key(head + packet.flow.to_bytes() + tail) < p
+                key = head + packet.flow.to_bytes() + tail
+                dropped = digest_draw(int.from_bytes(loss_digest(key), "big")) < p
                 draws.setdefault((head, tail, drop_threshold(p)), dropped)
                 if dropped:
                     fate = TransitKind.LOST
@@ -161,8 +161,9 @@ def checked_sends(topology, doc):
     expected = []
     checked = []
 
-    def checking_forward(packet, path, stream, residual):
-        got = forward(packet, path, stream, residual)
+    def checking_forward(packet, path, epoch, stream, residual):
+        assert (stream is None) == (path.flow_bytes is None)
+        got = forward(packet, path, epoch, stream, residual)
         assert (got.kind, got.hops[-1], got.hops, got.events) == expected.pop()
         checked.append(packet)
         return got

@@ -111,7 +111,7 @@ def test_loss_key_has_one_home():
     # Only simnet lays out or hashes a loss key, or computes a drop
     # threshold; others look a flow's own draws up in a tree of recorded
     # draw points (simnet.DrawTree).
-    names = {"loss_key_parts", "draw_key", "drop_threshold"}
+    names = {"loss_key_parts", "_loss_hasher", "drop_threshold"}
     found = sorted(
         f"{module}: {name}"
         for module, tree in _parsed_modules().items() if module != "simnet"

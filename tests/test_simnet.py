@@ -23,7 +23,6 @@ from flowstable.simnet import (
     SchemaError,
     TransitKind,
     compile_route,
-    draw_key,
     drop_threshold,
     fnv1a_64,
     forward,
@@ -65,7 +64,8 @@ def make_flow(src_ip=0x0A000001, dst_ip=0x0A000102, src_port=40000, dst_port=80,
 def walk(topology, packet, seed, epoch=1):
     """forward() of packet on its flow's route compiled against topology."""
     path = compile_route(topology, packet.flow)
-    return forward(packet, path, LossStream(seed, epoch, packet, path.flow_bytes, {}), {})
+    stream = path.flow_bytes and LossStream(seed, epoch, packet, path.flow_bytes, {})
+    return forward(packet, path, epoch, stream, {})
 
 
 class TestFnv:
@@ -263,12 +263,12 @@ class TestForward:
         packet = Packet(make_flow(), ttl=255, kind=PacketKind.TCP_PAYLOAD)
         compiled = compile_route(topo, make_flow())
         with pytest.raises(LoopGuardExceededError):
-            forward(packet, compiled, LossStream(0, 1, packet, None, {}), {})
+            forward(packet, compiled, 1, None, {})
         with pytest.raises(LoopGuardExceededError):
             oracle_paths(topo, 1, [SourceParams(Ipv4Address(1), 2)], Protocol.TCP, 80)
         for ttl in (1, 63, LOOP_GUARD):
             packet = Packet(make_flow(), ttl=ttl, kind=PacketKind.TCP_PAYLOAD)
-            result = forward(packet, compiled, LossStream(0, 1, packet, None, {}), {})
+            result = forward(packet, compiled, 1, None, {})
             assert result.kind is TransitKind.TTL_EXCEEDED
             assert result.hops == path[:ttl]
 
@@ -470,8 +470,8 @@ class TestLoss:
     def test_key_parts_frame_the_documented_key(self, seed, epoch, kind, ip_id, node):
         raw = flow_bytes("198.51.100.7", "10.0.1.2", 40000, 80, 6)
         head, tail = loss_key_parts(seed, epoch, kind, ip_id, node)
-        assert draw_key(head + raw + tail) == loss_uniform(seed, epoch, raw, kind.value,
-                                                           ip_id, node)
+        assert loss_uniform(seed, epoch, raw, kind.value, ip_id, node) == digest_draw(
+            int.from_bytes(loss_digest(head + raw + tail), "big"))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**63 - 1),
@@ -508,7 +508,8 @@ class TestDropThreshold:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.binary(max_size=64))
     def test_digest_below_threshold_iff_draw_below_p(self, p, key):
-        assert (loss_digest(key) < drop_threshold(p)) == (draw_key(key) < p)
+        draw = digest_draw(int.from_bytes(loss_digest(key), "big"))
+        assert (loss_digest(key) < drop_threshold(p)) == (draw < p)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))

@@ -1,19 +1,33 @@
+import copy
+import dataclasses
+import itertools
+import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from flowstable.core import AppProtocol, Ipv4Address, PacketKind, Protocol, Sensitivity, SourceParams
+import reference
+from flowstable.analysis import TraceGroup
+from flowstable.core import (AppProtocol, Ipv4Address, Mechanism, PacketKind, Protocol,
+                             Sensitivity, SourceParams, Verdict)
 from builders import random_topology
 from flowstable.prober import ProbeSpec, SimTransport
 from flowstable.simnet import oracle_paths
 from flowstable.tracer import (
     MixedDestinationsError,
+    Terminal,
     TerminalKind,
+    TracePath,
     merge_paths,
     trace,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, load_script
+
+num_nodes = load_script("run_path_diversity").num_nodes
 
 PARAMS = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
 
@@ -202,7 +216,7 @@ class TestMergePaths:
         spec = sensitive_spec(topo, AppProtocol.HTTP, domain="example.com")
         traces = [trace(spec, 8, transport) for _ in range(2)]
         pathset = merge_paths(traces)
-        from flowstable.analysis import num_nodes, num_paths
+        from flowstable.analysis import num_paths
 
         assert num_paths(pathset) == 1
         assert num_nodes(pathset) == 3
@@ -218,7 +232,7 @@ class TestMergePaths:
                                domain="example.com"),
                 8, transport))
         pathset = merge_paths(traces)
-        from flowstable.analysis import num_nodes, num_paths
+        from flowstable.analysis import num_paths
 
         assert num_paths(pathset) == 2
         assert num_nodes(pathset) == 3  # {0,1} and {0,2}
@@ -258,3 +272,77 @@ class TestMergePaths:
                     for g in pathset.groups.values()}
         assert verdicts[1].is_censored
         assert verdicts[0].is_not_censored
+
+
+# --- traces and trace groups as tuples ------------------------------------------
+
+_TERMINALS = [Terminal(TerminalKind.REACHED_DESTINATION), Terminal(TerminalKind.EXHAUSTED),
+              Terminal(TerminalKind.CENSORED_AT), Terminal(TerminalKind.CENSORED_AT, 2)]
+_VERDICTS = [Verdict.not_censored(), Verdict.excluded(),
+             Verdict.censored(Mechanism.RST_INJECTION)]
+
+#: The fields of a trace, from few values so that equal traces turn up.
+_trace_fields = st.tuples(
+    st.integers(0, 1).map(lambda i: Ipv4Address(0x0A000900 + i)),
+    st.integers(0, 2).map(lambda i: SourceParams(Ipv4Address(0xC6336400 + i), 40000)),
+    st.sampled_from(list(AppProtocol)),
+    st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=4).map(tuple),
+    st.sampled_from(_TERMINALS),
+)
+
+
+#: The package's two types, side by side as reference.py has them.
+_PACKAGE = SimpleNamespace(TracePath=TracePath, TraceGroup=TraceGroup)
+
+
+def _values(module, rows, verdicts):
+    """module's TracePath of each row, then its TraceGroup of each prefix
+    of those traces, with the verdict at the same index."""
+    traces = [module.TracePath(*row) for row in rows]
+    return traces + [module.TraceGroup(t.source, tuple(traces[:i + 1]), verdicts[i])
+                     for i, t in enumerate(traces)]
+
+
+class TestTraceValuesMatchDataclassReference:
+    """TracePath and TraceGroup are tuples of their fields; their
+    construction, equality, hash, repr and properties equal those of the
+    frozen dataclasses they replaced (reference.py), so path sets and
+    every output built from them hold."""
+
+    @given(st.lists(_trace_fields, min_size=1, max_size=6),
+           st.lists(st.sampled_from(_VERDICTS), min_size=6, max_size=6))
+    def test_same_equality_hash_repr_and_properties(self, rows, verdicts):
+        new, old = _values(_PACKAGE, rows, verdicts), _values(reference, rows, verdicts)
+        assert [hash(x) for x in new] == [hash(x) for x in old]
+        assert [repr(x) for x in new] == [repr(x) for x in old]
+        assert [x.node_set for x in new] == [x.node_set for x in old]
+        assert [t.present_hops for t in new[:len(rows)]] == [
+            t.present_hops for t in old[:len(rows)]]
+        for i, j in itertools.product(range(len(new)), repeat=2):
+            assert (new[i] == new[j], new[i] != new[j]) == (old[i] == old[j], old[i] != old[j])
+        assert [repr(x) for x in set(new)] == [repr(x) for x in set(old)]
+
+    @given(_trace_fields, _trace_fields, st.sampled_from(_VERDICTS))
+    def test_same_construction_and_replace(self, row, other, verdict):
+        new, old = _values(_PACKAGE, [row], [verdict]), _values(reference, [row], [verdict])
+        replacing = _values(_PACKAGE, [other], [verdict])
+        for value, ref, by in zip(new, old, replacing):
+            names = [f.name for f in dataclasses.fields(ref)]
+            assert list(type(value)._fields) == names
+            assert type(value)(**dict(zip(names, value))) == value
+            for name in names:
+                swapped = value._replace(**{name: getattr(by, name)})
+                expected = dataclasses.replace(ref, **{name: getattr(by, name)})
+                assert (repr(swapped), hash(swapped)) == (repr(expected), hash(expected))
+
+    def test_copy_and_pickle_round_trip(self):
+        row = (Ipv4Address(1), SourceParams(Ipv4Address(2), 40000), AppProtocol.HTTP,
+               (0, None, 2), Terminal(TerminalKind.CENSORED_AT, 3))
+        for value in _values(_PACKAGE, [row], [_VERDICTS[2]]):
+            copies = [copy.copy(value), copy.deepcopy(value), value._replace(),
+                      *(pickle.loads(pickle.dumps(value, p))
+                        for p in range(pickle.HIGHEST_PROTOCOL + 1))]
+            for other in copies:
+                assert type(other) is type(value)
+                assert (other, hash(other), repr(other)) == (value, hash(value), repr(value))
+            assert not hasattr(value, "__dict__")
