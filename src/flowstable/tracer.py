@@ -42,8 +42,8 @@ class TracePath(NamedTuple):
 
     hops[i] is the node seen at TTL i+1, or None for a gap (unresponsive
     hop, lost copy, or a copy consumed by a censor). The destination is
-    not a hop; reaching it is recorded in the terminal. A tuple, built
-    in C: a log read builds one per trace line.
+    not a hop; reaching it is recorded in the terminal. A tuple, not a
+    frozen dataclass: a log read builds one per trace line.
     """
 
     dst_ip: Ipv4Address
