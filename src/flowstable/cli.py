@@ -16,7 +16,7 @@ import hashlib
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analysis, experiments, logio, prober, simnet, tracer
 from .core import AppProtocol, Ipv4Address, Sensitivity, SourceParams
@@ -48,8 +48,11 @@ def _resolve_seed(flag_value: Optional[int]) -> int:
         raise _UsageError(f"{SEED_ENV_VAR}: {exc}") from exc
 
 
-def _load_topology(path: str) -> simnet.Topology:
-    return simnet.load_topology(Path(path).read_text())
+def _load_topology(path: str) -> Tuple[simnet.Topology, bytes]:
+    """The topology file at path, loaded, and its bytes, which a run id
+    hashes: read once, so the id names the topology that ran."""
+    data = Path(path).read_bytes()
+    return simnet.load_topology(data.decode()), data
 
 
 def _parse_dest(topology: simnet.Topology, text: str) -> simnet.Node:
@@ -139,7 +142,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    topology = _load_topology(args.topology)
+    topology, topology_bytes = _load_topology(args.topology)
     dst_ip = _parse_dest(topology, args.dest).address
     transport = prober.SimTransport(topology)
     spec = prober.ProbeSpec(
@@ -151,13 +154,14 @@ def _cmd_trace(args) -> int:
     )
     if args.out:
         run_id = _run_id(
-            "trace", Path(args.topology).read_bytes(), str(dst_ip), spec.source,
+            "trace", topology_bytes, str(dst_ip), spec.source,
             spec.protocol.value, spec.domain, spec.sensitivity.value, args.max_ttl,
         )
         log = logio.open_run(args.out, run_id, command="trace", dest=str(dst_ip))
         path = experiments.trace_flow(spec, args.max_ttl, transport, log)
     else:
-        path = tracer.trace(spec, args.max_ttl, transport)
+        path = tracer.trace(spec.protocol, spec.dst_ip, spec.domain, spec.sensitivity,
+                            spec.source, args.max_ttl, transport)
     for ttl, hop in enumerate(path.hops, start=1):
         print(f"{ttl} {'*' if hop is None else hop}")
     print(logio.terminal_str(path.terminal))
@@ -165,13 +169,13 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_rq1(args) -> int:
-    topology = _load_topology(args.topology)
+    topology, topology_bytes = _load_topology(args.topology)
     dst_ip = _parse_dest(topology, args.dest).address
     seed = _resolve_seed(args.seed)
     protocol = AppProtocol(args.protocol)
     transport = prober.SimTransport(topology)
     plans = experiments.plan_rq1(dst_ip, protocol, seed)
-    run_id = _run_id("rq1", Path(args.topology).read_bytes(), str(dst_ip), seed, protocol.value)
+    run_id = _run_id("rq1", topology_bytes, str(dst_ip), seed, protocol.value)
     log = logio.open_run(
         args.out, run_id, command="rq1", seed=seed, dest=str(dst_ip), protocol=protocol.value
     )
@@ -205,7 +209,7 @@ def _read_dests(topology: simnet.Topology, path: str) -> List[simnet.Node]:
 
 
 def _cmd_rq2(args) -> int:
-    topology = _load_topology(args.topology)
+    topology, topology_bytes = _load_topology(args.topology)
     dests = _read_dests(topology, args.dests)
     seed = _resolve_seed(args.seed)
     protocols = args.protocols
@@ -217,7 +221,7 @@ def _cmd_rq2(args) -> int:
         domain_pair=(args.control_domain, args.sensitive_domain),
     )
     run_id = _run_id(
-        "rq2", Path(args.topology).read_bytes(), seed,
+        "rq2", topology_bytes, seed,
         ",".join(protocol.value for protocol in protocols),
         args.control_domain, args.sensitive_domain,
     )
@@ -292,7 +296,7 @@ def _pathsets_from_log(
 
 def _cmd_graph(args) -> int:
     run = logio.read_run(args.log)
-    topology = _load_topology(args.topology) if args.topology else None
+    topology = _load_topology(args.topology)[0] if args.topology else None
     protocol = AppProtocol(args.protocol) if args.protocol else None
     if topology is not None:
         dest = _parse_dest(topology, args.dest).address
@@ -329,7 +333,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_classify(args) -> int:
     run = logio.read_run(args.log)
-    topology = _load_topology(args.topology)
+    topology, _ = _load_topology(args.topology)
     dests = sorted({dst for dst, _ in run.verdicts}, key=str)
     if args.dest:
         dests = [_parse_dest(topology, args.dest).address]

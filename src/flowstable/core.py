@@ -4,16 +4,18 @@ Everything in here is an immutable value object: addresses, flow
 identifiers, packets, probe verdicts. Instances are safe to share
 between concurrent workers.
 
-Ipv4Address, SourceParams and FlowId are tuples of their fields (named
-tuple subclasses with no instance dict), so hashing, equality and order
-run in C: a run's cells are keyed, hashed and sorted by them. Their
-hashes, reprs and sort order are those of the frozen dataclasses they
-replaced, which hashed and compared the same tuples. Every constructor
-they expose (the class, _make, _replace, copy and pickle) checks the
-fields' ranges. Being tuples, each is equal to a plain tuple of the same
-fields, and json would write one as an array: they are never handed to
-json, and a log holds their text (logio writes str(address) and the
-port).
+Ipv4Address, SourceParams, FlowId and Packet are tuples of their fields
+(named tuple subclasses with no instance dict), so hashing, equality and
+order run in C and building one costs one Python frame: a run's cells
+are keyed, hashed and sorted by the flow identities, and a run builds
+packets per hop. Their hashes and reprs, and the identities' sort order,
+are those of the frozen dataclasses they replaced, which hashed and
+compared the same tuples. Every constructor they expose (the class,
+_make, _replace, copy and pickle) checks the fields: their ranges, and
+that a time-exceeded packet quotes its source. Being tuples, each is
+equal to a plain tuple of the same fields, and json would write one as
+an array: they are never handed to json, and a log holds their text
+(logio writes str(address) and the port).
 """
 
 from __future__ import annotations
@@ -182,8 +184,7 @@ class Sensitivity(Enum):
     NOT_APPLICABLE = "n/a"
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(_fields("Packet", "flow ttl ip_id kind sensitivity body_tag quoted")):
     """One simulated packet.
 
     body_tag is an opaque label: the probed domain on outgoing payloads,
@@ -191,21 +192,19 @@ class Packet:
     the originating node id on ICMP time-exceeded messages.
     """
 
-    flow: FlowId
-    ttl: int
-    ip_id: int = 0
-    kind: PacketKind = PacketKind.TCP_PAYLOAD
-    sensitivity: Sensitivity = Sensitivity.NOT_APPLICABLE
-    body_tag: str = ""
-    quoted: Optional[Tuple[SourceParams, int]] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.ttl <= 255:
-            raise ValueError(f"ttl out of range: {self.ttl}")
-        if not 0 <= self.ip_id <= 0xFFFF:
-            raise ValueError(f"ip_id out of range: {self.ip_id}")
-        if self.kind is PacketKind.ICMP_TTL_EXCEEDED and self.quoted is None:
+    def __new__(cls, flow: FlowId, ttl: int, ip_id: int = 0,
+                kind: PacketKind = PacketKind.TCP_PAYLOAD,
+                sensitivity: Sensitivity = Sensitivity.NOT_APPLICABLE, body_tag: str = "",
+                quoted: Optional[Tuple[SourceParams, int]] = None) -> "Packet":
+        if not 1 <= ttl <= 255:
+            raise ValueError(f"ttl out of range: {ttl}")
+        if not 0 <= ip_id <= 0xFFFF:
+            raise ValueError(f"ip_id out of range: {ip_id}")
+        if kind is PacketKind.ICMP_TTL_EXCEEDED and quoted is None:
             raise ValueError("ICMP time-exceeded packets must quote (source, ip_id)")
+        return _tuple_new(cls, (flow, ttl, ip_id, kind, sensitivity, body_tag, quoted))
 
 
 class Mechanism(Enum):

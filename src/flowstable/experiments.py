@@ -164,16 +164,15 @@ def flow_trace_id(dst_ip: Ipv4Address, protocol: AppProtocol, source) -> str:
 
 
 def take_trace(log: logio.RunLog, appender: logio.Appender, lines: logio.SharedLines,
-               trace_id: str, make_spec: Callable[[], ProbeSpec], max_ttl: int, transport,
+               trace_id: str, make_path: Callable[[], TracePath],
                sample_index: Optional[int] = None) -> TracePath:
-    """The trace log holds under trace_id for its run; else a trace of
-    make_spec(), its line (lines.trace, with sample_index) queued on
-    appender. A resumed run thus traces, and builds specs for, only what
-    it lacks."""
+    """The trace log holds under trace_id for its run; else make_path(),
+    a trace, with its line (lines.trace, with sample_index) queued on
+    appender. A resumed run thus traces only what it lacks."""
     held = log.traces.get(trace_id)
     if held is not None:
         return held
-    path = trace(make_spec(), max_ttl, transport)
+    path = make_path()
     appender.add(lines.trace(path, trace_id, sample_index))
     return path
 
@@ -183,7 +182,9 @@ def trace_flow(spec: ProbeSpec, max_ttl: int, transport, log: logio.RunLog) -> T
     appender = logio.Appender(log.path)
     lines = logio.SharedLines(log, spec.dst_ip, spec.protocol)
     trace_id = flow_trace_id(spec.dst_ip, spec.protocol, spec.source)
-    path = take_trace(log, appender, lines, trace_id, lambda: spec, max_ttl, transport)
+    path = take_trace(log, appender, lines, trace_id, lambda: trace(
+        spec.protocol, spec.dst_ip, spec.domain, spec.sensitivity, spec.source, max_ttl,
+        transport))
     appender.flush()
     return path
 
@@ -201,22 +202,29 @@ def run_rq1(
     record, in plan order, appended in batches (see logio.Appender) and
     all written by the end of its plan. A run cut short therefore
     resumes where it stopped and leaves the same log as an
-    uninterrupted one.
+    uninterrupted one. A plan traces each distinct source once: a trace
+    is a pure function of its flow, so a sample whose source an earlier
+    sample of the plan traced takes that TracePath, with a line of its
+    own.
     """
     out: Dict[Rq1Variation, PathSet] = {}
     appender = logio.Appender(log.path)
     for plan in plans:
         lines = logio.SharedLines(log, plan.dst_ip, plan.protocol,
                                   variation=plan.variation.value)
+        traced: Dict[SourceParams, TracePath] = {}
+
+        def make_path(params: SourceParams) -> TracePath:
+            path = traced.get(params)
+            if path is None:
+                path = traced[params] = trace(plan.protocol, plan.dst_ip, BENIGN_DOMAIN,
+                                              Sensitivity.CONTROL, params, max_ttl, transport)
+            return path
+
         traces: List[TracePath] = []
         for idx, params in enumerate(plan.samples):
-            traces.append(take_trace(
-                log, appender, lines, f"{plan.variation.value}:{idx}",
-                lambda: ProbeSpec(
-                    plan.protocol, plan.dst_ip, BENIGN_DOMAIN, Sensitivity.CONTROL, params
-                ),
-                max_ttl, transport, sample_index=idx,
-            ))
+            traces.append(take_trace(log, appender, lines, f"{plan.variation.value}:{idx}",
+                                     lambda: make_path(params), sample_index=idx))
         appender.flush()
         out[plan.variation] = merge_paths(traces)
     return out
@@ -293,7 +301,7 @@ def trace_affected(
                 continue
             take_trace(
                 log, appender, lines, prefix + str(params),
-                lambda: ProbeSpec(protocol, dst_ip, domain, Sensitivity.SENSITIVE, params),
-                DEFAULT_MAX_TTL, transport,
+                lambda: trace(protocol, dst_ip, domain, Sensitivity.SENSITIVE, params,
+                              DEFAULT_MAX_TTL, transport),
             )
         appender.flush()

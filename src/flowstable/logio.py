@@ -439,8 +439,10 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
             trace_id = record["trace_id"]
             if type(trace_id) is not str:
                 raise ValueError(f"trace_id is not a string: {trace_id!r}")
-            run.traces[lineno if run_id is None else trace_id] = TracePath(
-                key[0], source, key[1], *what)
+            # Around the named tuple's own __new__, as core builds its
+            # types: the fields are read and checked already.
+            run.traces[lineno if run_id is None else trace_id] = tuple.__new__(
+                TracePath, (key[0], source, key[1], *what))
     except _NAMED_ERRORS:
         raise
     except _FIELD_ERRORS as exc:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -84,13 +85,14 @@ class DestinationResolutionError(LookupError):
     """No endpoint, or more than one, has the requested address."""
 
 
-def fnv1a_64(data: bytes) -> int:
-    """FNV-1a, 64-bit: xor the byte in, then multiply by the prime."""
-    h = FNV64_OFFSET_BASIS
+def fnv1a_64(data: bytes, h: int = FNV64_OFFSET_BASIS) -> int:
+    """FNV-1a, 64-bit: xor each byte in, then multiply by the prime.
+    From h, the hash of bytes that came before data, it gives the hash
+    of those bytes and data. Reduced mod 2**64 once, at the end: xor
+    with a byte and multiplication both commute with that reduction."""
     for b in data:
-        h ^= b
-        h = (h * FNV64_PRIME) & _U64
-    return h
+        h = (h ^ b) * FNV64_PRIME
+    return h & _U64
 
 
 class Role(Enum):
@@ -165,34 +167,46 @@ class EcmpPolicy:
 #: A router's policy compiled for route(): (slot, part, mask, targets,
 #: fanout). A low_bits step has slot None, part its field's getter and mask
 #: its n_bits low bits; a hash_tuple step has its field set's slot in a
-#: walk's hash list, part the set's byte slices of FlowId.to_bytes() in
-#: layout order (adjacent fields merged) and mask None. targets holds, per
-#: next hop, its node id and its own step (None at an endpoint).
+#: walk's hash list, part the set's chain and mask None. targets holds,
+#: per next hop, its node id and its own step (None at an endpoint). A
+#: chain is ((slot, slices), ...): hashed field sets whose bytes of
+#: FlowId.to_bytes(), in layout order, are each a prefix of the next's,
+#: ending at the step's own; a link's slices are the bytes it adds to the
+#: link before (adjacent fields merged), so its hash continues that one's.
 Step = Tuple[Optional[int], object, Optional[int], List[Tuple[NodeId, Optional[tuple]]], int]
 
 
 def _compile_steps(policies: Mapping[NodeId, EcmpPolicy]) -> Tuple[Dict[NodeId, Step], int]:
     """Each router's Step, and how many distinct hash_tuple field sets
     (slots) they hash."""
-    slots: Dict[frozenset, int] = {}
+    chains: Dict[frozenset, tuple] = {}
+    hashed = dict.fromkeys(p.selector.fields for p in policies.values()
+                           if type(p.selector) is HashTupleSelector)
+    # Shortest first, so a set's prefixes have their chains before it.
+    for fields in sorted(hashed, key=len):
+        ordered = [fld for fld in _FIELD_SLICES if fld in fields]
+        start = max((i for i in range(1, len(ordered)) if frozenset(ordered[:i]) in chains),
+                    default=0)
+        slices: List[slice] = []
+        for fld in ordered[start:]:
+            part = _FIELD_SLICES[fld]
+            if slices and slices[-1].stop == part.start:
+                part = slice(slices.pop().start, part.stop)
+            slices.append(part)
+        head = chains[frozenset(ordered[:start])] if start else ()
+        chains[fields] = head + ((len(chains), tuple(slices)),)
     steps: Dict[NodeId, Step] = {}
     for node_id, policy in policies.items():
         selector, fanout = policy.selector, len(policy.next_hops)
         if type(selector) is LowBitsSelector:
             steps[node_id] = (None, _FIELD_VALUES[selector.fld], (1 << selector.n_bits) - 1,
                               [], fanout)
-            continue
-        slices: List[slice] = []
-        for fld, part in _FIELD_SLICES.items():
-            if fld in selector.fields:
-                if slices and slices[-1].stop == part.start:
-                    part = slice(slices.pop().start, part.stop)
-                slices.append(part)
-        slot = slots.setdefault(selector.fields, len(slots))
-        steps[node_id] = (slot, tuple(slices), None, [], fanout)
+        else:
+            chain = chains[selector.fields]
+            steps[node_id] = (chain[-1][0], chain, None, [], fanout)
     for node_id, step in steps.items():
         step[3].extend((hop, steps.get(hop)) for hop in policies[node_id].next_hops)
-    return steps, len(slots)
+    return steps, len(chains)
 
 
 @dataclass(frozen=True)
@@ -499,10 +513,12 @@ def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
     flow.to_bytes(), in layout order, modulo the fanout. That hash
     depends only on the flow and the field set, never on the node, so
     the walk hashes each field set once, and builds the flow's bytes at
-    most once. Every router has a step, so the walk ends at the first
-    node without one, an endpoint. On a looping topology the walk stops
-    after LOOP_GUARD nodes, so the route ends on a router; a packet that
-    gets that far raises in forward().
+    most once. A set whose bytes extend another set's (its step's chain)
+    hashes only the bytes it adds, from that set's hash, so a walk hashes
+    each byte of a chain once. Every router has a step, so the walk ends
+    at the first node without one, an endpoint. On a looping topology
+    the walk stops after LOOP_GUARD nodes, so the route ends on a
+    router; a packet that gets that far raises in forward().
     """
     node_id = topology.entry
     path = [node_id]
@@ -520,7 +536,11 @@ def route(topology: Topology, flow: FlowId) -> Tuple[NodeId, ...]:
             if h is None:
                 if flow_bytes is None:
                     flow_bytes = flow.to_bytes()
-                h = hashes[slot] = fnv1a_64(b"".join([flow_bytes[s] for s in part]))
+                h = FNV64_OFFSET_BASIS
+                for link, slices in part:
+                    known = hashes[link]
+                    h = hashes[link] = known if known is not None else fnv1a_64(
+                        b"".join([flow_bytes[s] for s in slices]), h)
             node_id, step = targets[h % fanout]
         path.append(node_id)
     return tuple(path)
@@ -564,6 +584,8 @@ class Route:
     #: The one "reached" rule: the last node has the flow's destination
     #: address. Elsewhere a delivered packet meets a silent host.
     at_destination: bool
+    #: The flow's source, which every ICMP reply on the route quotes.
+    source: SourceParams
 
 
 def compile_route(
@@ -577,7 +599,8 @@ def compile_route(
     hops = topology.hop_table(flow)
     flow_bytes = flow.to_bytes() if any(hops[n].loss > 0.0 for n in nodes) else None
     at_destination = topology.nodes[nodes[-1]].address == flow.dst_ip
-    return Route(flow, nodes, hops, flow_bytes, topology.seed, at_destination)
+    return Route(flow, nodes, hops, flow_bytes, topology.seed, at_destination,
+                 SourceParams(flow.src_ip, flow.src_port))
 
 
 def forward(
@@ -627,16 +650,9 @@ def forward(
         if ttl == 0:
             icmp = None
             if responsive:
-                source = SourceParams(packet.flow.src_ip, packet.flow.src_port)
-                icmp = Packet(
-                    flow=packet.flow,
-                    ttl=64,
-                    ip_id=packet.ip_id,
-                    kind=PacketKind.ICMP_TTL_EXCEEDED,
-                    sensitivity=Sensitivity.NOT_APPLICABLE,
-                    body_tag=str(node_id),
-                    quoted=(source, packet.ip_id),
-                )
+                ip_id = packet.ip_id
+                icmp = Packet(packet.flow, 64, ip_id, PacketKind.ICMP_TTL_EXCEEDED,
+                              Sensitivity.NOT_APPLICABLE, str(node_id), (path.source, ip_id))
             return TransitResult(
                 TransitKind.TTL_EXCEEDED, path.nodes[:depth], tuple(events), icmp
             )
@@ -672,12 +688,14 @@ def oracle_paths(
 
 
 def _require_keys(obj: Mapping, required: Sequence[str], optional: Sequence[str], what: str):
-    if not isinstance(obj, Mapping):
+    # collections.abc's Mapping: typing's checks instances more slowly.
+    if not isinstance(obj, abc.Mapping):
         raise SchemaError(f"{what}: expected an object, got {type(obj).__name__}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"{what}: missing {missing}")
-    unknown = [k for k in obj if k not in set(required) | set(optional)]
+    allowed = {*required, *optional}
+    unknown = [k for k in obj if k not in allowed]
     if unknown:
         raise SchemaError(f"{what}: unknown keys {unknown}")
 
@@ -774,7 +792,7 @@ def load_topology(document: Union[str, Mapping]) -> Topology:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     else:
         obj = document
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, abc.Mapping):
         raise SchemaError("topology document must be a JSON object")
     _require_keys(obj, ["nodes", "policies", "seed"], ["censors", "loss"], "topology")
 

@@ -16,8 +16,10 @@ from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .analysis import EmptyPathSetError, PathSet, TraceGroup
-from .core import AppProtocol, Ipv4Address, Mechanism, Packet, PacketKind, SourceParams, Verdict
-from .prober import HandshakeFailedError, ProbeSpec, Session, _exchange_packets, _handshake
+from .core import (
+    AppProtocol, Ipv4Address, Mechanism, Packet, PacketKind, Sensitivity, SourceParams, Verdict,
+)
+from .prober import HandshakeFailedError, ProbeSpec, Session, _exchange_packets, _flow, _handshake
 
 MAX_TTL_CEILING = 64
 DEFAULT_MAX_TTL = 32
@@ -65,12 +67,10 @@ class MixedDestinationsError(ValueError):
     """merge_paths was given traces for more than one destination."""
 
 
-def trace(
-    spec: ProbeSpec,
-    max_ttl: int,
-    transport,
-) -> TracePath:
-    """Trace the path of spec's payload packet.
+def trace(protocol: AppProtocol, dst_ip: Ipv4Address, domain: str, sensitivity: Sensitivity,
+          source: SourceParams, max_ttl: int, transport) -> TracePath:
+    """Trace the path of the payload packet of the probe spec with these
+    fields (prober.ProbeSpec).
 
     Emits one copy per TTL from 1 up with ip_id = ttl and the one
     shared flow id, and stops after the copy that reaches the
@@ -84,18 +84,21 @@ def trace(
 
     The ladder runs through transport.run: a trace of a route an earlier
     trace of the same spec fields already climbed, with the loss
-    outcomes its own draws have, gets that trace's ladder and terminal. The TracePath,
-    spec's source with them, is built once, here.
+    outcomes its own draws have, gets that trace's ladder and terminal.
+    Such a trace needs only its flow and key, so the spec is built only
+    where a ladder is climbed. The TracePath, source with them, is built
+    once, here.
     """
     if not 1 <= max_ttl <= MAX_TTL_CEILING:
         raise ValueError(f"max_ttl must be in 1..{MAX_TTL_CEILING}, got {max_ttl}")
-    # spec's fields but its source, enums as values (members hash slowly).
-    key = ("trace", spec.protocol.value, spec.dst_ip.value, spec.domain,
-           spec.sensitivity.value, max_ttl)
+    # The spec's fields but its source, enums as values (members hash slowly).
+    key = ("trace", protocol.value, dst_ip.value, domain, sensitivity.value, max_ttl)
     ladder, terminal = transport.run(
-        spec.flow, key, lambda session: _climb(spec, max_ttl, session)
+        _flow(protocol, dst_ip, source), key,
+        lambda session: _climb(ProbeSpec(protocol, dst_ip, domain, sensitivity, source),
+                               max_ttl, session),
     )
-    return TracePath(spec.dst_ip, spec.source, spec.protocol, ladder, terminal)
+    return TracePath(dst_ip, source, protocol, ladder, terminal)
 
 
 def _climb(
@@ -169,10 +172,16 @@ def merge_paths(traces: Sequence[TracePath], verdicts=None) -> PathSet:
     return PathSet(dst_ip=traces[0].dst_ip, groups=groups)
 
 
+#: The verdicts merge_paths derives, built once: a Verdict is immutable.
+_DERIVED_CENSORED = Verdict.censored(Mechanism.RST_INJECTION)
+_DERIVED_NOT_CENSORED = Verdict.not_censored()
+_DERIVED_EXCLUDED = Verdict.excluded()
+
+
 def _derive_verdict(group_traces: Sequence[TracePath]) -> Verdict:
     censored = sum(t.terminal.kind is TerminalKind.CENSORED_AT for t in group_traces)
     if censored == len(group_traces):
-        return Verdict.censored(Mechanism.RST_INJECTION)
+        return _DERIVED_CENSORED
     if not censored:
-        return Verdict.not_censored()
-    return Verdict.excluded()
+        return _DERIVED_NOT_CENSORED
+    return _DERIVED_EXCLUDED

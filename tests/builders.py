@@ -4,6 +4,7 @@ random_topology() makes layered loop-free topologies for property
 tests. The effect-family builders (build_type1..build_type4) each
 construct a topology whose censored/clear split has a known cause, used
 to pin the effect classifier's behavior across randomized instances.
+trace_spec() traces a prober.ProbeSpec's fields.
 """
 
 from __future__ import annotations
@@ -14,7 +15,16 @@ from typing import Dict, List, Optional, Tuple
 
 from flowstable.analysis import EffectType, Scope
 from flowstable.core import AppProtocol, Ipv4Address, SourceParams
+from flowstable.prober import ProbeSpec
 from flowstable.simnet import Topology, load_topology
+from flowstable.tracer import TracePath, trace
+
+
+def trace_spec(spec: ProbeSpec, max_ttl: int, transport) -> TracePath:
+    """tracer.trace of spec's fields."""
+    return trace(spec.protocol, spec.dst_ip, spec.domain, spec.sensitivity, spec.source,
+                 max_ttl, transport)
+
 
 CONTROL_DOMAIN = "control.example"
 SENSITIVE_DOMAIN = "blocked.example"

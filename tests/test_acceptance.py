@@ -23,10 +23,10 @@ from flowstable.cli import cli_main
 from flowstable.core import AppProtocol, Ipv4Address, Sensitivity, SourceParams
 from flowstable.censors import Health
 from flowstable.experiments import Rq1Variation, plan_rq1, plan_rq2, run_rq1, run_rq2
-from builders import random_topology
+from builders import random_topology, trace_spec
 from flowstable.prober import Cell, ProbeSpec, SimTransport, classify, run_cell
 from flowstable.simnet import Role, oracle_paths
-from flowstable.tracer import TerminalKind, trace
+from flowstable.tracer import TerminalKind
 
 DOMAINS = ("control.example", "blocked.example")
 
@@ -83,7 +83,7 @@ def test_criterion_2_trace_oracle_equivalence():
                 protocol, topology.nodes[dst].address, "example.com",
                 Sensitivity.SENSITIVE, params,
             )
-            path = trace(spec, 32, SimTransport(topology))
+            path = trace_spec(spec, 32, SimTransport(topology))
             assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
             assert len(path.hops) == len(oracle) - 1
             for pos, hop in enumerate(path.hops):

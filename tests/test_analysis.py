@@ -39,9 +39,10 @@ from builders import (
     build_type3,
     build_type4,
     standard_grid,
+    trace_spec,
 )
 from flowstable.prober import BlockpageRegistry, Cell, ProbeSpec, SimTransport, run_cell
-from flowstable.tracer import TracePath, Terminal, TerminalKind, merge_paths, trace
+from flowstable.tracer import TracePath, Terminal, TerminalKind, merge_paths
 
 from conftest import load_fixture, load_script
 from reference import graph_walk
@@ -231,7 +232,7 @@ class TestDualGraph:
             p = params_at(octet)
             spec = ProbeSpec(AppProtocol.HTTPS, dst, SENSITIVE_DOMAIN,
                              Sensitivity.SENSITIVE, p)
-            traces.append(trace(spec, 16, transport))
+            traces.append(trace_spec(spec, 16, transport))
             verdicts[p] = (Verdict.censored(Mechanism.RST_INJECTION) if octet % 2
                            else Verdict.not_censored())
         pathset = merge_paths(traces, verdicts)
@@ -292,7 +293,7 @@ def run_fixture_pipeline(fx, grid=None):
     for p in grid:
         spec = ProbeSpec(fx.protocol, fx.dst_ip, SENSITIVE_DOMAIN,
                          Sensitivity.SENSITIVE, p)
-        traces.append(trace(spec, 16, transport))
+        traces.append(trace_spec(spec, 16, transport))
     pathset = merge_paths(traces, matrix)
     censor_nodes = [r.attach_at for r in fx.topology.censors]
     dual = build_dual_graph(pathset, censor_nodes=censor_nodes)

@@ -1,5 +1,8 @@
+import builtins
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -308,6 +311,48 @@ class TestReadsLogOnce:
         argv = [a.format(tmp=tmp_path) for a in argv] + ["--log", str(log)]
         assert cli_main(argv) == 0
         assert len(reads) == 1
+
+
+class TestReadsTopologyOnce:
+    """A command reads its topology file once, so a run id hashes the
+    bytes of the topology that ran, even if the file is replaced."""
+
+    @pytest.fixture
+    def topology(self, tmp_path, monkeypatch):
+        """A copy of half_split.topo, and the list of its opens."""
+        path = tmp_path / "half_split.topo"
+        path.write_bytes((FIXTURES / "half_split.topo").read_bytes())
+        opens = []
+        real_open = io.open
+
+        def counting(file, *args, **kwargs):
+            if not isinstance(file, int) and os.fspath(file) == os.fspath(path):
+                opens.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting)
+        monkeypatch.setattr(builtins, "open", counting)
+        return path, opens
+
+    TRACE = ["trace", "--topology", "{topo}", "--dest", "3", "--src-ip", "198.51.100.7",
+             "--src-port", "40000", "--protocol", "https"]
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{topo}"],
+        TRACE,
+        TRACE + ["--out", "{tmp}/trace.log"],
+        ["rq1", "--topology", "{topo}", "--dest", "3", "--out", "{tmp}/rq1.log"],
+        ["rq2", "--topology", "{topo}", "--dests", str(FIXTURES / "half_split.dests"),
+         "--protocols", "http", "--out", "{tmp}/rq2.log"],
+        ["graph", "--log", "{log}", "--dest", "10.0.3.4", "--topology", "{topo}",
+         "--out", "{tmp}/g"],
+        ["classify", "--log", "{log}", "--topology", "{topo}"],
+    ], ids=["validate", "trace", "trace_out", "rq1", "rq2", "graph", "classify"])
+    def test_opens_the_topology_once(self, rq2_run, topology, tmp_path, capsys, argv):
+        path, opens = topology
+        argv = [a.format(topo=path, tmp=tmp_path, log=rq2_run[1]) for a in argv]
+        assert cli_main(argv) == 0
+        assert len(opens) == 1
 
 
 class TestRunLog:

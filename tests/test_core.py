@@ -17,6 +17,7 @@ from flowstable.core import (
     Packet,
     PacketKind,
     Protocol,
+    Sensitivity,
     SourceParams,
     Verdict,
 )
@@ -227,6 +228,8 @@ VALID = {
     Ipv4Address: (1,),
     SourceParams: (Ipv4Address(1), 40000),
     FlowId: (Ipv4Address(1), Ipv4Address(2), 40000, 80, Protocol.TCP),
+    Packet: (FlowId(Ipv4Address(1), Ipv4Address(2), 40000, 80, Protocol.TCP), 64, 7,
+             PacketKind.TCP_PAYLOAD, Sensitivity.CONTROL, "example.com", None),
 }
 
 #: A field out of range, per type.
@@ -234,6 +237,8 @@ OUT_OF_RANGE = [
     (Ipv4Address, {"value": -1}), (Ipv4Address, {"value": 2**32}),
     (SourceParams, {"src_port": -1}), (SourceParams, {"src_port": 0x10000}),
     (FlowId, {"src_port": 0x10000}), (FlowId, {"dst_port": -1}),
+    (Packet, {"ttl": 0}), (Packet, {"ttl": 256}),
+    (Packet, {"ip_id": -1}), (Packet, {"ip_id": 0x10000}),
 ]
 
 CONSTRUCTORS = ["call", "keywords", "_make", "_replace", "copy", "deepcopy",
@@ -244,12 +249,24 @@ CONSTRUCTORS = ["call", "keywords", "_make", "_replace", "copy", "deepcopy",
 @pytest.mark.parametrize("cls, bad", OUT_OF_RANGE,
                          ids=[f"{cls.__name__}-{bad}" for cls, bad in OUT_OF_RANGE])
 def test_out_of_range_field_raises_through_every_constructor(cls, bad, how):
+    with pytest.raises(ValueError, match="out of range"):
+        _constructor(cls, bad, how)()
+
+
+@pytest.mark.parametrize("how", CONSTRUCTORS)
+def test_unquoted_time_exceeded_packet_raises_through_every_constructor(how):
+    with pytest.raises(ValueError, match="must quote"):
+        _constructor(Packet, {"kind": PacketKind.ICMP_TTL_EXCEEDED}, how)()
+
+
+def _constructor(cls, bad, how):
+    """A call that constructs cls, with VALID's fields but bad's, by how."""
     fields = {**dict(zip(cls._fields, VALID[cls])), **bad}
     values = tuple(fields.values())
     # An instance made around the checks: copying or unpickling it
     # constructs it again, through them.
     unchecked = tuple.__new__(cls, values)
-    build = {
+    return {
         "call": lambda: cls(*values),
         "keywords": lambda: cls(**fields),
         "_make": lambda: cls._make(values),
@@ -257,8 +274,6 @@ def test_out_of_range_field_raises_through_every_constructor(cls, bad, how):
         "copy": lambda: copy.copy(unchecked),
         "deepcopy": lambda: copy.deepcopy(unchecked),
     }.get(how) or (lambda: pickle.loads(pickle.dumps(unchecked, int(how[len("pickle"):]))))
-    with pytest.raises(ValueError, match="out of range"):
-        build()
 
 
 @pytest.mark.parametrize("cls", list(VALID))

@@ -112,6 +112,37 @@ class TestRunners:
             pathsets = run_rq1(plans, SimTransport(topo), log)
         assert num_paths(pathsets[Rq1Variation.ALL_CONSTANT]) == 1
 
+    def test_rq1_all_constant_traces_its_source_once(self, tmp_path):
+        # The plan's 144 samples share one source, so one run on the
+        # transport, and 144 lines citing one body; a resumed run takes the
+        # lines its log holds and traces the source once for the rest.
+        topo = load_fixture("half_split.topo")
+        plans = [p for p in plan_rq1(topo.nodes[3].address, AppProtocol.HTTP, seed=7)
+                 if p.variation is Rq1Variation.ALL_CONSTANT]
+
+        def counted_transport():
+            transport = SimTransport(topo)
+            run = transport.run
+            transport.run = lambda flow, key, probe: runs.append(flow) or run(flow, key, probe)
+            return transport
+
+        runs = []
+        full_log = tmp_path / "full.log"
+        full = run_rq1(plans, counted_transport(), logio.open_run(full_log, "rq1"))
+        assert len(runs) == 1
+        lines = full_log.read_bytes().splitlines(keepends=True)
+        traces = cited(lines)
+        assert len(traces) == 144
+        assert len({json.loads(lines[i])["body"] for i in traces}) == 1
+
+        runs.clear()
+        partial_log = tmp_path / "partial.log"
+        partial_log.write_bytes(b"".join(lines[:traces[69] + 1]))
+        resumed = run_rq1(plans, counted_transport(), logio.open_run(partial_log, "rq1"))
+        assert len(runs) == 1
+        assert resumed == full
+        assert partial_log.read_bytes() == full_log.read_bytes()
+
     def test_rq1_vary_ip_exercises_every_branch(self):
         topo = load_fixture("bits3of8.topo")
         dest = topo.nodes[9].address

@@ -33,8 +33,8 @@ from flowstable.simnet import (
     loss_key_parts,
     route,
 )
-from flowstable.tracer import trace
 
+from builders import trace_spec
 from conftest import load_fixture
 from reference import FLOW_SLICES, digest_draw, flow_bytes, loss_digest, next_hop, walk
 
@@ -201,7 +201,7 @@ def test_session_packets_match_per_node_walk(doc, host, src_port, protocol, reps
     with checked_sends(topology, doc) as checked:
         run_cell(cell, source, SimTransport(topology))
         with contextlib.suppress(HandshakeFailedError):
-            trace(sensitive, data.draw(st.integers(1, 20)), SimTransport(topology))
+            trace_spec(sensitive, data.draw(st.integers(1, 20)), SimTransport(topology))
     assert checked
 
 

@@ -23,8 +23,9 @@ from flowstable.prober import (
     run_cell,
 )
 from flowstable.simnet import Role, load_topology
-from flowstable.tracer import DEFAULT_MAX_TTL, trace
+from flowstable.tracer import DEFAULT_MAX_TTL
 
+from builders import trace_spec
 from conftest import FIXTURES, flapping, scratch_log
 
 DOMAINS = ("control.example", "blocked.example")
@@ -91,7 +92,7 @@ def traced(topology, transport, dest, protocol, params):
         params,
     )
     try:
-        return trace(spec, DEFAULT_MAX_TTL, transport)
+        return trace_spec(spec, DEFAULT_MAX_TTL, transport)
     except HandshakeFailedError as exc:  # a failure must be the same failure
         return str(exc)
 
@@ -131,7 +132,7 @@ def test_topology_unchanged_after_use(registry):
         run_rq2(plan_rq2([dest], seed=3), transport, log, protocols=[AppProtocol.HTTPS],
                 registry=registry)
     params = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
-    trace(ProbeSpec(AppProtocol.HTTPS, dest, DOMAINS[1],
-                    Sensitivity.SENSITIVE, params),
-          DEFAULT_MAX_TTL, transport)
+    trace_spec(ProbeSpec(AppProtocol.HTTPS, dest, DOMAINS[1],
+                         Sensitivity.SENSITIVE, params),
+               DEFAULT_MAX_TTL, transport)
     assert topology == build()

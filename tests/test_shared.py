@@ -40,8 +40,8 @@ from flowstable.prober import (
     SimTransport, classify, run_cell,
 )
 from flowstable.simnet import Role, load_topology, route
-from flowstable.tracer import trace
 
+from builders import trace_spec
 from conftest import FIXTURES, flapping, scratch_log
 from reference import log_bytes, verdict_record
 from test_hops import DOMAINS, censored_documents
@@ -61,7 +61,7 @@ def specs(dst, protocol, source, domain=DOMAINS[1]):
 
 def traced(spec, max_ttl, transport):
     try:
-        return trace(spec, max_ttl, transport)
+        return trace_spec(spec, max_ttl, transport)
     except HandshakeFailedError as exc:  # a failure must be the same failure
         return str(exc)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -75,9 +76,11 @@ class TestFnv:
     def test_known_bytes_against_reference(self):
         assert fnv1a_64(bytes([0x9C, 0x40])) == 0x0A294007B69656E1
 
-    @given(st.binary(max_size=64))
-    def test_matches_independent_reference(self, data):
+    @given(st.binary(max_size=64), st.binary(max_size=16))
+    def test_matches_independent_reference(self, data, more):
         assert fnv1a_64(data) == fnv_reference(data)
+        # From the hash of the bytes before it, the hash of all of them.
+        assert fnv1a_64(more, fnv1a_64(data)) == fnv_reference(data + more)
 
 
 def one_router(selector, fanout):
@@ -375,24 +378,70 @@ class TestRoute:
         assert route(topo, flow) == expected
 
     def test_hashes_each_field_set_once(self, monkeypatch):
-        # Eight routers in a chain, three fanning out by one field set and
-        # five by another: the walk hashes the flow twice, not eight times.
+        # Eight routers in a chain, five fanning out by one field set and
+        # three by another: the walk hashes the flow twice, not eight
+        # times. Where one set's bytes are a prefix of the other's (the
+        # first four fields' 12 of all five's 13), the longer hash
+        # continues the shorter: 13 bytes hashed, not 12 + 13.
         n = 8
         nodes = [{"id": i, "role": "router" if i < n else "endpoint", "asn": 1 + i,
                   "subnet24": f"10.0.{i}.0/24", "geo": "x", "responsive": True}
                  for i in range(n + 1)]
-        policies = [
-            {"node": i, "next_hops": [i + 1, i + 1],
-             "selector": {"kind": "hash_tuple",
-                          "fields": ["src_ip", "dst_port"] if i % 3 else ["src_port"]}}
-            for i in range(n)
-        ]
-        topo = load_topology({"nodes": nodes, "policies": policies, "seed": 0})
         calls = []
-        monkeypatch.setattr(simnet, "fnv1a_64", lambda data: calls.append(data) or 0)
-        assert route(topo, make_flow(dst_ip=topo.nodes[n].address.value)) == tuple(
-            range(n + 1))
-        assert len(calls) == 2
+        monkeypatch.setattr(simnet, "fnv1a_64", lambda data, h=0: calls.append(data) or 0)
+        for some, others, hashed in ((["src_ip", "dst_port"], ["src_port"], 6 + 2),
+                                     (list(FLOW_SLICES)[:4], list(FLOW_SLICES), 13)):
+            policies = [
+                {"node": i, "next_hops": [i + 1, i + 1],
+                 "selector": {"kind": "hash_tuple", "fields": some if i % 3 else others}}
+                for i in range(n)
+            ]
+            topo = load_topology({"nodes": nodes, "policies": policies, "seed": 0})
+            calls.clear()
+            assert route(topo, make_flow(dst_ip=topo.nodes[n].address.value)) == tuple(
+                range(n + 1))
+            assert len(calls) == 2
+            assert sum(map(len, calls)) == hashed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 254), st.integers(0, 2**16 - 1),
+           st.integers(0, 2**16 - 1), st.sampled_from([Protocol.TCP, Protocol.UDP]))
+    def test_each_field_set_hash_equals_reference(self, data, host, src_port, dst_port,
+                                                  protocol):
+        # A family of field sets, some of them prefixes of another in
+        # layout order, met by a chain of routers in any order: each set's
+        # hash, one call of fnv1a_64 each, is the FNV of its own bytes.
+        fields = list(FLOW_SLICES)
+        drawn = data.draw(st.lists(st.sampled_from(fields), min_size=2, unique=True))
+        longest = [f for f in fields if f in drawn]
+        cuts = data.draw(st.lists(st.integers(1, len(longest) - 1), min_size=1, unique=True))
+        others = data.draw(st.lists(st.lists(st.sampled_from(fields), min_size=1, unique=True),
+                                    max_size=3))
+        family = list(dict.fromkeys(
+            frozenset(s) for s in [longest, *(longest[:k] for k in cuts), *others]))
+        family = data.draw(st.permutations(family))
+        n = len(family)
+        nodes = [{"id": i, "role": "router" if i < n else "endpoint", "asn": 1 + i,
+                  "subnet24": f"10.0.{i}.0/24", "geo": "x", "responsive": True}
+                 for i in range(n + 1)]
+        policies = [{"node": i, "next_hops": [i + 1],
+                     "selector": {"kind": "hash_tuple", "fields": sorted(s)}}
+                    for i, s in enumerate(family)]
+        topo = load_topology({"nodes": nodes, "policies": policies, "seed": 0})
+        flow = FlowId(Ipv4Address(0xC6336400 + host), topo.nodes[n].address, src_port,
+                      dst_port, protocol)
+        raw = flow.to_bytes()
+        hashes = []
+
+        def recorded(chunk, h=simnet.FNV64_OFFSET_BASIS):
+            hashes.append(fnv1a_64(chunk, h))
+            return hashes[-1]
+
+        with mock.patch.object(simnet, "fnv1a_64", recorded):
+            assert route(topo, flow) == tuple(range(n + 1))
+        assert sorted(hashes) == sorted(
+            fnv_reference(b"".join(raw[FLOW_SLICES[f]] for f in fields if f in s))
+            for s in family)
 
 
 class TestOraclePaths:

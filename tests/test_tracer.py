@@ -13,7 +13,7 @@ import reference
 from flowstable.analysis import TraceGroup
 from flowstable.core import (AppProtocol, Ipv4Address, Mechanism, PacketKind, Protocol,
                              Sensitivity, SourceParams, Verdict)
-from builders import random_topology
+from builders import random_topology, trace_spec
 from flowstable.prober import ProbeSpec, SimTransport
 from flowstable.simnet import oracle_paths
 from flowstable.tracer import (
@@ -22,7 +22,6 @@ from flowstable.tracer import (
     TerminalKind,
     TracePath,
     merge_paths,
-    trace,
 )
 
 from conftest import load_fixture, load_script
@@ -40,8 +39,8 @@ def sensitive_spec(topology, protocol, params=PARAMS, dst=None, domain="blocked.
 class TestTrace:
     def test_chain_reaches_destination_after_three_hops(self):
         topo = load_fixture("chain.topo")
-        path = trace(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
-                     8, SimTransport(topo))
+        path = trace_spec(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
+                          8, SimTransport(topo))
         assert path.hops == (0, 1, 2)
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
 
@@ -49,22 +48,22 @@ class TestTrace:
         topo = load_fixture("type4_hidden.topo")
         # odd host octet routes to the clear unresponsive branch (node 3)
         params = SourceParams(Ipv4Address.parse("198.51.100.9"), 40000)
-        path = trace(sensitive_spec(topo, AppProtocol.HTTPS, params=params, dst=4),
-                     8, SimTransport(topo))
+        path = trace_spec(sensitive_spec(topo, AppProtocol.HTTPS, params=params, dst=4),
+                          8, SimTransport(topo))
         assert path.hops == (0, 1, None)
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
 
     def test_max_ttl_zero_rejected(self):
         topo = load_fixture("chain.topo")
         with pytest.raises(ValueError):
-            trace(sensitive_spec(topo, AppProtocol.HTTP), 0, SimTransport(topo))
+            trace_spec(sensitive_spec(topo, AppProtocol.HTTP), 0, SimTransport(topo))
         with pytest.raises(ValueError):
-            trace(sensitive_spec(topo, AppProtocol.HTTP), 65, SimTransport(topo))
+            trace_spec(sensitive_spec(topo, AppProtocol.HTTP), 65, SimTransport(topo))
 
     def test_rst_censor_truncates_ladder(self):
         topo = load_fixture("rst_chain.topo")
-        path = trace(sensitive_spec(topo, AppProtocol.HTTPS, dst=3), 16,
-                     SimTransport(topo))
+        path = trace_spec(sensitive_spec(topo, AppProtocol.HTTPS, dst=3), 16,
+                          SimTransport(topo))
         assert path.terminal.kind is TerminalKind.CENSORED_AT
         # hop 2 (the censor node) answers for the expiring copy before the
         # next copy transits it and triggers the reset
@@ -75,7 +74,7 @@ class TestTrace:
         topo = load_fixture("chain.topo")
         transport = SimTransport(topo)
         spec = sensitive_spec(topo, AppProtocol.HTTPS, domain="example.com")
-        path = trace(spec, 8, transport)
+        path = trace_spec(spec, 8, transport)
         payloads = [p for p in sent_packets if p.kind is PacketKind.TCP_PAYLOAD]
         # no retransmissions, one copy per ttl, and none after the copy
         # that reached the destination (three routers, then the endpoint)
@@ -105,8 +104,8 @@ class TestTrace:
         from flowstable.simnet import load_topology
 
         topo = load_topology(doc)
-        path = trace(sensitive_spec(topo, AppProtocol.HTTP, dst=3,
-                                    domain="example.com"), 8, SimTransport(topo))
+        path = trace_spec(sensitive_spec(topo, AppProtocol.HTTP, dst=3,
+                                         domain="example.com"), 8, SimTransport(topo))
         assert path.hops == (0, None, 2)
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
 
@@ -121,8 +120,8 @@ class TestTrace:
             if node["role"] == "router":
                 node["responsive"] = False
         topo = load_topology(doc)
-        path = trace(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
-                     8, SimTransport(topo))
+        path = trace_spec(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
+                          8, SimTransport(topo))
         assert path.hops == (None, None, None)
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
 
@@ -137,14 +136,14 @@ class TestTrace:
         doc["loss"] = [{"node": 1, "p": 1.0}]
         topo = load_topology(doc)
         with pytest.raises(HandshakeFailedError):
-            trace(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
-                  8, SimTransport(topo))
+            trace_spec(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
+                       8, SimTransport(topo))
 
     def test_dns_trace_needs_no_handshake(self, sent_packets):
         topo = load_fixture("chain.topo")
         transport = SimTransport(topo)
-        path = trace(sensitive_spec(topo, AppProtocol.DNS, domain="example.com"),
-                     8, transport)
+        path = trace_spec(sensitive_spec(topo, AppProtocol.DNS, domain="example.com"),
+                          8, transport)
         assert path.hops == (0, 1, 2)
         kinds = {p.kind for p in sent_packets}
         assert kinds == {PacketKind.UDP_PAYLOAD}
@@ -168,20 +167,20 @@ class TestTrace:
             "seed": 0,
         }
         topo = load_topology(doc)
-        path = trace(sensitive_spec(topo, AppProtocol.DNS, dst=2, domain="example.com"),
-                     6, SimTransport(topo))
+        path = trace_spec(sensitive_spec(topo, AppProtocol.DNS, dst=2, domain="example.com"),
+                          6, SimTransport(topo))
         assert path.terminal.kind is TerminalKind.EXHAUSTED
         assert path.hops == (0, None, None, None, None, None)
         with pytest.raises(HandshakeFailedError):
-            trace(sensitive_spec(topo, AppProtocol.HTTP, dst=2, domain="example.com"),
-                  6, SimTransport(topo))
+            trace_spec(sensitive_spec(topo, AppProtocol.HTTP, dst=2, domain="example.com"),
+                       6, SimTransport(topo))
 
     def test_trace_does_not_change_routing(self):
         topo = load_fixture("srcip_hash.topo")
         transport = SimTransport(topo)
         spec = sensitive_spec(topo, AppProtocol.HTTP, domain="example.com", dst=5)
         oracle = oracle_paths(topo, 5, [spec.source], Protocol.TCP, 80)[spec.source]
-        path = trace(spec, 16, transport)
+        path = trace_spec(spec, 16, transport)
         for pos, hop in enumerate(path.hops):
             assert hop == oracle[pos]
 
@@ -198,7 +197,7 @@ class TestTrace:
                                   domain="example.com")
             oracle = oracle_paths(topo, dst, [params], protocol.transport,
                                   protocol.port)[params]
-            path = trace(spec, 32, SimTransport(topo))
+            path = trace_spec(spec, 32, SimTransport(topo))
             assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
             assert len(path.hops) == len(oracle) - 1
             for pos, hop in enumerate(path.hops):
@@ -214,7 +213,7 @@ class TestMergePaths:
         topo = load_fixture("chain.topo")
         transport = SimTransport(topo)
         spec = sensitive_spec(topo, AppProtocol.HTTP, domain="example.com")
-        traces = [trace(spec, 8, transport) for _ in range(2)]
+        traces = [trace_spec(spec, 8, transport) for _ in range(2)]
         pathset = merge_paths(traces)
         from flowstable.analysis import num_paths
 
@@ -227,7 +226,7 @@ class TestMergePaths:
         traces = []
         for octet in (2, 3):  # one even, one odd source
             params = SourceParams(Ipv4Address(0xC6336400 + octet), 40000)
-            traces.append(trace(
+            traces.append(trace_spec(
                 sensitive_spec(topo, AppProtocol.HTTP, params=params, dst=3,
                                domain="example.com"),
                 8, transport))
@@ -240,11 +239,11 @@ class TestMergePaths:
     def test_mixed_destinations_rejected(self):
         topo = load_fixture("srcip_hash.topo")
         transport = SimTransport(topo)
-        t1 = trace(sensitive_spec(topo, AppProtocol.HTTP, dst=5, domain="example.com"),
-                   8, transport)
+        t1 = trace_spec(sensitive_spec(topo, AppProtocol.HTTP, dst=5, domain="example.com"),
+                        8, transport)
         chain = load_fixture("chain.topo")
-        t2 = trace(sensitive_spec(chain, AppProtocol.HTTP, dst=3, domain="example.com"),
-                   8, SimTransport(chain))
+        t2 = trace_spec(sensitive_spec(chain, AppProtocol.HTTP, dst=3, domain="example.com"),
+                        8, SimTransport(chain))
         with pytest.raises(MixedDestinationsError):
             merge_paths([t1, t2])
 
@@ -252,7 +251,7 @@ class TestMergePaths:
         topo = load_fixture("half_split.topo")
         transport = SimTransport(topo)
         spec = sensitive_spec(topo, AppProtocol.HTTP, dst=3, domain="example.com")
-        traces = [trace(spec, 8, transport) for _ in range(144)]
+        traces = [trace_spec(spec, 8, transport) for _ in range(144)]
         pathset = merge_paths(traces)
         from flowstable.analysis import num_paths
 
@@ -264,7 +263,7 @@ class TestMergePaths:
         traces = []
         for octet in (2, 3):
             params = SourceParams(Ipv4Address(0xC6336400 + octet), 40000)
-            traces.append(trace(
+            traces.append(trace_spec(
                 sensitive_spec(topo, AppProtocol.HTTPS, params=params, dst=3),
                 8, transport))
         pathset = merge_paths(traces)
