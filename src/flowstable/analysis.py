@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .core import Ipv4Address, SourceParams, Verdict
+from .core import Ipv4Address, SourceParams, Verdict, VerdictKind
 from .simnet import Node
 
 
@@ -76,8 +76,11 @@ def no_censorship_fraction(matrix: Mapping[SourceParams, Verdict]) -> Fraction:
     """
     if not matrix:
         raise EmptyPathSetError("empty verdict matrix")
-    clear = sum(1 for v in matrix.values() if v.is_not_censored)
-    censored = sum(1 for v in matrix.values() if v.is_censored)
+    # Counted in a list by identity, as prober.is_affected looks kinds up:
+    # a Verdict property runs in Python.
+    kinds = [v.kind for v in matrix.values()]
+    clear = kinds.count(VerdictKind.NOT_CENSORED)
+    censored = kinds.count(VerdictKind.CENSORED)
     if clear + censored == 0:
         raise AllExcludedError("all cells excluded; fraction undefined")
     return Fraction(clear, clear + censored)

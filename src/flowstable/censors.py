@@ -114,6 +114,13 @@ class CensorRule:
         epochs = [when for when, _ in self.health_schedule]
         if epochs != sorted(epochs):
             raise ValueError("health_schedule must be ordered by epoch")
+        # The rule's key in a residual map (see apply): its fields, each
+        # enum by its value. Equal rules get equal keys, and a key hashes
+        # in C, where the rule's own hash runs each enum's in Python.
+        object.__setattr__(self, "_residual_key", (
+            self.attach_at, self.protocol.value, self.direction.value, self.domain_pattern,
+            self.action.kind.value, self.action.tag, self.health.value, self.residual_epochs,
+            tuple((when, state.value) for when, state in self.health_schedule)))
 
     def health_at(self, epoch: int) -> Health:
         current = self.health
@@ -142,24 +149,25 @@ class CensorRule:
 
 
 def apply(
-    rule: CensorRule, packet: Packet, epoch: int, residual: Dict[CensorRule, int]
+    rule: CensorRule, packet: Packet, epoch: int, residual: Dict[Tuple, int]
 ) -> Optional[CensorEvent]:
     """Fire the rule on a transiting packet, or return None.
 
-    residual maps each rule to the last epoch of its residual window and
-    belongs to the calling session, whose packets all share one flow. A
-    failed rule never fires, including for residual state. On a fresh
-    match with residual_epochs > 0 the window opens, and later packets
-    inside it are actioned regardless of content.
+    residual maps each rule's key (equal rules share one) to the last
+    epoch of its residual window and belongs to the calling session,
+    whose packets all share one flow. A failed rule never fires,
+    including for residual state. On a fresh match with residual_epochs
+    > 0 the window opens, and later packets inside it are actioned
+    regardless of content.
     """
     if rule.health_at(epoch) is Health.FAILED:
         return None
     if rule.residual_epochs > 0:
-        until = residual.get(rule)
+        until = residual.get(rule._residual_key)
         if until is not None and epoch <= until:
             return CensorEvent(rule.attach_at, rule.action, epoch)
     if rule.matches(packet):
         if rule.residual_epochs > 0:
-            residual[rule] = epoch + rule.residual_epochs
+            residual[rule._residual_key] = epoch + rule.residual_epochs
         return CensorEvent(rule.attach_at, rule.action, epoch)
     return None

@@ -28,10 +28,15 @@ from typing import Optional, Tuple
 
 
 class Protocol(Enum):
-    """Transport protocol, numbered per the IP protocol registry."""
+    """Transport protocol, numbered per the IP protocol registry. Each
+    member holds its number as a plain attribute: a member's value is
+    read through a Python-level descriptor."""
 
     TCP = 6
     UDP = 17
+
+    def __init__(self, number: int) -> None:
+        self.number: int = number
 
 
 #: Each application protocol's port, by the protocol's value.
@@ -141,7 +146,7 @@ class FlowId(_fields("FlowId", "src_ip dst_ip src_port dst_port protocol")):
             self.dst_ip.value,
             self.src_port,
             self.dst_port,
-            self.protocol.value,
+            self.protocol.number,
         )
 
 

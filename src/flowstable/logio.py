@@ -58,10 +58,11 @@ _BODY_KINDS = {KIND_TRACE_HOP, KIND_VERDICT}
 #: Bytes read per step when looking back for the last newline.
 _TAIL_BLOCK = 4096
 
-#: Most records an Appender holds. Holding a whole rq2 matrix (1664
-#: verdict records, about 2 MB as dicts and 0.9 MB as text) would raise
-#: a sweep command's peak RSS by about a fifth.
-APPEND_BATCH = 16
+#: The line bytes at which an Appender appends what it holds: an rq2
+#: matrix (1664 lines, about 150 KB of text) goes out in a few writes,
+#: each of which opens the file once. Holding a whole sweep's lines
+#: would grow peak RSS with the sweep.
+APPEND_BYTES = 32 * 1024
 
 
 class SchemaVersionUnknownError(ValueError):
@@ -150,24 +151,29 @@ def append_records(path: Union[str, Path], records: Iterable[Union[Dict, str]]) 
 
 
 class Appender:
-    """Collects records (dicts or lines, as append_records takes them)
-    bound for one log and appends them in batches of
-    at most APPEND_BATCH, each with one append_records call. flush()
-    writes what is held; a run flushes when it finishes a unit (an rq2
-    matrix, an rq1 plan), so a log never lags a finished unit."""
+    """Collects lines (as SharedLines writes them, ASCII, so a character
+    is a byte) bound for one log and appends them in batches, each with
+    one append_records call: a batch goes out once it holds
+    APPEND_BYTES or more. flush() writes what is held; a run flushes
+    when it finishes a unit (an rq2 matrix, an rq1 plan), so a log never
+    lags a finished unit."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = path
-        self._records: List[Union[Dict, str]] = []
+        self._lines: List[str] = []
+        self._held = 0
 
-    def add(self, record: Union[Dict, str]) -> None:
-        self._records.append(record)
-        if len(self._records) >= APPEND_BATCH:
+    def add(self, line: str) -> None:
+        self._lines.append(line)
+        self._held += len(line)
+        if self._held >= APPEND_BYTES:
             self.flush()
 
     def flush(self) -> None:
-        append_records(self.path, self._records)
-        self._records = []
+        if self._lines:
+            append_records(self.path, self._lines)
+            self._lines = []
+            self._held = 0
 
 
 #: What a well-formed JSON record can still get wrong: a missing field
@@ -537,10 +543,9 @@ def traces_from_records(records: Iterable[Dict]) -> List[TracePath]:
     return traces
 
 
-def _source_fields(source: SourceParams) -> str:
-    """A line's source fields as encode_record writes them: a dotted
-    quad and a port hold nothing JSON escapes."""
-    return f'"src_ip": "{source.src_ip}", "src_port": {source.src_port}'
+#: A str's JSON text, as _encode gives it (JSONEncoder.encode of a str,
+#: with ensure_ascii), without encode's Python frame.
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 class SharedLines:
@@ -556,7 +561,9 @@ class SharedLines:
     open_run fills for a resumed run). A body the run has not recorded
     takes the run's next id, and its record goes out in front of the
     first line that cites it. A line is the body id and run_id, encoded
-    once per result, then the line's cell fields; a trace_id is
+    once per result, then the line's cell fields: its source address's
+    fields, encoded once per address (the sources of a plan share
+    addresses across ports), and its port's digits; a trace_id is
     JSON-encoded per line. Every flow that takes a shared result
     (prober.SimTransport.run) gets the very same objects. The memo holds
     the objects whose ids key it, so no other object takes one of those
@@ -571,6 +578,15 @@ class SharedLines:
         self.fixed = fixed
         #: memo key -> (the objects its ids name, the head of their lines)
         self._memo: Dict[object, Tuple] = {}
+        #: source address -> its line fields up to the port (_source_fields)
+        self._sources: Dict[Ipv4Address, str] = {}
+
+    def _source_fields(self, src_ip: Ipv4Address) -> str:
+        """A line's source fields up to the port's digits, as
+        encode_record writes them, memoised: a dotted quad holds nothing
+        JSON escapes."""
+        text = self._sources[src_ip] = f'"src_ip": "{src_ip}", "src_port": '
+        return text
 
     def _cite(self, key, held, kind: str, **body) -> str:
         """The head of the lines citing body, memoised under key with the
@@ -602,7 +618,8 @@ class SharedLines:
                 sensitive=[[o.epoch, o.kind.value, o.tag] for o in result.sensitive])
         else:
             head = held[1]
-        return head + _source_fields(source) + "}\n"
+        src_ip, src_port = source
+        return f"{head}{self._sources.get(src_ip) or self._source_fields(src_ip)}{src_port}}}\n"
 
     def trace(self, trace: TracePath, trace_id: str, sample_index: Optional[int] = None) -> str:
         """The line of trace, of the encoder's destination and protocol,
@@ -616,8 +633,9 @@ class SharedLines:
         else:
             head = held[1]
         index = "" if sample_index is None else f'"sample_index": {sample_index}, '
-        return (head + index + _source_fields(trace.source)
-                + ', "trace_id": ' + _encode(trace_id) + "}\n")
+        src_ip, src_port = trace.source
+        return (f"{head}{index}{self._sources.get(src_ip) or self._source_fields(src_ip)}"
+                f'{src_port}, "trace_id": {_encode_str(trace_id)}}}\n')
 
 
 def parse_verdict(record: Dict) -> Verdict:

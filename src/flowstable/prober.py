@@ -49,7 +49,7 @@ from .simnet import (
     forward,
     route,
 )
-from .censors import ActionKind, CensorEvent, CensorRule
+from .censors import ActionKind, CensorEvent
 
 #: Initial TTL on probe packets; paths deeper than this are malformed.
 PROBE_TTL = 64
@@ -312,7 +312,7 @@ class Session:
         #: keyed by the kind's bytes, which hash in C.
         self._replies: Dict[Tuple[bytes, str], Optional[Packet]] = {}
         self.epoch = 0
-        self.residual: Dict[CensorRule, int] = {}
+        self.residual: Dict[Tuple, int] = {}
         self.draws: Dict[DrawPoint, bool] = {}
 
     def advance(self) -> None:

@@ -316,7 +316,7 @@ class Topology:
         destination port, the only parts of a flow a hop depends on;
         built on the first call per (transport, port) and kept, with
         each node's drop threshold computed once."""
-        key = (flow.protocol, flow.dst_port)
+        key = (flow.protocol.number, flow.dst_port)  # a member's own hash runs in Python
         table = self._hop_tables.get(key)
         if table is None:
             table = {}
@@ -608,7 +608,7 @@ def forward(
     path: Route,
     epoch: int,
     rng_stream: Optional[LossStream],
-    residual: Dict[censors_mod.CensorRule, int],
+    residual: Dict[Tuple, int],
 ) -> TransitResult:
     """Carry one packet of epoch along path, its flow's compiled route
     (see compile_route()), which holds all forward reads of the topology.

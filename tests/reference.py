@@ -175,6 +175,17 @@ def is_affected(matrix) -> bool:
     return "censored" in kinds and "not_censored" in kinds
 
 
+def no_censorship_fraction(kinds):
+    """(not-censored cells, decided cells) among verdict kind values, by
+    one pass per kind; the errors' names for no cell and for no decided
+    cell."""
+    if not kinds:
+        return "empty"
+    clear = sum(1 for kind in kinds if kind == "not_censored")
+    censored = sum(1 for kind in kinds if kind == "censored")
+    return (clear, clear + censored) if clear + censored else "all excluded"
+
+
 #: Byte range of each hashed field in the canonical 13-byte flow layout.
 FLOW_SLICES = {
     "src_ip": slice(0, 4),

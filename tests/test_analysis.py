@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flowstable.analysis import (
@@ -45,7 +45,7 @@ from flowstable.prober import BlockpageRegistry, Cell, ProbeSpec, SimTransport, 
 from flowstable.tracer import TracePath, Terminal, TerminalKind, merge_paths
 
 from conftest import load_fixture, load_script
-from reference import graph_walk
+from reference import graph_walk, no_censorship_fraction as reference_fraction
 
 num_nodes = load_script("run_path_diversity").num_nodes
 
@@ -123,6 +123,21 @@ class TestFraction:
     def test_all_excluded_raises(self):
         with pytest.raises(AllExcludedError):
             no_censorship_fraction({params_at(1): Verdict.excluded()})
+
+    @given(st.lists(st.sampled_from([
+        Verdict.not_censored(), Verdict.excluded(),
+        *(Verdict.censored(m) for m in Mechanism)]), max_size=40))
+    @example([])
+    @example([Verdict.excluded()] * 3)
+    def test_equals_two_pass_reference(self, verdicts):
+        matrix = {params_at(i % 250, 40000 + i): v for i, v in enumerate(verdicts)}
+        expected = reference_fraction([v.kind.value for v in verdicts])
+        errors = {"empty": EmptyPathSetError, "all excluded": AllExcludedError}
+        if expected in errors:
+            with pytest.raises(errors[expected]):
+                no_censorship_fraction(matrix)
+        else:
+            assert no_censorship_fraction(matrix) == Fraction(*expected)
 
     def test_complement_without_excluded(self):
         matrix = {params_at(i): (Verdict.not_censored() if i % 3 else

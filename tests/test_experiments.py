@@ -207,6 +207,37 @@ class TestRunners:
         assert full == resumed
         assert partial_log.read_bytes() == full_log.read_bytes()
 
+    def test_rq2_matrix_appends_in_byte_batches(self, tmp_path, registry, monkeypatch):
+        # Each append opens the log once: a matrix goes out in batches of
+        # APPEND_BYTES or more, but the last, each of whole lines, and in
+        # the bytes that appending its lines one by one writes.
+        topo = load_fixture("half_split.topo")
+        plan = plan_rq2([topo.nodes[3].address], seed=5)
+        append, budget = logio.append_records, logio.APPEND_BYTES
+        runs = []
+        for held in (budget, 1):
+            monkeypatch.setattr(logio, "APPEND_BYTES", held)
+            path = tmp_path / f"{held}.log"
+            log = logio.open_run(path, "rq2")
+            start = path.stat().st_size
+            chunks = []
+
+            def spy(path, records):
+                chunks.append("".join(records))
+                append(path, records)
+
+            monkeypatch.setattr(logio, "append_records", spy)
+            run_rq2(plan, SimTransport(topo), log, protocols=[AppProtocol.HTTP],
+                    registry=registry)
+            monkeypatch.setattr(logio, "append_records", append)
+            assert all(chunk.endswith("\n") for chunk in chunks)
+            assert sum(map(len, chunks)) == path.stat().st_size - start
+            runs.append((path.read_bytes(), chunks))
+        (data, chunks), (reference, lines) = runs
+        assert len(lines) == 1664  # one append per line, each body with its first
+        assert len(chunks) <= -(-sum(map(len, chunks)) // budget) + 1
+        assert data == reference
+
     def test_rq2_rerun_on_one_transport_identical(self, registry):
         topo = load_fixture("half_split.topo")
         dest = topo.nodes[3].address

@@ -186,6 +186,74 @@ def test_log_lines_have_one_decode_site():
     assert len(uses) == 1 + len(calls), [ast.unparse(node) for node in uses]
 
 
+def _scoped_calls(module, tree):
+    """(the dotted name of the enclosing function or class, call) for
+    each call in tree; at module level, the module's name."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                yield scope, child
+            yield from walk(child, scope)
+    return walk(tree, module)
+
+
+def _argument(call, index, keyword):
+    """The call's argument at index or by keyword, or None."""
+    if len(call.args) > index:
+        return call.args[index]
+    return next((k.value for k in call.keywords if k.arg == keyword), None)
+
+
+def _callee(call):
+    """(the name a call calls, the name of what it is an attribute of)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name, getattr(getattr(func, "value", None), "id", None)
+
+
+def _appends(call):
+    """Whether call opens a file for appending: a builtin, io or Path
+    open, or an os.fdopen, whose mode holds "a" or is not a literal; or
+    an os.open whose flags name O_APPEND or a value other than os.O_*."""
+    name, owner = _callee(call)
+    if name == "open" and owner == "os":
+        flags = _argument(call, 1, "flags")
+        names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(flags)
+                 if isinstance(n, (ast.Attribute, ast.Name))} - {"os"}
+        return "O_APPEND" in names or not all(n.startswith("O_") for n in names)
+    if name not in ("open", "fdopen"):
+        return False
+    builtin = isinstance(call.func, ast.Name) or owner in ("io", "builtins", "os")
+    mode = _argument(call, 1 if builtin else 0, "mode")
+    if mode is None:
+        return False
+    literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+    return not literal or "a" in mode.value
+
+
+#: The only functions of src/ that write to a log in place: one appends
+#: every line, and one cuts a crashed run's partial last line.
+_LOG_WRITERS = {"append": ["logio.append_records"], "truncate": ["logio._cut_partial_tail"]}
+
+
+def test_logs_are_appended_by_append_records_alone():
+    # perfbench's logio.append_records.{calls,bytes} see every line a run
+    # appends only while every append goes through that function: an
+    # Appender that held a file handle of its own would pass every other
+    # test and hide most of a matrix's lines from the benchmark.
+    found = {"append": [], "truncate": []}
+    for module, tree in _parsed_modules().items():
+        for scope, call in _scoped_calls(module, tree):
+            if _appends(call):
+                found["append"].append(scope)
+            elif _callee(call)[0] in ("truncate", "ftruncate"):
+                found["truncate"].append(scope)
+    assert found == _LOG_WRITERS
+
+
 def test_benchmark_wrappers_resolve_and_restore():
     # Loaded from its file, as it stands: a renamed function here would
     # otherwise only show as a crash of a traced benchmark run.

@@ -31,9 +31,10 @@ from reference import (
 DST = Ipv4Address.parse("10.0.3.4")
 
 
-def random_cell(rng, i):
+def random_cell(rng, i, hosts=254):
     params = SourceParams(
-        Ipv4Address.parse(f"198.51.100.{rng.randrange(1, 255)}"), rng.randrange(32768, 61000)
+        Ipv4Address.parse(f"198.51.100.{rng.randrange(1, hosts + 1)}"),
+        rng.randrange(32768, 61000)
     )
     control = [Observation(e, ObservationKind.PAYLOAD_RESPONSE, "origin:control.example")
                for e in (1, 2, 3)]
@@ -53,32 +54,34 @@ def _canonical(path):
 
 
 def test_round_trip_1000_records(tmp_path):
-    path = tmp_path / "run.log"
-    rng = random.Random(0)
-    cells = [random_cell(rng, i) for i in range(1000)]
-    log = logio.open_run(path, "run-a")
-    encoders = {}
-    lines = []
-    for dst, protocol, params, control, sensitive, verdict in cells:
-        encoder = encoders.setdefault(protocol, logio.SharedLines(log, dst, protocol))
-        lines.append(encoder.verdict(CellResult(control, sensitive, verdict), params))
-    logio.append_records(path, lines[:500])
-    for line in lines[500:]:
-        logio.append_records(path, [line])
-    records = [verdict_record("run-a", *cell) for cell in cells]
-    meta = {"record_kind": "meta", "run_id": "run-a", "schema_version": 3}
-    assert logio.read_log(path) == [meta, *records]
-    assert path.read_bytes() == log_bytes([meta, *records])
-    assert _canonical(path)
+    # With three hosts, most lines share their address with other ports'.
+    for hosts in (254, 3):
+        path = tmp_path / f"run_{hosts}.log"
+        rng = random.Random(0)
+        cells = [random_cell(rng, i, hosts) for i in range(1000)]
+        log = logio.open_run(path, "run-a")
+        encoders = {}
+        lines = []
+        for dst, protocol, params, control, sensitive, verdict in cells:
+            encoder = encoders.setdefault(protocol, logio.SharedLines(log, dst, protocol))
+            lines.append(encoder.verdict(CellResult(control, sensitive, verdict), params))
+        logio.append_records(path, lines[:500])
+        for line in lines[500:]:
+            logio.append_records(path, [line])
+        records = [verdict_record("run-a", *cell) for cell in cells]
+        meta = {"record_kind": "meta", "run_id": "run-a", "schema_version": 3}
+        assert logio.read_log(path) == [meta, *records]
+        assert path.read_bytes() == log_bytes([meta, *records])
+        assert _canonical(path)
 
-    run = logio.read_run(path)
-    expected = {}
-    for dst, protocol, params, _, _, verdict in cells:
-        expected.setdefault((dst, protocol), {})[params] = verdict
-    assert run.verdicts == expected
-    assert list(run.verdicts) == list(expected)
-    for key, matrix in expected.items():
-        assert list(run.verdicts[key]) == list(matrix)
+        run = logio.read_run(path)
+        expected = {}
+        for dst, protocol, params, _, _, verdict in cells:
+            expected.setdefault((dst, protocol), {})[params] = verdict
+        assert run.verdicts == expected
+        assert list(run.verdicts) == list(expected)
+        for key, matrix in expected.items():
+            assert list(run.verdicts[key]) == list(matrix)
 
 
 def test_truncated_final_line_discarded_with_warning(tmp_path):
@@ -170,6 +173,8 @@ def test_terminal_string_round_trip():
 
 def test_verdict_record_round_trip(tmp_path):
     params = SourceParams(Ipv4Address.parse("198.51.100.9"), 40404)
+    # a second source on the same address, whose line reuses its text
+    other = params._replace(src_port=40405)
     control = (Observation(1, ObservationKind.PAYLOAD_RESPONSE, "origin:control.example"),)
     sensitive = (Observation(1, ObservationKind.PAYLOAD_RESPONSE, "bp-01"),)
     for verdict in (
@@ -180,9 +185,11 @@ def test_verdict_record_round_trip(tmp_path):
         path = tmp_path / f"{verdict.kind.value}.log"
         log = logio.open_run(path, "r")
         lines = logio.SharedLines(log, DST, AppProtocol.HTTP)
-        logio.append_records(path, [lines.verdict(CellResult(control, sensitive, verdict),
-                                                  params)])
-        record = logio.read_log(path)[-1]
+        result = CellResult(control, sensitive, verdict)
+        logio.append_records(path, [lines.verdict(result, params), lines.verdict(result, other)])
+        *_, first, record = logio.read_log(path)
+        assert [(r["src_ip"], r["src_port"]) for r in (first, record)] == [
+            ("198.51.100.9", 40404), ("198.51.100.9", 40405)]
         assert logio.parse_verdict(record) == verdict
         assert record["control"] == [[1, "payload_response", "origin:control.example"]]
         assert record["sensitive"] == [[1, "payload_response", "bp-01"]]
@@ -894,8 +901,10 @@ _terminals = st.one_of(
                      Terminal(TerminalKind.EXHAUSTED),
                      Terminal(TerminalKind.CENSORED_AT, None)]),
     st.builds(Terminal, st.just(TerminalKind.CENSORED_AT), st.integers(1, MAX_TTL_CEILING)))
-_sources = st.builds(SourceParams, st.builds(Ipv4Address, st.integers(0, 2**32 - 1)),
-                     st.integers(0, 2**16 - 1))
+#: Sources, often on an address of a small pool that other ports share.
+_sources = st.builds(SourceParams, st.builds(Ipv4Address, st.one_of(
+    st.sampled_from([0xC6336401, 0xC6336407, 0x0A000007]), st.integers(0, 2**32 - 1))),
+    st.integers(0, 2**16 - 1))
 #: Trace ids with what JSON must escape, or may write as is, drawn often.
 _trace_ids = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é☃\U0001d11e:|'),
                                st.characters()), max_size=12)
