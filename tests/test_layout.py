@@ -3,7 +3,8 @@ front end loads every module of the package. Every import of the
 package sits at module level, and its modules import each other
 without a cycle. The loss key has one home, simnet, and so has the
 outcome of a loss draw; whether a packet reached its destination is
-decided in prober alone; logio decodes each log line at one call site.
+decided in prober alone; logio decodes each log line at one call site,
+and appends to a log in one function.
 The flow identities hash, compare and order in C. And the benchmark's
 span wrappers (perfbench/spans.py) still find every name they patch."""
 
