@@ -145,23 +145,20 @@ def _cmd_trace(args) -> int:
     topology, topology_bytes = _load_topology(args.topology)
     dst_ip = _parse_dest(topology, args.dest).address
     transport = prober.SimTransport(topology)
-    spec = prober.ProbeSpec(
-        AppProtocol(args.protocol),
-        dst_ip,
-        args.domain,
-        Sensitivity.SENSITIVE if args.sensitive else Sensitivity.CONTROL,
-        SourceParams(args.src_ip, args.src_port),
-    )
+    protocol = AppProtocol(args.protocol)
+    sensitivity = Sensitivity.SENSITIVE if args.sensitive else Sensitivity.CONTROL
+    source = SourceParams(args.src_ip, args.src_port)
     if args.out:
         run_id = _run_id(
-            "trace", topology_bytes, str(dst_ip), spec.source,
-            spec.protocol.value, spec.domain, spec.sensitivity.value, args.max_ttl,
+            "trace", topology_bytes, str(dst_ip), source,
+            protocol.value, args.domain, sensitivity.value, args.max_ttl,
         )
         log = logio.open_run(args.out, run_id, command="trace", dest=str(dst_ip))
-        path = experiments.trace_flow(spec, args.max_ttl, transport, log)
+        (path,) = experiments.trace_flows(log, dst_ip, protocol, args.domain, sensitivity,
+                                          [source], args.max_ttl, transport)
     else:
-        path = tracer.trace(spec.protocol, spec.dst_ip, spec.domain, spec.sensitivity,
-                            spec.source, args.max_ttl, transport)
+        path = tracer.trace(protocol, dst_ip, args.domain, sensitivity, source, args.max_ttl,
+                            transport)
     for ttl, hop in enumerate(path.hops, start=1):
         print(f"{ttl} {'*' if hop is None else hop}")
     print(logio.terminal_str(path.terminal))
@@ -241,6 +238,7 @@ def _cmd_rq2(args) -> int:
 
     table_rows = []
     fractions: Dict[str, List] = {}
+    traced = []  # the affected matrices, in table order
     for node in sorted(dests, key=lambda node: node.address.value):
         for protocol in sorted(protocols, key=lambda protocol: protocol.value):
             matrix = matrices[(node.address, protocol)]
@@ -251,6 +249,7 @@ def _cmd_rq2(args) -> int:
             if affected:
                 frac = analysis.no_censorship_fraction(matrix)
                 fractions.setdefault(protocol.value, []).append(frac)
+                traced.append((node.address, protocol, matrix))
 
     table_path = log.path.with_name(log.path.stem + "_table.csv")
     _write_csv(table_path, ["destination", "asn", "protocol", "affected"], table_rows)
@@ -264,7 +263,12 @@ def _cmd_rq2(args) -> int:
     _write_csv(cdf_path, ["protocol", "no_censorship_fraction", "cdf"], cdf_rows)
 
     if args.trace_affected:
-        experiments.trace_affected(plan, matrices, transport, log)
+        # Each affected matrix's decided cells, in table and source order
+        for dst_ip, protocol, matrix in traced:
+            decided = sorted(params for params in matrix if not matrix[params].is_excluded)
+            experiments.trace_flows(log, dst_ip, protocol, args.sensitive_domain,
+                                    Sensitivity.SENSITIVE, decided, tracer.DEFAULT_MAX_TTL,
+                                    transport)
     print(f"wrote {table_path} and {cdf_path}")
     return 0
 

@@ -1,5 +1,6 @@
-"""Planners and drivers for the two sweep designs, rq2's trace pass,
-and the trace ids and one step (take_trace) of every logged trace.
+"""Planners and drivers for the two sweep designs, the tracer of flows
+by flow id (rq2's trace pass and trace --out), and the trace ids and
+one step (take_trace) of every logged trace.
 
 The first design (rq1) measures path diversity: four source-parameter
 variations of 144 traced measurements each against one destination with
@@ -16,7 +17,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     AppProtocol,
@@ -33,10 +34,8 @@ from .prober import (
     Cell,
     CellResult,
     EMPTY_REGISTRY,
-    ProbeSpec,
     TransportUnavailableError,
     classify,  # unused here; perfbench's span tests patch it through this module
-    is_affected,
     run_cell,
 )
 from .tracer import DEFAULT_MAX_TTL, TracePath, merge_paths, trace
@@ -163,30 +162,33 @@ def flow_trace_id(dst_ip: Ipv4Address, protocol: AppProtocol, source) -> str:
     return f"{dst_ip}|{protocol.value}|{source}"
 
 
-def take_trace(log: logio.RunLog, appender: logio.Appender, lines: logio.SharedLines,
-               trace_id: str, make_path: Callable[[], TracePath],
+def take_trace(lines: logio.SharedLines, trace_id: str, make_path: Callable[[], TracePath],
                sample_index: Optional[int] = None) -> TracePath:
-    """The trace log holds under trace_id for its run; else make_path(),
-    a trace, with its line (lines.trace, with sample_index) queued on
-    appender. A resumed run thus traces only what it lacks."""
-    held = log.traces.get(trace_id)
+    """The trace the log of lines holds under trace_id for its run; else
+    make_path(), a trace, with its line queued (lines.trace, with
+    sample_index). A resumed run thus traces only what it lacks."""
+    held = lines.log.traces.get(trace_id)
     if held is not None:
         return held
     path = make_path()
-    appender.add(lines.trace(path, trace_id, sample_index))
+    lines.trace(path, trace_id, sample_index)
     return path
 
 
-def trace_flow(spec: ProbeSpec, max_ttl: int, transport, log: logio.RunLog) -> TracePath:
-    """trace --out: spec's trace, taken or appended under its flow id."""
-    appender = logio.Appender(log.path)
-    lines = logio.SharedLines(log, spec.dst_ip, spec.protocol)
-    trace_id = flow_trace_id(spec.dst_ip, spec.protocol, spec.source)
-    path = take_trace(log, appender, lines, trace_id, lambda: trace(
-        spec.protocol, spec.dst_ip, spec.domain, spec.sensitivity, spec.source, max_ttl,
-        transport))
-    appender.flush()
-    return path
+def trace_flows(log: logio.RunLog, dst_ip: Ipv4Address, protocol: AppProtocol, domain: str,
+                sensitivity: Sensitivity, sources: Sequence[SourceParams], max_ttl: int,
+                transport) -> List[TracePath]:
+    """The trace of each source's flow to dst_ip, carrying domain at
+    sensitivity, in sources' order: taken or logged under its flow id
+    (flow_trace_id), each line written by the end. trace --out traces
+    one source; rq2's trace pass, each affected matrix's decided ones."""
+    lines = logio.SharedLines(log, dst_ip, protocol)
+    prefix = flow_trace_id(dst_ip, protocol, "")
+    paths = [take_trace(lines, prefix + str(source), lambda: trace(
+        protocol, dst_ip, domain, sensitivity, source, max_ttl, transport))
+        for source in sources]
+    lines.flush()
+    return paths
 
 
 def run_rq1(
@@ -199,8 +201,8 @@ def run_rq1(
 
     Samples whose trace log (from logio.open_run) already holds under
     this run's id are not traced again, and each new trace becomes one
-    record, in plan order, appended in batches (see logio.Appender) and
-    all written by the end of its plan. A run cut short therefore
+    record, in plan order, appended in batches (see logio.SharedLines)
+    and all written by the end of its plan. A run cut short therefore
     resumes where it stopped and leaves the same log as an
     uninterrupted one. A plan traces each distinct source once: a trace
     is a pure function of its flow, so a sample whose source an earlier
@@ -208,7 +210,6 @@ def run_rq1(
     own.
     """
     out: Dict[Rq1Variation, PathSet] = {}
-    appender = logio.Appender(log.path)
     for plan in plans:
         lines = logio.SharedLines(log, plan.dst_ip, plan.protocol,
                                   variation=plan.variation.value)
@@ -223,9 +224,9 @@ def run_rq1(
 
         traces: List[TracePath] = []
         for idx, params in enumerate(plan.samples):
-            traces.append(take_trace(log, appender, lines, f"{plan.variation.value}:{idx}",
+            traces.append(take_trace(lines, f"{plan.variation.value}:{idx}",
                                      lambda: make_path(params), sample_index=idx))
-        appender.flush()
+        lines.flush()
         out[plan.variation] = merge_paths(traces)
     return out
 
@@ -251,12 +252,11 @@ def run_rq2(
     Cells whose verdict log (from logio.open_run) holds under this
     run's id are not run again and their verdicts are taken from it;
     each new cell becomes one line, in plan order, appended in
-    batches (see logio.Appender) and all written by the end of its
+    batches (see logio.SharedLines) and all written by the end of its
     matrix. A sweep cut short therefore resumes where it stopped and
     leaves the same log as an uninterrupted one.
     """
     out: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]] = {}
-    appender = logio.Appender(log.path)
     for dst in plan.destinations:
         for protocol in protocols:
             done = log.verdicts.get((dst, protocol), {})
@@ -272,36 +272,8 @@ def run_rq2(
                 except TransportUnavailableError:
                     result = CellResult((), (), Verdict.excluded())
                 matrix[params] = result.verdict
-                appender.add(lines.verdict(result, params))
-            appender.flush()
+                lines.verdict(result, params)
+            lines.flush()
             out[(dst, protocol)] = matrix
     return out
 
-
-def trace_affected(
-    plan: Rq2Plan,
-    matrices: Mapping[Tuple[Ipv4Address, AppProtocol], Mapping[SourceParams, Verdict]],
-    transport,
-    log: logio.RunLog,
-) -> None:
-    """rq2's trace pass: trace each decided cell of each affected matrix
-    with plan's sensitive domain, in address, protocol and source order,
-    each matrix's records all written by its end."""
-    domain = plan.domain_pair[1]
-    appender = logio.Appender(log.path)
-    for (dst_ip, protocol), matrix in sorted(
-        matrices.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-    ):
-        if not is_affected(matrix):
-            continue
-        lines = logio.SharedLines(log, dst_ip, protocol)
-        prefix = flow_trace_id(dst_ip, protocol, "")
-        for params in sorted(matrix):
-            if matrix[params].is_excluded:
-                continue
-            take_trace(
-                log, appender, lines, prefix + str(params),
-                lambda: trace(protocol, dst_ip, domain, Sensitivity.SENSITIVE, params,
-                              DEFAULT_MAX_TTL, transport),
-            )
-        appender.flush()

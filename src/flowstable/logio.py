@@ -14,12 +14,13 @@ Only this module knows the layout: runners and reports read a log
 through read_run (or open_run, to append to it), which streams the file
 once, in one loop (_cited) that decodes each line with one call of
 JSON's scanner, and parses and checks each body record once and each
-line's cell fields. The write side (SharedLines, one encoder for verdict and trace
-lines) encodes each body once per shared result and writes its record
-the first time its run cites it. The log is a cache of a run, never the
-source of truth: a run is reproducible from topology, plan, and seed. A
-reader discards a truncated final line (crash recovery) with a warning,
-and open_run cuts it off before anything is appended.
+line's cell fields. The write side (SharedLines, one encoder and writer
+for verdict and trace lines) encodes each body once per shared result
+and writes its record the first time its run cites it. The log is a
+cache of a run, never the source of truth: a run is reproducible from
+topology, plan, and seed. A reader discards a truncated final line
+(crash recovery) with a warning, and open_run cuts it off before
+anything is appended.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ _BODY_KINDS = {KIND_TRACE_HOP, KIND_VERDICT}
 #: Bytes read per step when looking back for the last newline.
 _TAIL_BLOCK = 4096
 
-#: The line bytes at which an Appender appends what it holds: an rq2
-#: matrix (1664 lines, about 150 KB of text) goes out in a few writes,
-#: each of which opens the file once. Holding a whole sweep's lines
-#: would grow peak RSS with the sweep.
+#: The line bytes at which SharedLines appends what it has queued: an
+#: rq2 matrix (1664 lines, about 150 KB of text) goes out in a few
+#: writes, each of which opens the file once. Holding a whole sweep's
+#: lines would grow peak RSS with the sweep.
 APPEND_BYTES = 32 * 1024
 
 
@@ -98,7 +99,7 @@ class RunLog:
     (see read_run).
     repetitions holds the lengths of the control and sensitive lists of
     the verdict bodies read. For run_id's run, bodies maps each body's
-    text (SharedLines) to its id and next_body is the id its next new
+    text (_body_text) to its id and next_body is the id its next new
     body takes.
     """
 
@@ -150,30 +151,10 @@ def append_records(path: Union[str, Path], records: Iterable[Union[Dict, str]]) 
         fh.write(chunk)
 
 
-class Appender:
-    """Collects lines (as SharedLines writes them, ASCII, so a character
-    is a byte) bound for one log and appends them in batches, each with
-    one append_records call: a batch goes out once it holds
-    APPEND_BYTES or more. flush() writes what is held; a run flushes
-    when it finishes a unit (an rq2 matrix, an rq1 plan), so a log never
-    lags a finished unit."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = path
-        self._lines: List[str] = []
-        self._held = 0
-
-    def add(self, line: str) -> None:
-        self._lines.append(line)
-        self._held += len(line)
-        if self._held >= APPEND_BYTES:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._lines:
-            append_records(self.path, self._lines)
-            self._lines = []
-            self._held = 0
+def _body_text(record: Dict) -> str:
+    """The text a run's body table (RunLog.bodies) knows a body record
+    by: its line without the body id."""
+    return encode_record({k: v for k, v in record.items() if k != "body"})
 
 
 #: What a well-formed JSON record can still get wrong: a missing field
@@ -405,8 +386,7 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
             ladder, terminal = _ladder(body)
             what = (ladders.setdefault(ladder, ladder), terminal)
         if run_id is not None:
-            text = encode_record({k: v for k, v in body.items() if k != "body"})
-            run.bodies[text] = body["body"]
+            run.bodies[_body_text(body)] = body["body"]
             run.next_body = body["body"] + 1
         return kind, key, what
 
@@ -550,8 +530,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 class SharedLines:
     """The verdict or trace lines of one run's (destination, protocol),
-    with the body records they cite: one encoder for both kinds, each
-    line and record as encode_record writes it.
+    with the body records they cite: one encoder and writer for both
+    kinds, each line and record as encode_record writes it.
 
     A line's body is fixed by its result (a cell's CellResult; a trace's
     ladder and terminal) and by the encoder: run, destination, protocol,
@@ -567,8 +547,12 @@ class SharedLines:
     JSON-encoded per line. Every flow that takes a shared result
     (prober.SimTransport.run) gets the very same objects. The memo holds
     the objects whose ids key it, so no other object takes one of those
-    ids; an encoder lives for one matrix or one rq1 plan, as
-    SimTransport's kept results do.
+    ids; an encoder lives for one unit of a run (an rq2 matrix, an rq1
+    plan, a traced matrix, a trace --out), as SimTransport's kept
+    results do. Its lines (ASCII, so a character is a byte) are queued
+    and appended with one append_records call once the queue holds
+    APPEND_BYTES; flush(), at the end of the unit, appends the rest, so
+    a log never lags a finished unit.
     """
 
     def __init__(self, log: RunLog, dst: Ipv4Address, protocol: AppProtocol, **fixed) -> None:
@@ -580,6 +564,21 @@ class SharedLines:
         self._memo: Dict[object, Tuple] = {}
         #: source address -> its line fields up to the port (_source_fields)
         self._sources: Dict[Ipv4Address, str] = {}
+        self._queue: List[str] = []
+        self._held = 0
+
+    def _add(self, line: str) -> None:
+        self._queue.append(line)
+        self._held += len(line)
+        if self._held >= APPEND_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Append the queued lines to the run's log."""
+        if self._queue:
+            append_records(self.log.path, self._queue)
+            self._queue = []
+            self._held = 0
 
     def _source_fields(self, src_ip: Ipv4Address) -> str:
         """A line's source fields up to the port's digits, as
@@ -592,7 +591,7 @@ class SharedLines:
         """The head of the lines citing body, memoised under key with the
         objects held, after the body's record if the run has none."""
         log = self.log
-        text = encode_record(make_record(
+        text = _body_text(make_record(
             KIND_BODY, log.run_id, kind=kind, dst=str(self.dst), protocol=self.protocol.value,
             **body))
         body_id = log.bodies.get(text)
@@ -606,8 +605,8 @@ class SharedLines:
         self._memo[key] = (held, head)
         return record + head
 
-    def verdict(self, result: CellResult, source: SourceParams) -> str:
-        """The line of the cell from source whose result is result."""
+    def verdict(self, result: CellResult, source: SourceParams) -> None:
+        """Queue the line of the cell from source whose result is result."""
         held = self._memo.get(id(result))
         if held is None:
             verdict = result.verdict
@@ -619,11 +618,11 @@ class SharedLines:
         else:
             head = held[1]
         src_ip, src_port = source
-        return f"{head}{self._sources.get(src_ip) or self._source_fields(src_ip)}{src_port}}}\n"
+        self._add(f"{head}{self._sources.get(src_ip) or self._source_fields(src_ip)}{src_port}}}\n")
 
-    def trace(self, trace: TracePath, trace_id: str, sample_index: Optional[int] = None) -> str:
-        """The line of trace, of the encoder's destination and protocol,
-        under trace_id, with sample_index when it is not None."""
+    def trace(self, trace: TracePath, trace_id: str, sample_index: Optional[int] = None) -> None:
+        """Queue the line of trace, of the encoder's destination and
+        protocol, under trace_id, with sample_index when it is not None."""
         hops, terminal = trace.hops, trace.terminal
         key = (id(hops), id(terminal))
         held = self._memo.get(key)
@@ -634,8 +633,8 @@ class SharedLines:
             head = held[1]
         index = "" if sample_index is None else f'"sample_index": {sample_index}, '
         src_ip, src_port = trace.source
-        return (f"{head}{index}{self._sources.get(src_ip) or self._source_fields(src_ip)}"
-                f'{src_port}, "trace_id": {_encode_str(trace_id)}}}\n')
+        self._add(f"{head}{index}{self._sources.get(src_ip) or self._source_fields(src_ip)}"
+                  f'{src_port}, "trace_id": {_encode_str(trace_id)}}}\n')
 
 
 def parse_verdict(record: Dict) -> Verdict:

@@ -159,10 +159,6 @@ class EcmpPolicy:
     selector: Selector
     next_hops: Tuple[NodeId, ...]
 
-    def __post_init__(self) -> None:
-        if not self.next_hops:
-            raise EmptyNextHopsError("policy with no next hops")
-
 
 #: A router's policy compiled for route(): (slot, part, mask, targets,
 #: fanout). A low_bits step has slot None, part its field's getter and mask
@@ -763,22 +759,15 @@ def _parse_censor(obj: Mapping) -> censors_mod.CensorRule:
     )
     action_obj = obj["action"]
     _require_keys(action_obj, ["kind"], ["tag"], "censor action")
-    try:
-        protocol = AppProtocol(obj["protocol"])
-        direction = censors_mod.Direction(obj["direction"])
-        action = censors_mod.Action(
-            censors_mod.ActionKind(action_obj["kind"]), action_obj.get("tag", "")
-        )
-        health = censors_mod.Health(obj.get("health", "active"))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    # load_topology turns a bad value's ValueError into a SchemaError
     return censors_mod.CensorRule(
+        protocol=AppProtocol(obj["protocol"]),
+        direction=censors_mod.Direction(obj["direction"]),
+        action=censors_mod.Action(
+            censors_mod.ActionKind(action_obj["kind"]), action_obj.get("tag", "")),
+        health=censors_mod.Health(obj.get("health", "active")),
         attach_at=_int(obj["attach_at"], "attach_at"),
-        protocol=protocol,
-        direction=direction,
         domain_pattern=str(obj["domain_pattern"]),
-        action=action,
-        health=health,
         residual_epochs=_int(obj.get("residual_epochs", 0), "residual_epochs"),
     )
 

@@ -15,11 +15,11 @@ from flowstable.experiments import (
     plan_rq2,
     run_rq1,
     run_rq2,
-    trace_affected,
 )
+from flowstable.cli import cli_main
 from flowstable.prober import LiveTransport, SimTransport, is_affected
 
-from conftest import load_fixture, scratch_log
+from conftest import FIXTURES, load_fixture, scratch_log
 from reference import log_bytes, verdict_record
 
 DEST = Ipv4Address.parse("10.0.3.4")  # chain.topo endpoint
@@ -268,23 +268,35 @@ class TestRunners:
         assert run.repetitions == {0}
 
 
-def test_trace_pass_looks_up_each_decided_cells_flow_trace_id(monkeypatch):
-    # trace_affected writes each id's <dst>|<protocol>| part once per
-    # matrix; every id it looks up must still be flow_trace_id's.
-    other = Ipv4Address.parse("10.0.3.5")
-    plan = plan_rq2([DEST, other], seed=5)
+def test_trace_pass_looks_up_each_decided_cells_flow_trace_id(tmp_path, monkeypatch, capsys):
+    # rq2's trace pass hands trace_flows each affected matrix in table
+    # order, which writes each id's <dst>|<protocol>| part once per
+    # matrix; every id it looks up must still be flow_trace_id's. The
+    # dests file and --protocols name both in another order.
+    document = json.loads((FIXTURES / "half_split.topo").read_text())
+    document["nodes"].append({**document["nodes"][3], "id": 9, "subnet24": "10.0.9.0/24"})
+    (tmp_path / "two.topo").write_text(json.dumps(document))
+    (tmp_path / "two.dests").write_text("9\n3\n")
+    other = Ipv4Address.parse("10.0.9.10")
     rng = random.Random(5)
     kinds = [Verdict.censored(Mechanism.RST_INJECTION), Verdict.not_censored(),
              Verdict.excluded()]
-    matrices = {
-        (dst, protocol): {params: rng.choice(kinds) for params in plan.grid}
-        for dst in (DEST, other) for protocol in (AppProtocol.HTTPS, AppProtocol.DNS)}
-    matrices[(other, AppProtocol.DNS)] = dict.fromkeys(plan.grid, Verdict.not_censored())
+    matrices = {}
+
+    def random_matrices(plan, transport, log, protocols, registry, repetitions):
+        assert set(plan.destinations) == {DEST, other}
+        matrices.update({(dst, protocol): {params: rng.choice(kinds) for params in plan.grid}
+                         for dst in plan.destinations for protocol in protocols})
+        matrices[(other, AppProtocol.DNS)] = dict.fromkeys(plan.grid, Verdict.not_censored())
+        return matrices
+
     looked_up = []
+    monkeypatch.setattr(experiments, "run_rq2", random_matrices)
     monkeypatch.setattr(experiments, "take_trace",
-                        lambda log, appender, lines, trace_id, *rest: looked_up.append(trace_id))
-    with scratch_log() as log:
-        trace_affected(plan, matrices, transport=None, log=log)
+                        lambda lines, trace_id, *rest: looked_up.append(trace_id))
+    assert cli_main(["rq2", "--topology", str(tmp_path / "two.topo"),
+                     "--dests", str(tmp_path / "two.dests"), "--protocols", "https,dns",
+                     "--trace-affected", "--out", str(tmp_path / "run.log")]) == 0
     assert looked_up == [
         flow_trace_id(dst, protocol, params)
         for (dst, protocol), matrix in sorted(matrices.items(),

@@ -6,10 +6,12 @@ outcome of a loss draw; whether a packet reached its destination is
 decided in prober alone; logio decodes each log line at one call site,
 and appends to a log in one function.
 The flow identities hash, compare and order in C. And the benchmark's
-span wrappers (perfbench/spans.py) still find every name they patch."""
+span wrappers (perfbench/spans.py) still find every name they patch, as
+its drivers and gates find every flowstable name they read."""
 
 import ast
 import graphlib
+import importlib
 import importlib.util
 import inspect
 import os
@@ -242,9 +244,9 @@ _LOG_WRITERS = {"append": ["logio.append_records"], "truncate": ["logio._cut_par
 
 def test_logs_are_appended_by_append_records_alone():
     # perfbench's logio.append_records.{calls,bytes} see every line a run
-    # appends only while every append goes through that function: an
-    # Appender that held a file handle of its own would pass every other
-    # test and hide most of a matrix's lines from the benchmark.
+    # appends only while every append goes through that function: a
+    # SharedLines that held a file handle of its own would pass every
+    # other test and hide most of a matrix's lines from the benchmark.
     found = {"append": [], "truncate": []}
     for module, tree in _parsed_modules().items():
         for scope, call in _scoped_calls(module, tree):
@@ -280,3 +282,32 @@ def test_benchmark_wrappers_resolve_and_restore():
                  "flowstable.logio.read_log", "flowstable.logio.traces_from_records",
                  "flowstable.logio.parse_verdict"):
         assert name in names
+
+
+def _flowstable_names_read(tree):
+    """(module, name) for each name of the package that tree imports from
+    one of its modules or reads as <module>.<name>, where <module> is a
+    package module that tree imports by name."""
+    modules = {}  # a name tree binds -> the package module it is
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("flowstable"):
+            for alias in node.names:
+                if node.module == "flowstable":
+                    modules[alias.asname or alias.name] = f"flowstable.{alias.name}"
+                else:
+                    yield node.module, alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield modules[node.value.id], node.attr
+
+
+@pytest.mark.parametrize("script", ["gates.py", "worker.py", "run.py"])
+def test_benchmark_reads_only_names_that_resolve(script):
+    # A deleted or renamed public name (say logio.KIND_TRACE_HOP) would
+    # otherwise only show as a failed gate of a benchmark run.
+    tree = ast.parse((ROOT / "perfbench" / script).read_text())
+    read = sorted(set(_flowstable_names_read(tree)))
+    assert read
+    assert [f"{module}.{name}" for module, name in read
+            if not hasattr(importlib.import_module(module), name)] == []

@@ -1,7 +1,9 @@
 import json
 import random
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -61,13 +63,10 @@ def test_round_trip_1000_records(tmp_path):
         cells = [random_cell(rng, i, hosts) for i in range(1000)]
         log = logio.open_run(path, "run-a")
         encoders = {}
-        lines = []
         for dst, protocol, params, control, sensitive, verdict in cells:
             encoder = encoders.setdefault(protocol, logio.SharedLines(log, dst, protocol))
-            lines.append(encoder.verdict(CellResult(control, sensitive, verdict), params))
-        logio.append_records(path, lines[:500])
-        for line in lines[500:]:
-            logio.append_records(path, [line])
+            encoder.verdict(CellResult(control, sensitive, verdict), params)
+            encoder.flush()  # the two encoders' lines interleave
         records = [verdict_record("run-a", *cell) for cell in cells]
         meta = {"record_kind": "meta", "run_id": "run-a", "schema_version": 3}
         assert logio.read_log(path) == [meta, *records]
@@ -148,7 +147,8 @@ def test_trace_rows_round_trip(tmp_path):
     path = tmp_path / "run.log"
     log = logio.open_run(path, "run-b")
     lines = logio.SharedLines(log, DST, AppProtocol.HTTPS, variation="vary_ip")
-    logio.append_records(path, [lines.trace(trace, "t0", 7)])
+    lines.trace(trace, "t0", 7)
+    lines.flush()
     record = logio.read_log(path)[-1]
     assert record == trace_record("run-b", trace, "t0", variation="vary_ip", sample_index=7)
     assert record["hops"] == [0, None, 2]
@@ -186,7 +186,9 @@ def test_verdict_record_round_trip(tmp_path):
         log = logio.open_run(path, "r")
         lines = logio.SharedLines(log, DST, AppProtocol.HTTP)
         result = CellResult(control, sensitive, verdict)
-        logio.append_records(path, [lines.verdict(result, params), lines.verdict(result, other)])
+        lines.verdict(result, params)
+        lines.verdict(result, other)
+        lines.flush()
         *_, first, record = logio.read_log(path)
         assert [(r["src_ip"], r["src_port"]) for r in (first, record)] == [
             ("198.51.100.9", 40404), ("198.51.100.9", 40405)]
@@ -929,20 +931,28 @@ def test_shared_trace_lines_equal_plain_encoding(results, cells, protocol, rq1):
     source = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)
     cells = [(0, source, "t0", None), (1, source, "t0", None), *cells]
     fixed = {"variation": "vary_both"} if rq1 else {}
-    log = logio.RunLog(None, "run-s", {}, {}, set())
-    lines = logio.SharedLines(log, DST, protocol, **fixed)
-    bodies = {}
-    for pick, source, trace_id, sample_index in cells:
-        hops, terminal = results[pick % len(results)]
-        trace = TracePath(DST, source, protocol, hops, terminal)
-        extra = dict(fixed) if sample_index is None else {**fixed, "sample_index": sample_index}
-        expected = trace_record("run-s", trace, trace_id, **extra)
-        body, fields = split_record(expected)
-        written = lines.trace(trace, trace_id, sample_index).splitlines(keepends=True)
-        decoded = [json.loads(line) for line in written]
-        assert written == [logio.encode_record(line) for line in decoded]
-        text = json.dumps(body, sort_keys=True)
-        if text not in bodies:
-            bodies[text] = len(bodies)
-            assert decoded.pop(0) == {"body": bodies[text], **body}
-        assert decoded == [{"body": bodies[text], **fields}]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "run.log"
+        path.touch()
+        log = logio.RunLog(path, "run-s", {}, {}, set())
+        lines = logio.SharedLines(log, DST, protocol, **fixed)
+        bodies = {}
+        for pick, source, trace_id, sample_index in cells:
+            hops, terminal = results[pick % len(results)]
+            trace = TracePath(DST, source, protocol, hops, terminal)
+            extra = dict(fixed) if sample_index is None else {**fixed, "sample_index": sample_index}
+            expected = trace_record("run-s", trace, trace_id, **extra)
+            body, fields = split_record(expected)
+            start = path.stat().st_size
+            lines.trace(trace, trace_id, sample_index)
+            lines.flush()
+            with open(path, encoding="utf-8") as fh:
+                fh.seek(start)
+                written = fh.read().splitlines(keepends=True)
+            decoded = [json.loads(line) for line in written]
+            assert written == [logio.encode_record(line) for line in decoded]
+            text = json.dumps(body, sort_keys=True)
+            if text not in bodies:
+                bodies[text] = len(bodies)
+                assert decoded.pop(0) == {"body": bodies[text], **body}
+            assert decoded == [{"body": bodies[text], **fields}]

@@ -29,10 +29,25 @@ COMMANDS = {
          "--seed", "1", "--trace-affected"],
         ("_table.csv", "_cdf.csv"),
     ),
+    # Run as http then dns, traced in table order, dns then http: the
+    # trace pass spans two affected matrices (see
+    # test_rq2_two_affected_traces_two_matrices).
+    "rq2_two_affected": (
+        ["rq2", "--topology", str(FIXTURES / "lossy_mix.topo"),
+         "--dests", str(FIXTURES / "lossy_mix.dests"), "--protocols", "http,dns",
+         "--seed", "1", "--trace-affected"],
+        ("_table.csv", "_cdf.csv"),
+    ),
     "rq1": (
         ["rq1", "--topology", str(FIXTURES / "srcip_hash.topo"), "--dest", "5",
          "--seed", "1"],
         ("_paths.csv",),
+    ),
+    "trace": (
+        ["trace", "--topology", str(FIXTURES / "lossy_mix.topo"), "--dest", "5",
+         "--src-ip", "198.51.100.2", "--src-port", "34775", "--protocol", "http",
+         "--sensitive"],
+        (),
     ),
 }
 
@@ -64,6 +79,15 @@ def assert_resume_after_cut(finished, name, cut):
         assert _outputs(Path(tmp), suffixes) == expected, f"cut at byte {cut}"
 
 
+def test_rq2_two_affected_traces_two_matrices(finished):
+    table = finished["rq2_two_affected"]["_table.csv"].decode().splitlines()
+    assert [row.split(",")[2:] for row in table[1:]] == [["dns", "true"], ["http", "true"]]
+    log = [json.loads(line) for line in finished["rq2_two_affected"][".log"].splitlines()]
+    traced = [r["trace_id"].split("|")[1] for r in log if "trace_id" in r]
+    assert traced[0] == "dns" and traced[-1] == "http"
+    assert sorted(traced) == traced
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 @pytest.mark.parametrize("from_end", [None, 1, 0])
 def test_resume_after_cut_at_start_and_end(finished, name, from_end):
@@ -72,7 +96,8 @@ def test_resume_after_cut_at_start_and_end(finished, name, from_end):
 
 
 @pytest.mark.parametrize("name, kind", [("rq1", "trace"), ("rq2", "verdict"),
-                                        ("rq2", "trace")])
+                                        ("rq2", "trace"), ("rq2_two_affected", "trace"),
+                                        ("trace", "trace")])
 def test_resume_after_cut_just_past_a_first_body(finished, name, kind):
     # The first body record of the log, or of rq2's --trace-affected
     # pass, is written; the line that cites it is not.
