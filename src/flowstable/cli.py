@@ -273,29 +273,40 @@ def _cmd_rq2(args) -> int:
     return 0
 
 
+def _traces_by_dest(run: logio.RunLog) -> Dict[Ipv4Address, List[tracer.TracePath]]:
+    """The log's traces per destination, in log order: one pass over
+    them for a whole command."""
+    by_dest: Dict[Ipv4Address, List[tracer.TracePath]] = {}
+    for t in run.traces.values():
+        by_dest.setdefault(t.dst_ip, []).append(t)
+    return by_dest
+
+
 def _pathsets_from_log(
-    run: logio.RunLog, dest: Ipv4Address, protocol: Optional[AppProtocol]
+    run: logio.RunLog,
+    by_dest: Dict[Ipv4Address, List[tracer.TracePath]],
+    dest: Ipv4Address,
+    protocol: Optional[AppProtocol],
 ):
-    """Rebuild (pathset, protocol) for one destination from a read log."""
-    traces = [t for t in run.traces.values() if t.dst_ip == dest]
+    """Rebuild (pathset, protocol) for one destination from a read log,
+    whose traces by_dest groups (_traces_by_dest)."""
+    traces = by_dest.get(dest, [])
     if protocol is not None:
         chosen = protocol
     else:
         protocols = {t.protocol.value for t in traces} | {
-            p.value for d, p in run.verdicts if d == dest
+            p.value for p in AppProtocol if (dest, p) in run.verdicts
         }
-        if len(protocols) != 1:
+        if len(protocols) > 1:
             raise _UsageError(
                 f"log holds {sorted(protocols)} for {dest}; pick one with --protocol"
             )
-        chosen = AppProtocol(protocols.pop())
+        # None where the log holds nothing for dest: no trace is chosen
+        chosen = AppProtocol(protocols.pop()) if protocols else None
     traces = [t for t in traces if t.protocol is chosen]
     if not traces:
         raise analysis.EmptyPathSetError(f"no traces for {dest} in log")
-    verdicts = next(
-        (m for (d, p), m in run.verdicts.items() if d == dest and p is chosen), None
-    )
-    return tracer.merge_paths(traces, verdicts or None), chosen
+    return tracer.merge_paths(traces, run.verdicts.get((dest, chosen)) or None), chosen
 
 
 def _cmd_graph(args) -> int:
@@ -306,7 +317,7 @@ def _cmd_graph(args) -> int:
         dest = _parse_dest(topology, args.dest).address
     else:
         dest = Ipv4Address.parse(args.dest)
-    pathset, _ = _pathsets_from_log(run, dest, protocol)
+    pathset, _ = _pathsets_from_log(run, _traces_by_dest(run), dest, protocol)
     censor_nodes = [r.attach_at for r in topology.censors] if topology else None
     dual = analysis.build_dual_graph(pathset, censor_nodes=censor_nodes)
 
@@ -343,12 +354,13 @@ def _cmd_classify(args) -> int:
         dests = [_parse_dest(topology, args.dest).address]
     protocol = AppProtocol(args.protocol) if args.protocol else None
     censor_nodes = [r.attach_at for r in topology.censors]
+    by_dest = _traces_by_dest(run)
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["destination", "protocol", "effect", "scope", "diverging_node"])
     for dest in dests:
         try:
-            pathset, chosen = _pathsets_from_log(run, dest, protocol)
+            pathset, chosen = _pathsets_from_log(run, by_dest, dest, protocol)
             dual = analysis.build_dual_graph(pathset, censor_nodes=censor_nodes)
             report = analysis.classify_effect(dual, topology.nodes, censor_nodes)
         except (analysis.DegenerateSplitError, analysis.EmptyPathSetError):

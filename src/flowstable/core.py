@@ -118,13 +118,6 @@ class Ipv4Address(_fields("Ipv4Address", "value")):
             raise ValueError(f"n must be in 1..8, got {n}")
         return self.value & ((1 << n) - 1)
 
-    @property
-    def host_octet(self) -> int:
-        return self.value & 0xFF
-
-    def to_bytes(self) -> bytes:
-        return self.value.to_bytes(4, "big")
-
 
 class FlowId(_fields("FlowId", "src_ip dst_ip src_port dst_port protocol")):
     """The 5-tuple routers hash when picking an ECMP next hop."""

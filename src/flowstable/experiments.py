@@ -250,22 +250,21 @@ def run_rq2(
     one bad cell never aborts a sweep.
 
     Cells whose verdict log (from logio.open_run) holds under this
-    run's id are not run again and their verdicts are taken from it;
-    each new cell becomes one line, in plan order, appended in
-    batches (see logio.SharedLines) and all written by the end of its
-    matrix. A sweep cut short therefore resumes where it stopped and
-    leaves the same log as an uninterrupted one.
+    run's id are not run again: each matrix is the log's own
+    (RunLog.verdicts), which the new cells fill in place, so a resume
+    holds each matrix once. Each new cell becomes one line, in plan
+    order, appended in batches (see logio.SharedLines) and all written
+    by the end of its matrix. A sweep cut short therefore resumes where
+    it stopped and leaves the same log as an uninterrupted one.
     """
     out: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]] = {}
     for dst in plan.destinations:
         for protocol in protocols:
-            done = log.verdicts.get((dst, protocol), {})
+            matrix = log.verdicts.setdefault((dst, protocol), {})
             lines = logio.SharedLines(log, dst, protocol)
             cell = Cell(protocol, dst, plan.domain_pair, repetitions, registry)
-            matrix: Dict[SourceParams, Verdict] = {}
             for params in plan.grid:
-                if params in done:
-                    matrix[params] = done[params]
+                if params in matrix:
                     continue
                 try:
                     result = run_cell(cell, params, transport)

@@ -140,11 +140,10 @@ def encode_record(record: Dict) -> str:
     return _encode(record) + "\n"
 
 
-def append_records(path: Union[str, Path], records: Iterable[Union[Dict, str]]) -> None:
+def append_records(path: Union[str, Path], records: Iterable[str]) -> None:
     """Append records as one write so a crash loses whole records only.
-    A record is a dict, or its lines as encode_record or SharedLines
-    wrote them."""
-    chunk = "".join(r if isinstance(r, str) else encode_record(r) for r in records)
+    A record is its lines as encode_record or SharedLines wrote them."""
+    chunk = "".join(records)
     if not chunk:
         return
     with open(path, "a", encoding="utf-8") as fh:
@@ -465,7 +464,7 @@ def open_run(
     else:
         run = RunLog(path, run_id, {}, {}, set())
     if run_id not in run.run_ids:
-        append_records(path, [make_record(KIND_META, run_id, **meta)])
+        append_records(path, [encode_record(make_record(KIND_META, run_id, **meta))])
         run.run_ids.add(run_id)
     return run
 

@@ -126,40 +126,6 @@ _FIELD_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class LowBitsSelector:
-    """Pick next hop from the n lowest bits of one header field."""
-
-    fld: HashField
-    n_bits: int
-
-    def __post_init__(self) -> None:
-        if self.fld is HashField.PROTOCOL:
-            raise SchemaError("low_bits selector cannot use the protocol field")
-        if not 1 <= self.n_bits <= 8:
-            raise SchemaError(f"n_bits must be in 1..8, got {self.n_bits}")
-
-
-@dataclass(frozen=True)
-class HashTupleSelector:
-    """Pick next hop by FNV-1a-64 over selected fields' canonical bytes."""
-
-    fields: frozenset
-
-    def __post_init__(self) -> None:
-        if not self.fields:
-            raise SchemaError("hash_tuple selector needs at least one field")
-
-
-Selector = Union[LowBitsSelector, HashTupleSelector]
-
-
-@dataclass(frozen=True)
-class EcmpPolicy:
-    selector: Selector
-    next_hops: Tuple[NodeId, ...]
-
-
 #: A router's policy compiled for route(): (slot, part, mask, targets,
 #: fanout). A low_bits step has slot None, part its field's getter and mask
 #: its n_bits low bits; a hash_tuple step has its field set's slot in a
@@ -172,12 +138,11 @@ class EcmpPolicy:
 Step = Tuple[Optional[int], object, Optional[int], List[Tuple[NodeId, Optional[tuple]]], int]
 
 
-def _compile_steps(policies: Mapping[NodeId, EcmpPolicy]) -> Tuple[Dict[NodeId, Step], int]:
+def _compile_steps(policies: Mapping[NodeId, tuple]) -> Tuple[Dict[NodeId, Step], int]:
     """Each router's Step, and how many distinct hash_tuple field sets
     (slots) they hash."""
     chains: Dict[frozenset, tuple] = {}
-    hashed = dict.fromkeys(p.selector.fields for p in policies.values()
-                           if type(p.selector) is HashTupleSelector)
+    hashed = dict.fromkeys(sel for sel, _ in policies.values() if type(sel) is frozenset)
     # Shortest first, so a set's prefixes have their chains before it.
     for fields in sorted(hashed, key=len):
         ordered = [fld for fld in _FIELD_SLICES if fld in fields]
@@ -192,16 +157,15 @@ def _compile_steps(policies: Mapping[NodeId, EcmpPolicy]) -> Tuple[Dict[NodeId, 
         head = chains[frozenset(ordered[:start])] if start else ()
         chains[fields] = head + ((len(chains), tuple(slices)),)
     steps: Dict[NodeId, Step] = {}
-    for node_id, policy in policies.items():
-        selector, fanout = policy.selector, len(policy.next_hops)
-        if type(selector) is LowBitsSelector:
-            steps[node_id] = (None, _FIELD_VALUES[selector.fld], (1 << selector.n_bits) - 1,
-                              [], fanout)
+    for node_id, (selector, next_hops) in policies.items():
+        if type(selector) is tuple:
+            fld, n_bits = selector
+            steps[node_id] = (None, _FIELD_VALUES[fld], (1 << n_bits) - 1, [], len(next_hops))
         else:
-            chain = chains[selector.fields]
-            steps[node_id] = (chain[-1][0], chain, None, [], fanout)
+            chain = chains[selector]
+            steps[node_id] = (chain[-1][0], chain, None, [], len(next_hops))
     for node_id, step in steps.items():
-        step[3].extend((hop, steps.get(hop)) for hop in policies[node_id].next_hops)
+        step[3].extend((hop, steps.get(hop)) for hop in policies[node_id][1])
     return steps, len(chains)
 
 
@@ -265,7 +229,9 @@ class Topology:
     nothing else changes after loading."""
 
     nodes: Dict[NodeId, Node]
-    policies: Dict[NodeId, EcmpPolicy]
+    #: Each router's (selector, next hops); the selector is (field,
+    #: n_bits) for low_bits and the frozenset of its fields for hash_tuple.
+    policies: Dict[NodeId, tuple]
     censors: Tuple[censors_mod.CensorRule, ...]
     loss: Dict[NodeId, float]
     seed: int
@@ -286,7 +252,7 @@ class Topology:
         object.__setattr__(self, "_hop_tables", {})
 
     def _pick_entry(self) -> NodeId:
-        referenced = {h for p in self.policies.values() for h in p.next_hops}
+        referenced = {h for _, hops in self.policies.values() for h in hops}
         roots = sorted(
             n.id
             for n in self.nodes.values()
@@ -320,7 +286,6 @@ class Topology:
                 rules = tuple(r for r in self.censors_at(node_id) if r.can_fire_on(flow))
                 p = self.loss.get(node_id, 0.0)
                 table[node_id] = Hop(
-                    node_id,
                     rules,
                     node.role is Role.ENDPOINT,
                     node.responsive,
@@ -550,7 +515,6 @@ class Hop(NamedTuple):
     """One node of a compiled route, with what a packet of the route's
     flow meets there."""
 
-    node: NodeId
     #: The node's rules that can fire on the flow (CensorRule.can_fire_on),
     #: in document order.
     rules: Tuple[censors_mod.CensorRule, ...]
@@ -584,14 +548,10 @@ class Route:
     source: SourceParams
 
 
-def compile_route(
-    topology: Topology, flow: FlowId, nodes: Optional[Tuple[NodeId, ...]] = None
-) -> Route:
-    """route(topology, flow), with every per-node fact fixed by the flow
-    looked up once (see Topology.hop_table). nodes, when given, is that
-    route, already walked by the caller."""
-    if nodes is None:
-        nodes = route(topology, flow)
+def compile_route(topology: Topology, flow: FlowId, nodes: Tuple[NodeId, ...]) -> Route:
+    """nodes, route(topology, flow) as the caller walked it, with every
+    per-node fact fixed by the flow looked up once (see
+    Topology.hop_table)."""
     hops = topology.hop_table(flow)
     flow_bytes = flow.to_bytes() if any(hops[n].loss > 0.0 for n in nodes) else None
     at_destination = topology.nodes[nodes[-1]].address == flow.dst_ip
@@ -625,7 +585,7 @@ def forward(
     ttl = packet.ttl
     hops = path.hops
     for depth, node_id in enumerate(path.nodes, start=1):
-        _, rules, endpoint, responsive, p, threshold = hops[node_id]
+        rules, endpoint, responsive, p, threshold = hops[node_id]
         if rules:
             consumed = False
             for rule in rules:
@@ -728,7 +688,8 @@ def _parse_node(obj: Mapping) -> Node:
     )
 
 
-def _parse_selector(obj: Mapping) -> Selector:
+def _parse_selector(obj: Mapping) -> Union[Tuple[HashField, int], frozenset]:
+    """The selector as Topology.policies holds it."""
     _require_keys(obj, ["kind"], ["field", "fields", "n_bits"], "selector")
     kind = obj["kind"]
     if kind == "low_bits":
@@ -738,7 +699,12 @@ def _parse_selector(obj: Mapping) -> Selector:
             fld = HashField(obj["field"])
         except ValueError as exc:
             raise SchemaError(f"bad hash field {obj['field']!r}") from exc
-        return LowBitsSelector(fld, _int(obj["n_bits"], "n_bits"))
+        n_bits = _int(obj["n_bits"], "n_bits")
+        if fld is HashField.PROTOCOL:
+            raise SchemaError("low_bits selector cannot use the protocol field")
+        if not 1 <= n_bits <= 8:
+            raise SchemaError(f"n_bits must be in 1..8, got {n_bits}")
+        return fld, n_bits
     if kind == "hash_tuple":
         if "fields" not in obj:
             raise SchemaError("hash_tuple selector needs fields")
@@ -746,7 +712,9 @@ def _parse_selector(obj: Mapping) -> Selector:
             fields = frozenset(HashField(f) for f in _list(obj["fields"], "fields"))
         except ValueError as exc:
             raise SchemaError(f"bad hash field in {obj['fields']!r}") from exc
-        return HashTupleSelector(fields)
+        if not fields:
+            raise SchemaError("hash_tuple selector needs at least one field")
+        return fields
     raise SchemaError(f"unknown selector kind {kind!r}")
 
 
@@ -792,7 +760,7 @@ def load_topology(document: Union[str, Mapping]) -> Topology:
             raise SchemaError(f"duplicate node id {node.id}")
         nodes[node.id] = node
 
-    policies: Dict[NodeId, EcmpPolicy] = {}
+    policies: Dict[NodeId, tuple] = {}
     for pol_obj in _list(obj["policies"], "policies"):
         _require_keys(pol_obj, ["node", "selector", "next_hops"], [], "policy")
         owner = _int(pol_obj["node"], "policy node")
@@ -808,7 +776,7 @@ def load_topology(document: Union[str, Mapping]) -> Topology:
         for h in hops:
             if h not in nodes:
                 raise DanglingNodeRefError(f"next_hop {h} not in topology")
-        policies[owner] = EcmpPolicy(_parse_selector(pol_obj["selector"]), hops)
+        policies[owner] = (_parse_selector(pol_obj["selector"]), hops)
 
     for node in nodes.values():
         if node.role is Role.ROUTER and node.id not in policies:

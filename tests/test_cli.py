@@ -262,6 +262,55 @@ class TestRq2Reports:
             checked += 1
         assert checked == 1664
 
+    @pytest.mark.parametrize("protocol", [[], ["--protocol", "http"]], ids=["any", "http"])
+    def test_graph_of_a_destination_the_log_lacks_is_data_error(self, rq2_run, capsys,
+                                                                protocol):
+        tmp, log = rq2_run
+        code, _, err = run(capsys, "graph", "--log", str(log), "--dest", "10.9.9.9",
+                           "--out", str(tmp / "missing"), *protocol)
+        assert code == 2
+        assert "data error: no traces for 10.9.9.9 in log" in err
+        assert not (tmp / "missing_nodes.csv").exists()
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_classify_passes_over_the_traces_once(self, rq2_run, capsys, monkeypatch, extra):
+        # Destinations without traces are skipped, but a command that
+        # scanned the traces per destination would pass over them again
+        # for each.
+        import dataclasses
+
+        from flowstable.core import AppProtocol, Ipv4Address
+
+        tmp, log = rq2_run
+        passes = []
+
+        class Traces(dict):
+            def values(self):
+                passes.append("values")
+                return super().values()
+
+            def items(self):
+                passes.append("items")
+                return super().items()
+
+            def __iter__(self):
+                passes.append("iter")
+                return super().__iter__()
+
+        run_log = logio.read_run(log)
+        (matrix,) = run_log.verdicts.values()
+        verdicts = dict(run_log.verdicts)
+        for host in range(extra):
+            verdicts[(Ipv4Address.parse(f"10.9.9.{host + 1}"), AppProtocol.HTTP)] = matrix
+        run_log = dataclasses.replace(run_log, verdicts=verdicts,
+                                      traces=Traces(run_log.traces))
+        monkeypatch.setattr(logio, "read_run", lambda path: run_log)
+        code, out, err = run(capsys, "classify", "--log", str(log),
+                             "--topology", str(FIXTURES / "half_split.topo"))
+        assert code == 0, err
+        assert [row["destination"] for row in csv.DictReader(out.splitlines())] == ["10.0.3.4"]
+        assert len(passes) == 1
+
     def test_rerun_appends_nothing(self, rq2_run, capsys):
         tmp, log = rq2_run
         before = {p.name: p.read_bytes() for p in (log, tmp / "run_table.csv",

@@ -54,7 +54,7 @@ class TestPlanRq1:
         assert len({s.src_port for s in plan.samples}) == 1
         for s in plan.samples:
             assert s.src_ip.value & 0xFFFFFF00 == 0xC6336400
-            assert s.src_ip.host_octet not in (0, 255)
+            assert (s.src_ip.value & 0xFF) not in (0, 255)
 
     def test_vary_both_12_by_12(self):
         plan = plan_rq1(DEST, AppProtocol.HTTP, seed=1)[3]
@@ -81,7 +81,7 @@ class TestPlanRq2:
         assert len(ips) == 208
         histogram = Counter(ip.low_bits(3) for ip in ips)
         assert histogram == Counter({c: 26 for c in range(8)})
-        assert all(ip.host_octet not in (0, 255) for ip in ips)
+        assert all((ip.value & 0xFF) not in (0, 255) for ip in ips)
 
     def test_ports_distinct_ephemeral(self):
         plan = plan_rq2([DEST], seed=3)
@@ -206,6 +206,26 @@ class TestRunners:
 
         assert full == resumed
         assert partial_log.read_bytes() == full_log.read_bytes()
+
+    def test_rq2_resume_fills_the_matrices_the_log_read(self, tmp_path, registry):
+        # A resumed sweep adds its new cells to the matrices open_run
+        # read, so it holds each matrix once, not a copy besides.
+        topo = load_fixture("half_split.topo")
+        dest = topo.nodes[3].address
+        plan = plan_rq2([dest], seed=5)
+        path = tmp_path / "run.log"
+        run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP], registry=registry,
+                log=logio.open_run(path, "rq2"))
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:cited(lines)[99] + 1]))
+        log = logio.open_run(path, "rq2")
+        held = log.verdicts[(dest, AppProtocol.HTTP)]
+        assert len(held) == 100
+        out = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
+                      registry=registry, log=log)
+        assert out == log.verdicts
+        assert out[(dest, AppProtocol.HTTP)] is held
+        assert set(held) == set(plan.grid)
 
     def test_rq2_matrix_appends_in_byte_batches(self, tmp_path, registry, monkeypatch):
         # Each append opens the log once: a matrix goes out in batches of

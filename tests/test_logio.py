@@ -86,7 +86,7 @@ def test_round_trip_1000_records(tmp_path):
 def test_truncated_final_line_discarded_with_warning(tmp_path):
     path = tmp_path / "run.log"
     records = [logio.make_record(logio.KIND_META, "r", note=str(i)) for i in range(1000)]
-    logio.append_records(path, records)
+    logio.append_records(path, map(logio.encode_record, records))
     text = path.read_text()
     path.write_text(text[: len(text) - 17])  # chop into the last record
     with pytest.warns(UserWarning):

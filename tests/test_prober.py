@@ -35,7 +35,7 @@ from flowstable.prober import (
     is_affected,
     run_cell,
 )
-from flowstable.simnet import compile_route
+from flowstable.simnet import compile_route, route
 
 from conftest import flapping, load_fixture
 from reference import is_affected as reference_is_affected
@@ -203,7 +203,7 @@ class TestRunProbe:
     def test_session_rejects_packet_of_another_flow(self):
         topo = load_fixture("chain.topo")
         spec = spec_for(topo, AppProtocol.HTTP, Sensitivity.CONTROL, DOMAINS[0])
-        session = Session(compile_route(topo, spec.flow))
+        session = Session(compile_route(topo, spec.flow, route(topo, spec.flow)))
         flow = spec.flow
         same = FlowId(flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port, flow.protocol)
         assert same is not spec.flow
@@ -227,7 +227,7 @@ class TestVerdictMatrix:
         grid = [SourceParams(Ipv4Address(0xC6336400 + h), 40000) for h in range(1, 17)]
         matrix = verdict_grid(topo.nodes[3].address, grid, AppProtocol.HTTPS, transport)
         for params, verdict in matrix.items():
-            if params.src_ip.host_octet % 2 == 1:
+            if (params.src_ip.value & 0xFF) % 2 == 1:
                 assert verdict.mechanism is Mechanism.RST_INJECTION
             else:
                 assert verdict.is_not_censored

@@ -16,11 +16,8 @@ from flowstable.simnet import (
     DrawTree,
     LoopGuardExceededError,
     EmptyNextHopsError,
-    HashField,
-    HashTupleSelector,
     LossOutOfRangeError,
     LossStream,
-    LowBitsSelector,
     SchemaError,
     TransitKind,
     compile_route,
@@ -64,7 +61,7 @@ def make_flow(src_ip=0x0A000001, dst_ip=0x0A000102, src_port=40000, dst_port=80,
 
 def walk(topology, packet, seed, epoch=1):
     """forward() of packet on its flow's route compiled against topology."""
-    path = compile_route(topology, packet.flow)
+    path = compile_route(topology, packet.flow, route(topology, packet.flow))
     stream = path.flow_bytes and LossStream(seed, epoch, packet, path.flow_bytes, {})
     return forward(packet, path, epoch, stream, {})
 
@@ -117,7 +114,7 @@ class TestNextHop:
         doc = one_router({"kind": "hash_tuple", "fields": ["src_port", "src_ip"]}, 5)
         flow = make_flow()
         expected = fnv_reference(
-            flow.src_ip.to_bytes() + flow.src_port.to_bytes(2, "big")
+            flow.src_ip.value.to_bytes(4, "big") + flow.src_port.to_bytes(2, "big")
         ) % 5
         assert pick(doc, flow) == 1 + expected
 
@@ -133,13 +130,27 @@ class TestNextHop:
         assert pick(doc, flow) == pick(doc, flow) == reference_next_hop(
             doc["policies"][0], raw)
 
-    def test_empty_hash_tuple_rejected(self):
-        with pytest.raises(SchemaError):
-            HashTupleSelector(frozenset())
-
-    def test_low_bits_rejects_protocol_field(self):
-        with pytest.raises(SchemaError):
-            LowBitsSelector(HashField.PROTOCOL, 2)
+    @pytest.mark.parametrize("selector, message", [
+        ({"kind": "hash_tuple", "fields": []},
+         "hash_tuple selector needs at least one field"),
+        ({"kind": "low_bits", "field": "protocol", "n_bits": 2},
+         "low_bits selector cannot use the protocol field"),
+        ({"kind": "low_bits", "field": "src_ip", "n_bits": 0}, "n_bits must be in 1..8, got 0"),
+        ({"kind": "low_bits", "field": "src_ip", "n_bits": 9}, "n_bits must be in 1..8, got 9"),
+        # The rules in order: the field's value, then n_bits an integer,
+        # then no protocol field, then n_bits in range.
+        ({"kind": "low_bits", "field": "protocol", "n_bits": 9},
+         "low_bits selector cannot use the protocol field"),
+        ({"kind": "low_bits", "field": "protocol", "n_bits": "2"},
+         "n_bits must be an integer: '2'"),
+        ({"kind": "low_bits", "field": "ttl", "n_bits": "2"}, "bad hash field 'ttl'"),
+    ], ids=["empty_fields", "protocol", "n_bits_0", "n_bits_9", "protocol_before_range",
+            "integer_before_protocol", "field_before_integer"])
+    def test_selector_rules(self, selector, message):
+        with pytest.raises(SchemaError) as caught:
+            load_topology(one_router(selector, 2))
+        assert type(caught.value) is SchemaError
+        assert str(caught.value) == message
 
 
 class TestLoadTopology:
@@ -195,9 +206,9 @@ class TestLoadTopology:
 
     def test_type1_intra_fixture_structure(self):
         topo = load_fixture("type1_intra.topo")
-        diverging = [n for n, p in topo.policies.items() if len(p.next_hops) > 1]
+        diverging = [hops for _, hops in topo.policies.values() if len(hops) > 1]
         assert len(diverging) == 1
-        hops = topo.policies[diverging[0]].next_hops
+        hops = diverging[0]
         censor_as = {topo.nodes[r.attach_at].as_number for r in topo.censors}
         assert {topo.nodes[h].as_number for h in hops} == censor_as
 
@@ -264,7 +275,7 @@ class TestForward:
         path = route(topo, make_flow())
         assert path == (0, 1) * (LOOP_GUARD // 2)
         packet = Packet(make_flow(), ttl=255, kind=PacketKind.TCP_PAYLOAD)
-        compiled = compile_route(topo, make_flow())
+        compiled = compile_route(topo, make_flow(), path)
         with pytest.raises(LoopGuardExceededError):
             forward(packet, compiled, 1, None, {})
         with pytest.raises(LoopGuardExceededError):

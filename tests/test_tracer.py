@@ -267,7 +267,7 @@ class TestMergePaths:
                 sensitive_spec(topo, AppProtocol.HTTPS, params=params, dst=3),
                 8, transport))
         pathset = merge_paths(traces)
-        verdicts = {g.params.src_ip.host_octet % 2: g.verdict
+        verdicts = {(g.params.src_ip.value & 0xFF) % 2: g.verdict
                     for g in pathset.groups.values()}
         assert verdicts[1].is_censored
         assert verdicts[0].is_not_censored
