@@ -227,7 +227,7 @@ def _cmd_rq2(args) -> int:
         command="rq2", seed=seed, dests=[str(node.address) for node in dests],
         control_domain=args.control_domain, sensitive_domain=args.sensitive_domain,
     )
-    matrices = experiments.run_rq2(
+    summaries = experiments.run_rq2(
         plan,
         transport,
         log,
@@ -238,18 +238,16 @@ def _cmd_rq2(args) -> int:
 
     table_rows = []
     fractions: Dict[str, List] = {}
-    traced = []  # the affected matrices, in table order
+    traced = []  # the affected matrices' decided sources, in table order
     for node in sorted(dests, key=lambda node: node.address.value):
         for protocol in sorted(protocols, key=lambda protocol: protocol.value):
-            matrix = matrices[(node.address, protocol)]
-            affected = prober.is_affected(matrix)
+            summary = summaries[(node.address, protocol)]
             table_rows.append(
-                (str(node.address), node.as_number, protocol.value, str(affected).lower())
+                (str(node.address), node.as_number, protocol.value, str(summary.affected).lower())
             )
-            if affected:
-                frac = analysis.no_censorship_fraction(matrix)
-                fractions.setdefault(protocol.value, []).append(frac)
-                traced.append((node.address, protocol, matrix))
+            if summary.affected:
+                fractions.setdefault(protocol.value, []).append(summary.no_censorship_fraction)
+                traced.append((node.address, protocol, summary.decided))
 
     table_path = log.path.with_name(log.path.stem + "_table.csv")
     _write_csv(table_path, ["destination", "asn", "protocol", "affected"], table_rows)
@@ -264,11 +262,10 @@ def _cmd_rq2(args) -> int:
 
     if args.trace_affected:
         # Each affected matrix's decided cells, in table and source order
-        for dst_ip, protocol, matrix in traced:
-            decided = sorted(params for params in matrix if not matrix[params].is_excluded)
+        for dst_ip, protocol, decided in traced:
             experiments.trace_flows(log, dst_ip, protocol, args.sensitive_domain,
-                                    Sensitivity.SENSITIVE, decided, tracer.DEFAULT_MAX_TTL,
-                                    transport)
+                                    Sensitivity.SENSITIVE, sorted(decided),
+                                    tracer.DEFAULT_MAX_TTL, transport)
     print(f"wrote {table_path} and {cdf_path}")
     return 0
 
@@ -509,9 +506,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (
         # Every other data error of the package subclasses ValueError or
-        # LookupError; these two are RuntimeErrors.
+        # LookupError; this one is a RuntimeError.
         simnet.LoopGuardExceededError,
-        prober.HandshakeFailedError,
         OSError,
         ValueError,
         LookupError,

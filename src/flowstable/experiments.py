@@ -17,7 +17,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     AppProtocol,
@@ -27,7 +28,7 @@ from .core import (
     SourceParams,
     Verdict,
 )
-from . import logio
+from . import analysis, logio
 from .prober import (
     DEFAULT_REPETITIONS,
     BlockpageRegistry,
@@ -36,6 +37,7 @@ from .prober import (
     EMPTY_REGISTRY,
     TransportUnavailableError,
     classify,  # unused here; perfbench's span tests patch it through this module
+    is_affected,
     run_cell,
 )
 from .tracer import DEFAULT_MAX_TTL, TracePath, merge_paths, trace
@@ -54,6 +56,16 @@ RQ2_PORT_COUNT = 8
 
 class EmptyCandidatesError(ValueError):
     """A sweep was given no destination."""
+
+
+class Rq2Summary(NamedTuple):
+    """What rq2's reports read of one verdict matrix: whether it is
+    affected (prober.is_affected) and, only then, its no-censorship
+    fraction and its decided sources in grid order; else None and ()."""
+
+    affected: bool
+    no_censorship_fraction: Optional[Fraction]
+    decided: Tuple[SourceParams, ...]
 
 
 class Rq1Variation(Enum):
@@ -238,8 +250,8 @@ def run_rq2(
     protocols: Sequence[AppProtocol] = (AppProtocol.DNS, AppProtocol.HTTP, AppProtocol.HTTPS),
     registry: BlockpageRegistry = EMPTY_REGISTRY,
     repetitions: int = DEFAULT_REPETITIONS,
-) -> Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]:
-    """Verdict matrix per (destination, protocol).
+) -> Dict[Tuple[Ipv4Address, AppProtocol], Rq2Summary]:
+    """The summary of the verdict matrix per (destination, protocol).
 
     Cells run one at a time in grid order, each in its own session or
     taking the result of an earlier cell on its route (see run_cell).
@@ -250,17 +262,17 @@ def run_rq2(
     one bad cell never aborts a sweep.
 
     Cells whose verdict log (from logio.open_run) holds under this
-    run's id are not run again: each matrix is the log's own
-    (RunLog.verdicts), which the new cells fill in place, so a resume
-    holds each matrix once. Each new cell becomes one line, in plan
-    order, appended in batches (see logio.SharedLines) and all written
-    by the end of its matrix. A sweep cut short therefore resumes where
-    it stopped and leaves the same log as an uninterrupted one.
+    run's id are not run again: each matrix is taken out of the log's
+    (RunLog.verdicts) for its own turn, so a sweep holds one at a time.
+    Each new cell becomes one line, in plan order, appended in batches
+    (see logio.SharedLines) and all written by the end of its matrix. A
+    sweep cut short therefore resumes where it stopped and leaves the
+    same log as an uninterrupted one.
     """
-    out: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]] = {}
+    out: Dict[Tuple[Ipv4Address, AppProtocol], Rq2Summary] = {}
     for dst in plan.destinations:
         for protocol in protocols:
-            matrix = log.verdicts.setdefault((dst, protocol), {})
+            matrix = log.verdicts.pop((dst, protocol), {})
             lines = logio.SharedLines(log, dst, protocol)
             cell = Cell(protocol, dst, plan.domain_pair, repetitions, registry)
             for params in plan.grid:
@@ -273,6 +285,10 @@ def run_rq2(
                 matrix[params] = result.verdict
                 lines.verdict(result, params)
             lines.flush()
-            out[(dst, protocol)] = matrix
+            summary = Rq2Summary(False, None, ())
+            if is_affected(matrix):
+                summary = Rq2Summary(True, analysis.no_censorship_fraction(matrix), tuple(
+                    params for params in plan.grid if not matrix[params].is_excluded))
+            out[(dst, protocol)] = summary
     return out
 

@@ -13,7 +13,7 @@ key are simnet's, and a result's log line is logio's.
 Verdicts follow the all-repetitions rule: a cell is Censored only when
 every sensitive repetition shows the censoring behavior and every
 control repetition is clean; it is NotCensored only when every
-sensitive repetition is clean; anything mixed is Excluded.
+sensitive repetition is clean (a payload: the origin's body); else Excluded.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ PROBE_TTL = 64
 
 DEFAULT_REPETITIONS = 3
 
+#: The body of the origin's reply to a payload: this prefix, then its domain.
+ORIGIN_BODY_PREFIX = "origin:"
+
 R = TypeVar("R")
 
 
@@ -73,10 +76,6 @@ class TransportUnavailableError(RuntimeError):
 
 class LengthMismatchError(ValueError):
     """Control and sensitive observation lists differ in length."""
-
-
-class HandshakeFailedError(RuntimeError):
-    """A TCP session required by the caller could not be opened."""
 
 
 @dataclass(frozen=True)
@@ -369,7 +368,7 @@ class Session:
                 probe.flow,
                 ttl=64,
                 kind=PacketKind.HTTP_RESPONSE,
-                body_tag=f"origin:{probe.body_tag}",
+                body_tag=f"{ORIGIN_BODY_PREFIX}{probe.body_tag}",
             )
         return None
 
@@ -487,7 +486,7 @@ def classify(
     RST injection, packet drop); their outcome sets are disjoint per
     protocol so the order never changes the result, only makes reporting
     deterministic. Anything that is neither fully censored nor fully
-    clean is Excluded.
+    clean, where a clean payload is the origin's body, is Excluded.
     """
     if len(control) != len(sensitive) or not control:
         raise LengthMismatchError(
@@ -523,11 +522,9 @@ def classify(
     if protocol is AppProtocol.DNS:
         if all_kind(sensitive, ObservationKind.NO_RESPONSE):
             return Verdict.not_censored()
-    else:
-        if all_kind(sensitive, ObservationKind.PAYLOAD_RESPONSE) and not any(
-            bp_match(o) for o in sensitive
-        ):
-            return Verdict.not_censored()
+    elif all(o.kind is ObservationKind.PAYLOAD_RESPONSE and o.tag.startswith(ORIGIN_BODY_PREFIX)
+             for o in sensitive):
+        return Verdict.not_censored()
     return Verdict.excluded()
 
 

@@ -19,7 +19,7 @@ from .analysis import EmptyPathSetError, PathSet, TraceGroup
 from .core import (
     AppProtocol, Ipv4Address, Mechanism, Packet, PacketKind, Sensitivity, SourceParams, Verdict,
 )
-from .prober import HandshakeFailedError, ProbeSpec, Session, _exchange_packets, _flow, _handshake
+from .prober import ProbeSpec, Session, _exchange_packets, _flow, _handshake
 
 MAX_TTL_CEILING = 64
 DEFAULT_MAX_TTL = 32
@@ -29,6 +29,7 @@ class TerminalKind(Enum):
     REACHED_DESTINATION = "reached"
     CENSORED_AT = "censored"
     EXHAUSTED = "exhausted"
+    HANDSHAKE_FAILED = "handshake_failed"
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,13 @@ def trace(protocol: AppProtocol, dst_ip: Ipv4Address, domain: str, sensitivity: 
 def _climb(
     spec: ProbeSpec, max_ttl: int, session: Session
 ) -> Tuple[Tuple[Optional[int], ...], Terminal]:
-    """trace's TTL ladder on one session: its hops and its terminal.
-    Raises HandshakeFailedError when prober._handshake fails, that is
-    when the SYN draws no SYN-ACK: a fresh session's first packet, with
-    no payload, opens no residual window and draws no RST."""
+    """trace's TTL ladder on one session: its hops and its terminal; none
+    and HANDSHAKE_FAILED when prober._handshake fails, that is when the SYN
+    draws no SYN-ACK: a fresh session's SYN, with no payload, draws no RST."""
     session.advance()
     *handshake, payload = _exchange_packets(spec)
     if handshake and _handshake(session, *handshake) is not None:
-        raise HandshakeFailedError(f"no handshake for {spec.source} -> {spec.dst_ip}")
+        return (), Terminal(TerminalKind.HANDSHAKE_FAILED)
 
     hops: Dict[int, int] = {}
 
@@ -144,9 +144,9 @@ def merge_paths(traces: Sequence[TracePath], verdicts=None) -> PathSet:
     A group's node set is the union of its traces' present hops. When no
     verdict map is supplied, each group's verdict is derived from its
     traces: censored terminals everywhere -> Censored, clean terminals
-    everywhere -> NotCensored, mixed -> Excluded. A censored terminal
-    comes only from an injected RST, so a derived Censored verdict's
-    mechanism is RST injection.
+    everywhere -> NotCensored, mixed or a failed handshake -> Excluded.
+    A censored terminal comes only from an injected RST, so a derived
+    Censored verdict's mechanism is RST injection.
     """
     if not traces:
         raise EmptyPathSetError("no traces to merge")
@@ -179,9 +179,10 @@ _DERIVED_EXCLUDED = Verdict.excluded()
 
 
 def _derive_verdict(group_traces: Sequence[TracePath]) -> Verdict:
-    censored = sum(t.terminal.kind is TerminalKind.CENSORED_AT for t in group_traces)
-    if censored == len(group_traces):
+    kinds = [t.terminal.kind for t in group_traces]
+    censored = kinds.count(TerminalKind.CENSORED_AT)
+    if censored == len(kinds):
         return _DERIVED_CENSORED
-    if not censored:
+    if not censored and TerminalKind.HANDSHAKE_FAILED not in kinds:
         return _DERIVED_NOT_CENSORED
     return _DERIVED_EXCLUDED

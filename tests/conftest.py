@@ -47,6 +47,14 @@ def load_fixture(name: str):
     return load_topology((FIXTURES / name).read_text())
 
 
+def logged_matrices(log):
+    """The verdict matrix per (destination, protocol) that log's run
+    holds, read back from its file: run_rq2 returns only summaries."""
+    from flowstable import logio
+
+    return logio.read_run(log.path, log.run_id).verdicts
+
+
 @contextlib.contextmanager
 def scratch_log(run_id: str = "test"):
     """A fresh run log read for run_id (logio.open_run), in a temporary

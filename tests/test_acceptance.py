@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import conftest
-from conftest import FIXTURES, flapping, load_fixture, scratch_log
+from conftest import FIXTURES, flapping, load_fixture, logged_matrices, scratch_log
 
 from flowstable.analysis import (
     BitGrouping,
@@ -159,9 +159,9 @@ def test_criterion_5_bit_pattern_reproduction(registry):
     dest = topology.nodes[9].address
     plan = plan_rq2([dest], seed=55)
     with scratch_log() as log:
-        matrices = run_rq2(plan, SimTransport(topology), log,
-                           protocols=[AppProtocol.HTTP], registry=registry)
-    matrix = matrices[(dest, AppProtocol.HTTP)]
+        run_rq2(plan, SimTransport(topology), log, protocols=[AppProtocol.HTTP],
+                registry=registry)
+        matrix = logged_matrices(log)[(dest, AppProtocol.HTTP)]
 
     rows = bit_group_summary({dest: matrix}, BitGrouping.SRC_IP_LOW3)
     positive = {r.group for r in rows if r.censored_cells > 0}
@@ -181,9 +181,9 @@ def test_criterion_6_half_split_cdf(tmp_path, registry):
     dest = topology.nodes[3].address
     plan = plan_rq2([dest], seed=66)
     with scratch_log() as log:
-        matrices = run_rq2(plan, SimTransport(topology), log,
-                           protocols=[AppProtocol.HTTPS], registry=registry)
-    fraction = no_censorship_fraction(matrices[(dest, AppProtocol.HTTPS)])
+        run_rq2(plan, SimTransport(topology), log, protocols=[AppProtocol.HTTPS],
+                registry=registry)
+        fraction = no_censorship_fraction(logged_matrices(log)[(dest, AppProtocol.HTTPS)])
     assert fraction == Fraction(1, 2)
 
     dests = tmp_path / "dests.txt"

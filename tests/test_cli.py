@@ -437,6 +437,27 @@ class TestRunLog:
         assert shared.read_text() == before
         assert (tmp_path / "shared_paths.csv").read_text() == seed1_csv
 
+    def test_failed_handshakes_are_logged_and_the_sweep_goes_on(self, tmp_path, capsys):
+        # Loss at the first router makes some traces' SYNs draw no
+        # SYN-ACK: each such trace logs an empty ladder that ends
+        # handshake_failed, and rq1 still traces every sample.
+        document = json.loads((FIXTURES / "half_split.topo").read_text())
+        document["loss"] = [{"node": 0, "p": 0.2}]
+        topology = tmp_path / "lossy.topo"
+        topology.write_text(json.dumps(document))
+        log = tmp_path / "run.log"
+        code, out, err = run(capsys, "rq1", "--topology", str(topology), "--dest", "3",
+                             "--seed", "1", "--out", str(log))
+        assert (code, err) == (0, "")
+        traces = [r for r in logio.read_log(log) if r["record_kind"] == "trace"]
+        assert len(traces) == 4 * 144
+        failed = [r for r in traces if r["terminal"] == "handshake_failed"]
+        assert failed and all(r["hops"] == [] for r in failed)
+        code, out, _ = run(capsys, "trace", "--topology", str(topology), "--dest", "3",
+                           "--src-ip", failed[0]["src_ip"],
+                           "--src-port", str(failed[0]["src_port"]), "--protocol", "http")
+        assert (code, out) == (0, "handshake_failed\n")
+
     def test_rq2_runs_sharing_a_log_keep_their_own_verdicts(self, tmp_path, capsys):
         # rst_chain's endpoint has half_split's address, so the two runs
         # probe the same cells under different run ids.

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from flowstable import experiments, logio
 from flowstable.experiments import (
     EmptyCandidatesError,
     Rq1Variation,
+    Rq2Summary,
     flow_trace_id,
     plan_rq1,
     plan_rq2,
@@ -19,7 +21,7 @@ from flowstable.experiments import (
 from flowstable.cli import cli_main
 from flowstable.prober import LiveTransport, SimTransport, is_affected
 
-from conftest import FIXTURES, load_fixture, scratch_log
+from conftest import FIXTURES, load_fixture, logged_matrices, scratch_log
 from reference import log_bytes, verdict_record
 
 DEST = Ipv4Address.parse("10.0.3.4")  # chain.topo endpoint
@@ -157,11 +159,13 @@ class TestRunners:
         dest = topo.nodes[3].address
         plan = plan_rq2([dest], seed=5)
         with scratch_log() as log:
-            matrices = run_rq2(plan, SimTransport(topo), log,
-                               protocols=[AppProtocol.HTTPS], registry=registry)
-        matrix = matrices[(dest, AppProtocol.HTTPS)]
+            summaries = run_rq2(plan, SimTransport(topo), log,
+                                protocols=[AppProtocol.HTTPS], registry=registry)
+            matrix = logged_matrices(log)[(dest, AppProtocol.HTTPS)]
         assert is_affected(matrix)
         assert no_censorship_fraction(matrix) == 0.5
+        decided = tuple(params for params in plan.grid if not matrix[params].is_excluded)
+        assert summaries == {(dest, AppProtocol.HTTPS): Rq2Summary(True, 0.5, decided)}
 
     def test_rq1_resumable(self, tmp_path):
         topo = load_fixture("half_split.topo")
@@ -206,26 +210,36 @@ class TestRunners:
 
         assert full == resumed
         assert partial_log.read_bytes() == full_log.read_bytes()
+        assert logio.read_run(partial_log, "rq2").verdicts == logio.read_run(
+            full_log, "rq2").verdicts
 
-    def test_rq2_resume_fills_the_matrices_the_log_read(self, tmp_path, registry):
-        # A resumed sweep adds its new cells to the matrices open_run
-        # read, so it holds each matrix once, not a copy besides.
+    def test_rq2_keeps_no_matrix_past_its_turn(self, tmp_path, registry):
+        # Neither a fresh sweep nor a resumed one leaves a matrix alive
+        # once it returns: not in what it returns, nor in the log it read.
         topo = load_fixture("half_split.topo")
         dest = topo.nodes[3].address
         plan = plan_rq2([dest], seed=5)
+        grid = set(plan.grid)
+
+        def matrices():
+            """The live dicts keyed by the plan's sources."""
+            gc.collect()
+            return [o for o in gc.get_objects() if type(o) is dict and o and set(o) <= grid]
+
         path = tmp_path / "run.log"
-        run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP], registry=registry,
-                log=logio.open_run(path, "rq2"))
+        log = logio.open_run(path, "rq2")
+        summaries = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
+                            registry=registry, log=log)
+        assert matrices() == []
+        assert summaries[(dest, AppProtocol.HTTP)].affected
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:cited(lines)[99] + 1]))
         log = logio.open_run(path, "rq2")
-        held = log.verdicts[(dest, AppProtocol.HTTP)]
-        assert len(held) == 100
-        out = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
-                      registry=registry, log=log)
-        assert out == log.verdicts
-        assert out[(dest, AppProtocol.HTTP)] is held
-        assert set(held) == set(plan.grid)
+        assert len(log.verdicts[(dest, AppProtocol.HTTP)]) == 100
+        assert run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
+                       registry=registry, log=log) == summaries
+        assert log.verdicts == {}
+        assert matrices() == []
 
     def test_rq2_matrix_appends_in_byte_batches(self, tmp_path, registry, monkeypatch):
         # Each append opens the log once: a matrix goes out in batches of
@@ -263,20 +277,22 @@ class TestRunners:
         dest = topo.nodes[3].address
         plan = plan_rq2([dest], seed=5)
         transport = SimTransport(topo)
-        with scratch_log() as log:
-            first = run_rq2(plan, transport, log, protocols=[AppProtocol.HTTPS],
-                            registry=registry)
-        with scratch_log() as log:
-            again = run_rq2(plan, transport, log, protocols=[AppProtocol.HTTPS],
-                            registry=registry)
+        runs = []
+        for _ in range(2):
+            with scratch_log() as log:
+                summaries = run_rq2(plan, transport, log, protocols=[AppProtocol.HTTPS],
+                                    registry=registry)
+                runs.append((summaries, logged_matrices(log), log.path.read_bytes()))
+        first, again = runs
         assert first == again
 
     def test_rq2_unavailable_transport_logs_excluded_cells(self, tmp_path):
         plan = plan_rq2([DEST], seed=5)
         path = tmp_path / "live.log"
         log = logio.open_run(path, "rq2")
-        (matrix,) = run_rq2(plan, LiveTransport(), protocols=[AppProtocol.HTTP],
-                            log=log).values()
+        assert run_rq2(plan, LiveTransport(), protocols=[AppProtocol.HTTP], log=log) == {
+            (DEST, AppProtocol.HTTP): Rq2Summary(False, None, ())}
+        (matrix,) = logged_matrices(log).values()
         assert set(matrix.values()) == {Verdict.excluded()}
         meta = {"record_kind": "meta", "run_id": "rq2", "schema_version": 3}
         records = [verdict_record("rq2", DEST, AppProtocol.HTTP, params, [], [],
@@ -303,15 +319,19 @@ def test_trace_pass_looks_up_each_decided_cells_flow_trace_id(tmp_path, monkeypa
              Verdict.excluded()]
     matrices = {}
 
-    def random_matrices(plan, transport, log, protocols, registry, repetitions):
+    def random_summaries(plan, transport, log, protocols, registry, repetitions):
+        # each matrix's summary, its decided sources in grid order
         assert set(plan.destinations) == {DEST, other}
         matrices.update({(dst, protocol): {params: rng.choice(kinds) for params in plan.grid}
                          for dst in plan.destinations for protocol in protocols})
         matrices[(other, AppProtocol.DNS)] = dict.fromkeys(plan.grid, Verdict.not_censored())
-        return matrices
+        return {key: Rq2Summary(True, no_censorship_fraction(matrix), tuple(
+                    params for params in plan.grid if not matrix[params].is_excluded))
+                if is_affected(matrix) else Rq2Summary(False, None, ())
+                for key, matrix in matrices.items()}
 
     looked_up = []
-    monkeypatch.setattr(experiments, "run_rq2", random_matrices)
+    monkeypatch.setattr(experiments, "run_rq2", random_summaries)
     monkeypatch.setattr(experiments, "take_trace",
                         lambda lines, trace_id, *rest: looked_up.append(trace_id))
     assert cli_main(["rq2", "--topology", str(tmp_path / "two.topo"),

@@ -3,10 +3,15 @@
 The digests pin the run log and the CSVs that each command writes, so a
 change to what the simulator computes, to the plans, or to the log and
 CSV layout shows up as a mismatch. A change meant to alter these
-outputs updates the digests and says why.
+outputs updates the digests and says why. The outputs do not depend on
+the interpreter's string hash seed either.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +77,25 @@ def test_outputs_match_recorded_digests(name, tmp_path, capsys):
     for suffix, digest in digests.items():
         data = (tmp_path / f"run{suffix}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, suffix
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # The lossy rq2 run, then classify on its log per protocol, each in a
+    # fresh interpreter under PYTHONHASHSEED 0 and 1: the files written
+    # and the lines printed are the same bytes.
+    (argv,), _ = GOLDEN["rq2_lossy"]
+    commands = [argv + ["--out", "run.log"]] + [
+        ["classify", "--log", "run.log", "--topology", str(FIXTURES / "lossy_mix.topo"),
+         "--protocol", protocol] for protocol in ("dns", "http", "https")]
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        printed = [subprocess.run([sys.executable, "-m", "flowstable.cli", *command], cwd=cwd,
+                                  env=env, capture_output=True, check=True, timeout=120).stdout
+                   for command in commands]
+        runs.append((printed, {path.name: path.read_bytes() for path in cwd.iterdir()}))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == ["run.log", "run_cdf.csv", "run_table.csv"]

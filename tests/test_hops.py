@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from flowstable import censors, prober
 from flowstable.core import AppProtocol, FlowId, Ipv4Address, Protocol, SourceParams
-from flowstable.prober import Cell, HandshakeFailedError, SimTransport, run_cell
+from flowstable.prober import Cell, SimTransport, run_cell
 from flowstable.simnet import (
     LOOP_GUARD,
     LoopGuardExceededError,
@@ -200,8 +200,7 @@ def test_session_packets_match_per_node_walk(doc, host, src_port, protocol, reps
     # flow, so every packet is simulated and checked.
     with checked_sends(topology, doc) as checked:
         run_cell(cell, source, SimTransport(topology))
-        with contextlib.suppress(HandshakeFailedError):
-            trace_spec(sensitive, data.draw(st.integers(1, 20)), SimTransport(topology))
+        trace_spec(sensitive, data.draw(st.integers(1, 20)), SimTransport(topology))
     assert checked
 
 

@@ -164,6 +164,7 @@ def test_terminal_string_round_trip():
     cases = [
         Terminal(TerminalKind.REACHED_DESTINATION),
         Terminal(TerminalKind.EXHAUSTED),
+        Terminal(TerminalKind.HANDSHAKE_FAILED),
         Terminal(TerminalKind.CENSORED_AT, 7),
         Terminal(TerminalKind.CENSORED_AT, None),
     ]
@@ -901,6 +902,7 @@ _ladders = st.lists(st.one_of(st.none(), st.integers(0, 2**16)), max_size=MAX_TT
 _terminals = st.one_of(
     st.sampled_from([Terminal(TerminalKind.REACHED_DESTINATION),
                      Terminal(TerminalKind.EXHAUSTED),
+                     Terminal(TerminalKind.HANDSHAKE_FAILED),
                      Terminal(TerminalKind.CENSORED_AT, None)]),
     st.builds(Terminal, st.just(TerminalKind.CENSORED_AT), st.integers(1, MAX_TTL_CEILING)))
 #: Sources, often on an address of a small pool that other ports share.

@@ -87,7 +87,8 @@ class TestClassify:
         assert verdict.is_excluded
 
     def test_clean_payloads_not_censored(self):
-        verdict = classify(obs(P, P, P), obs(P, P, P), AppProtocol.HTTPS)
+        verdict = classify(obs(P, P, P, tag="origin:control.example"),
+                           obs(P, P, P, tag="origin:blocked.example"), AppProtocol.HTTPS)
         assert verdict.is_not_censored
 
     def test_rst_in_control_blocks_censored(self):
@@ -126,7 +127,7 @@ class TestClassify:
         sensitive = obs(P, P, P, tag="bp-99")
         control = obs(P, P, P, tag="origin:control.example")
         verdict = classify(control, sensitive, AppProtocol.HTTP, registry)
-        assert verdict.is_not_censored  # payloads everywhere, no registry match
+        assert verdict.is_excluded  # no registry match, and not the origin's body
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -136,7 +137,8 @@ class TestClassify:
 
     def test_monotone_repetitions_on_deterministic_outcomes(self):
         for reps in (1, 3, 7):
-            clean = classify(obs(*[P] * reps), obs(*[P] * reps), AppProtocol.HTTP)
+            clean = classify(obs(*[P] * reps), obs(*[P] * reps, tag="origin:blocked.example"),
+                             AppProtocol.HTTP)
             censored = classify(obs(*[P] * reps), obs(*[R] * reps), AppProtocol.HTTP)
             assert clean.is_not_censored
             assert censored.mechanism is Mechanism.RST_INJECTION

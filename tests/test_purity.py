@@ -16,7 +16,6 @@ from flowstable.core import AppProtocol, Ipv4Address, Sensitivity, SourceParams
 from flowstable.experiments import plan_rq2, run_rq2
 from flowstable.prober import (
     Cell,
-    HandshakeFailedError,
     ProbeSpec,
     SimTransport,
     classify,
@@ -91,10 +90,7 @@ def traced(topology, transport, dest, protocol, params):
         protocol, topology.nodes[dest].address, DOMAINS[1], Sensitivity.SENSITIVE,
         params,
     )
-    try:
-        return trace_spec(spec, DEFAULT_MAX_TTL, transport)
-    except HandshakeFailedError as exc:  # a failure must be the same failure
-        return str(exc)
+    return trace_spec(spec, DEFAULT_MAX_TTL, transport)
 
 
 @pytest.mark.parametrize("name", sorted(TOPOLOGIES))

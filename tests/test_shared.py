@@ -36,13 +36,13 @@ from flowstable.core import (
 )
 from flowstable.experiments import plan_rq2, run_rq2
 from flowstable.prober import (
-    EMPTY_REGISTRY, BlockpageRegistry, Cell, HandshakeFailedError, ProbeSpec, Session,
+    EMPTY_REGISTRY, BlockpageRegistry, Cell, ProbeSpec, Session,
     SimTransport, classify, run_cell,
 )
 from flowstable.simnet import Role, load_topology, route
 
 from builders import trace_spec
-from conftest import FIXTURES, flapping, scratch_log
+from conftest import FIXTURES, flapping, logged_matrices, scratch_log
 from reference import log_bytes, verdict_record
 from test_hops import DOMAINS, censored_documents
 
@@ -57,13 +57,6 @@ def specs(dst, protocol, source, domain=DOMAINS[1]):
         for name, sensitivity in zip((DOMAINS[0], domain),
                                      (Sensitivity.CONTROL, Sensitivity.SENSITIVE))
     )
-
-
-def traced(spec, max_ttl, transport):
-    try:
-        return trace_spec(spec, max_ttl, transport)
-    except HandshakeFailedError as exc:  # a failure must be the same failure
-        return str(exc)
 
 
 @settings(max_examples=120, deadline=None)
@@ -92,7 +85,7 @@ def test_shared_results_equal_each_flows_own(doc, schedule, protocol, data):
         assert run_cell(cell, source, shared) == run_cell(cell, source, SimTransport(topology))
     for source, domain, _, max_ttl in probes:
         for spec in specs(dst, protocol, source, domain):
-            assert traced(spec, max_ttl, shared) == traced(
+            assert trace_spec(spec, max_ttl, shared) == trace_spec(
                 spec, max_ttl, SimTransport(topology))
 
 
@@ -145,13 +138,14 @@ def test_key_covers_registry_and_run_id(tmp_path, registry):
     topology = load_topology((FIXTURES / "blockpage_chain.topo").read_text())
     plan = plan_rq2([topology.nodes[3].address], seed=1)
     transport = SimTransport(topology)
-    for blockpages, expected in ((EMPTY_REGISTRY, {Verdict.not_censored()}),
+    for blockpages, expected in ((EMPTY_REGISTRY, {Verdict.excluded()}),
                                  (registry, {Verdict.censored(Mechanism.BLOCKPAGE)})):
         for run_id in ("run-a", "run-b"):
             path = tmp_path / f"{run_id}-{len(expected)}-{blockpages is registry}.log"
             log = logio.open_run(path, run_id, command="rq2")
-            (matrix,) = run_rq2(plan, transport, protocols=[AppProtocol.HTTP],
-                                registry=blockpages, log=log).values()
+            run_rq2(plan, transport, protocols=[AppProtocol.HTTP], registry=blockpages,
+                    log=log)
+            (matrix,) = logged_matrices(log).values()
             assert set(matrix.values()) == expected
             records = logio.read_log(path)
             assert len(records) == 1 + 1664
@@ -246,7 +240,8 @@ def test_matrix_opens_a_session_per_route_plus_fallbacks(opened, p):
 
     opened.clear()
     with scratch_log() as log:
-        (matrix,) = run_rq2(plan, SimTransport(topology), log, protocols=[protocol]).values()
+        run_rq2(plan, SimTransport(topology), log, protocols=[protocol])
+        (matrix,) = logged_matrices(log).values()
     assert len(matrix) == 1664
     assert len(opened) <= len(routes) + fallbacks
     if p:
@@ -273,7 +268,8 @@ def test_matrix_opens_a_session_per_route_and_loss_outcome(opened):
 
     opened.clear()
     with scratch_log() as log:
-        (matrix,) = run_rq2(plan, SimTransport(topology), log, protocols=[protocol]).values()
+        run_rq2(plan, SimTransport(topology), log, protocols=[protocol])
+        (matrix,) = logged_matrices(log).values()
     assert len(matrix) == 1664
     assert len(opened) == len(classes)
 
@@ -296,10 +292,11 @@ def test_rq2_encodes_a_line_once_per_simulated_result(opened, monkeypatch):
     with scratch_log() as log:
         monkeypatch.setattr(logio, "encode_record", counting_encode)
         opened.clear()
-        (matrix,) = run_rq2(plan, SimTransport(topology), log,
-                            protocols=[AppProtocol.HTTPS]).values()
+        run_rq2(plan, SimTransport(topology), log, protocols=[AppProtocol.HTTPS])
+        encoded = len(encodings)
+        (matrix,) = logged_matrices(log).values()
     assert len(matrix) == 1664
-    assert 0 < len(encodings) <= len(opened) < 1664
+    assert 0 < encoded <= len(opened) < 1664
 
 
 def test_results_past_the_limit_are_not_kept(opened, monkeypatch):
@@ -310,14 +307,16 @@ def test_results_past_the_limit_are_not_kept(opened, monkeypatch):
     plan = plan_rq2([topology.nodes[3].address], seed=1)
     protocols = [AppProtocol.HTTPS]
     with scratch_log() as log:
-        (expected,) = run_rq2(plan, SimTransport(topology), log, protocols=protocols).values()
+        run_rq2(plan, SimTransport(topology), log, protocols=protocols)
+        (expected,) = logged_matrices(log).values()
     assert len(opened) == 2
 
     monkeypatch.setattr(prober, "SHARED_LIMIT", 1)
     opened.clear()
     transport = SimTransport(topology)
     with scratch_log() as log:
-        (matrix,) = run_rq2(plan, transport, log, protocols=protocols).values()
+        run_rq2(plan, transport, log, protocols=protocols)
+        (matrix,) = logged_matrices(log).values()
     assert matrix == expected
     assert len(transport._shared) == 1
     assert len(opened) == 1 + 1664 // 2

@@ -125,19 +125,20 @@ class TestTrace:
         assert path.hops == (None, None, None)
         assert path.terminal.kind is TerminalKind.REACHED_DESTINATION
 
-    def test_handshake_failure_raises(self):
+    def test_handshake_failure_ends_the_ladder(self):
+        # A SYN that draws no SYN-ACK sends no copy: the ladder is empty.
         import json
 
         from conftest import FIXTURES
         from flowstable.simnet import load_topology
-        from flowstable.prober import HandshakeFailedError
 
         doc = json.loads((FIXTURES / "chain.topo").read_text())
         doc["loss"] = [{"node": 1, "p": 1.0}]
         topo = load_topology(doc)
-        with pytest.raises(HandshakeFailedError):
-            trace_spec(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
-                       8, SimTransport(topo))
+        path = trace_spec(sensitive_spec(topo, AppProtocol.HTTP, domain="example.com"),
+                          8, SimTransport(topo))
+        assert path.hops == ()
+        assert path.terminal == Terminal(TerminalKind.HANDSHAKE_FAILED)
 
     def test_dns_trace_needs_no_handshake(self, sent_packets):
         topo = load_fixture("chain.topo")
@@ -153,7 +154,6 @@ class TestTrace:
         # 2's address are delivered at a host that is not their
         # destination: a dns ladder never reaches it, and a tcp handshake
         # gets no answer.
-        from flowstable.prober import HandshakeFailedError
         from flowstable.simnet import load_topology
 
         doc = {
@@ -171,9 +171,9 @@ class TestTrace:
                           6, SimTransport(topo))
         assert path.terminal.kind is TerminalKind.EXHAUSTED
         assert path.hops == (0, None, None, None, None, None)
-        with pytest.raises(HandshakeFailedError):
-            trace_spec(sensitive_spec(topo, AppProtocol.HTTP, dst=2, domain="example.com"),
-                       6, SimTransport(topo))
+        path = trace_spec(sensitive_spec(topo, AppProtocol.HTTP, dst=2, domain="example.com"),
+                          6, SimTransport(topo))
+        assert path == path._replace(hops=(), terminal=Terminal(TerminalKind.HANDSHAKE_FAILED))
 
     def test_trace_does_not_change_routing(self):
         topo = load_fixture("srcip_hash.topo")
@@ -272,10 +272,20 @@ class TestMergePaths:
         assert verdicts[1].is_censored
         assert verdicts[0].is_not_censored
 
+    def test_a_failed_handshake_derives_excluded(self):
+        # whatever the group's other traces end in
+        failed = TracePath(Ipv4Address.parse("10.0.3.4"), PARAMS, AppProtocol.HTTP, (),
+                           Terminal(TerminalKind.HANDSHAKE_FAILED))
+        for other in TerminalKind:
+            group = [failed._replace(hops=(1,), terminal=Terminal(other)), failed]
+            (derived,) = merge_paths(group).groups.values()
+            assert derived.verdict == Verdict.excluded()
+
 
 # --- traces and trace groups as tuples ------------------------------------------
 
 _TERMINALS = [Terminal(TerminalKind.REACHED_DESTINATION), Terminal(TerminalKind.EXHAUSTED),
+              Terminal(TerminalKind.HANDSHAKE_FAILED),
               Terminal(TerminalKind.CENSORED_AT), Terminal(TerminalKind.CENSORED_AT, 2)]
 _VERDICTS = [Verdict.not_censored(), Verdict.excluded(),
              Verdict.censored(Mechanism.RST_INJECTION)]
