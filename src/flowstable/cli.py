@@ -125,10 +125,14 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _registry(path: Optional[str]) -> prober.BlockpageRegistry:
+def _registry(path: Optional[str]) -> Tuple[prober.BlockpageRegistry, Optional[str]]:
+    """The registry file at path, loaded, and the sha256 of its bytes,
+    which a run's meta record holds; with no path, the empty registry
+    and None."""
     if path is None:
-        return prober.EMPTY_REGISTRY
-    return prober.BlockpageRegistry.load(Path(path).read_text())
+        return prober.EMPTY_REGISTRY, None
+    data = Path(path).read_bytes()
+    return prober.BlockpageRegistry.load(data.decode()), hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +214,7 @@ def _cmd_rq2(args) -> int:
     dests = _read_dests(topology, args.dests)
     seed = _resolve_seed(args.seed)
     protocols = args.protocols
-    registry = _registry(args.registry)
+    registry, registry_digest = _registry(args.registry)
     transport = prober.SimTransport(topology)
     plan = experiments.plan_rq2(
         [node.address for node in dests],
@@ -226,6 +230,7 @@ def _cmd_rq2(args) -> int:
         args.out, run_id, repetitions=args.repetitions,
         command="rq2", seed=seed, dests=[str(node.address) for node in dests],
         control_domain=args.control_domain, sensitive_domain=args.sensitive_domain,
+        protocols=[protocol.value for protocol in protocols], registry=registry_digest,
     )
     summaries = experiments.run_rq2(
         plan,
@@ -262,10 +267,11 @@ def _cmd_rq2(args) -> int:
 
     if args.trace_affected:
         # Each affected matrix's decided cells, in table and source order
+        grid_index = {params: i for i, params in enumerate(plan.grid)}
         for dst_ip, protocol, decided in traced:
             experiments.trace_flows(log, dst_ip, protocol, args.sensitive_domain,
                                     Sensitivity.SENSITIVE, sorted(decided),
-                                    tracer.DEFAULT_MAX_TTL, transport)
+                                    tracer.DEFAULT_MAX_TTL, transport, grid_index)
     print(f"wrote {table_path} and {cdf_path}")
     return 0
 

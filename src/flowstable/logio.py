@@ -1,26 +1,44 @@
-"""Append-only JSON-lines run log, schema v3.
+"""Append-only JSON-lines run log, schema v4.
 
-One line is one unit of work: a `meta` record per run id, a `verdict`
-line per cell and a `trace` line per trace. A verdict or trace line
-holds only its cell fields (src_ip and src_port, a trace's trace_id and
-rq1's sample_index), its run_id and the id of its body: every other
-field of the line, which a log repeats on most lines. Each distinct
-body of a run is one `body` record, written once, before the first
-line that cites it. Meta and body records carry record_kind, run_id
-and schema_version. Body ids are given per run, in first-seen order, so
-a run's lines are the same bytes whatever else shares the log.
+Each line is one JSON object with sorted keys, of one of four kinds:
+
+- A meta record per run id, written when the run opens its log: the
+  run's command and what it was asked (its seed, destinations,
+  protocols; an rq2 run's registry digest and repetitions too).
+- A body record per distinct body of a run, written once, in front of
+  the first line that cites it. A body holds every field its cells or
+  traces share: destination and protocol; a verdict and its control and
+  sensitive observations; a ladder and its terminal, and rq1's
+  variation. Body ids are given per run, in first-seen order, so a
+  run's lines are the same bytes whatever else shares the log.
+- A cell record per CELLS_PER_RECORD consecutive cells of an rq2
+  matrix, in grid order: {"cells": [body ids], "dst", "first",
+  "protocol", "run_id"}, where first is the grid position of its first
+  cell. Only a matrix's last record holds fewer cells.
+- An index line per trace: {"body", "run_id"} and what fixes the
+  trace's source. rq1 lines keep their sample_index into their
+  variation's plan, and rq2's trace pass keeps its source's grid_index.
+  Only trace --out lines keep src_ip and src_port: no plan fixes them.
+
+Meta and body records carry record_kind, run_id and schema_version;
+cell records and index lines carry neither kind nor version. A planned
+source is not written: the reader draws it again from the seed of its
+run's meta record, and, for rq1, the destination and variation of its
+body. It draws with the planners' own draws (plans), which sit below
+logio, so that it imports them without a cycle: the runner and the
+reader share one implementation of each draw.
 
 Only this module knows the layout: runners and reports read a log
 through read_run (or open_run, to append to it), which streams the file
 once, in one loop (_cited) that decodes each line with one call of
-JSON's scanner, and parses and checks each body record once and each
-line's cell fields. The write side (SharedLines, one encoder and writer
-for verdict and trace lines) encodes each body once per shared result
-and writes its record the first time its run cites it. The log is a
-cache of a run, never the source of truth: a run is reproducible from
-topology, plan, and seed. A reader discards a truncated final line
-(crash recovery) with a warning, and open_run cuts it off before
-anything is appended.
+JSON's scanner and parses and checks each body record once; a cell
+record costs one decode and a lookup per cell. The write side
+(SharedLines, one encoder and writer for cells and traces) encodes each
+body once per shared result and writes its record the first time its
+run cites it. The log is a cache of a run, never the source of truth:
+a run is reproducible from topology, plan, and seed. A reader discards
+a truncated final line (crash recovery) with a warning, and open_run
+cuts it off before anything is appended.
 """
 
 from __future__ import annotations
@@ -41,28 +59,37 @@ from .core import (
     Verdict,
     VerdictKind,
 )
+from .plans import plan_rq1, rq2_grid
 from .prober import CellResult, ObservationKind
 from .tracer import MAX_TTL_CEILING, Terminal, TerminalKind, TracePath
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 KIND_META = "meta"
 KIND_BODY = "body"
 KIND_TRACE_HOP = "trace"  # the old name stays: perfbench/gates.py reads it
 KIND_VERDICT = "verdict"
 
-#: The record kinds a line names; a verdict or trace line names none and
-#: is of its body's kind.
+#: The record kinds a line names; a cell record or index line names none.
 _LINE_KINDS = {KIND_META, KIND_BODY}
 _BODY_KINDS = {KIND_TRACE_HOP, KIND_VERDICT}
+
+#: The cells of an rq2 matrix a cell record holds, but for its last. A
+#: fixed count, so a resume that drops a torn record runs again from
+#: that record's first cell and writes the same bytes.
+CELLS_PER_RECORD = 256
+
+#: The largest seed a meta record may hold: plans key their generators
+#: on the seed's 8 bytes.
+_MAX_SEED = 2**64 - 1
 
 #: Bytes read per step when looking back for the last newline.
 _TAIL_BLOCK = 4096
 
-#: The line bytes at which SharedLines appends what it has queued: an
-#: rq2 matrix (1664 lines, about 150 KB of text) goes out in a few
-#: writes, each of which opens the file once. Holding a whole sweep's
-#: lines would grow peak RSS with the sweep.
+#: The line bytes at which SharedLines appends what it has queued, so a
+#: unit's lines go out in a few writes, each of which opens the file
+#: once. Holding a whole sweep's lines would grow peak RSS with the
+#: sweep.
 APPEND_BYTES = 32 * 1024
 
 
@@ -79,6 +106,11 @@ class RepetitionsMismatchError(ValueError):
     cells its log already holds."""
 
 
+class RegistryMismatchError(ValueError):
+    """A resumed run asks for another blockpage registry than its meta
+    record holds."""
+
+
 class MixedRunsError(ValueError):
     """A log read for every run holds verdicts of two runs for one
     (destination, protocol), so no one matrix stands for it."""
@@ -88,15 +120,17 @@ class MixedRunsError(ValueError):
 class RunLog:
     """What a run log holds, read in one pass.
 
-    verdicts maps (destination, protocol) to its cells' verdicts and
-    traces maps trace id to trace, both in file order; run_ids holds the
-    run ids that have a meta record. run_id is the run the log was read
-    for: then verdicts and traces hold only that run's, so a run never
-    takes another run's cell or trace for one of its own. With run_id
-    None, they hold every run's, and traces maps each trace line's line
-    number to its trace, since trace ids are unique only within a run;
-    each (destination, protocol) must then hold verdicts of one run only
-    (see read_run).
+    verdicts maps (destination, protocol) to its cells' verdicts, in
+    grid order; traces maps a trace's key to the trace, in file order;
+    run_ids holds the run ids that have a meta record. run_id is the run
+    the log was read for: then verdicts and traces hold only that run's,
+    so a run never takes another run's cell or trace for one of its own,
+    and meta is its meta record. A trace's key is then (variation,
+    sample index) for an rq1 trace and (destination, protocol, source)
+    for a flow's (experiments.take_trace). With run_id None, they hold
+    every run's, and traces maps each trace line's line number to its
+    trace; each (destination, protocol) must then hold verdicts of one
+    run only (see read_run).
     repetitions holds the lengths of the control and sensitive lists of
     the verdict bodies read. For run_id's run, bodies maps each body's
     text (_body_text) to its id and next_body is the id its next new
@@ -106,11 +140,12 @@ class RunLog:
     path: Path
     run_id: Optional[str]
     verdicts: Dict[Tuple[Ipv4Address, AppProtocol], Dict[SourceParams, Verdict]]
-    traces: Dict[Union[str, int], TracePath]
+    traces: Dict[object, TracePath]
     run_ids: Set[str]
     repetitions: Set[int] = field(default_factory=set)
     bodies: Dict[str, int] = field(default_factory=dict)
     next_body: int = 0
+    meta: Optional[Dict] = None
 
 
 def make_record(record_kind: str, run_id: str, /, **payload) -> Dict:
@@ -179,13 +214,23 @@ _JSON_SPACE = " \t\n\r"
 _scan = json.JSONDecoder().scan_once
 
 
-def _cited(path: Union[str, Path], run_id: Optional[str],
-           reading: Callable[[Dict], object]) -> Iterator[Tuple[int, Dict, object]]:
-    """Yield (line number, record, None) for each meta record of the log,
-    and (line number, record, reading(body)) for each verdict or trace
-    line of run run_id (of every run with None), where body is the body
-    record the line cites; reading is called once per body record of
-    those runs, in file order.
+def _seed(seeds: Dict[str, object], run: str) -> int:
+    """The seed of run's meta record, which draws its plans."""
+    seed = seeds.get(run)
+    if type(seed) is not int or not 0 <= seed <= _MAX_SEED:
+        raise ValueError(f"run {run!r} has no meta record with a seed before this line")
+    return seed
+
+
+def _cited(path: Union[str, Path], run_id: Optional[str], reading: Callable[[Dict], object],
+           ) -> Iterator[Tuple[int, Dict, object, object]]:
+    """Yield (line number, record, None, None) for each meta record of
+    the log; and for each cell record and index line of run run_id (of
+    every run with None), (line number, record, sources, cited): a cell
+    record's sources are its cells' grid positions' and cited is a list
+    of reading(body) per cell, an index line's source is its trace's and
+    cited is reading(body). reading is called once per body record of
+    those runs, in file order, where body is the record.
 
     Every read of a log opens it here, once, and takes each complete line
     in one trip through one loop: decoded as UTF-8, stripped of JSON
@@ -195,17 +240,33 @@ def _cited(path: Union[str, Path], run_id: Optional[str],
     UTF-8 or not a JSON object, or names a record_kind other than meta or
     body, raises CorruptRecordError naming the file and the line; a meta
     or body record of another schema version raises
-    SchemaVersionUnknownError. A line with no record_kind is a verdict or
-    trace line.
+    SchemaVersionUnknownError. A line with no record_kind is a cell
+    record if it holds cells, else an index line.
 
     A body record's id is an integer: its run's next id (0, 1, ... in
-    first-seen order), or an earlier id with the same content. A line
-    cites a body its own run recorded on an earlier line. Any other id,
-    a body of a kind other than verdict or trace, a missing field, or a
-    body reading refuses raises CorruptRecordError naming the line."""
-    #: (run, id) -> (the text of the body's line, its reading)
-    bodies: Dict[Tuple[str, int], Tuple[str, object]] = {}
-    next_ids: Dict[str, int] = {}
+    first-seen order), or an earlier id with the same content. A cell
+    record cites verdict bodies of its own destination and protocol, an
+    index line a trace body, that its run recorded on an earlier line.
+    A cell record's first continues its matrix: it is the count of the
+    matrix's cells that its run's earlier records hold, each record
+    before it whole; its cells lie on the grid. An index line's sample
+    or grid index is a position of its plan. Any other id or index, a
+    body of a kind other than verdict or trace, a planned source of a
+    run with no seed, a missing field, or a body reading refuses raises
+    CorruptRecordError naming the line."""
+    #: run -> (the text of its body records' lines, kind, dst, protocol,
+    #: variation) by body id
+    bodies: Dict[str, List[Tuple[str, str, str, str, object]]] = {}
+    #: run -> reading(body) by body id
+    readings: Dict[str, List[object]] = {}
+    #: run -> the seed of its first meta record
+    seeds: Dict[str, object] = {}
+    #: run -> the rq2 grid its seed draws
+    grids: Dict[str, Tuple[SourceParams, ...]] = {}
+    #: (run, dst, variation) -> the samples of that rq1 plan
+    samples: Dict[Tuple[str, str, object], Tuple[SourceParams, ...]] = {}
+    #: (run, dst, protocol) -> the cells its cell records hold so far
+    counts: Dict[Tuple[str, str, str], int] = {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):
@@ -233,35 +294,94 @@ def _cited(path: Union[str, Path], run_id: Optional[str],
                             f"reader reads schema_version {SCHEMA_VERSION} only; re-run the "
                             f"command with a fresh --out")
                     if kind == KIND_META:
-                        yield lineno, record, None
+                        seeds.setdefault(record["run_id"], record.get("seed"))
+                        yield lineno, record, None, None
                         continue
                     if kind != KIND_BODY:
                         raise ValueError(f"record_kind {kind!r}")
                 run = record["run_id"]
                 if run_id is not None and run != run_id:
                     continue
-                key = (run, record["body"])
-                if type(key[1]) is not int:
-                    raise ValueError(f"body id {key[1]!r} is not an integer")
-                known = bodies.get(key)
-                if kind is None:
-                    if known is None:
-                        raise ValueError(f"cites body {key[1]}, which run {run!r} has not "
-                                         f"recorded before this line")
-                    yield lineno, record, known[1]
-                elif known is not None:
-                    # Recorded again: in other text, the two records'
-                    # canonical encodings must match.
-                    if text != known[0] and _encode(record) != _encode(_scan(known[0], 0)[0]):
-                        raise ValueError(f"redefines body {key[1]} of run {run!r}")
-                elif key[1] != next_ids.get(run, 0):
-                    raise ValueError(f"body id {key[1]} is not run {run!r}'s next id, "
-                                     f"{next_ids.get(run, 0)}")
-                elif record["kind"] not in _BODY_KINDS:
-                    raise ValueError(f"body of kind {record['kind']!r}")
+                table = bodies.get(run, ())
+                if kind is not None:
+                    body_id = record["body"]
+                    if type(body_id) is not int:
+                        raise ValueError(f"body id {body_id!r} is not an integer")
+                    if 0 <= body_id < len(table):
+                        # Recorded again: in other text, the two records'
+                        # canonical encodings must match.
+                        known = table[body_id]
+                        if text != known[0] and _encode(record) != _encode(_scan(known[0], 0)[0]):
+                            raise ValueError(f"redefines body {body_id} of run {run!r}")
+                        continue
+                    if body_id != len(table):
+                        raise ValueError(f"body id {body_id} is not run {run!r}'s next id, "
+                                         f"{len(table)}")
+                    if record["kind"] not in _BODY_KINDS:
+                        raise ValueError(f"body of kind {record['kind']!r}")
+                    cited = reading(record)
+                    bodies.setdefault(run, []).append((text, record["kind"], record["dst"],
+                                                       record["protocol"],
+                                                       record.get("variation")))
+                    readings.setdefault(run, []).append(cited)
+                    continue
+                if "cells" in record:
+                    cells, dst, protocol = record["cells"], record["dst"], record["protocol"]
+                    if type(cells) is not list or not 0 < len(cells) <= CELLS_PER_RECORD:
+                        raise ValueError(f"cells is not a list of 1 to {CELLS_PER_RECORD} "
+                                         f"body ids")
+                    if set(map(type, cells)) != {int}:
+                        raise ValueError("a body id of cells is not an integer")
+                    for body_id in set(cells):
+                        if not 0 <= body_id < len(table):
+                            raise ValueError(f"cites body {body_id}, which run {run!r} has "
+                                             f"not recorded before this line")
+                        _, body_kind, body_dst, body_protocol, _ = table[body_id]
+                        if (body_kind, body_dst, body_protocol) != (KIND_VERDICT, dst, protocol):
+                            raise ValueError(f"cites body {body_id}, a {body_kind} body of "
+                                             f"{body_dst} {body_protocol}")
+                    matrix = (run, dst, protocol)
+                    first, done = record["first"], counts.get(matrix, 0)
+                    if type(first) is not int or first != done or done % CELLS_PER_RECORD:
+                        raise ValueError(f"first {first!r} does not continue {dst} {protocol} "
+                                         f"of run {run!r}, whose cell records end at {done}")
+                    grid = grids.get(run) or grids.setdefault(run, rq2_grid(_seed(seeds, run)))
+                    end = counts[matrix] = first + len(cells)
+                    if end > len(grid):
+                        raise ValueError(f"cells past the grid's {len(grid)} positions")
+                    yield lineno, record, grid[first:end], list(map(readings[run].__getitem__,
+                                                                   cells))
+                    continue
+                body_id = record["body"]
+                if type(body_id) is not int:
+                    raise ValueError(f"body id {body_id!r} is not an integer")
+                if not 0 <= body_id < len(table):
+                    raise ValueError(f"cites body {body_id}, which run {run!r} has not "
+                                     f"recorded before this line")
+                _, body_kind, dst, protocol, variation = table[body_id]
+                if body_kind != KIND_TRACE_HOP:
+                    raise ValueError(f"cites body {body_id}, a {body_kind} body, as a trace")
+                if "sample_index" in record:
+                    index, plan = record["sample_index"], samples.get((run, dst, variation))
+                    if plan is None:
+                        for drawn in plan_rq1(Ipv4Address.parse(dst), AppProtocol(protocol),
+                                              _seed(seeds, run)):
+                            samples[(run, dst, drawn.variation.value)] = drawn.samples
+                        plan = samples.get((run, dst, variation))
+                        if plan is None:
+                            raise ValueError(f"body {body_id} names no rq1 variation")
+                elif "grid_index" in record:
+                    index = record["grid_index"]
+                    plan = grids.get(run) or grids.setdefault(run, rq2_grid(_seed(seeds, run)))
                 else:
-                    next_ids[run] = key[1] + 1
-                    bodies[key] = (text, reading(record))
+                    source = SourceParams(Ipv4Address.parse(record["src_ip"]),
+                                          _port(record["src_port"]))
+                    yield lineno, record, source, readings[run][body_id]
+                    continue
+                if type(index) is not int or not 0 <= index < len(plan):
+                    raise ValueError(f"index {index!r} is not a position of a plan of "
+                                     f"{len(plan)} sources")
+                yield lineno, record, plan[index], readings[run][body_id]
             except _NAMED_ERRORS:
                 raise
             except _FIELD_ERRORS as exc:
@@ -278,15 +398,23 @@ def _merged(body: Dict) -> Dict:
 
 
 def read_log(path: Union[str, Path]) -> List[Dict]:
-    """The log's meta records and its verdict and trace lines, as dicts
-    in file order; each line has the body it cites merged in, as one
-    record of kind verdict or trace that holds every field."""
+    """The log's meta records and its cells and traces, as dicts in file
+    order; each cell or trace is one record of kind verdict or trace
+    that holds every field: its body's, its run_id, its source's src_ip
+    and src_port, and an rq1 trace's sample_index."""
     records = []
-    for _, record, body in _cited(path, None, _merged):
-        if body is not None:
-            record = {**body, **record}
-            del record["body"]
-        records.append(record)
+    for _, record, sources, body in _cited(path, None, _merged):
+        if body is None:
+            records.append(record)
+        elif "cells" in record:
+            records.extend({**merged, "src_ip": str(ip), "src_port": port}
+                           for (ip, port), merged in zip(sources, body))
+        else:
+            ip, port = sources
+            line = {**body, "src_ip": str(ip), "src_port": port}
+            if "sample_index" in record:
+                line["sample_index"] = record["sample_index"]
+            records.append(line)
     return records
 
 
@@ -339,6 +467,8 @@ def _port(src_port: int) -> int:
     return src_port
 
 
+
+
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     """The log's verdicts, traces and run ids, in one streaming pass
     that keeps no line dicts. With run_id, only that run's verdicts
@@ -350,84 +480,72 @@ def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:
     under its own id, read as before.
 
     Each line is one trip through _cited's loop and one decode. A body
-    record is parsed and checked once, into its (destination, protocol)
-    and verdict, or its ladder and terminal; a line adds its source (each
-    distinct one parsed once) and a trace's trace_id, a JSON string.
-    Equal addresses and ladders are one shared object. A line that lacks
-    a field, holds a value that does not parse, or cites a body its run
-    has not recorded (see _cited) raises CorruptRecordError naming the
-    file and the line.
+    record is parsed and checked once, into its verdict, or its
+    (destination, protocol), ladder and terminal; a cell record adds its
+    cells' verdicts to its matrix in one update, each source the plan's
+    own object. Equal destinations and ladders are one shared object.
+    A line that lacks a field, holds a value that does not parse, or
+    cites a body or a position it may not (see _cited) raises
+    CorruptRecordError naming the file and the line.
     """
     run = RunLog(Path(path), run_id, {}, {}, set())
-    addresses: Dict[str, Ipv4Address] = {}
     ladders: Dict[Tuple[Optional[int], ...], Tuple[Optional[int], ...]] = {}
-    sources: Dict[Tuple[str, int], SourceParams] = {}
-    #: The matrix each verdict body's lines fill, by (run, body id).
-    matrices: Dict[Tuple[str, int], Dict[SourceParams, Verdict]] = {}
+    #: (dst, protocol) as a record writes them -> their values
+    keys: Dict[Tuple[str, str], Tuple[Ipv4Address, AppProtocol]] = {}
     #: Without run_id, the run whose verdicts each (dst, protocol) holds.
     owners: Dict[Tuple[Ipv4Address, AppProtocol], str] = {}
 
-    def address(text: str) -> Ipv4Address:
-        parsed = addresses.get(text)
-        if parsed is None:
-            parsed = addresses[text] = Ipv4Address.parse(text)
-        return parsed
+    def key_of(fields: Dict) -> Tuple[Ipv4Address, AppProtocol]:
+        text = (fields["dst"], fields["protocol"])
+        key = keys.get(text)
+        if key is None:
+            key = keys[text] = (Ipv4Address.parse(text[0]), AppProtocol(text[1]))
+        return key
 
-    def reading(body: Dict) -> Tuple:
-        """What each line citing body reads: (kind, (dst, protocol), what),
-        where what is a verdict body's verdict or a trace body's (ladder,
-        terminal)."""
-        kind, key = body["kind"], (address(body["dst"]), AppProtocol(body["protocol"]))
-        if kind == KIND_VERDICT:
-            what = parse_verdict(body)
-            run.repetitions.update(_repetitions(body, what))
-        else:
-            ladder, terminal = _ladder(body)
-            what = (ladders.setdefault(ladder, ladder), terminal)
+    def reading(body: Dict):
+        """What each cell or line citing body reads: a verdict body's
+        verdict, or a trace body's ((dst, protocol), ladder, terminal,
+        variation)."""
+        key = key_of(body)
         if run_id is not None:
             run.bodies[_body_text(body)] = body["body"]
             run.next_body = body["body"] + 1
-        return kind, key, what
+        if body["kind"] == KIND_VERDICT:
+            verdict = parse_verdict(body)
+            run.repetitions.update(_repetitions(body, verdict))
+            return verdict
+        ladder, terminal = _ladder(body)
+        return key, ladders.setdefault(ladder, ladder), terminal, body.get("variation")
 
     lineno = 0
     try:
-        for lineno, record, cited in _cited(path, run_id, reading):
+        for lineno, record, sources, cited in _cited(path, run_id, reading):
             if cited is None:
                 run.run_ids.add(record["run_id"])
+                if run.meta is None and record["run_id"] == run_id:
+                    run.meta = record
                 continue
-            # _port's rule, checked before the lookup: True would hit 1's entry
-            port = record["src_port"]
-            if type(port) is not int:
-                raise ValueError(f"src_port is not an integer: {port!r}")
-            cell = (record["src_ip"], port)
-            source = sources.get(cell)
-            if source is None:
-                source = sources[cell] = SourceParams(address(cell[0]), port)
-            kind, key, what = cited
-            if kind == KIND_VERDICT:
-                cited_body = (record["run_id"], record["body"])
-                matrix = matrices.get(cited_body)
+            if "cells" in record:
+                key, owner = key_of(record), record["run_id"]
+                if run_id is None and owners.setdefault(key, owner) != owner:
+                    raise MixedRunsError(
+                        f"{path} line {lineno}: {key[0]} {key[1].value} holds verdicts "
+                        f"of runs {owners[key]} and {owner}; write each run to its own log")
+                matrix = run.verdicts.get(key)
                 if matrix is None:
-                    # Body ids are per run, so a run's first line of a
-                    # (dst, protocol) cites a body no other run's line
-                    # cited: checking the owner on each body's first
-                    # line checks every run of the log.
-                    if run_id is None and owners.setdefault(key, cited_body[0]) != cited_body[0]:
-                        raise MixedRunsError(
-                            f"{path} line {lineno}: {key[0]} {key[1].value} holds verdicts "
-                            f"of runs {owners[key]} and {cited_body[0]}; write each run to its "
-                            f"own log"
-                        )
-                    matrix = matrices[cited_body] = run.verdicts.setdefault(key, {})
-                matrix[source] = what
+                    matrix = run.verdicts[key] = {}
+                matrix.update(zip(sources, cited))
                 continue
-            trace_id = record["trace_id"]
-            if type(trace_id) is not str:
-                raise ValueError(f"trace_id is not a string: {trace_id!r}")
+            (dst, protocol), hops, terminal, variation = cited
             # Around the named tuple's own __new__, as core builds its
             # types: the fields are read and checked already.
-            run.traces[lineno if run_id is None else trace_id] = tuple.__new__(
-                TracePath, (key[0], source, key[1], *what))
+            trace = tuple.__new__(TracePath, (dst, sources, protocol, hops, terminal))
+            if run_id is None:
+                run.traces[lineno] = trace
+            elif "sample_index" in record:
+                run.traces[(variation, record["sample_index"])] = trace
+            else:
+                run.traces[(dst, protocol, sources)] = trace
     except _NAMED_ERRORS:
         raise
     except _FIELD_ERRORS as exc:
@@ -444,13 +562,17 @@ def open_run(
     crash, so the next record starts a line of its own; a log that ends
     in a newline is not touched. The run's body ids come back with it,
     so a resumed run cites the bodies it recorded and numbers new ones
-    as an uninterrupted run would. Appends the meta record if this run
-    id has none, so a resumed run converges on the same bytes as an
-    uninterrupted one. With repetitions, a log whose verdict records of
-    this run hold another number of repetitions raises
-    RepetitionsMismatchError before anything is written.
+    as an uninterrupted run would. Appends the meta record, which holds
+    meta and repetitions (when given), if this run id has none, so a
+    resumed run converges on the same bytes as an uninterrupted one.
+    Before anything is written, with repetitions, a log whose verdict
+    records of this run hold another number of repetitions raises
+    RepetitionsMismatchError; and with a registry in meta, a log whose
+    meta record of this run holds another raises RegistryMismatchError.
     """
     path = Path(path)
+    if repetitions is not None:
+        meta["repetitions"] = repetitions
     if path.exists():
         run = read_run(path, run_id)
         other = run.repetitions - {repetitions}
@@ -460,11 +582,17 @@ def open_run(
                 f"not the {repetitions} asked for; use another --out to run with "
                 f"{repetitions}"
             )
+        if run.meta is not None and "registry" in meta and (
+                run.meta.get("registry") != meta["registry"]):
+            raise RegistryMismatchError(
+                f"{path} holds run {run_id} with registry {run.meta.get('registry')}, not "
+                f"{meta['registry']}; use another --out to run with this registry")
         _cut_partial_tail(path)
     else:
         run = RunLog(path, run_id, {}, {}, set())
     if run_id not in run.run_ids:
-        append_records(path, [encode_record(make_record(KIND_META, run_id, **meta))])
+        run.meta = make_record(KIND_META, run_id, **meta)
+        append_records(path, [encode_record(run.meta)])
         run.run_ids.add(run_id)
     return run
 
@@ -522,15 +650,10 @@ def traces_from_records(records: Iterable[Dict]) -> List[TracePath]:
     return traces
 
 
-#: A str's JSON text, as _encode gives it (JSONEncoder.encode of a str,
-#: with ensure_ascii), without encode's Python frame.
-_encode_str = json.encoder.encode_basestring_ascii
-
-
 class SharedLines:
-    """The verdict or trace lines of one run's (destination, protocol),
-    with the body records they cite: one encoder and writer for both
-    kinds, each line and record as encode_record writes it.
+    """The cells or traces of one run's (destination, protocol), with the
+    body records they cite: one encoder and writer for both kinds, each
+    line and record as encode_record writes it.
 
     A line's body is fixed by its result (a cell's CellResult; a trace's
     ladder and terminal) and by the encoder: run, destination, protocol,
@@ -539,56 +662,75 @@ class SharedLines:
     look its text up in the run's body table (RunLog.bodies, which
     open_run fills for a resumed run). A body the run has not recorded
     takes the run's next id, and its record goes out in front of the
-    first line that cites it. A line is the body id and run_id, encoded
-    once per result, then the line's cell fields: its source address's
-    fields, encoded once per address (the sources of a plan share
-    addresses across ports), and its port's digits; a trace_id is
-    JSON-encoded per line. Every flow that takes a shared result
+    first line that cites it. Every flow that takes a shared result
     (prober.SimTransport.run) gets the very same objects. The memo holds
     the objects whose ids key it, so no other object takes one of those
     ids; an encoder lives for one unit of a run (an rq2 matrix, an rq1
     plan, a traced matrix, a trace --out), as SimTransport's kept
-    results do. Its lines (ASCII, so a character is a byte) are queued
-    and appended with one append_records call once the queue holds
-    APPEND_BYTES; flush(), at the end of the unit, appends the rest, so
-    a log never lags a finished unit.
+    results do.
+
+    An rq2 matrix's cells are given in grid order from position first:
+    their body ids are held until CELLS_PER_RECORD of them make a cell
+    record, which goes out after the body records it is first to cite.
+    A trace is one index line. Lines (ASCII, so a character is a byte)
+    are queued and appended with one append_records call once the queue
+    holds APPEND_BYTES; flush(), at the end of the unit, closes the last
+    cell record and appends the rest, so a log never lags a finished
+    unit.
     """
 
-    def __init__(self, log: RunLog, dst: Ipv4Address, protocol: AppProtocol, **fixed) -> None:
+    def __init__(self, log: RunLog, dst: Ipv4Address, protocol: AppProtocol, *,
+                 first: int = 0, **fixed) -> None:
         self.log = log
         self.dst = dst
         self.protocol = protocol
         self.fixed = fixed
-        #: memo key -> (the objects its ids name, the head of their lines)
+        #: memo key -> (the objects its ids name, their body id)
         self._memo: Dict[object, Tuple] = {}
-        #: source address -> its line fields up to the port (_source_fields)
-        self._sources: Dict[Ipv4Address, str] = {}
         self._queue: List[str] = []
         self._held = 0
+        self._run = _encode(log.run_id)
+        #: the open cell record: its first grid position, its body ids,
+        #: and the body records it is first to cite
+        self._first = first
+        self._cells: List[int] = []
+        self._bodies: List[str] = []
 
-    def _add(self, line: str) -> None:
-        self._queue.append(line)
-        self._held += len(line)
+    def _add(self, text: str) -> None:
+        self._queue.append(text)
+        self._held += len(text)
         if self._held >= APPEND_BYTES:
-            self.flush()
+            self._append()
 
-    def flush(self) -> None:
-        """Append the queued lines to the run's log."""
+    def _append(self) -> None:
         if self._queue:
             append_records(self.log.path, self._queue)
             self._queue = []
             self._held = 0
 
-    def _source_fields(self, src_ip: Ipv4Address) -> str:
-        """A line's source fields up to the port's digits, as
-        encode_record writes them, memoised: a dotted quad holds nothing
-        JSON escapes."""
-        text = self._sources[src_ip] = f'"src_ip": "{src_ip}", "src_port": '
-        return text
+    def _close(self) -> None:
+        """Queue the open cell record, after the body records it is first
+        to cite."""
+        cells = self._cells
+        self._bodies.append(
+            f'{{"cells": [{", ".join(map(str, cells))}], "dst": "{self.dst}", '
+            f'"first": {self._first}, "protocol": "{self.protocol.value}", '
+            f'"run_id": {self._run}}}\n')
+        self._add("".join(self._bodies))
+        self._first += len(cells)
+        self._cells = []
+        self._bodies = []
 
-    def _cite(self, key, held, kind: str, **body) -> str:
-        """The head of the lines citing body, memoised under key with the
-        objects held, after the body's record if the run has none."""
+    def flush(self) -> None:
+        """Close the open cell record and append the queued lines to the
+        run's log."""
+        if self._cells:
+            self._close()
+        self._append()
+
+    def _cite(self, key, held, kind: str, **body) -> Tuple[int, str]:
+        """The id of body, memoised under key with the objects held, and
+        its record if the run has none, else ""."""
         log = self.log
         text = _body_text(make_record(
             KIND_BODY, log.run_id, kind=kind, dst=str(self.dst), protocol=self.protocol.value,
@@ -600,40 +742,49 @@ class SharedLines:
             log.next_body += 1
             # "body" sorts before every other key of a body record
             record = f'{{"body": {body_id}, {text[1:]}'
-        head = f'{{"body": {body_id}, "run_id": {_encode(log.run_id)}, '
-        self._memo[key] = (held, head)
-        return record + head
+        self._memo[key] = (held, body_id)
+        return body_id, record
 
-    def verdict(self, result: CellResult, source: SourceParams) -> None:
-        """Queue the line of the cell from source whose result is result."""
+    def verdict(self, result: CellResult) -> None:
+        """Add the next cell of the matrix, whose result is result."""
         held = self._memo.get(id(result))
         if held is None:
             verdict = result.verdict
-            head = self._cite(
+            body_id, record = self._cite(
                 id(result), result, KIND_VERDICT, verdict=verdict.kind.value,
                 mechanism=verdict.mechanism.value if verdict.mechanism else None,
                 control=[[o.epoch, o.kind.value, o.tag] for o in result.control],
                 sensitive=[[o.epoch, o.kind.value, o.tag] for o in result.sensitive])
+            if record:
+                self._bodies.append(record)
         else:
-            head = held[1]
-        src_ip, src_port = source
-        self._add(f"{head}{self._sources.get(src_ip) or self._source_fields(src_ip)}{src_port}}}\n")
+            body_id = held[1]
+        self._cells.append(body_id)
+        if len(self._cells) == CELLS_PER_RECORD:
+            self._close()
 
-    def trace(self, trace: TracePath, trace_id: str, sample_index: Optional[int] = None) -> None:
+    def trace(self, trace: TracePath, sample_index: Optional[int] = None,
+              grid_index: Optional[int] = None) -> None:
         """Queue the line of trace, of the encoder's destination and
-        protocol, under trace_id, with sample_index when it is not None."""
+        protocol: with its sample_index into an rq1 plan, or its source's
+        grid_index, or else its source."""
         hops, terminal = trace.hops, trace.terminal
         key = (id(hops), id(terminal))
         held = self._memo.get(key)
         if held is None:
-            head = self._cite(key, (hops, terminal), KIND_TRACE_HOP, hops=list(hops),
-                              terminal=terminal_str(terminal), **self.fixed)
+            body_id, record = self._cite(key, (hops, terminal), KIND_TRACE_HOP, hops=list(hops),
+                                         terminal=terminal_str(terminal), **self.fixed)
         else:
-            head = held[1]
-        index = "" if sample_index is None else f'"sample_index": {sample_index}, '
-        src_ip, src_port = trace.source
-        self._add(f"{head}{index}{self._sources.get(src_ip) or self._source_fields(src_ip)}"
-                  f'{src_port}, "trace_id": {_encode_str(trace_id)}}}\n')
+            body_id, record = held[1], ""
+        if grid_index is not None:
+            line = f'{{"body": {body_id}, "grid_index": {grid_index}, "run_id": {self._run}}}\n'
+        elif sample_index is not None:
+            line = f'{{"body": {body_id}, "run_id": {self._run}, "sample_index": {sample_index}}}\n'
+        else:
+            src_ip, src_port = trace.source
+            line = (f'{{"body": {body_id}, "run_id": {self._run}, "src_ip": "{src_ip}", '
+                    f'"src_port": {src_port}}}\n')
+        self._add(record + line)
 
 
 def parse_verdict(record: Dict) -> Verdict:

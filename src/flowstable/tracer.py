@@ -143,8 +143,9 @@ def merge_paths(traces: Sequence[TracePath], verdicts=None) -> PathSet:
 
     A group's node set is the union of its traces' present hops. When no
     verdict map is supplied, each group's verdict is derived from its
-    traces: censored terminals everywhere -> Censored, clean terminals
-    everywhere -> NotCensored, mixed or a failed handshake -> Excluded.
+    traces: censored terminals everywhere -> Censored, every trace
+    reached its destination -> NotCensored, anything else -> Excluded: a
+    mix, or a trace that never arrived (exhausted, handshake failed).
     A censored terminal comes only from an injected RST, so a derived
     Censored verdict's mechanism is RST injection.
     """
@@ -180,9 +181,8 @@ _DERIVED_EXCLUDED = Verdict.excluded()
 
 def _derive_verdict(group_traces: Sequence[TracePath]) -> Verdict:
     kinds = [t.terminal.kind for t in group_traces]
-    censored = kinds.count(TerminalKind.CENSORED_AT)
-    if censored == len(kinds):
+    if kinds.count(TerminalKind.CENSORED_AT) == len(kinds):
         return _DERIVED_CENSORED
-    if not censored and TerminalKind.HANDSHAKE_FAILED not in kinds:
+    if kinds.count(TerminalKind.REACHED_DESTINATION) == len(kinds):
         return _DERIVED_NOT_CENSORED
     return _DERIVED_EXCLUDED

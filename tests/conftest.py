@@ -56,14 +56,15 @@ def logged_matrices(log):
 
 
 @contextlib.contextmanager
-def scratch_log(run_id: str = "test"):
-    """A fresh run log read for run_id (logio.open_run), in a temporary
-    directory that goes when the block ends: run_rq1 and run_rq2 write
-    every run to a log."""
+def scratch_log(run_id: str = "test", **meta):
+    """A fresh run log read for run_id (logio.open_run), its meta record
+    holding meta, in a temporary directory that goes when the block
+    ends: run_rq1 and run_rq2 write every run to a log, and a log's
+    reader draws its plans again from the seed its meta holds."""
     from flowstable import logio
 
     with tempfile.TemporaryDirectory() as directory:
-        yield logio.open_run(Path(directory) / "run.log", run_id)
+        yield logio.open_run(Path(directory) / "run.log", run_id, **meta)
 
 
 def flapping(topology, schedule):

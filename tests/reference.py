@@ -225,18 +225,21 @@ def walk(doc: dict, flow: bytes, limit: int) -> tuple:
     return tuple(path)
 
 
-# --- run log v3, from its documented layout ---------------------------------
+# --- run log v4, from its documented layout ---------------------------------
 
-#: The fields of a verdict or trace line that differ from cell to cell;
-#: every other field is the line's body, recorded once per run.
-CELL_FIELDS = ("src_ip", "src_port", "trace_id", "sample_index")
+SCHEMA_VERSION = 4
+#: The cells of an rq2 matrix that one cell record holds, but for its last.
+CELLS_PER_RECORD = 256
+
+#: The fields of a verdict or trace record that are not its body's.
+CELL_FIELDS = ("src_ip", "src_port", "sample_index")
 
 
 def verdict_record(run_id, dst, protocol, source, control, sensitive, verdict) -> dict:
-    """One cell's verdict line with its body merged in, as
+    """One cell's verdict record with its body merged in, as
     logio.read_log gives it."""
     return {
-        "record_kind": "verdict", "run_id": run_id, "schema_version": 3,
+        "record_kind": "verdict", "run_id": run_id, "schema_version": SCHEMA_VERSION,
         "dst": str(dst), "protocol": protocol.value,
         "src_ip": str(source.src_ip), "src_port": source.src_port,
         "verdict": verdict.kind.value,
@@ -253,52 +256,92 @@ def terminal_text(terminal) -> str:
     return terminal.kind.value
 
 
-def trace_record(run_id, trace, trace_id, **extra) -> dict:
-    """One trace's line with its body merged in, as logio.read_log
+def trace_record(run_id, trace, **extra) -> dict:
+    """One trace's record with its body merged in, as logio.read_log
     gives it; extra holds rq1's variation and sample_index."""
     return {
-        "record_kind": "trace", "run_id": run_id, "schema_version": 3,
+        "record_kind": "trace", "run_id": run_id, "schema_version": SCHEMA_VERSION,
         "dst": str(trace.dst_ip), "protocol": trace.protocol.value,
         "src_ip": str(trace.source.src_ip), "src_port": trace.source.src_port,
-        "hops": list(trace.hops), "terminal": terminal_text(trace.terminal),
-        "trace_id": trace_id, **extra,
+        "hops": list(trace.hops), "terminal": terminal_text(trace.terminal), **extra,
     }
 
 
 def split_record(record: dict):
-    """(body, cells) of a verdict or trace record: the body record
+    """(body, fields) of a verdict or trace record: the body record
     without its id (its kind under "kind", record_kind "body"), and the
-    line's run_id and cell fields."""
+    record's fields that are not its body's."""
     body = {k: v for k, v in record.items() if k not in CELL_FIELDS}
     body["kind"], body["record_kind"] = body["record_kind"], "body"
-    cells = {k: record[k] for k in ("run_id", *CELL_FIELDS) if k in record}
-    return body, cells
+    return body, {k: record[k] for k in CELL_FIELDS if k in record}
 
 
-def log_lines(records) -> list:
+def log_lines(records, grid=None, per_record=CELLS_PER_RECORD) -> list:
     """The line objects of a log holding records (meta records, and
-    verdict and trace records with their bodies merged in): each distinct
-    body of a run (by its JSON text) gets the run's next id, from 0, and
-    is recorded in front of the first line that cites it."""
+    verdict and trace records as logio.read_log gives them), by the v4
+    layout:
+
+    - each distinct body of a run (by its JSON text) gets the run's next
+      id, from 0, and its record goes in front of the first line that
+      cites it;
+    - consecutive verdict records of one run, destination and protocol
+      are a matrix's cells in grid order from position 0; they go
+      per_record to a cell record, {"cells": [body ids], "dst",
+      "first", "protocol", "run_id"}, first its first cell's position;
+    - a trace is the line {"body", "run_id"} with its sample_index if it
+      has one, else its source's grid_index when grid (the grid's
+      (src_ip, src_port) pairs) is given, else its src_ip and src_port."""
     ids, lines = {}, []
+    matrix = {"key": None, "first": 0, "cells": [], "bodies": []}
+
+    def close():
+        if matrix["cells"]:
+            run, dst, protocol = matrix["key"]
+            lines.extend(matrix["bodies"])
+            lines.append({"cells": matrix["cells"], "dst": dst, "first": matrix["first"],
+                          "protocol": protocol, "run_id": run})
+            matrix.update(first=matrix["first"] + len(matrix["cells"]), cells=[], bodies=[])
+
     for record in records:
+        key = (record["run_id"], record.get("dst"), record.get("protocol"))
+        if record["record_kind"] != "verdict" or key != matrix["key"]:
+            close()
+            matrix.update(key=key if record["record_kind"] == "verdict" else None, first=0)
         if record["record_kind"] == "meta":
             lines.append(record)
             continue
-        body, cells = split_record(record)
+        body, fields = split_record(record)
         run_ids = ids.setdefault(record["run_id"], {})
         text = json.dumps(body, sort_keys=True)
-        if text not in run_ids:
+        new = text not in run_ids
+        if new:
             run_ids[text] = len(run_ids)
-            lines.append({"body": run_ids[text], **body})
-        lines.append({"body": run_ids[text], **cells})
+        body_id = run_ids[text]
+        if record["record_kind"] == "verdict":
+            if new:
+                matrix["bodies"].append({"body": body_id, **body})
+            matrix["cells"].append(body_id)
+            if len(matrix["cells"]) == per_record:
+                close()
+            continue
+        if new:
+            lines.append({"body": body_id, **body})
+        line = {"body": body_id, "run_id": record["run_id"]}
+        if "sample_index" in fields:
+            line["sample_index"] = fields["sample_index"]
+        elif grid is not None:
+            line["grid_index"] = list(grid).index((fields["src_ip"], fields["src_port"]))
+        else:
+            line.update(src_ip=fields["src_ip"], src_port=fields["src_port"])
+        lines.append(line)
+    close()
     return lines
 
 
-def log_bytes(records) -> bytes:
-    """log_lines(records) as JSON lines with sorted keys."""
+def log_bytes(records, grid=None, per_record=CELLS_PER_RECORD) -> bytes:
+    """log_lines(records, grid, per_record) as JSON lines with sorted keys."""
     return b"".join(json.dumps(line, sort_keys=True).encode() + b"\n"
-                    for line in log_lines(records))
+                    for line in log_lines(records, grid, per_record))
 
 
 def log_records(data: bytes):

@@ -51,7 +51,7 @@ def test_criterion_1_route_determinism():
         dest = _endpoint(topology).address
         plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=1)
                  if p.variation is Rq1Variation.ALL_CONSTANT]
-        with scratch_log() as log:
+        with scratch_log(seed=1) as log:
             pathsets = run_rq1(plans, SimTransport(topology), log)
         assert num_paths(pathsets[Rq1Variation.ALL_CONSTANT]) == 1, path.name
     elapsed = time.monotonic() - started
@@ -158,7 +158,7 @@ def test_criterion_5_bit_pattern_reproduction(registry):
     topology = load_fixture("bits3of8.topo")
     dest = topology.nodes[9].address
     plan = plan_rq2([dest], seed=55)
-    with scratch_log() as log:
+    with scratch_log(seed=55) as log:
         run_rq2(plan, SimTransport(topology), log, protocols=[AppProtocol.HTTP],
                 registry=registry)
         matrix = logged_matrices(log)[(dest, AppProtocol.HTTP)]
@@ -180,7 +180,7 @@ def test_criterion_6_half_split_cdf(tmp_path, registry):
     topology = load_fixture("half_split.topo")
     dest = topology.nodes[3].address
     plan = plan_rq2([dest], seed=66)
-    with scratch_log() as log:
+    with scratch_log(seed=66) as log:
         run_rq2(plan, SimTransport(topology), log, protocols=[AppProtocol.HTTPS],
                 registry=registry)
         fraction = no_censorship_fraction(logged_matrices(log)[(dest, AppProtocol.HTTPS)])
@@ -239,7 +239,7 @@ def test_criterion_8_rq1_mode_separation():
         for seed in range(20):
             plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=seed)
                      if p.variation in (Rq1Variation.VARY_IP, Rq1Variation.VARY_PORT)]
-            with scratch_log() as log:
+            with scratch_log(seed=seed) as log:
                 pathsets = run_rq1(plans, SimTransport(topology), log)
             n_ip = num_paths(pathsets[Rq1Variation.VARY_IP])
             n_port = num_paths(pathsets[Rq1Variation.VARY_PORT])

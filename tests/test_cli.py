@@ -514,11 +514,11 @@ class TestRunLog:
         assert cli_main(argv("other.example", fresh)) == 0
         records = logio.read_log(shared)
         first, second = [r["run_id"] for r in records if r["record_kind"] == "meta"]
-        trace_ids = {first: [], second: []}
+        flows = {first: [], second: []}
         for r in records:
             if r["record_kind"] == "trace":
-                trace_ids[r["run_id"]].append(r["trace_id"])
-        assert trace_ids[first] and trace_ids[second] == trace_ids[first]
+                flows[r["run_id"]].append((r["dst"], r["protocol"], r["src_ip"], r["src_port"]))
+        assert flows[first] and flows[second] == flows[first]
         assert shared.read_bytes().endswith(fresh.read_bytes())
         # Each run resumes from its own traces and appends nothing.
         before = shared.read_bytes()
@@ -537,8 +537,9 @@ class TestRunLog:
                 "--protocol", "http", "--out", str(log),
             )
             assert code == 0, err
-        assert [r["trace_id"] for r in logio.read_log(log) if r["record_kind"] == "trace"] == [
-            "10.0.3.4|http|198.51.100.7:40000", "10.0.3.4|http|198.51.100.7:40001"]
+        assert [(r["dst"], r["protocol"], r["src_ip"], r["src_port"])
+                for r in logio.read_log(log) if r["record_kind"] == "trace"] == [
+            ("10.0.3.4", "http", "198.51.100.7", 40000), ("10.0.3.4", "http", "198.51.100.7", 40001)]
         traces = logio.read_run(log).traces
         assert [t.source.src_port for t in traces.values()] == [40000, 40001]
         assert all(t.hops == (0, 1, 2) for t in traces.values())
@@ -695,6 +696,32 @@ class TestRefusedBeforeWriting:
         # The same count resumes as before.
         assert cli_main(argv + ["--repetitions", "3"]) == 0
         assert (tmp_path / "b.log").read_bytes() == before
+
+    def test_rq2_resume_with_another_registry_is_refused(self, tmp_path, capsys):
+        # The run id leaves the registry out, so the meta record holds its
+        # digest: cells a registry-less run logged never stand for a run
+        # that reads blockpages, nor the other way round.
+        argv = ["rq2", "--topology", str(FIXTURES / "blockpage_chain.topo"),
+                "--dests", str(FIXTURES / "half_split.dests"), "--protocols", "http",
+                "--seed", "1"]
+        registry = ["--registry", str(FIXTURES / "blockpages.json")]
+        bits = ["bits", "--group-by", "src_ip_low3"]
+        for first, then in ((argv, argv + registry), (argv + registry, argv)):
+            log = tmp_path / f"{len(first)}.log"
+            assert cli_main(first + ["--out", str(log)]) == 0
+            capsys.readouterr()
+            before = log.read_bytes()
+            code, out, err = run(capsys, *then, "--out", str(log))
+            assert (code, out) == (2, "")
+            assert "registry" in err and "another --out" in err
+            assert log.read_bytes() == before
+            # The same registry resumes, appending nothing.
+            assert cli_main(first + ["--out", str(log)]) == 0
+            assert log.read_bytes() == before
+        capsys.readouterr()
+        fresh = tmp_path / f"{len(argv + registry)}.log"
+        code, out, _ = run(capsys, *bits, "--log", str(fresh))
+        assert code == 0 and "001,1,208" in out.splitlines()
 
 
 def _exception_classes():

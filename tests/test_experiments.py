@@ -12,7 +12,6 @@ from flowstable.experiments import (
     EmptyCandidatesError,
     Rq1Variation,
     Rq2Summary,
-    flow_trace_id,
     plan_rq1,
     plan_rq2,
     run_rq1,
@@ -28,8 +27,8 @@ DEST = Ipv4Address.parse("10.0.3.4")  # chain.topo endpoint
 
 
 def cited(lines):
-    """The indexes of the verdict and trace lines among a log's lines:
-    those that cite a body and name no record_kind."""
+    """The indexes of the cell records and trace lines among a log's
+    lines: those that cite a body and name no record_kind."""
     return [i for i, line in enumerate(lines) if "record_kind" not in json.loads(line)]
 
 
@@ -110,7 +109,7 @@ class TestRunners:
         topo = load_fixture("chain.topo")
         plans = [p for p in plan_rq1(DEST, AppProtocol.HTTP, seed=2)
                  if p.variation is Rq1Variation.ALL_CONSTANT]
-        with scratch_log() as log:
+        with scratch_log(seed=2) as log:
             pathsets = run_rq1(plans, SimTransport(topo), log)
         assert num_paths(pathsets[Rq1Variation.ALL_CONSTANT]) == 1
 
@@ -130,7 +129,7 @@ class TestRunners:
 
         runs = []
         full_log = tmp_path / "full.log"
-        full = run_rq1(plans, counted_transport(), logio.open_run(full_log, "rq1"))
+        full = run_rq1(plans, counted_transport(), logio.open_run(full_log, "rq1", seed=7))
         assert len(runs) == 1
         lines = full_log.read_bytes().splitlines(keepends=True)
         traces = cited(lines)
@@ -140,7 +139,7 @@ class TestRunners:
         runs.clear()
         partial_log = tmp_path / "partial.log"
         partial_log.write_bytes(b"".join(lines[:traces[69] + 1]))
-        resumed = run_rq1(plans, counted_transport(), logio.open_run(partial_log, "rq1"))
+        resumed = run_rq1(plans, counted_transport(), logio.open_run(partial_log, "rq1", seed=7))
         assert len(runs) == 1
         assert resumed == full
         assert partial_log.read_bytes() == full_log.read_bytes()
@@ -150,7 +149,7 @@ class TestRunners:
         dest = topo.nodes[9].address
         plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=2)
                  if p.variation is Rq1Variation.VARY_IP]
-        with scratch_log() as log:
+        with scratch_log(seed=2) as log:
             pathsets = run_rq1(plans, SimTransport(topo), log)
         assert num_paths(pathsets[Rq1Variation.VARY_IP]) == 8
 
@@ -158,7 +157,7 @@ class TestRunners:
         topo = load_fixture("half_split.topo")
         dest = topo.nodes[3].address
         plan = plan_rq2([dest], seed=5)
-        with scratch_log() as log:
+        with scratch_log(seed=5) as log:
             summaries = run_rq2(plan, SimTransport(topo), log,
                                 protocols=[AppProtocol.HTTPS], registry=registry)
             matrix = logged_matrices(log)[(dest, AppProtocol.HTTPS)]
@@ -173,7 +172,7 @@ class TestRunners:
         plans = [p for p in plan_rq1(dest, AppProtocol.HTTP, seed=7)
                  if p.variation is Rq1Variation.VARY_IP]
         full_log = tmp_path / "full.log"
-        full = run_rq1(plans, SimTransport(topo), log=logio.open_run(full_log, "rq1"))
+        full = run_rq1(plans, SimTransport(topo), log=logio.open_run(full_log, "rq1", seed=7))
         lines = full_log.read_bytes().splitlines(keepends=True)
         traces = cited(lines)
         assert len(traces) == 144  # one line per trace, after the meta record
@@ -183,7 +182,7 @@ class TestRunners:
         partial_log = tmp_path / "partial.log"
         partial_log.write_bytes(b"".join(lines[:traces[69] + 1]))
         resumed = run_rq1(plans, SimTransport(topo),
-                          log=logio.open_run(partial_log, "rq1"))
+                          log=logio.open_run(partial_log, "rq1", seed=7))
 
         assert full == resumed
         assert partial_log.read_bytes() == full_log.read_bytes()
@@ -194,17 +193,17 @@ class TestRunners:
         plan = plan_rq2([dest], seed=5)
         full_log = tmp_path / "full.log"
         full = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
-                       registry=registry, log=logio.open_run(full_log, "rq2"))
+                       registry=registry, log=logio.open_run(full_log, "rq2", seed=5))
         lines = full_log.read_bytes().splitlines(keepends=True)
-        cells = cited(lines)
-        assert len(cells) == 1664  # one line per cell, after the meta record
+        records = cited(lines)
+        assert len(records) == 7  # 256 cells a record, after the meta record
         assert "record_kind" in json.loads(lines[0])
 
-        # interruption between cell appends: keep the first third of the cells
+        # interruption between record appends: keep the first two records
         partial_log = tmp_path / "partial.log"
-        partial_log.write_bytes(b"".join(lines[:cells[1664 // 3 - 1] + 1]))
-        log = logio.open_run(partial_log, "rq2")
-        assert sum(map(len, log.verdicts.values())) == 1664 // 3
+        partial_log.write_bytes(b"".join(lines[:records[1] + 1]))
+        log = logio.open_run(partial_log, "rq2", seed=5)
+        assert sum(map(len, log.verdicts.values())) == 2 * logio.CELLS_PER_RECORD
         resumed = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
                           registry=registry, log=log)
 
@@ -227,15 +226,15 @@ class TestRunners:
             return [o for o in gc.get_objects() if type(o) is dict and o and set(o) <= grid]
 
         path = tmp_path / "run.log"
-        log = logio.open_run(path, "rq2")
+        log = logio.open_run(path, "rq2", seed=5)
         summaries = run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
                             registry=registry, log=log)
         assert matrices() == []
         assert summaries[(dest, AppProtocol.HTTP)].affected
         lines = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(b"".join(lines[:cited(lines)[99] + 1]))
+        path.write_bytes(b"".join(lines[:cited(lines)[0] + 1]))
         log = logio.open_run(path, "rq2")
-        assert len(log.verdicts[(dest, AppProtocol.HTTP)]) == 100
+        assert len(log.verdicts[(dest, AppProtocol.HTTP)]) == logio.CELLS_PER_RECORD
         assert run_rq2(plan, SimTransport(topo), protocols=[AppProtocol.HTTP],
                        registry=registry, log=log) == summaries
         assert log.verdicts == {}
@@ -268,7 +267,7 @@ class TestRunners:
             assert sum(map(len, chunks)) == path.stat().st_size - start
             runs.append((path.read_bytes(), chunks))
         (data, chunks), (reference, lines) = runs
-        assert len(lines) == 1664  # one append per line, each body with its first
+        assert len(lines) == 7  # one append per cell record, after the bodies it cites first
         assert len(chunks) <= -(-sum(map(len, chunks)) // budget) + 1
         assert data == reference
 
@@ -279,7 +278,7 @@ class TestRunners:
         transport = SimTransport(topo)
         runs = []
         for _ in range(2):
-            with scratch_log() as log:
+            with scratch_log(seed=5) as log:
                 summaries = run_rq2(plan, transport, log, protocols=[AppProtocol.HTTPS],
                                     registry=registry)
                 runs.append((summaries, logged_matrices(log), log.path.read_bytes()))
@@ -289,12 +288,12 @@ class TestRunners:
     def test_rq2_unavailable_transport_logs_excluded_cells(self, tmp_path):
         plan = plan_rq2([DEST], seed=5)
         path = tmp_path / "live.log"
-        log = logio.open_run(path, "rq2")
+        log = logio.open_run(path, "rq2", seed=5)
         assert run_rq2(plan, LiveTransport(), protocols=[AppProtocol.HTTP], log=log) == {
             (DEST, AppProtocol.HTTP): Rq2Summary(False, None, ())}
         (matrix,) = logged_matrices(log).values()
         assert set(matrix.values()) == {Verdict.excluded()}
-        meta = {"record_kind": "meta", "run_id": "rq2", "schema_version": 3}
+        meta = {"record_kind": "meta", "run_id": "rq2", "schema_version": 4, "seed": 5}
         records = [verdict_record("rq2", DEST, AppProtocol.HTTP, params, [], [],
                                   Verdict.excluded()) for params in plan.grid]
         assert logio.read_log(path) == [meta, *records]
@@ -304,11 +303,11 @@ class TestRunners:
         assert run.repetitions == {0}
 
 
-def test_trace_pass_looks_up_each_decided_cells_flow_trace_id(tmp_path, monkeypatch, capsys):
+def test_trace_pass_looks_up_each_decided_cells_flow(tmp_path, monkeypatch, capsys):
     # rq2's trace pass hands trace_flows each affected matrix in table
-    # order, which writes each id's <dst>|<protocol>| part once per
-    # matrix; every id it looks up must still be flow_trace_id's. The
-    # dests file and --protocols name both in another order.
+    # order; every key it looks up is a decided cell's flow, (dst,
+    # protocol, source), and its line keeps the source's grid position.
+    # The dests file and --protocols name both in another order.
     document = json.loads((FIXTURES / "half_split.topo").read_text())
     document["nodes"].append({**document["nodes"][3], "id": 9, "subnet24": "10.0.9.0/24"})
     (tmp_path / "two.topo").write_text(json.dumps(document))
@@ -332,15 +331,18 @@ def test_trace_pass_looks_up_each_decided_cells_flow_trace_id(tmp_path, monkeypa
 
     looked_up = []
     monkeypatch.setattr(experiments, "run_rq2", random_summaries)
-    monkeypatch.setattr(experiments, "take_trace",
-                        lambda lines, trace_id, *rest: looked_up.append(trace_id))
+    grids = []
+    monkeypatch.setattr(experiments, "take_trace", lambda lines, key, make_path, sample_index,
+                        grid_index: looked_up.append(key) or grids.append(grid_index))
     assert cli_main(["rq2", "--topology", str(tmp_path / "two.topo"),
                      "--dests", str(tmp_path / "two.dests"), "--protocols", "https,dns",
                      "--trace-affected", "--out", str(tmp_path / "run.log")]) == 0
     assert looked_up == [
-        flow_trace_id(dst, protocol, params)
+        (dst, protocol, params)
         for (dst, protocol), matrix in sorted(matrices.items(),
                                               key=lambda kv: (kv[0][0].value, kv[0][1].value))
         if is_affected(matrix)
         for params in sorted(matrix) if not matrix[params].is_excluded]
     assert len(looked_up) > 3 * 1664 // 2
+    grid = plan_rq2([DEST], seed=0).grid
+    assert [grid[index] for index in grids] == [params for _, _, params in looked_up]

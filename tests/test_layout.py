@@ -93,7 +93,7 @@ def test_module_imports_have_no_cycle():
 
 #: The functions outside simnet that may hash with blake2b: a run id and
 #: a planner's random stream, neither of them a loss draw.
-_OTHER_BLAKE2B = {"cli._run_id", "experiments._rng"}
+_OTHER_BLAKE2B = {"cli._run_id", "plans._rng"}
 
 
 def _names_in(tree):

@@ -124,7 +124,7 @@ def test_topology_unchanged_after_use(registry):
     topology = build()
     dest = topology.nodes[3].address
     transport = SimTransport(topology)
-    with scratch_log() as log:
+    with scratch_log(seed=3) as log:
         run_rq2(plan_rq2([dest], seed=3), transport, log, protocols=[AppProtocol.HTTPS],
                 registry=registry)
     params = SourceParams(Ipv4Address.parse("198.51.100.7"), 40000)

@@ -4,9 +4,9 @@ A finished log is cut at a byte offset, as a crash in the middle of a
 write would leave it, and the same command is run again on it. The log
 and the CSVs must then be byte-identical to those of the uninterrupted
 run: a torn write costs at most one line, the resume cuts that line off
-before it appends, every unit of work is one line appended in plan
-order, and a body record the log holds keeps its id for the lines the
-resumed run writes.
+before it appends, every unit of work (a trace, or a cell record of a
+fixed count of cells) is one line appended in plan order, and a body
+record the log holds keeps its id for the lines the resumed run writes.
 """
 
 import json
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowstable import logio
 from flowstable.cli import cli_main
 
 from conftest import FIXTURES
@@ -82,8 +83,10 @@ def assert_resume_after_cut(finished, name, cut):
 def test_rq2_two_affected_traces_two_matrices(finished):
     table = finished["rq2_two_affected"]["_table.csv"].decode().splitlines()
     assert [row.split(",")[2:] for row in table[1:]] == [["dns", "true"], ["http", "true"]]
-    log = [json.loads(line) for line in finished["rq2_two_affected"][".log"].splitlines()]
-    traced = [r["trace_id"].split("|")[1] for r in log if "trace_id" in r]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "run.log"
+        log.write_bytes(finished["rq2_two_affected"][".log"])
+        traced = [r["protocol"] for r in logio.read_log(log) if r["record_kind"] == "trace"]
     assert traced[0] == "dns" and traced[-1] == "http"
     assert sorted(traced) == traced
 
@@ -105,9 +108,25 @@ def test_resume_after_cut_just_past_a_first_body(finished, name, kind):
     records = [json.loads(line) for line in lines]
     at = next(i for i, r in enumerate(records)
               if r.get("record_kind") == "body" and r["kind"] == kind)
-    assert "record_kind" not in records[at + 1]
-    assert records[at + 1]["body"] == records[at]["body"]
+    cites = next(r for r in records[at + 1:] if "record_kind" not in r)
+    assert records[at]["body"] in cites.get("cells", [cites.get("body")])
     assert_resume_after_cut(finished, name, len(b"".join(lines[:at + 1])))
+
+
+@pytest.mark.parametrize("name", ["rq2", "rq2_two_affected"])
+def test_resume_after_cut_inside_each_cell_record(finished, name):
+    # At the start of every cell record, in its middle, and just before
+    # its newline: the resume runs the matrix again from that record's
+    # first cell.
+    lines = finished[name][".log"].splitlines(keepends=True)
+    records, offset = 0, 0
+    for line in lines:
+        if line.startswith(b'{"cells": '):
+            records += 1
+            for cut in (offset, offset + len(line) // 2, offset + len(line) - 1):
+                assert_resume_after_cut(finished, name, cut)
+        offset += len(line)
+    assert records == 7 * (2 if name == "rq2_two_affected" else 1)  # 1664 = 6 * 256 + 128
 
 
 @settings(max_examples=25, deadline=None)

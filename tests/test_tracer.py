@@ -281,6 +281,19 @@ class TestMergePaths:
             (derived,) = merge_paths(group).groups.values()
             assert derived.verdict == Verdict.excluded()
 
+    @pytest.mark.parametrize("kind", [TerminalKind.EXHAUSTED, TerminalKind.HANDSHAKE_FAILED])
+    def test_a_trace_that_never_arrives_derives_excluded(self, kind):
+        # A silent drop leaves a trace exhausted: no verdict may read it as
+        # clear, alone or with traces that reached the destination.
+        lost = TracePath(Ipv4Address.parse("10.0.3.4"), PARAMS, AppProtocol.HTTPS, (1, None),
+                         Terminal(kind))
+        reached = lost._replace(terminal=Terminal(TerminalKind.REACHED_DESTINATION))
+        for group in ([lost], [reached, lost], [lost, reached, reached]):
+            (derived,) = merge_paths(group).groups.values()
+            assert derived.verdict == Verdict.excluded()
+        (derived,) = merge_paths([reached, reached]).groups.values()
+        assert derived.verdict == Verdict.not_censored()
+
 
 # --- traces and trace groups as tuples ------------------------------------------
 
