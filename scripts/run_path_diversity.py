@@ -43,7 +43,8 @@ def main() -> int:
         plans = plan_rq1(endpoint.address, AppProtocol(args.protocol), args.seed)
         # Every rq1 run writes a log; this demo keeps only its printout.
         with tempfile.TemporaryDirectory() as directory:
-            log = logio.open_run(Path(directory) / "rq1.log", fixture)
+            log = logio.open_run(Path(directory) / "rq1.log", fixture,
+                                 seed=args.seed)
             pathsets = run_rq1(plans, SimTransport(topology), log)
         print(f"\n{fixture}  (destination {endpoint.address})")
         print(f"{'variation':>14}  {'paths':>5}  {'nodes':>5}")

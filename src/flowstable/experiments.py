@@ -24,6 +24,7 @@ from .plans import (  # the command line and the benchmark read these here
     Rq2Plan,
     plan_rq1,
     plan_rq2,
+    rq2_grid,
 )
 from .prober import (
     DEFAULT_REPETITIONS,
@@ -51,6 +52,16 @@ class Rq2Summary(NamedTuple):
     affected: bool
     no_censorship_fraction: Optional[Fraction]
     decided: Tuple[SourceParams, ...]
+
+
+def _seed(log: logio.RunLog) -> int:
+    """The seed of log's meta record, which its reader draws the run's
+    planned sources again from."""
+    seed = (log.meta or {}).get("seed")
+    if type(seed) is not int:
+        raise ValueError(f"run {log.run_id!r} of {log.path} has no seed in its meta record, "
+                         f"so its planned sources could not be read back")
+    return seed
 
 
 def take_trace(lines: logio.SharedLines, key, make_path: Callable[[], TracePath],
@@ -103,9 +114,19 @@ def run_rq1(
     uninterrupted one. A plan traces each distinct source once: a trace
     is a pure function of its flow, so a sample whose source an earlier
     sample of the plan traced takes that TracePath, with a line of its
-    own. The log's meta record must hold the seed that drew the plans:
-    its reader draws them again from it.
+    own. The log's meta record must hold the seed that drew the plans,
+    since its reader draws them again from it; else ValueError, before
+    anything is traced.
     """
+    seed = _seed(log)
+    drawn: Dict[Ipv4Address, Dict[Rq1Variation, Tuple[SourceParams, ...]]] = {}
+    for plan in plans:
+        if plan.dst_ip not in drawn:
+            drawn[plan.dst_ip] = {p.variation: p.samples
+                                  for p in plan_rq1(plan.dst_ip, plan.protocol, seed)}
+        if plan.samples != drawn[plan.dst_ip][plan.variation]:
+            raise ValueError(f"the {plan.variation.value} plan of {plan.dst_ip} is not the one "
+                             f"seed {seed} of run {log.run_id!r} draws")
     out: Dict[Rq1Variation, PathSet] = {}
     for plan in plans:
         lines = logio.SharedLines(log, plan.dst_ip, plan.protocol,
@@ -155,9 +176,15 @@ def run_rq2(
     batches (see logio.SharedLines) and all written by the end of its
     matrix. A sweep cut short therefore resumes where it stopped and
     leaves the same log as an uninterrupted one. The log's meta record
-    must hold the seed that drew plan's grid: its reader draws the
-    grid again from it.
+    must hold the seed that drew plan's grid, since its reader draws the
+    grid again from it and reads the n-th cell as the grid's n-th
+    position: plan's grid must be that grid, or its first positions;
+    else ValueError, before any cell runs.
     """
+    seed = _seed(log)
+    if plan.grid != rq2_grid(seed)[:len(plan.grid)]:
+        raise ValueError(f"the plan's grid is not the one seed {seed} of run {log.run_id!r} "
+                         f"draws")
     out: Dict[Tuple[Ipv4Address, AppProtocol], Rq2Summary] = {}
     for dst in plan.destinations:
         for protocol in protocols:

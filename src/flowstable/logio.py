@@ -222,6 +222,23 @@ def _seed(seeds: Dict[str, object], run: str) -> int:
     return seed
 
 
+def _body_cited(table: List[Tuple[str, str, str, str, object]], body_id, run: str,
+                *due: str) -> Tuple[str, str, str, str, object]:
+    """The entry of table, run's body records by id, that a cell or line
+    cites as body_id: an integer id of a body that run recorded before
+    this line, whose (kind, dst, protocol) begins with due."""
+    if type(body_id) is not int:
+        raise ValueError(f"body id {body_id!r} is not an integer")
+    if not 0 <= body_id < len(table):
+        raise ValueError(f"cites body {body_id}, which run {run!r} has not recorded before "
+                         f"this line")
+    entry = table[body_id]
+    if entry[1:1 + len(due)] != due:
+        raise ValueError(f"cites body {body_id}, a {entry[1]} body of {entry[2]} {entry[3]}, "
+                         f"not a {' '.join(due)} body")
+    return entry
+
+
 def _cited(path: Union[str, Path], run_id: Optional[str], reading: Callable[[Dict], object],
            ) -> Iterator[Tuple[int, Dict, object, object]]:
     """Yield (line number, record, None, None) for each meta record of
@@ -267,6 +284,13 @@ def _cited(path: Union[str, Path], run_id: Optional[str], reading: Callable[[Dic
     samples: Dict[Tuple[str, str, object], Tuple[SourceParams, ...]] = {}
     #: (run, dst, protocol) -> the cells its cell records hold so far
     counts: Dict[Tuple[str, str, str], int] = {}
+
+    def grid_of(run: str) -> Tuple[SourceParams, ...]:
+        grid = grids.get(run)
+        if grid is None:
+            grid = grids[run] = rq2_grid(_seed(seeds, run))
+        return grid
+
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):
@@ -330,22 +354,16 @@ def _cited(path: Union[str, Path], run_id: Optional[str], reading: Callable[[Dic
                     if type(cells) is not list or not 0 < len(cells) <= CELLS_PER_RECORD:
                         raise ValueError(f"cells is not a list of 1 to {CELLS_PER_RECORD} "
                                          f"body ids")
-                    if set(map(type, cells)) != {int}:
+                    if set(map(type, cells)) != {int}:  # a set of ids would take True for 1
                         raise ValueError("a body id of cells is not an integer")
                     for body_id in set(cells):
-                        if not 0 <= body_id < len(table):
-                            raise ValueError(f"cites body {body_id}, which run {run!r} has "
-                                             f"not recorded before this line")
-                        _, body_kind, body_dst, body_protocol, _ = table[body_id]
-                        if (body_kind, body_dst, body_protocol) != (KIND_VERDICT, dst, protocol):
-                            raise ValueError(f"cites body {body_id}, a {body_kind} body of "
-                                             f"{body_dst} {body_protocol}")
+                        _body_cited(table, body_id, run, KIND_VERDICT, dst, protocol)
                     matrix = (run, dst, protocol)
                     first, done = record["first"], counts.get(matrix, 0)
                     if type(first) is not int or first != done or done % CELLS_PER_RECORD:
                         raise ValueError(f"first {first!r} does not continue {dst} {protocol} "
                                          f"of run {run!r}, whose cell records end at {done}")
-                    grid = grids.get(run) or grids.setdefault(run, rq2_grid(_seed(seeds, run)))
+                    grid = grid_of(run)
                     end = counts[matrix] = first + len(cells)
                     if end > len(grid):
                         raise ValueError(f"cells past the grid's {len(grid)} positions")
@@ -353,14 +371,7 @@ def _cited(path: Union[str, Path], run_id: Optional[str], reading: Callable[[Dic
                                                                    cells))
                     continue
                 body_id = record["body"]
-                if type(body_id) is not int:
-                    raise ValueError(f"body id {body_id!r} is not an integer")
-                if not 0 <= body_id < len(table):
-                    raise ValueError(f"cites body {body_id}, which run {run!r} has not "
-                                     f"recorded before this line")
-                _, body_kind, dst, protocol, variation = table[body_id]
-                if body_kind != KIND_TRACE_HOP:
-                    raise ValueError(f"cites body {body_id}, a {body_kind} body, as a trace")
+                _, _, dst, protocol, variation = _body_cited(table, body_id, run, KIND_TRACE_HOP)
                 if "sample_index" in record:
                     index, plan = record["sample_index"], samples.get((run, dst, variation))
                     if plan is None:
@@ -372,7 +383,7 @@ def _cited(path: Union[str, Path], run_id: Optional[str], reading: Callable[[Dic
                             raise ValueError(f"body {body_id} names no rq1 variation")
                 elif "grid_index" in record:
                     index = record["grid_index"]
-                    plan = grids.get(run) or grids.setdefault(run, rq2_grid(_seed(seeds, run)))
+                    plan = grid_of(run)
                 else:
                     source = SourceParams(Ipv4Address.parse(record["src_ip"]),
                                           _port(record["src_port"]))
@@ -465,8 +476,6 @@ def _port(src_port: int) -> int:
     if type(src_port) is not int:
         raise ValueError(f"src_port is not an integer: {src_port!r}")
     return src_port
-
-
 
 
 def read_run(path: Union[str, Path], run_id: Optional[str] = None) -> RunLog:

@@ -14,7 +14,6 @@ seed its run's meta record holds. experiments runs the plans.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -111,11 +110,9 @@ def plan_rq1(
     return plans
 
 
-@functools.lru_cache(maxsize=4)
 def rq2_grid(seed: int) -> Tuple[SourceParams, ...]:
     """208 source IPs x 8 ephemeral ports, the grid of every rq2
-    destination; kept for the last few seeds, since each read of an rq2
-    log draws it again.
+    destination.
 
     The 208 IPs are drawn uniformly over their lowest 3 bits: exactly 26
     host octets per class, never .0 or .255.

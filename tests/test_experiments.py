@@ -2,6 +2,7 @@ import gc
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -251,7 +252,7 @@ class TestRunners:
         for held in (budget, 1):
             monkeypatch.setattr(logio, "APPEND_BYTES", held)
             path = tmp_path / f"{held}.log"
-            log = logio.open_run(path, "rq2")
+            log = logio.open_run(path, "rq2", seed=5)
             start = path.stat().st_size
             chunks = []
 
@@ -270,6 +271,42 @@ class TestRunners:
         assert len(lines) == 7  # one append per cell record, after the bodies it cites first
         assert len(chunks) <= -(-sum(map(len, chunks)) // budget) + 1
         assert data == reference
+
+    @pytest.mark.parametrize("meta", [{"seed": 6}, {}], ids=["another_seed", "no_seed"])
+    def test_runners_refuse_a_plan_their_log_cannot_read_back(self, tmp_path, meta):
+        # A log's reader draws planned sources from its meta record's seed:
+        # a plan of another seed would read back as other sources, and a
+        # log with no seed not at all. Nothing is run or written.
+        topo = load_fixture("half_split.topo")
+        dest = topo.nodes[3].address
+        runners = [
+            ("rq2", lambda log: run_rq2(plan_rq2([dest], seed=5), SimTransport(topo), log,
+                                        protocols=[AppProtocol.HTTP])),
+            ("rq1", lambda log: run_rq1(plan_rq1(dest, AppProtocol.HTTP, seed=5),
+                                        SimTransport(topo), log)),
+        ]
+        for name, run in runners:
+            path = tmp_path / f"{name}.log"
+            log = logio.open_run(path, name, **meta)
+            written = path.read_bytes()
+            with pytest.raises(ValueError, match="seed"):
+                run(log)
+            assert path.read_bytes() == written
+
+    def test_rq2_takes_the_first_positions_of_its_seeds_grid_only(self, tmp_path):
+        # The reader reads a matrix's n-th cell as the grid's n-th
+        # position, so a shortened grid must start where the seed's does.
+        grid = plan_rq2([DEST], seed=5).grid
+        for shortened, runs in ((grid[:3], True), (grid[1:4], False)):
+            log = logio.open_run(tmp_path / f"{runs}.log", "rq2", seed=5)
+            plan = SimpleNamespace(destinations=(DEST,), grid=shortened,
+                                   domain_pair=("a.example", "b.example"))
+            if runs:
+                run_rq2(plan, LiveTransport(), log, protocols=[AppProtocol.HTTP])
+                assert list(logged_matrices(log)[(DEST, AppProtocol.HTTP)]) == list(shortened)
+            else:
+                with pytest.raises(ValueError, match="seed 5"):
+                    run_rq2(plan, LiveTransport(), log, protocols=[AppProtocol.HTTP])
 
     def test_rq2_rerun_on_one_transport_identical(self, registry):
         topo = load_fixture("half_split.topo")

@@ -83,8 +83,9 @@ def test_round_trip_1000_cells_of_two_matrices(tmp_path):
     assert list(run.verdicts) == list(expected)
     for key, matrix in expected.items():
         assert list(run.verdicts[key]) == list(matrix)
-        # the plan's own sources, which the read drew last
-        assert all(a is b for a, b in zip(run.verdicts[key], rq2_grid(SEED)))
+    # both matrices' sources are the objects of the read's one grid draw
+    http, https = (list(run.verdicts[(DST, p)]) for p in (AppProtocol.HTTP, AppProtocol.HTTPS))
+    assert all(a is b for a, b in zip(http, https))
 
 
 def test_truncated_final_line_discarded_with_warning(tmp_path):
@@ -522,7 +523,7 @@ class TestMalformedRecord:
         self.read(tmp_path, 2, _body(TRACE), _indexed(grid_index=0), META)
 
     def test_trace_line_citing_a_verdict_body(self, tmp_path):
-        assert "a verdict body, as a trace" in self.read(tmp_path, 3, META, _body(VERDICT),
+        assert "a verdict body of 10.0.3.4 http, not a trace body" in self.read(tmp_path, 3, META, _body(VERDICT),
                                                         _line())
 
     # -- cell records
